@@ -287,14 +287,14 @@ func NewSnapshot(g *Graph, w Weights, parts [][]NodeID, opts SnapshotOptions) (*
 // is deterministic and identical to its single-threaded counterpart.
 type Server = serve.Server
 
-// ServerOptions configures NewServer (pool size, batch-scheduler workers,
-// query-determinism seed).
+// ServerOptions configures NewServer (pool size, query-determinism seed,
+// observability).
 type ServerOptions = serve.ServerOptions
 
 // NewServer builds a server over snap.
 //
 // Deprecated: use NewServerV2 with functional options (WithExecutors,
-// WithWorkers, WithServerSeed) and the server's context-first query methods.
+// WithServerSeed) and the server's context-first query methods.
 func NewServer(snap *Snapshot, opts ServerOptions) *Server {
 	// NewServerV2 maps its Config onto exactly this constructor; calling it
 	// directly keeps the v1 signature error-free by construction.
@@ -302,8 +302,9 @@ func NewServer(snap *Snapshot, opts ServerOptions) *Server {
 }
 
 // The serving query family (Corollaries 1.2, 4.2, 4.3 plus quality
-// introspection) and its typed answers. Server.ServeBatch groups same-kind
-// queries so one scheduler execution serves the whole group.
+// introspection) and its typed answers. Server.ServeBatch answers a batch
+// on one executor and one pinned snapshot, walking each distinct SSSP root
+// once.
 type (
 	// ServeQuery is one typed request; ServeAnswer one typed response.
 	ServeQuery  = serve.Query

@@ -38,8 +38,8 @@ type Metrics = obs.Registry
 type MetricsSnapshot = obs.Snapshot
 
 // QueryTrace is one decoded per-query trace record: kind, epoch and
-// generation served, kernel chosen, batch size after coalescing, queue
-// wait and execution nanoseconds, and the outcome.
+// generation served, batch size after coalescing, queue wait and execution
+// nanoseconds, and the outcome.
 type QueryTrace = obs.QueryTrace
 
 // NewMetrics creates an empty metrics registry.

@@ -212,11 +212,11 @@ func NewSnapshotCtx(ctx context.Context, g *Graph, w Weights, parts [][]NodeID, 
 }
 
 // NewServerV2 builds a server over snap from functional options
-// (WithExecutors, WithWorkers, WithSeed / WithServerSeed, WithBitParallel,
-// WithMetrics, WithProfileLabels). The server's
-// context-first query methods — ServeCtx, ServeBatchCtx, ServeSSSPIntoCtx —
-// gate executor checkout on the context and thread it into every scheduled
-// phase; a canceled query leaves the pool fully usable.
+// (WithExecutors, WithSeed / WithServerSeed, WithMetrics,
+// WithProfileLabels). The server's context-first query methods — ServeCtx,
+// ServeBatchCtx, ServeSSSPIntoCtx — gate executor checkout on the context
+// and check it during execution; a canceled query leaves the pool fully
+// usable.
 func NewServerV2(snap *Snapshot, opts ...Option) (*Server, error) {
 	cfg, err := NewConfig(opts...)
 	if err != nil {
@@ -227,13 +227,11 @@ func NewServerV2(snap *Snapshot, opts ...Option) (*Server, error) {
 
 func (c *Config) serverOptions() serve.ServerOptions {
 	return serve.ServerOptions{
-		Executors:          c.Executors,
-		Workers:            c.Workers,
-		Seed:               c.serverSeed(),
-		DisableBitParallel: c.DisableBitParallel,
-		Metrics:            c.Metrics,
-		TraceDepth:         c.TraceDepth,
-		ProfileLabels:      c.ProfileLabels,
+		Executors:     c.Executors,
+		Seed:          c.serverSeed(),
+		Metrics:       c.Metrics,
+		TraceDepth:    c.TraceDepth,
+		ProfileLabels: c.ProfileLabels,
 	}
 }
 
@@ -317,11 +315,11 @@ func ApplyDeltaCtx(ctx context.Context, snap *Snapshot, delta Delta, opts ...Opt
 }
 
 // NewStoreServerV2 builds a server over a store from functional options
-// (WithExecutors, WithWorkers, WithSeed / WithServerSeed,
-// WithBitParallel): every query is
-// answered against the store's snapshot current at that query's executor
-// checkout, with the epoch pinned until the answer is extracted — a
-// concurrent Store.Swap never tears an answer or a batch.
+// (WithExecutors, WithSeed / WithServerSeed, WithMetrics,
+// WithProfileLabels): every query is answered against the store's snapshot
+// current at that query's executor checkout, with the epoch pinned until
+// the answer is extracted — a concurrent Store.Swap never tears an answer
+// or a batch.
 func NewStoreServerV2(store *Store, opts ...Option) (*Server, error) {
 	cfg, err := NewConfig(opts...)
 	if err != nil {

@@ -84,7 +84,7 @@ func run(args []string, stdout io.Writer) error {
 		benchOut  = fs.String("bench-out", "", "append the run envelope + tables as a trajectory entry to this JSON file (e.g. BENCH_serving.json for -serve runs); repeated runs accumulate a performance history; stdout keeps its text/CSV/JSON form")
 		benchTag  = fs.String("bench-tag", "", "tag recorded on the -bench-out trajectory entry (a PR number, commit, or machine name)")
 
-		metricsOut = fs.String("metrics-out", "", "instrument the run with an observability registry and write its JSON snapshot (per-kind latency quantiles, kernel-routing and epoch-swap counters, query traces) to this file; the snapshot is also folded into the -json/-bench-out envelope under run.metrics")
+		metricsOut = fs.String("metrics-out", "", "instrument the run with an observability registry and write its JSON snapshot (per-kind latency quantiles, coalescing and epoch-swap counters, query traces) to this file; the snapshot is also folded into the -json/-bench-out envelope under run.metrics")
 
 		timeout = fs.Duration("timeout", 0, "abort the run after this duration (0 = no limit); exercises the library's context-first cancellation end-to-end")
 

@@ -82,17 +82,14 @@ func TestServeSweepJSON(t *testing.T) {
 	if !strings.Contains(tbl.Title, "E14") {
 		t.Fatalf("unexpected table: %q", tbl.Title)
 	}
-	// 2 executor settings × (batch 1: one walk row + batch 4: bitparallel
-	// and scalar kernel rows).
-	if len(tbl.Rows) != 6 {
-		t.Fatalf("want 6 sweep rows, got %d", len(tbl.Rows))
+	// 2 executor settings × 2 batch sizes, all on the library backend.
+	if len(tbl.Rows) != 4 {
+		t.Fatalf("want 4 sweep rows, got %d", len(tbl.Rows))
 	}
-	kernels := map[string]int{}
 	for _, row := range tbl.Rows {
-		kernels[row[3]]++
-	}
-	if kernels["walk"] != 2 || kernels["bitparallel"] != 2 || kernels["scalar"] != 2 {
-		t.Fatalf("unexpected kernel dimension: %v", kernels)
+		if row[3] != "library" {
+			t.Fatalf("unexpected backend %v in row %v", row[3], row)
+		}
 	}
 	if _, ok := tbl.Meta["build_ms"]; !ok {
 		t.Fatalf("missing build_ms meta: %v", tbl.Meta)
@@ -343,29 +340,19 @@ func TestMetricsOut(t *testing.T) {
 
 	counters := map[string]int64{}
 	for _, c := range snap.Counters {
-		key := c.Name
-		if k := c.Labels["kernel"]; k != "" {
-			key += ":" + k
-		}
-		counters[key] = c.Value
+		counters[c.Name] = c.Value
 	}
-	// 2 executor settings × 8 queries per sweep point: 16 walk singles, and
-	// one bitparallel + one scalar group per executor setting (batch 4,
-	// 8 queries → 2 groups each).
-	if counters["lcs_serve_kernel_runs_total:walk"] != 16 {
-		t.Fatalf("walk kernel runs = %d, want 16", counters["lcs_serve_kernel_runs_total:walk"])
-	}
-	if counters["lcs_serve_kernel_runs_total:bitparallel"] == 0 || counters["lcs_serve_kernel_runs_total:scalar"] == 0 {
-		t.Fatalf("batch kernel counters missing: %v", counters)
-	}
-	if counters["lcs_serve_coalesce_in_total"] == 0 {
-		t.Fatalf("coalesce counters missing: %v", counters)
+	// 2 executor settings × 8 queries per sweep point: the batch-4 points
+	// send 2 × 8 = 16 queries through batched groups.
+	if counters["lcs_serve_coalesce_in_total"] != 16 {
+		t.Fatalf("coalesce_in = %d, want 16: %v", counters["lcs_serve_coalesce_in_total"], counters)
 	}
 	sawLatency, sawEpoch := false, false
 	for _, h := range snap.Histograms {
 		if h.Name == "lcs_serve_latency_ns" && h.Labels["kind"] == "sssp" {
 			sawLatency = true
-			if h.Count == 0 || h.P50 <= 0 || h.P99 < h.P50 {
+			// 16 singles plus 2 × 2 batched groups.
+			if h.Count != 20 || h.P50 <= 0 || h.P99 < h.P50 {
 				t.Fatalf("sssp latency summary implausible: %+v", h)
 			}
 		}

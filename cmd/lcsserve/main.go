@@ -63,7 +63,7 @@ func run(args []string, stdout io.Writer, ready func(listen, admin string)) erro
 		listen     = fs.String("listen", ":8080", "serving listener address")
 		adminL     = fs.String("admin-listen", ":9090", "admin listener address (/metrics, /healthz, /readyz)")
 		executors  = fs.Int("executors", 0, "executor pool size (0 = GOMAXPROCS)")
-		workers    = fs.Int("workers", 0, "scheduler parallelism of batched executions and delta repairs (0 = sequential)")
+		workers    = fs.Int("workers", 0, "scheduler parallelism of /v1/delta repairs (0 = sequential)")
 		queueDepth = fs.Int("queue-depth", 0, "admission capacity before shedding 429s (0 = 4x executors)")
 		batchWin   = fs.Duration("batch-window", 0, "sssp coalescing window (0 = off)")
 		maxBatch   = fs.Int("max-batch", 0, "flush a window early at this many parked queries (0 = 64)")
@@ -87,7 +87,6 @@ func run(args []string, stdout io.Writer, ready func(listen, admin string)) erro
 	store := serve.NewStore(snap)
 	srv := serve.NewStoreServer(store, serve.ServerOptions{
 		Executors:  *executors,
-		Workers:    *workers,
 		Seed:       *seed,
 		Metrics:    reg,
 		TraceDepth: *traceDepth,

@@ -71,10 +71,6 @@ type Config struct {
 	// ServerSeed derives per-query randomness (0 = from Seed, else 1).
 	Executors  int
 	ServerSeed int64
-	// DisableBitParallel forces a server's batched SSSP groups onto the
-	// scalar random-delay kernel even when the snapshot tree admits the
-	// bit-parallel fast path. Answers are identical either way.
-	DisableBitParallel bool
 	// DilationCutoff bounds the exact per-part dilation computation in
 	// snapshot builds (0 = default 3000; negative = always exact).
 	DilationCutoff int
@@ -289,15 +285,6 @@ func WithExecutors(n int) Option {
 // WithSeed when given, else the server default).
 func WithServerSeed(seed int64) Option { return func(c *Config) { c.ServerSeed = seed } }
 
-// WithBitParallel toggles the bit-parallel multi-source kernel on a
-// server's batched SSSP groups (on by default for eligible snapshot trees).
-// Passing false pins the scalar random-delay kernel — distances are
-// identical either way; the knob exists for benchmarking the kernels
-// against each other and as an escape hatch.
-func WithBitParallel(on bool) Option {
-	return func(c *Config) { c.DisableBitParallel = !on }
-}
-
 // WithDilationCutoff bounds the exact per-part dilation computation in
 // snapshot builds (negative = always exact).
 func WithDilationCutoff(n int) Option { return func(c *Config) { c.DilationCutoff = n } }
@@ -317,7 +304,7 @@ func WithSnapshotVerify(on bool) Option {
 
 // WithMetrics attaches an observability registry (NewMetrics) to the entry
 // point: servers record per-kind latency, queue wait, executor utilization,
-// kernel routing, coalescing, and per-execution traces; stores record swap
+// coalescing, and per-execution traces; stores record swap
 // count/latency, drain waits, lease pins, and stale rejections; snapshot
 // loads record load path, bytes, and verify time. One registry can span
 // the whole serving stack — registration is idempotent, so sharing is
@@ -339,9 +326,9 @@ func WithTraceDepth(n int) Option {
 }
 
 // WithProfileLabels wraps a server's executor execution in runtime/pprof
-// labels (query_kind, kernel) so CPU profiles attribute samples per query
-// kind. Off by default: the labeled context allocates per query, so
-// enabling it trades the warm paths' 0 allocs/op for attribution.
+// labels (query_kind) so CPU profiles attribute samples per query kind.
+// Off by default: the labeled context allocates per query, so enabling it
+// trades the warm paths' 0 allocs/op for attribution.
 func WithProfileLabels(on bool) Option { return func(c *Config) { c.ProfileLabels = on } }
 
 // WithQueueDepth caps a gateway's admission pool: the number of requests
@@ -361,7 +348,7 @@ func WithQueueDepth(n int) Option {
 // WithBatchWindow sets a gateway's sssp coalescing window: the first sssp
 // query opens a window of this length, and every sssp query arriving
 // within it joins one batched execution whose duplicate-root coalescing
-// answers identical roots with a single traversal (0 = coalescing off).
+// answers identical roots with a single tree walk (0 = coalescing off).
 func WithBatchWindow(d time.Duration) Option {
 	return func(c *Config) {
 		if d < 0 {
@@ -373,7 +360,8 @@ func WithBatchWindow(d time.Duration) Option {
 }
 
 // WithMaxBatch flushes a gateway's coalescing window early once this many
-// queries are parked (0 = 64, the bit-parallel kernel's word width).
+// queries are parked (0 = 64). A batch walks its distinct roots one after
+// another on one executor, so the cap bounds how long a batch holds it.
 func WithMaxBatch(n int) Option {
 	return func(c *Config) {
 		if n < 0 {

@@ -1,7 +1,7 @@
 // Serving: build one immutable Snapshot (shortcuts + shortcut-MST), then
 // answer the whole application family — SSSP, MST, min cut, 2-ECSS, quality
 // — concurrently from a pooled Server, including a batched submission that
-// shares one scheduler execution across same-kind queries.
+// walks each distinct SSSP root once on one executor.
 package main
 
 import (
@@ -75,9 +75,9 @@ func run() error {
 	fmt.Printf("serve: 400 SSSP queries from 4 clients in %v\n",
 		time.Since(start).Round(time.Millisecond))
 
-	// A mixed batch: the three SSSP queries share ONE scheduler execution.
-	// The batch context is checked once per drain round, so a canceled
-	// client aborts the shared execution within one round and leaves the
+	// A mixed batch on one executor and one pinned snapshot. The batch
+	// context is checked between SSSP walks and by the scheduled phases of
+	// the other kinds, so a canceled client aborts promptly and leaves the
 	// executor pool untouched for other clients.
 	answers, err := srv.ServeBatchCtx(ctx, []repro.ServeQuery{
 		repro.SSSPQuery{Source: 0},
@@ -91,7 +91,7 @@ func run() error {
 		return err
 	}
 	sssp := answers[0].(*repro.SSSPAnswer)
-	fmt.Printf("batch: sssp(0) charged %d shared rounds, %d messages\n", sssp.Rounds, sssp.Messages)
+	fmt.Printf("batch: sssp(0) charged %d rounds, %d messages\n", sssp.Rounds, sssp.Messages)
 	mc := answers[4].(*repro.MinCutAnswer)
 	fmt.Printf("batch: min cut %.4g (%d packed trees, MST as tree #1)\n", mc.Value, mc.Trees)
 	qa := answers[5].(*repro.QualityAnswer)

@@ -71,7 +71,7 @@ type Config struct {
 	LoadDuration time.Duration
 	// Metrics, when non-nil, attaches the observability registry to the
 	// serving-layer experiments (E14's store, servers, and snapshot load):
-	// per-kind latency histograms, kernel-routing counters, epoch-swap
+	// per-kind latency histograms, coalescing counters, epoch-swap
 	// counts, and query traces accumulate there for the caller to expose
 	// or serialize (lcsbench's -metrics-out flag threads it here). E14
 	// also folds the snapshot's simulated build cost in via

@@ -83,7 +83,7 @@ func E17Load(cfg Config) (*Table, error) {
 	runScenario := func(sched *load.Schedule, wire bool) (*load.Result, error) {
 		store := serve.NewStore(snap)
 		srv := serve.NewStoreServer(store, serve.ServerOptions{
-			Executors: executors, Workers: cfg.Workers, Seed: cfg.Seed, Metrics: cfg.Metrics,
+			Executors: executors, Seed: cfg.Seed, Metrics: cfg.Metrics,
 		})
 		var backend load.Backend
 		if wire {

@@ -27,7 +27,7 @@ import (
 func E14Serving(cfg Config) (*Table, error) {
 	cfg = cfg.WithDefaults()
 	t := NewTable("E14: serving layer throughput (snapshot + pooled executors)",
-		"n", "executors", "batch", "kernel", "queries", "warm qps", "ms/query", "rebuild qps", "speedup", "sim rounds/query")
+		"n", "executors", "batch", "backend", "queries", "warm qps", "ms/query", "rebuild qps", "speedup", "sim rounds/query")
 	var (
 		snap      *serve.Snapshot
 		g         *graph.Graph
@@ -96,40 +96,30 @@ func E14Serving(cfg Config) (*Table, error) {
 	// per-epoch trace attribution even though this sweep never swaps.
 	store := serve.NewStoreWith(snap, serve.StoreOptions{Metrics: cfg.Metrics})
 
-	// The kernel dimension: batched groups run on the bit-parallel kernel by
-	// default and on the scalar random-delay kernel with DisableBitParallel —
-	// answers are identical, so any qps gap is pure kernel throughput.
-	// Single-query points (batch 1) take the warm tree walk; no batch kernel
-	// ever runs, so they get one "walk" row.
+	// Every SSSP answer is a warm tree walk: batch 1 submits single
+	// queries, larger batches submit ServeBatch groups that walk their
+	// distinct roots one after another on one executor.
 	var warmPer, warmSinglePer time.Duration
 	for _, executors := range cfg.ServeExecutors {
 		for _, batch := range cfg.ServeBatches {
-			kernels := []string{"walk"}
-			if batch > 1 {
-				kernels = []string{"bitparallel", "scalar"}
+			srv := serve.NewStoreServer(store, serve.ServerOptions{
+				Executors: executors, Seed: cfg.Seed, Metrics: cfg.Metrics,
+			})
+			elapsed, simRounds, err := fireQueries(cfg.ctx(), srv, g.NumNodes(), cfg.ServeQueries, executors, batch)
+			if err != nil {
+				return nil, fmt.Errorf("E14 executors=%d batch=%d: %w", executors, batch, err)
 			}
-			for _, kernel := range kernels {
-				srv := serve.NewStoreServer(store, serve.ServerOptions{
-					Executors: executors, Workers: cfg.Workers, Seed: cfg.Seed,
-					DisableBitParallel: kernel == "scalar",
-					Metrics:            cfg.Metrics,
-				})
-				elapsed, simRounds, err := fireQueries(cfg.ctx(), srv, g.NumNodes(), cfg.ServeQueries, executors, batch)
-				if err != nil {
-					return nil, fmt.Errorf("E14 executors=%d batch=%d kernel=%s: %w", executors, batch, kernel, err)
-				}
-				per := elapsed / time.Duration(cfg.ServeQueries)
-				if warmPer == 0 || per < warmPer {
-					warmPer = per
-				}
-				if batch == 1 && (warmSinglePer == 0 || per < warmSinglePer) {
-					warmSinglePer = per
-				}
-				qps := float64(time.Second) / float64(per)
-				t.AddRow(I(g.NumNodes()), I(executors), I(batch), kernel, I(cfg.ServeQueries),
-					F(qps), F(float64(per)/float64(time.Millisecond)), F(rebuildQPS), F(qps/rebuildQPS),
-					F(float64(simRounds)/float64(cfg.ServeQueries)))
+			per := elapsed / time.Duration(cfg.ServeQueries)
+			if warmPer == 0 || per < warmPer {
+				warmPer = per
 			}
+			if batch == 1 && (warmSinglePer == 0 || per < warmSinglePer) {
+				warmSinglePer = per
+			}
+			qps := float64(time.Second) / float64(per)
+			t.AddRow(I(g.NumNodes()), I(executors), I(batch), "library", I(cfg.ServeQueries),
+				F(qps), F(float64(per)/float64(time.Millisecond)), F(rebuildQPS), F(qps/rebuildQPS),
+				F(float64(simRounds)/float64(cfg.ServeQueries)))
 		}
 	}
 
@@ -180,8 +170,8 @@ func E14Serving(cfg Config) (*Table, error) {
 		t.AddNote("amortization: build (%s) breaks even after %.1f queries vs rebuild-per-query (%s/query)",
 			buildTime.Round(time.Millisecond), breakEven, rebuildPer.Round(time.Millisecond))
 	}
-	t.AddNote("sim rounds/query is the marginal simulated cost: batched queries share one scheduler execution")
-	t.AddNote("kernel: batched groups run bit-parallel (64 sources per frontier word) vs scalar random-delay; batch 1 is the warm tree walk")
+	t.AddNote("sim rounds/query is the marginal simulated cost charged to every answer, batched or not (sssp.TreeServeCost); E10 measures the scheduling of many BFS tasks")
+	t.AddNote("backend: library calls the server in-process; wire POSTs to -serve-addr")
 	t.SetMeta("build_ms", float64(buildTime)/float64(time.Millisecond))
 	t.SetMeta("rebuild_ms_per_query", float64(rebuildPer)/float64(time.Millisecond))
 	t.SetMeta("workers", cfg.Workers)
@@ -192,8 +182,7 @@ func E14Serving(cfg Config) (*Table, error) {
 // concurrent clients: batch == 1 submits them individually, batch > 1 as
 // ServeBatch groups of that size (each group occupies one pooled executor,
 // so concurrent clients are what exercise the pool). Returns wall-clock time
-// and the summed simulated rounds — per answer for singles, per shared
-// execution for batches.
+// and the simulated rounds summed over every answer.
 func fireQueries(ctx context.Context, srv *serve.Server, n, q, executors, batch int) (time.Duration, int64, error) {
 	if batch <= 0 {
 		batch = 1
@@ -236,9 +225,9 @@ func fireQueries(ctx context.Context, srv *serve.Server, n, q, executors, batch 
 					errs <- err
 					return
 				}
-				// The batch shares one scheduled execution; charge its
-				// rounds once.
-				local += int64(answers[0].(*serve.SSSPAnswer).Rounds)
+				for _, a := range answers {
+					local += int64(a.(*serve.SSSPAnswer).Rounds)
+				}
 			}
 			mu.Lock()
 			simRounds += local

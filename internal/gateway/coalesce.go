@@ -28,9 +28,9 @@ type ssspWaiter struct {
 // coalescer folds concurrent sssp requests into shared batch executions: a
 // request opens a window of length `window`; every sssp request arriving
 // inside it joins the same ServeBatchCtx call, whose in-batch duplicate-
-// root coalescing answers identical roots with one traversal. The window
-// flushes early at maxBatch waiters (the bit-parallel kernel's word width —
-// a fuller batch would split into a second execution anyway).
+// root coalescing answers identical roots with one tree walk. The window
+// flushes early at maxBatch waiters: the batch walks its distinct roots one
+// after another on one executor, so the cap bounds how long it holds it.
 //
 // Waiters hold their admission slots while parked, so a coalescing gateway
 // sheds at exactly the same depth as a non-coalescing one.

@@ -50,7 +50,7 @@ type Options struct {
 	// execution. 0 disables coalescing (every query serves directly).
 	BatchWindow time.Duration
 	// MaxBatch flushes a window early once this many queries are parked.
-	// 0 selects 64, the bit-parallel kernel's word width.
+	// 0 selects 64.
 	MaxBatch int
 	// DefaultTimeout bounds requests that carry no Request-Timeout header.
 	// 0 means no implicit deadline.

@@ -82,17 +82,6 @@ func (g *Graph) ArcTail(a int32) NodeID { return g.arcTail[a] }
 // Callers must not modify the returned slice.
 func (g *Graph) ArcReverses() []int32 { return g.arcRev }
 
-// ArcTails returns the full arc-tail table indexed by arc, as a shared
-// read-only slice (ArcTails()[a] == ArcTail(a)); the serving layer's batch
-// distance resolution indexes it in its hot loop. Callers must not modify
-// the returned slice.
-func (g *Graph) ArcTails() []NodeID { return g.arcTail }
-
-// ArcTargets returns the full arc-head table indexed by arc, as a shared
-// read-only slice (ArcTargets()[a] == ArcTarget(a)), for the same hot-loop
-// consumers as ArcTails. Callers must not modify the returned slice.
-func (g *Graph) ArcTargets() []NodeID { return g.neighbors }
-
 // EdgeEndpoints returns the two endpoints of edge e with u < v.
 func (g *Graph) EdgeEndpoints(e EdgeID) (u, v NodeID) {
 	return g.edgeU[e], g.edgeV[e]

@@ -73,7 +73,7 @@ func TestNilSafety(t *testing.T) {
 	g.Add(1)
 	g.SetMax(1)
 	h.Observe(1)
-	tr.Record(0, 0, 0, 0, 0, 0, 0, 0)
+	tr.Record(0, 0, 0, 0, 0, 0, 0)
 	if c.Value() != 0 || g.Value() != 0 || tr.Len() != 0 || tr.Recorded() != 0 {
 		t.Fatal("nil instruments must read as zero")
 	}
@@ -245,10 +245,10 @@ func TestHistogramConcurrent(t *testing.T) {
 
 func TestTraceRingDecodeAndWraparound(t *testing.T) {
 	r := New()
-	names := TraceNames{Kinds: []string{"sssp", "mst"}, Kernels: []string{"walk"}, Outcomes: []string{"ok", "error"}}
+	names := TraceNames{Kinds: []string{"sssp", "mst"}, Outcomes: []string{"ok", "error"}}
 	ring := r.Trace(8, names)
 	for i := 0; i < 20; i++ {
-		ring.Record(uint8(i%2), 0, 0, uint64(100+i), uint64(i), int32(i), int64(i*10), int64(i*100))
+		ring.Record(uint8(i%2), 0, uint64(100+i), uint64(i), int32(i), int64(i*10), int64(i*100))
 	}
 	if ring.Len() != 8 || ring.Recorded() != 20 {
 		t.Fatalf("Len = %d, Recorded = %d; want 8, 20", ring.Len(), ring.Recorded())
@@ -264,16 +264,16 @@ func TestTraceRingDecodeAndWraparound(t *testing.T) {
 			t.Fatalf("record %d decoded wrong: %+v", i, qt)
 		}
 		wantKind := names.Kinds[i%2]
-		if qt.Kind != wantKind || qt.Kernel != "walk" || qt.Outcome != "ok" {
-			t.Fatalf("record %d names = (%s, %s, %s)", i, qt.Kind, qt.Kernel, qt.Outcome)
+		if qt.Kind != wantKind || qt.Outcome != "ok" {
+			t.Fatalf("record %d names = (%s, %s)", i, qt.Kind, qt.Outcome)
 		}
 	}
 	// Out-of-table codes render as code(N), not a crash.
-	ring.Record(99, 99, 99, 0, 0, 1, 0, 0)
+	ring.Record(99, 99, 0, 0, 1, 0, 0)
 	traces = r.Traces()
 	last := traces[len(traces)-1]
-	if last.Kind != "code(99)" || last.Kernel != "code(99)" || last.Outcome != "code(99)" {
-		t.Fatalf("out-of-table codes = (%s, %s, %s)", last.Kind, last.Kernel, last.Outcome)
+	if last.Kind != "code(99)" || last.Outcome != "code(99)" {
+		t.Fatalf("out-of-table codes = (%s, %s)", last.Kind, last.Outcome)
 	}
 }
 
@@ -312,7 +312,7 @@ func TestTraceRingConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				v := uint64(w*perWriter + i)
-				ring.Record(1, 1, 1, v, v+1, 1, 0, int64(v+2))
+				ring.Record(1, 1, v, v+1, 1, 0, int64(v+2))
 			}
 		}(w)
 	}
@@ -368,7 +368,7 @@ test_requests_total{kind="sssp"} 3
 func TestPrometheusExpositionValid(t *testing.T) {
 	r := New()
 	for _, kind := range []string{"sssp", "mst", "mincut"} {
-		r.Counter("lcs_serve_kernel_runs_total", "kernel", kind).Add(int64(len(kind)))
+		r.Counter("lcs_serve_queries_total", "kind", kind).Add(int64(len(kind)))
 		h := r.Histogram("lcs_serve_latency_ns", "kind", kind)
 		for i := 0; i < 50; i++ {
 			h.Observe(int64(i * i * 1000))
@@ -418,7 +418,7 @@ func TestPrometheusExpositionValid(t *testing.T) {
 func TestHandler(t *testing.T) {
 	r := New()
 	r.Counter("c_total").Add(5)
-	r.Trace(4, TraceNames{Kinds: []string{"sssp"}}).Record(0, 0, 0, 1, 0, 1, 10, 20)
+	r.Trace(4, TraceNames{Kinds: []string{"sssp"}}).Record(0, 0, 1, 0, 1, 10, 20)
 
 	srv := httptest.NewServer(Handler(r))
 	defer srv.Close()

@@ -13,10 +13,9 @@ const traceWords = 6
 // TraceNames maps the trace's compact codes to display names for snapshots
 // (codes outside a table render as their number). The recorder itself
 // stores only codes, so the ring stays domain-agnostic — the serving layer
-// supplies its kind/kernel/outcome vocabularies at registration.
+// supplies its kind/outcome vocabularies at registration.
 type TraceNames struct {
 	Kinds    []string
-	Kernels  []string
 	Outcomes []string
 }
 
@@ -50,7 +49,7 @@ func NewTraceRing(size int) *TraceRing {
 
 // Record appends one query record. All arguments are plain values; the
 // call is a handful of atomic stores — no locks, no allocation.
-func (r *TraceRing) Record(kind, kernel, outcome uint8, epoch, generation uint64, batch int32, queueWaitNs, execNs int64) {
+func (r *TraceRing) Record(kind, outcome uint8, epoch, generation uint64, batch int32, queueWaitNs, execNs int64) {
 	if r == nil {
 		return
 	}
@@ -59,7 +58,7 @@ func (r *TraceRing) Record(kind, kernel, outcome uint8, epoch, generation uint64
 	seq := &r.slots[base]
 	stable := (i + 1) << 1
 	seq.Store(stable | 1) // odd: write in progress
-	r.slots[base+1].Store(uint64(kind)<<48 | uint64(kernel)<<40 | uint64(outcome)<<32 | uint64(uint32(batch)))
+	r.slots[base+1].Store(uint64(kind)<<40 | uint64(outcome)<<32 | uint64(uint32(batch)))
 	r.slots[base+2].Store(epoch)
 	r.slots[base+3].Store(generation)
 	r.slots[base+4].Store(uint64(queueWaitNs))
@@ -92,10 +91,9 @@ func (r *TraceRing) Recorded() uint64 {
 type QueryTrace struct {
 	// Seq is the record's global sequence number (0-based, monotonic).
 	Seq uint64 `json:"seq"`
-	// Kind, Kernel, and Outcome are the display names resolved through the
-	// ring's TraceNames (or decimal codes when out of table range).
+	// Kind and Outcome are the display names resolved through the ring's
+	// TraceNames (or decimal codes when out of table range).
 	Kind    string `json:"kind"`
-	Kernel  string `json:"kernel"`
 	Outcome string `json:"outcome"`
 	// Epoch is the store epoch the query was pinned to (0 for a
 	// fixed-snapshot server); Generation the snapshot's delta-chain
@@ -142,9 +140,8 @@ func (r *TraceRing) snapshot(names TraceNames) []QueryTrace {
 		if seq.Load() != s1 { // recycled while decoding
 			continue
 		}
-		kind, kernel, outcome := uint8(w1>>48), uint8(w1>>40), uint8(w1>>32)
+		kind, outcome := uint8(w1>>40), uint8(w1>>32)
 		qt.Kind = nameOrCode(names.name(names.Kinds, kind), kind)
-		qt.Kernel = nameOrCode(names.name(names.Kernels, kernel), kernel)
 		qt.Outcome = nameOrCode(names.name(names.Outcomes, outcome), outcome)
 		out = append(out, qt)
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/reproerr"
 )
 
 // Per-task BFS state comes in two flat representations, chosen per run:
@@ -89,18 +88,13 @@ type bfsRun struct {
 	r      *Runner
 	g      *graph.Graph
 	tasks  []BFSTask
-	parc   []int32 // streaming mode (Options.ParcInto): task-major, stride n
-	order  []int64 // sequential visit log (Options.VisitOrder); overrides parc stores
-	ocur   int     // next log entry
-	n      int     // NumNodes, the dense cell-row stride
-	stride int     // words per task row of the visited bitset
-	dense  bool    // representation of this run
+	n      int  // NumNodes, the dense cell-row stride
+	stride int  // words per task row of the visited bitset
+	dense  bool // representation of this run
 }
 
 // visit records the first arrival of task ti at node v (arriving over arc,
 // -1 at roots) into shard sh's state, reporting false if already visited.
-// In streaming mode the visit is one inline parent-arc store instead of the
-// per-task state; only the membership structure is maintained.
 func (h *bfsRun) visit(sh int, ti int32, v graph.NodeID, dist int32, arc int32) bool {
 	if h.dense {
 		r := h.r
@@ -110,30 +104,12 @@ func (h *bfsRun) visit(sh int, ti int32, v graph.NodeID, dist int32, arc int32) 
 			return false
 		}
 		*w |= bit
-		if h.order != nil {
-			h.order[h.ocur] = int64(ti)<<32 | int64(uint32(arc))
-			h.ocur++
-			return true
-		}
-		if h.parc != nil {
-			h.parc[int(ti)*h.n+int(v)] = arc
-			return true
-		}
 		r.dense[int(ti)*h.n+int(v)] = denseCell{dist: dist, parc: arc}
 		return true
 	}
 	st := &h.r.bfsShards[sh]
 	if !st.set.add(visitKey(ti, v)) {
 		return false
-	}
-	if h.order != nil {
-		h.order[h.ocur] = int64(ti)<<32 | int64(uint32(arc))
-		h.ocur++
-		return true
-	}
-	if h.parc != nil {
-		h.parc[int(ti)*h.n+int(v)] = arc
-		return true
 	}
 	st.vtask = append(st.vtask, ti)
 	st.vnode = append(st.vnode, v)
@@ -176,12 +152,9 @@ func (h *bfsRun) deliver(sh int, pos int32, arc int32, tk bfsToken) {
 	if !h.visit(sh, tk.task, v, nd, arc) {
 		return
 	}
-	if h.parc == nil {
-		// Notify the parent over the reverse direction of this edge; the
-		// notification shares bandwidth with everything else. Streaming
-		// runs record no children, so they send no notifications.
-		d.send(sh, pos, g.ArcReverse(arc), bfsToken{task: tk.task, dist: notifyToken})
-	}
+	// Notify the parent over the reverse direction of this edge; the
+	// notification shares bandwidth with everything else.
+	d.send(sh, pos, g.ArcReverse(arc), bfsToken{task: tk.task, dist: notifyToken})
 	t := &h.tasks[tk.task]
 	if t.DepthLimit >= 0 && nd >= t.DepthLimit {
 		return
@@ -208,33 +181,19 @@ func (r *Runner) ParallelBFSInto(f *BFSForest, g *graph.Graph, tasks []BFSTask, 
 	if err := r.starts.plan(len(tasks), opts); err != nil {
 		return Stats{}, err
 	}
-	n := g.NumNodes()
-	if opts.ParcInto != nil && len(opts.ParcInto) < len(tasks)*n {
-		return Stats{}, reproerr.Invalid("sched.ParallelBFS",
-			"ParcInto holds %d cells, need numTasks·n = %d", len(opts.ParcInto), len(tasks)*n)
-	}
-	if opts.ParcInto != nil && opts.VisitOrder != nil && len(opts.VisitOrder) < len(tasks)*n {
-		return Stats{}, reproerr.Invalid("sched.ParallelBFS",
-			"VisitOrder holds %d entries, need numTasks·n = %d", len(opts.VisitOrder), len(tasks)*n)
-	}
 	d := &r.bfs
 	p := d.prepare(g, opts.Workers)
-	var order []int64
-	if p == 1 && opts.ParcInto != nil {
-		order = opts.VisitOrder
-	}
+	n := g.NumNodes()
 	dense := len(tasks) > 0 && n > 0 && len(tasks) <= denseStateLimit/n
 	stride := (n + 63) / 64
 	if dense {
+		size := len(tasks) * n
 		r.denseBits = resize(r.denseBits, len(tasks)*stride)
 		for i := range r.denseBits {
 			r.denseBits[i] = 0
 		}
-		if opts.ParcInto == nil { // streaming needs only the membership bits
-			size := len(tasks) * n
-			r.dense = resize(r.dense, size)
-			r.denseVis = resize(r.denseVis, size) // written during extraction only
-		}
+		r.dense = resize(r.dense, size)
+		r.denseVis = resize(r.denseVis, size) // written during extraction only
 	}
 	if cap(r.bfsShards) >= p {
 		r.bfsShards = r.bfsShards[:p]
@@ -246,7 +205,7 @@ func (r *Runner) ParallelBFSInto(f *BFSForest, g *graph.Graph, tasks []BFSTask, 
 	for w := range r.bfsShards {
 		r.bfsShards[w].reset(!dense)
 	}
-	r.bfsRun = bfsRun{r: r, g: g, tasks: tasks, parc: opts.ParcInto, order: order, n: n, stride: stride, dense: dense}
+	r.bfsRun = bfsRun{r: r, g: g, tasks: tasks, n: n, stride: stride, dense: dense}
 	d.h = &r.bfsRun
 
 	maxRounds := opts.maxRounds(64*(g.NumNodes()+len(tasks)) + r.starts.last + 64)
@@ -254,19 +213,9 @@ func (r *Runner) ParallelBFSInto(f *BFSForest, g *graph.Graph, tasks []BFSTask, 
 	stats, err := d.drive(&r.starts, maxRounds, opts)
 	d.stopPool()
 	// Extract even on ErrMaxRounds: partial outcomes are reported, as ever.
-	// Streaming runs wrote every visit into ParcInto already.
-	switch {
-	case opts.ParcInto != nil:
-		f.resetEmpty(g, len(tasks))
-		if opts.VisitOrder != nil {
-			stats.OrderedVisits = r.bfsRun.ocur
-			if order == nil {
-				stats.OrderedVisits = -1
-			}
-		}
-	case dense:
+	if dense {
 		r.extractForestDense(f, g, len(tasks))
-	default:
+	} else {
 		r.extractForestSparse(f, g, len(tasks))
 	}
 	return stats, err

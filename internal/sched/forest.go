@@ -27,23 +27,6 @@ type BFSForest struct {
 	childArc []int32 // arc node→child
 }
 
-// resetEmpty reinitializes f to numTasks empty outcomes — the shape
-// streaming runs (Options.ParcInto) leave behind, since visits go to the
-// caller's parc matrix instead of the forest.
-func (f *BFSForest) resetEmpty(g *graph.Graph, numTasks int) {
-	f.g = g
-	f.taskOff = resize(f.taskOff, numTasks+1)
-	for i := range f.taskOff {
-		f.taskOff[i] = 0
-	}
-	f.nodes = f.nodes[:0]
-	f.dist = f.dist[:0]
-	f.parc = f.parc[:0]
-	f.childOff = resize(f.childOff, 1)
-	f.childOff[0] = 0
-	f.childArc = f.childArc[:0]
-}
-
 // NumTasks returns the number of tasks the forest holds outcomes for.
 func (f *BFSForest) NumTasks() int {
 	if len(f.taskOff) == 0 {

@@ -48,11 +48,6 @@ type Stats struct {
 	MaxArcLoad int
 	// MaxQueue is the largest backlog observed on any directed edge.
 	MaxQueue int
-	// OrderedVisits is meaningful only for streaming runs (Options.ParcInto
-	// non-nil) that requested a visit log (Options.VisitOrder): the number
-	// of log entries recorded, or -1 when a parallel drain fell back to
-	// ParcInto cells. Zero otherwise.
-	OrderedVisits int
 }
 
 // Options configures a scheduled execution.
@@ -79,32 +74,6 @@ type Options struct {
 	// check polls a prefetched Done channel — no allocation, no measurable
 	// cost on the round loop (nil Ctx skips it entirely).
 	Ctx context.Context
-	// ParcInto, when non-nil, switches the BFS kernels to streaming mode:
-	// each first visit of (task, node) is one inline store of its parent
-	// arc (-1 at roots) into ParcInto[task·NumNodes+node] — task-major,
-	// stride NumNodes, so len must be at least numTasks·NumNodes — and no
-	// forest is materialized (the destination BFSForest is reset to empty
-	// outcomes). Cells of never-visited pairs are left untouched: callers
-	// prefill them with a sentinel to read back the visited set. Child
-	// lists aren't recorded, so the kernels also drop the
-	// child-notification traffic (Stats reflect the smaller schedule).
-	// Each visited cell is written exactly once, strictly after the
-	// parent's cell (tokens cross at least one round boundary, which
-	// synchronizes workers) — and cells are disjoint per (task, node), so
-	// the writes are safe under every Workers setting.
-	ParcInto []int32
-	// VisitOrder, in streaming mode (ParcInto non-nil), requests an ordered
-	// visit log whenever the drain runs sequentially (effective worker
-	// count 1 — always when Workers ≤ 1): the kernels append one int64
-	// entry per first visit, roots included, in visit order — an order in
-	// which every non-root visit is preceded by its own parent's visit —
-	// encoded as task<<32 | uint32(parentArc) (parentArc -1 at roots). len
-	// must be at least numTasks·NumNodes. When the log is recorded, the
-	// entry count is reported in Stats.OrderedVisits and ParcInto cells are
-	// NOT written (the log subsumes them); under a parallel drain the log
-	// is left untouched, ParcInto is written as usual, and OrderedVisits is
-	// -1. Ignored when ParcInto is nil.
-	VisitOrder []int64
 }
 
 // done returns the context's Done channel, or nil when no cancellable
@@ -140,18 +109,11 @@ type BFSTask struct {
 type Runner struct {
 	bfs       drainer[bfsToken]
 	agg       drainer[aggToken]
-	bitd      drainer[bitToken]
 	bfsShards []bfsShardState
 	starts    startPlan
 	bfsRun    bfsRun
 	aggRun    aggRun
-	bitRun    bitRun
 	sorter    forestSorter
-
-	// bit-parallel kernel state (see bitbfs.go)
-	bitWords     []uint64 // per-node visited frontier word of the current wave
-	bitMask      []uint64 // per-shard cached depth-limit expansion mask
-	bitMaskDepth []int32  // depth the cached mask was computed for
 
 	// dense per-(task, node) BFS state (see bfs.go)
 	denseBits   []uint64    // visited bitset, task-row word stride

@@ -7,37 +7,26 @@ import (
 	"repro/internal/cost"
 	"repro/internal/graph"
 	"repro/internal/reproerr"
-	"repro/internal/sched"
-	"repro/internal/sssp"
 )
 
-// parcUnvisited is the parc-matrix sentinel: the kernels write only parent
-// arcs (>= 0) and -1 at roots, so any value below -1 marks a cell they never
-// touched — a (task, node) pair outside the task root's component.
-const parcUnvisited int32 = -2
-
-// ServeBatch answers a batch of queries, grouping same-kind queries so they
-// share work: all SSSP queries in the batch run as parallel scheduled BFS
-// tasks over the snapshot tree in ONE random-delay scheduler execution (the
-// batch's shared simulated cost is reported on each grouped answer); other
-// kinds are answered individually. The returned slice is aligned with the
-// input; every answer is identical to what Serve would return for the same
-// query (batched SSSP answers differ only in their Rounds/Messages
-// accounting, which reflects the shared execution).
-//
-// The whole batch runs on one checked-out executor with one pinned
-// snapshot: against a store-backed server, a concurrent epoch swap never
-// splits a batch across snapshots.
+// ServeBatch answers a batch of queries on one checked-out executor with
+// one pinned snapshot: against a store-backed server, a concurrent epoch
+// swap never splits a batch across snapshots. SSSP queries are grouped and
+// deduplicated by root — each distinct root runs one warm tree walk, the
+// same walk Serve runs, and duplicate roots receive copies of its
+// distances. Other kinds are answered individually. The returned slice is
+// aligned with the input, and every answer equals what Serve returns for
+// the same query, Cost included.
 func (s *Server) ServeBatch(queries []Query) ([]Answer, error) {
 	return s.ServeBatchCtx(nil, queries)
 }
 
 // ServeBatchCtx is ServeBatch with cooperative cancellation: the context
-// gates the executor checkout and is threaded into the batch's shared
-// scheduler execution, which checks it once per drain round — a canceled
-// batch aborts within one round, returns a reproerr.KindCanceled/
-// KindDeadline error wrapping ctx.Err(), and leaves the executor pool fully
-// usable for the next query. A nil ctx behaves like context.Background.
+// gates the executor checkout and is checked between the SSSP group's
+// walks and by every scheduled phase of the other kinds. A canceled batch
+// returns a reproerr.KindCanceled/KindDeadline error wrapping ctx.Err()
+// and leaves the executor pool fully usable for the next query. A nil ctx
+// behaves like context.Background.
 func (s *Server) ServeBatchCtx(ctx context.Context, queries []Query) ([]Answer, error) {
 	answers := make([]Answer, len(queries))
 
@@ -55,14 +44,15 @@ func (s *Server) ServeBatchCtx(ctx context.Context, queries []Query) ([]Answer, 
 		return nil, err
 	}
 	defer s.release(l)
-	var gr groupRun
+	var in, roots int
 	if len(ssspIdx) > 1 {
 		t0 := s.m.nowIf()
-		gr, err = s.serveSSSPGroup(ctx, l, queries, ssspIdx, answers)
-		s.m.record(KindSSSP, gr.kernel, l, int32(gr.tasks), wait, s.m.sinceNs(t0), err)
+		roots, err = s.serveSSSPGroup(ctx, l, queries, ssspIdx, answers)
+		s.m.record(KindSSSP, l, int32(roots), wait, s.m.sinceNs(t0), err)
 		if err != nil {
 			return nil, fmt.Errorf("serve: batched sssp: %w", err)
 		}
+		in = len(ssspIdx)
 	}
 	for i, q := range queries {
 		if answers[i] != nil {
@@ -70,12 +60,10 @@ func (s *Server) ServeBatchCtx(ctx context.Context, queries []Query) ([]Answer, 
 		}
 		t0 := s.m.nowIf()
 		a, err := s.serveOn(ctx, l, q)
-		kernel := kernelForKind(q.queryKind())
-		s.m.record(q.queryKind(), kernel, l, 1, 0, s.m.sinceNs(t0), err)
+		s.m.record(q.queryKind(), l, 1, 0, s.m.sinceNs(t0), err)
 		if err != nil {
 			return nil, fmt.Errorf("serve: batch query %d (%v): %w", i, kindOf(q), err)
 		}
-		s.m.kernelRun(kernel)
 		answers[i] = a
 	}
 	// Count only delivered work: a failed batch delivers nothing (including
@@ -86,8 +74,8 @@ func (s *Server) ServeBatchCtx(ctx context.Context, queries []Query) ([]Answer, 
 	}
 	s.batches.Add(1)
 	s.batched.Add(int64(len(queries)))
-	s.coalesceIn.Add(int64(gr.in))
-	s.coalesceOut.Add(int64(gr.tasks))
+	s.coalesceIn.Add(int64(in))
+	s.coalesceOut.Add(int64(roots))
 	return answers, nil
 }
 
@@ -98,11 +86,11 @@ func kindOf(q Query) any {
 	return q.queryKind()
 }
 
-// serveSSSPGroup runs every SSSP query of the batch as one batched BFS
-// execution restricted to the pinned snapshot's tree edges (see
-// serveSSSPDists for coalescing and kernel routing), then materializes one
-// answer per query.
-func (s *Server) serveSSSPGroup(ctx context.Context, l lease, queries []Query, idx []int, answers []Answer) (groupRun, error) {
+// serveSSSPGroup answers every SSSP query of the batch through
+// walkSSSPGroup, then materializes one answer per query, each owning its
+// distances and charged the snapshot's per-query cost. It returns the
+// number of distinct roots walked.
+func (s *Server) serveSSSPGroup(ctx context.Context, l lease, queries []Query, idx []int, answers []Answer) (int, error) {
 	ex := l.ex
 	n := l.sn.g.NumNodes()
 	srcs := ex.batchSrcs[:0]
@@ -118,268 +106,115 @@ func (s *Server) serveSSSPGroup(ctx context.Context, l lease, queries []Query, i
 	for t := range ex.batchDists {
 		ex.batchDists[t] = make([]float64, n) // escapes into the answer below
 	}
-	gr, err := s.serveSSSPDists(ctx, l, srcs, ex.batchDists)
+	roots, err := s.walkSSSPGroup(ctx, l, srcs, ex.batchDists)
 	if err != nil {
-		return gr, err
+		return 0, err
 	}
-	stats := gr.stats
+	c := cost.Cost{Rounds: l.sn.servRounds, Messages: l.sn.servMessages}
 	for t, i := range idx {
-		answers[i] = &SSSPAnswer{
-			Source: srcs[t],
-			Dist:   ex.batchDists[t],
-			Cost:   cost.Cost{Rounds: stats.Rounds, Messages: stats.Messages, SchedStats: stats},
-		}
+		answers[i] = &SSSPAnswer{Source: srcs[t], Dist: ex.batchDists[t], Cost: c}
 		ex.batchDists[t] = nil // the answer owns it now; don't pin it in the pool
 	}
-	return gr, nil
+	return roots, nil
 }
 
-// groupRun reports one batched SSSP group execution: the shared scheduled
-// stats, the kernel that ran it, and the task count after duplicate-root
-// coalescing.
-type groupRun struct {
-	stats  sched.Stats
-	kernel uint8
-	tasks  int
-	in     int // queries entering the group, before coalescing (0 on error)
+// walkSSSPGroup is the batch-group core shared by ServeBatch and the warm
+// ServeSSSPBatchInto path: it writes slot i's weighted distances from
+// srcs[i] into dsts[i] (each already sized to NumNodes) and returns the
+// number of distinct roots walked (0 on error).
+//
+// Duplicate sources are coalesced first — the primitive the gateway's
+// request coalescer relies on: each distinct root runs one
+// sssp.TreeIndex.DistancesInto walk on the executor's TreeScratch, and
+// duplicate slots copy their first occurrence's row. The lease's
+// prefetched Done channel is polled between roots, so a canceled group
+// stops after at most one more walk.
+func (s *Server) walkSSSPGroup(ctx context.Context, l lease, srcs []graph.NodeID, dsts [][]float64) (int, error) {
+	if s.prof != nil {
+		return s.walkSSSPGroupProf(ctx, l, srcs, dsts)
+	}
+	return s.walkSSSPGroupDirect(ctx, l, srcs, dsts)
 }
 
-// serveSSSPDists is the batch-group core shared by ServeBatch and the warm
-// ServeSSSPBatchInto path: it runs srcs as tasks of ONE batched BFS over the
-// pinned snapshot's tree and writes slot i's weighted distances into dsts[i]
-// (each already sized to NumNodes).
-//
-// Duplicate sources are coalesced before execution — the gateway-coalescing
-// primitive: each distinct root becomes one BFS task, and duplicate slots
-// are fanned back out by copying the first slot's distances.
-//
-// The group executes on the snapshot's tree-only subgraph (treeG): the same
-// node IDs, but only tree edges, so the kernels scan ~2 arcs per visit
-// instead of the full graph's degree and pay no membership-filter closure
-// per arc. The group runs in the kernels' streaming mode: no forest is
-// materialized and no per-visit callback is paid — on the server's default
-// sequential drain each first visit appends one entry to an ordered visit
-// log (sched.Options.VisitOrder); under parallel workers it is one parent-
-// arc store into the task-major parc matrix (sched.Options.ParcInto). A
-// call-free resolution pass afterwards converts parent arcs into weighted
-// distances — replaying the log in order, or chain-walking the matrix —
-// computing row[v] = row[parent] + weight(arc): the exact parent-before-
-// child additions the warm single-query walk performs, so the results are
-// bit-identical to sssp.DistancesInto. Cells the kernels never touched
-// resolve to Infinite (other forest components).
-//
-// Kernel routing: when the snapshot's tree index is a forest (always, for
-// MST-derived snapshots) and the server doesn't disable it, the group runs
-// on the bit-parallel kernel — 64 sources per frontier word, no delays, no
-// Rng consumption — which answers bit-identically to the scalar random-delay
-// kernel on forest-restricted runs (pinned by the sched equivalence suite).
-// Ineligible trees and DisableBitParallel fall back to the scalar kernel
-// under the usual per-query randomized delays.
-func (s *Server) serveSSSPDists(ctx context.Context, l lease, srcs []graph.NodeID, dsts [][]float64) (groupRun, error) {
+// walkSSSPGroupProf runs the group's walks under the sssp kind's pprof
+// label set — its own method so the closure's captures heap-allocate only
+// when profiling is on (the unprofiled warm batch path asserts 0 allocs/op).
+func (s *Server) walkSSSPGroupProf(ctx context.Context, l lease, srcs []graph.NodeID, dsts [][]float64) (roots int, err error) {
+	doProf(ctx, s.prof.kind[KindSSSP], func() {
+		roots, err = s.walkSSSPGroupDirect(ctx, l, srcs, dsts)
+	})
+	return roots, err
+}
+
+func (s *Server) walkSSSPGroupDirect(ctx context.Context, l lease, srcs []graph.NodeID, dsts [][]float64) (int, error) {
 	sn, ex := l.sn, l.ex
 	n := sn.g.NumNodes()
-	// Coalesce: rootMark is all-zero outside this window; it holds 1+task
-	// for roots seen in this batch and is re-zeroed before running (O(batch),
-	// not O(n)).
+	// rootMark is all-zero outside this call: it holds 1+slot of each root's
+	// first occurrence, and is re-zeroed below on every path (O(batch), not
+	// O(n)), so a failed batch leaves no stale marks for the next one.
 	ex.rootMark = growInt32(ex.rootMark, n)
-	ex.taskOf = growInt32(ex.taskOf, len(srcs))
-	tasks := ex.batchTasks[:0]
-	taskSlot := ex.taskSlot[:0]
-	var badSrc graph.NodeID = -1
+	ex.firstSlot = growInt32(ex.firstSlot, len(srcs))
+	var err error
+	roots := 0
 	for i, src := range srcs {
 		if src < 0 || int(src) >= n {
-			badSrc = src
+			err = reproerr.Invalid("sssp", "source %d out of range [0,%d)", src, n)
 			break
 		}
 		if m := ex.rootMark[src]; m != 0 {
-			ex.taskOf[i] = m - 1
+			ex.firstSlot[i] = m - 1
 			continue
 		}
-		tasks = append(tasks, sched.BFSTask{Root: src, DepthLimit: -1})
-		taskSlot = append(taskSlot, int32(i))
-		ex.rootMark[src] = int32(len(tasks))
-		ex.taskOf[i] = int32(len(tasks) - 1)
+		ex.rootMark[src] = int32(i) + 1
+		ex.firstSlot[i] = int32(i)
+		roots++
 	}
-	ex.batchTasks, ex.taskSlot = tasks, taskSlot
-	for _, t := range tasks {
-		ex.rootMark[t.Root] = 0
-	}
-	if badSrc != -1 {
-		return groupRun{kernel: kernelScalar}, reproerr.Invalid("sssp", "source %d out of range [0,%d)", badSrc, n)
-	}
-
-	// Streaming destinations: the sequential visit log (the server-default
-	// drain — resolution replays it in one branch-light scan) and the parc
-	// matrix for parallel drains. With Workers ≤ 1 sched guarantees the log
-	// is recorded and the matrix untouched, so its sentinel prefill is
-	// skipped entirely on the default configuration.
-	ex.parcs = growInt32(ex.parcs, len(tasks)*n)
-	ex.order = growInt64(ex.order, len(tasks)*n)
-	if s.opts.Workers > 1 || s.opts.Workers < 0 {
-		for i := range ex.parcs {
-			ex.parcs[i] = parcUnvisited
+	for _, src := range srcs {
+		if src >= 0 && int(src) < n {
+			ex.rootMark[src] = 0
 		}
-		if cap(ex.pstack) < n {
-			ex.pstack = make([]int32, 0, n) // chain depth is bounded by n
-		}
-	}
-	kernel := kernelScalar
-	if !s.opts.DisableBitParallel && sn.ti.BitParallelEligible() {
-		kernel = kernelBitParallel
-	}
-	var stats sched.Stats
-	var err error
-	if s.prof != nil {
-		stats, err = s.runGroupKernelProf(ctx, l, kernel, tasks)
-	} else {
-		stats, err = s.runGroupKernel(ctx, l, kernel, tasks)
 	}
 	if err != nil {
-		return groupRun{stats: stats, kernel: kernel, tasks: len(tasks)}, err
-	}
-	s.m.kernelRun(kernel)
-	s.m.group(len(srcs), len(tasks), stats)
-
-	tg, arcW := sn.treeG, sn.treeArcW
-	if ov := stats.OrderedVisits; ov >= 0 {
-		// Sequential drain: replay the log. Entries are in visit order, so
-		// every parent's distance is in place when a child reads it, and the
-		// additions are exactly the warm walk's. When the log covers every
-		// (task, node) pair the Infinite prefill is skipped — every cell is
-		// about to be overwritten anyway.
-		if ov < len(tasks)*n {
-			for _, fs := range taskSlot {
-				row := dsts[fs]
-				for v := range row {
-					row[v] = sssp.Infinite
-				}
-			}
-		}
-		if cap(ex.taskRows) < len(tasks) {
-			ex.taskRows = make([][]float64, len(tasks))
-		}
-		rows := ex.taskRows[:len(tasks)]
-		for t, fs := range taskSlot {
-			rows[t] = dsts[fs]
-		}
-		heads, tails := tg.ArcTargets(), tg.ArcTails()
-		for _, e := range ex.order[:ov] {
-			p := int32(uint32(e))
-			row := rows[e>>32]
-			if p < 0 {
-				row[tasks[e>>32].Root] = 0
-				continue
-			}
-			row[heads[p]] = row[tails[p]] + arcW[p]
-		}
-		for t := range rows {
-			rows[t] = nil // don't pin the caller's rows in the pool
-		}
-	} else {
-		// Parallel drain: resolve from the parc matrix. Rows double as the
-		// progress marker — prefilled Infinite, finite once computed — and
-		// each unresolved parent chain is walked up to its first resolved
-		// ancestor (or the root), then unwound parent-before-child. Chains
-		// re-walk no resolved cells, so the pass is O(n) amortized per task.
-		tails := tg.ArcTails()
-		for _, fs := range taskSlot {
-			row := dsts[fs]
-			for v := range row {
-				row[v] = sssp.Infinite
-			}
-		}
-		for t := range tasks {
-			row := dsts[taskSlot[t]]
-			prow := ex.parcs[t*n : (t+1)*n]
-			stack := ex.pstack[:0]
-			for v, p := range prow {
-				if p == parcUnvisited { // other component: row stays Infinite
-					continue
-				}
-				if p < 0 { // root
-					row[v] = 0
-					continue
-				}
-				x, px := int32(v), p
-				for {
-					u := tails[px]
-					if du := row[u]; du < sssp.Infinite {
-						row[x] = du + arcW[px]
-						break
-					}
-					stack = append(stack, x)
-					x = u
-					px = prow[x] // a visit's parent is a visit: never parcUnvisited
-					if px < 0 {  // unresolved root
-						row[x] = 0
-						break
-					}
-				}
-				for len(stack) > 0 {
-					c := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					pc := prow[c]
-					row[c] = row[tails[pc]] + arcW[pc]
-				}
-			}
-			ex.pstack = stack
-		}
+		return 0, err
 	}
 
-	for i := range srcs {
-		t := ex.taskOf[i]
-		if fs := int(ex.taskSlot[t]); fs != i {
-			copy(dsts[i], dsts[fs]) // coalesced duplicate: fan the answer out
+	for i, src := range srcs {
+		if int(ex.firstSlot[i]) != i {
+			continue
+		}
+		if l.done != nil {
+			select {
+			case <-l.done:
+				return 0, reproerr.FromContext("serve", ctx.Err())
+			default:
+			}
+		}
+		if _, err := sn.ti.DistancesInto(dsts[i], src, &ex.treeScratch); err != nil {
+			return 0, err
 		}
 	}
-	return groupRun{stats: stats, kernel: kernel, tasks: len(tasks), in: len(srcs)}, nil
+	for i, f := range ex.firstSlot[:len(srcs)] {
+		if int(f) != i {
+			copy(dsts[i], dsts[f]) // coalesced duplicate: fan the answer out
+		}
+	}
+	s.m.group(len(srcs), roots)
+	return roots, nil
 }
 
-// runGroupKernel dispatches one batched BFS group to the routed kernel.
-func (s *Server) runGroupKernel(ctx context.Context, l lease, kernel uint8, tasks []sched.BFSTask) (sched.Stats, error) {
-	sn, ex := l.sn, l.ex
-	if kernel == kernelBitParallel {
-		return ex.runner.ParallelBFSBitInto(&ex.forest, sn.treeG, tasks, sched.Options{
-			Workers:    s.opts.Workers,
-			Ctx:        ctx,
-			ParcInto:   ex.parcs,
-			VisitOrder: ex.order,
-		})
-	}
-	return ex.runner.ParallelBFSInto(&ex.forest, sn.treeG, tasks, sched.Options{
-		MaxDelay:   len(tasks),
-		Rng:        s.queryRng(KindSSSP, int64(len(tasks))),
-		Workers:    s.opts.Workers,
-		Ctx:        ctx,
-		ParcInto:   ex.parcs,
-		VisitOrder: ex.order,
-	})
-}
-
-// runGroupKernelProf is runGroupKernel under the kernel's pprof label set —
-// its own method so the closure's captures heap-allocate only when
-// profiling is on (the unprofiled warm batch path asserts 0 allocs/op).
-func (s *Server) runGroupKernelProf(ctx context.Context, l lease, kernel uint8, tasks []sched.BFSTask) (stats sched.Stats, err error) {
-	doProf(ctx, s.prof.kernel[kernel], func() {
-		stats, err = s.runGroupKernel(ctx, l, kernel, tasks)
-	})
-	return stats, err
-}
-
-// ServeSSSPBatchInto is the allocation-free warm batch path: every source
-// runs as a task of one coalesced batch-group BFS over the snapshot tree
-// (bit-parallel whenever eligible — see serveSSSPDists), and slot i's
-// weighted distances are written into dst[i]. dst is grown to len(srcs)
-// rows and each row to NumNodes, reusing capacity; the grown dst is
-// returned. With warm capacity and a warm executor the whole batch performs
-// zero allocations — the property CI's benchmark smoke asserts.
+// ServeSSSPBatchInto is the allocation-free warm batch path: the sources
+// are deduplicated and walked exactly as ServeBatch's SSSP group (see
+// walkSSSPGroup), and slot i's weighted distances are written into dst[i].
+// dst is grown to len(srcs) rows and each row to NumNodes, reusing
+// capacity; the grown dst is returned. With warm capacity and a warm
+// executor the whole batch performs zero allocations — the property CI's
+// benchmark smoke asserts.
 func (s *Server) ServeSSSPBatchInto(dst [][]float64, srcs []graph.NodeID) ([][]float64, error) {
 	return s.ServeSSSPBatchIntoCtx(nil, dst, srcs)
 }
 
 // ServeSSSPBatchIntoCtx is ServeSSSPBatchInto with cooperative cancellation
-// gating the executor checkout and threaded into the batched execution at
-// round granularity.
+// gating the executor checkout and checked between the group's walks.
 func (s *Server) ServeSSSPBatchIntoCtx(ctx context.Context, dst [][]float64, srcs []graph.NodeID) ([][]float64, error) {
 	if len(srcs) == 0 {
 		return dst[:0], nil
@@ -405,29 +240,22 @@ func (s *Server) ServeSSSPBatchIntoCtx(ctx context.Context, dst [][]float64, src
 		}
 	}
 	t0 := s.m.nowIf()
-	gr, err := s.serveSSSPDists(ctx, l, srcs, dst)
-	s.m.record(KindSSSP, gr.kernel, l, int32(gr.tasks), wait, s.m.sinceNs(t0), err)
+	roots, err := s.walkSSSPGroup(ctx, l, srcs, dst)
+	s.m.record(KindSSSP, l, int32(roots), wait, s.m.sinceNs(t0), err)
 	if err != nil {
 		return dst, err
 	}
 	s.served[KindSSSP].Add(int64(len(srcs)))
 	s.batches.Add(1)
 	s.batched.Add(int64(len(srcs)))
-	s.coalesceIn.Add(int64(gr.in))
-	s.coalesceOut.Add(int64(gr.tasks))
+	s.coalesceIn.Add(int64(len(srcs)))
+	s.coalesceOut.Add(int64(roots))
 	return dst, nil
 }
 
 func growInt32(s []int32, n int) []int32 {
 	if cap(s) < n {
 		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growInt64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
 	}
 	return s[:n]
 }

@@ -1,8 +1,8 @@
 package serve_test
 
-// Bit-parallel batch serving tests: kernel routing, duplicate-root
-// coalescing, the allocation-free warm batch path, and a mixed-kernel
-// concurrency stress (run under -race in CI).
+// Batched SSSP serving tests: duplicate-root coalescing, the
+// allocation-free warm batch path, dedup state across a failed batch, and
+// a concurrent walk-batch stress (run under -race in CI).
 
 import (
 	"fmt"
@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
+	"repro/internal/reproerr"
 	"repro/internal/serve"
 )
 
@@ -32,54 +34,6 @@ func ssspBatch(srcs []graph.NodeID) []serve.Query {
 		qs[i] = serve.SSSPQuery{Source: s}
 	}
 	return qs
-}
-
-// TestServeBatchKernelsAgree pins the tentpole end to end: the bit-parallel
-// batch path must answer exactly what the scalar random-delay path and the
-// warm single-query walk answer — across batch sizes spanning the 64-source
-// word boundary — while delivering strictly fewer simulated messages (the
-// word-packing is observable in the answers' shared cost accounting).
-func TestServeBatchKernelsAgree(t *testing.T) {
-	fx := makeFixture(t, 400, 31)
-	bit := serve.NewServer(fx.snap, serve.ServerOptions{Workers: 2})
-	scalar := serve.NewServer(fx.snap, serve.ServerOptions{Workers: 2, DisableBitParallel: true})
-
-	for _, batch := range []int{2, 63, 64, 65, 130} {
-		srcs := batchSources(fx.g.NumNodes(), batch)
-		qs := ssspBatch(srcs)
-		bitAns, err := bit.ServeBatch(qs)
-		if err != nil {
-			t.Fatalf("batch=%d: bit: %v", batch, err)
-		}
-		scalAns, err := scalar.ServeBatch(qs)
-		if err != nil {
-			t.Fatalf("batch=%d: scalar: %v", batch, err)
-		}
-		for i := range qs {
-			b := bitAns[i].(*serve.SSSPAnswer)
-			sc := scalAns[i].(*serve.SSSPAnswer)
-			for v := range b.Dist {
-				if b.Dist[v] != sc.Dist[v] {
-					t.Fatalf("batch=%d query %d: dist[%d] bit %v vs scalar %v", batch, i, v, b.Dist[v], sc.Dist[v])
-				}
-			}
-			want := referenceTreeDist(fx.g, fx.w, fx.snap.Tree(), srcs[i])
-			for v := range want {
-				if b.Dist[v] != want[v] {
-					t.Fatalf("batch=%d query %d: dist[%d]=%v, reference %v", batch, i, v, b.Dist[v], want[v])
-				}
-			}
-		}
-		b0 := bitAns[0].(*serve.SSSPAnswer)
-		s0 := scalAns[0].(*serve.SSSPAnswer)
-		if batch >= 63 && b0.SchedStats.Messages >= s0.SchedStats.Messages {
-			t.Fatalf("batch=%d: bit kernel delivered %d messages, scalar %d — word packing not engaged",
-				batch, b0.SchedStats.Messages, s0.SchedStats.Messages)
-		}
-		if b0.SchedStats.MaxQueue > 1 {
-			t.Fatalf("batch=%d: bit path MaxQueue=%d, want <=1 (OR-merge)", batch, b0.SchedStats.MaxQueue)
-		}
-	}
 }
 
 // TestServeBatchCoalescesDuplicates pins the fan-out: duplicate sources in
@@ -109,6 +63,9 @@ func TestServeBatchCoalescesDuplicates(t *testing.T) {
 				t.Fatalf("answers %d and %d share one distance slice", j, i)
 			}
 		}
+	}
+	if st := srv.Stats(); st.CoalesceIn != 6 || st.CoalesceOut != 3 {
+		t.Fatalf("Stats coalesce = (%d, %d), want (6, 3)", st.CoalesceIn, st.CoalesceOut)
 	}
 }
 
@@ -152,8 +109,43 @@ func TestServeSSSPBatchInto(t *testing.T) {
 	}
 }
 
+// TestServeSSSPBatchIntoStaleMarks pins the dedup state across a failed
+// batch: an out-of-range source fails the whole batch with
+// KindInvalidInput after its earlier roots were already marked, and the
+// next batch on the same executor must see none of those marks — every
+// slot matches its single walk, and each duplicate gets its own row.
+func TestServeSSSPBatchIntoStaleMarks(t *testing.T) {
+	fx := makeFixture(t, 120, 36)
+	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 1})
+	if _, err := srv.ServeSSSPBatchInto(nil, []graph.NodeID{5, 9, 5, -1}); reproerr.KindOf(err) != reproerr.KindInvalidInput {
+		t.Fatalf("out-of-range source: err %v, want KindInvalidInput", err)
+	}
+	srcs := []graph.NodeID{5, 9, 5}
+	out, err := srv.ServeSSSPBatchInto(nil, srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &out[0][0] == &out[2][0] {
+		t.Fatal("duplicate slots share one row")
+	}
+	for i, s := range srcs {
+		single, err := srv.ServeSSSPInto(nil, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range single {
+			if out[i][v] != single[v] {
+				t.Fatalf("slot %d (src %d): dist[%d] batched %v vs single %v", i, s, v, out[i][v], single[v])
+			}
+		}
+	}
+	if st := srv.Stats(); st.Batches != 1 || st.CoalesceIn != 3 || st.CoalesceOut != 2 {
+		t.Fatalf("counters after one failed and one good batch: %+v", st)
+	}
+}
+
 // TestServeSSSPBatchIntoAllocs pins the 0 allocs/op property of the warm
-// bit-parallel batch path — the CI bench smoke's assertion, as a plain test.
+// batch path — the CI bench smoke's assertion, as a plain test.
 func TestServeSSSPBatchIntoAllocs(t *testing.T) {
 	fx := makeFixture(t, 400, 37)
 	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 1})
@@ -163,7 +155,7 @@ func TestServeSSSPBatchIntoAllocs(t *testing.T) {
 		dst[i] = make([]float64, fx.g.NumNodes())
 	}
 	var err error
-	for i := 0; i < 2; i++ { // warm executor scratch and runner
+	for i := 0; i < 2; i++ { // warm executor scratch
 		if dst, err = srv.ServeSSSPBatchInto(dst, srcs); err != nil {
 			t.Fatal(err)
 		}
@@ -178,16 +170,17 @@ func TestServeSSSPBatchIntoAllocs(t *testing.T) {
 	}
 }
 
-// TestServeBatchMixedKernelStress hammers one snapshot from concurrent
-// batches on a bit-parallel server and a scalar server at once (shared
-// graph, disjoint executor pools), verifying every answer against the
-// reference. The CI -race leg runs this to pin the kernels' shard safety
-// under real concurrency.
-func TestServeBatchMixedKernelStress(t *testing.T) {
+// TestServeBatchWalkStress hammers one snapshot with concurrent batches on
+// a plain server and an instrumented, profile-labeled one (shared
+// snapshot, disjoint executor pools), mixing ServeBatch and
+// ServeSSSPBatchInto and verifying every answer against the reference. The
+// CI -race leg runs this to pin the executors' scratch ownership under
+// real concurrency.
+func TestServeBatchWalkStress(t *testing.T) {
 	fx := makeFixture(t, 240, 39)
 	servers := []*serve.Server{
-		serve.NewServer(fx.snap, serve.ServerOptions{Executors: 2, Workers: 3}),
-		serve.NewServer(fx.snap, serve.ServerOptions{Executors: 2, Workers: 3, DisableBitParallel: true}),
+		serve.NewServer(fx.snap, serve.ServerOptions{Executors: 2}),
+		serve.NewServer(fx.snap, serve.ServerOptions{Executors: 2, Metrics: obs.New(), ProfileLabels: true}),
 	}
 	n := fx.g.NumNodes()
 	want := make([][]float64, n)
@@ -206,23 +199,36 @@ func TestServeBatchMixedKernelStress(t *testing.T) {
 		wg.Add(1)
 		go func(gi int) {
 			defer wg.Done()
+			var rows [][]float64
 			for it := 0; it < iters; it++ {
 				srv := servers[(gi+it)%2]
-				batch := 60 + (gi*17+it*31)%20 // straddle the word boundary
+				batch := 60 + (gi*17+it*31)%20
 				srcs := make([]graph.NodeID, batch)
 				for i := range srcs {
 					srcs[i] = graph.NodeID((gi*89 + it*53 + i*7) % n)
 				}
-				ans, err := srv.ServeBatch(ssspBatch(srcs))
-				if err != nil {
-					errs <- fmt.Errorf("g%d it%d: %w", gi, it, err)
-					return
+				got := make([][]float64, batch)
+				if it%2 == 0 {
+					ans, err := srv.ServeBatch(ssspBatch(srcs))
+					if err != nil {
+						errs <- fmt.Errorf("g%d it%d: %w", gi, it, err)
+						return
+					}
+					for i := range ans {
+						got[i] = ans[i].(*serve.SSSPAnswer).Dist
+					}
+				} else {
+					var err error
+					if rows, err = srv.ServeSSSPBatchInto(rows, srcs); err != nil {
+						errs <- fmt.Errorf("g%d it%d: %w", gi, it, err)
+						return
+					}
+					copy(got, rows)
 				}
 				for i, s := range srcs {
-					got := ans[i].(*serve.SSSPAnswer).Dist
-					for v := range got {
-						if got[v] != want[s][v] {
-							errs <- fmt.Errorf("g%d it%d src %d: dist[%d]=%v, want %v", gi, it, s, v, got[v], want[s][v])
+					for v := range got[i] {
+						if got[i][v] != want[s][v] {
+							errs <- fmt.Errorf("g%d it%d src %d: dist[%d]=%v, want %v", gi, it, s, v, got[i][v], want[s][v])
 							return
 						}
 					}

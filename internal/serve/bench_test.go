@@ -85,8 +85,8 @@ func BenchmarkServeSSSPWarmInto(b *testing.B) {
 }
 
 // BenchmarkServeSSSPWarmIntoInstrumented is the same warm path with a live
-// metrics registry attached: latency/queue-wait observations, kernel
-// counters, and a trace-ring record per query. CI's benchmark smoke asserts
+// metrics registry attached: latency/queue-wait observations and a
+// trace-ring record per query. CI's benchmark smoke asserts
 // this stays at 0 allocs/op too — instrumentation must never reintroduce
 // steady-state allocation.
 func BenchmarkServeSSSPWarmIntoInstrumented(b *testing.B) {
@@ -127,7 +127,7 @@ func BenchmarkServeSSSPWarm(b *testing.B) {
 }
 
 // BenchmarkServeSSSPBatch32 answers 32 sources per ServeBatch call — one
-// shared scheduler execution per batch.
+// executor checkout per batch and one tree walk per source.
 func BenchmarkServeSSSPBatch32(b *testing.B) {
 	fx := getBenchFixture(b, 10_000)
 	queries := make([]serve.Query, 32)
@@ -143,10 +143,9 @@ func BenchmarkServeSSSPBatch32(b *testing.B) {
 	}
 }
 
-// BenchmarkServeSSSPWarmBatchInto is the allocation-free warm batch path on
-// the bit-parallel kernel: 64 sources per call — exactly one frontier word —
-// coalesced and answered by one scheduled execution. CI's benchmark smoke
-// asserts 0 allocs/op on it.
+// BenchmarkServeSSSPWarmBatchInto is the allocation-free warm batch path:
+// 64 sources per call, deduplicated and walked one after another on one
+// executor. CI's benchmark smoke asserts 0 allocs/op on it.
 func BenchmarkServeSSSPWarmBatchInto(b *testing.B) {
 	fx := getBenchFixture(b, 10_000)
 	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 1})
@@ -169,47 +168,6 @@ func BenchmarkServeSSSPWarmBatchInto(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
-}
-
-// BenchmarkServeBatch is the bit-parallel tentpole's acceptance measurement
-// on ClusterChain n=1e5: the warm same-tree SSSP batch path at batch size
-// 64, bit-parallel kernel vs the scalar random-delay kernel (run explicitly
-// with -benchtime; the fixture build itself takes ~25 s). The bit arm packs
-// the whole batch into one frontier word per arc and must stay at
-// 0 allocs/op; the scalar arm pays per-task token traffic plus the
-// per-batch delay randomization. Recorded runs live in BENCH_serving.json
-// and the README serving-throughput note.
-func BenchmarkServeBatch(b *testing.B) {
-	fx := getBenchFixture(b, 100_000)
-	const batch = 64
-	srcs := make([]graph.NodeID, batch)
-	for i := range srcs {
-		srcs[i] = graph.NodeID(i * 1549 % fx.g.NumNodes())
-	}
-	for _, kernel := range []struct {
-		name    string
-		disable bool
-	}{{"bitparallel-64", false}, {"scalar-64", true}} {
-		b.Run(kernel.name, func(b *testing.B) {
-			srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 1, DisableBitParallel: kernel.disable})
-			var dst [][]float64
-			var err error
-			if dst, err = srv.ServeSSSPBatchInto(dst, srcs); err != nil { // warm the executor
-				b.Fatal(err)
-			}
-			// The fixture build leaves tens of GB of garbage behind; collect it
-			// now so GC pauses don't land inside the timed region.
-			runtime.GC()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if dst, err = srv.ServeSSSPBatchInto(dst, srcs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
-		})
-	}
 }
 
 // BenchmarkSSSPRebuildPerQuery is the pre-serving baseline: every query pays

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/reproerr"
 	"repro/internal/serve"
 	"repro/internal/testx"
@@ -78,18 +81,24 @@ func TestServeCanceled(t *testing.T) {
 	}
 }
 
-// TestServeBatchCancelMidDrain cancels while a batched scheduled execution
-// is in flight (from a concurrent goroutine): the batch either completed
-// before the cancel landed or aborted with the canceled taxonomy — and in
-// both cases the pool serves the next query.
+// TestServeBatchCancelMidDrain cancels batches on a one-executor server
+// with metrics attached, and in every case the pool serves the next query.
+// First at an arbitrary moment from a concurrent goroutine: the batch
+// either completed before the cancel landed or aborted with the canceled
+// taxonomy. Then once lcs_serve_executors_inflight reads 1 during a batch
+// of thousands of roots (tens of milliseconds of walks): that batch must
+// abort with KindCanceled wrapping context.Canceled rather than complete,
+// and count nothing as delivered.
 func TestServeBatchCancelMidDrain(t *testing.T) {
 	defer testx.LeakCheck(t.Errorf)()
-	fx := makeFixture(t, 300, 6)
-	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 1})
+	fx := makeFixture(t, 1200, 8)
+	reg := obs.New()
+	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 1, Metrics: reg})
+	n := fx.g.NumNodes()
 
 	queries := make([]serve.Query, 64)
 	for i := range queries {
-		queries[i] = serve.SSSPQuery{Source: int32(i % fx.g.NumNodes())}
+		queries[i] = serve.SSSPQuery{Source: graph.NodeID(i % n)}
 	}
 	for it := 0; it < 8; it++ {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -107,6 +116,37 @@ func TestServeBatchCancelMidDrain(t *testing.T) {
 		if _, err := srv.Serve(serve.SSSPQuery{Source: 1}); err != nil {
 			t.Fatalf("iteration %d: pool unusable after cancellation: %v", it, err)
 		}
+	}
+
+	queries = make([]serve.Query, 2*n)
+	for i := range queries {
+		queries[i] = serve.SSSPQuery{Source: graph.NodeID(i % n)}
+	}
+	inflight := reg.Gauge("lcs_serve_executors_inflight")
+	before := srv.Stats()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := srv.ServeBatchCtx(ctx, queries)
+		done <- err
+	}()
+	for inflight.Value() != 1 {
+		runtime.Gosched()
+	}
+	cancel()
+	err := <-done
+	if err == nil {
+		t.Fatal("batch completed; want it canceled mid-walk")
+	}
+	if !errors.Is(err, context.Canceled) || reproerr.KindOf(err) != reproerr.KindCanceled {
+		t.Fatalf("canceled batch: err %v, want KindCanceled wrapping context.Canceled", err)
+	}
+	if st := srv.Stats(); st != before {
+		t.Fatalf("canceled batch was counted as delivered: %+v, before %+v", st, before)
+	}
+	if _, err := srv.Serve(serve.SSSPQuery{Source: 1}); err != nil {
+		t.Fatalf("pool unusable after cancellation: %v", err)
 	}
 }
 

@@ -173,10 +173,6 @@ func ApplyDelta(ctx context.Context, old *Snapshot, delta graph.Delta, opts Delt
 	if err != nil {
 		return nil, reproerr.Errorf(op, reproerr.KindOf(err), "tree index: %w", err)
 	}
-	treeG, treeArcW, err := treeExecGraph(g2, w2, tree)
-	if err != nil {
-		return nil, reproerr.Errorf(op, reproerr.KindOf(err), "tree subgraph: %w", err)
-	}
 	servRounds, servMessages := sssp.TreeServeCost(g2.NumNodes(), old.qualitySum, len(tree))
 
 	buildCost := rr.Cost
@@ -190,8 +186,6 @@ func ApplyDelta(ctx context.Context, old *Snapshot, delta graph.Delta, opts Delt
 		partDil:        partDil,
 		tree:           tree,
 		treeWeight:     treeWeight,
-		treeG:          treeG,
-		treeArcW:       treeArcW,
 		ti:             ti,
 		diameter:       old.diameter,
 		logFactor:      old.logFactor,

@@ -310,10 +310,10 @@ func TestDifferentialRepairVsRebuild(t *testing.T) {
 				assertSnapshotsEqual(t, tag, repaired, rebuilt)
 
 				// Query-for-query: identical servers over both snapshots.
-				mk := func(sn *serve.Snapshot, workers int) *serve.Server {
-					return serve.NewServer(sn, serve.ServerOptions{Executors: 2, Workers: workers, Seed: 99})
+				mk := func(sn *serve.Snapshot) *serve.Server {
+					return serve.NewServer(sn, serve.ServerOptions{Executors: 2, Seed: 99})
 				}
-				srvR, srvW := mk(repaired, repairWorkers), mk(rebuilt, rebuildWorkers)
+				srvR, srvW := mk(repaired), mk(rebuilt)
 				queries := []serve.Query{
 					serve.SSSPQuery{Source: 0},
 					serve.SSSPQuery{Source: graph.NodeID(g1.NumNodes() / 2)},
@@ -342,8 +342,8 @@ func TestDifferentialRepairVsRebuild(t *testing.T) {
 					}
 					assertAnswersEqual(t, tag, ar, aw)
 				}
-				// Batched SSSP shares one scheduled execution; answers must
-				// still agree pairwise.
+				// The batch path (root dedup + walks) must agree pairwise
+				// too.
 				br, err := srvR.ServeBatch(queries)
 				if err != nil {
 					t.Fatalf("%s: repaired batch: %v", tag, err)

@@ -11,17 +11,6 @@ import (
 	"repro/internal/sched"
 )
 
-// Kernel codes for kernel-routing counters and trace records: which
-// execution engine answered a query. "other" covers the non-SSSP kinds,
-// whose work is not a BFS kernel.
-const (
-	kernelWalk        uint8 = iota // warm single-source tree walk
-	kernelBitParallel              // batched bit-parallel multi-source BFS
-	kernelScalar                   // batched scalar random-delay BFS
-	kernelOther
-	numKernels
-)
-
 // Outcome codes for trace records.
 const (
 	outcomeOK uint8 = iota
@@ -37,7 +26,6 @@ func traceNames() obs.TraceNames {
 	}
 	return obs.TraceNames{
 		Kinds:    kinds,
-		Kernels:  []string{"walk", "bitparallel", "scalar", "other"},
 		Outcomes: []string{"ok", "error", "canceled"},
 	}
 }
@@ -54,14 +42,9 @@ type serveMetrics struct {
 	inflight   *obs.Gauge               // lcs_serve_executors_inflight
 	peak       *obs.Gauge               // lcs_serve_executors_inflight_peak
 	poolSize   *obs.Gauge               // lcs_serve_executor_pool_size
-	kernelRuns [numKernels]*obs.Counter // lcs_serve_kernel_runs_total{kernel}
 	batchTasks *obs.Histogram           // lcs_serve_batch_tasks
 	coalIn     *obs.Counter             // lcs_serve_coalesce_in_total
 	coalOut    *obs.Counter             // lcs_serve_coalesce_out_total
-	schedR     *obs.Counter             // lcs_sched_rounds_total
-	schedM     *obs.Counter             // lcs_sched_messages_total
-	schedLoad  *obs.Gauge               // lcs_sched_max_arc_load (peak)
-	schedQueue *obs.Gauge               // lcs_sched_max_queue (peak)
 	trace      *obs.TraceRing
 }
 
@@ -79,16 +62,9 @@ func newServeMetrics(reg *obs.Registry, traceDepth, poolSize int) *serveMetrics 
 	m.peak = reg.Gauge("lcs_serve_executors_inflight_peak")
 	m.poolSize = reg.Gauge("lcs_serve_executor_pool_size")
 	m.poolSize.Add(int64(poolSize)) // several servers on one registry sum
-	for kn := uint8(0); kn < numKernels; kn++ {
-		m.kernelRuns[kn] = reg.Counter("lcs_serve_kernel_runs_total", "kernel", names.Kernels[kn])
-	}
 	m.batchTasks = reg.Histogram("lcs_serve_batch_tasks")
 	m.coalIn = reg.Counter("lcs_serve_coalesce_in_total")
 	m.coalOut = reg.Counter("lcs_serve_coalesce_out_total")
-	m.schedR = reg.Counter("lcs_sched_rounds_total")
-	m.schedM = reg.Counter("lcs_sched_messages_total")
-	m.schedLoad = reg.Gauge("lcs_sched_max_arc_load")
-	m.schedQueue = reg.Gauge("lcs_sched_max_queue")
 	m.trace = reg.Trace(traceDepth, names)
 	return m
 }
@@ -113,8 +89,9 @@ func (m *serveMetrics) release() {
 
 // record accounts one executor execution: per-kind latency (successes
 // only — error latencies would skew the quantiles) plus one trace record.
-// batch is the task count after coalescing (1 for single queries).
-func (m *serveMetrics) record(kind Kind, kernel uint8, l lease, batch int32, waitNs, execNs int64, err error) {
+// batch is the distinct-root count after coalescing (1 for single
+// queries).
+func (m *serveMetrics) record(kind Kind, l lease, batch int32, waitNs, execNs int64, err error) {
 	if m == nil {
 		return
 	}
@@ -134,40 +111,18 @@ func (m *serveMetrics) record(kind Kind, kernel uint8, l lease, batch int32, wai
 	if l.sn != nil {
 		gen = l.sn.generation
 	}
-	m.trace.Record(uint8(kind), kernel, outcome, ep, gen, batch, waitNs, execNs)
+	m.trace.Record(uint8(kind), outcome, ep, gen, batch, waitNs, execNs)
 }
 
-// kernelRun counts one kernel execution.
-func (m *serveMetrics) kernelRun(kernel uint8) {
-	if m == nil {
-		return
-	}
-	m.kernelRuns[kernel].Inc()
-}
-
-// group accounts one batched SSSP group: the pre-coalescing query count,
-// the post-coalescing task count, and the shared scheduled execution's
-// Stats, bridged into the sched counters so the scheduler itself stays
-// obs-free.
-func (m *serveMetrics) group(in, tasks int, st sched.Stats) {
+// group accounts one batched SSSP group: the pre-coalescing query count
+// and the distinct roots walked after coalescing.
+func (m *serveMetrics) group(in, roots int) {
 	if m == nil {
 		return
 	}
 	m.coalIn.Add(int64(in))
-	m.coalOut.Add(int64(tasks))
-	m.batchTasks.Observe(int64(tasks))
-	m.sched(st)
-}
-
-// sched folds one scheduled execution's Stats into the bridge metrics.
-func (m *serveMetrics) sched(st sched.Stats) {
-	if m == nil {
-		return
-	}
-	m.schedR.Add(int64(st.Rounds))
-	m.schedM.Add(st.Messages)
-	m.schedLoad.SetMax(int64(st.MaxArcLoad))
-	m.schedQueue.SetMax(int64(st.MaxQueue))
+	m.coalOut.Add(int64(roots))
+	m.batchTasks.Observe(int64(roots))
 }
 
 // RecordSchedStats folds one scheduled execution's Stats into reg's
@@ -203,8 +158,7 @@ func RecordCost(reg *obs.Registry, c cost.Cost) {
 // itself allocates a labeled context per call — that is why profiling is
 // opt-in and independent of metrics, which stay allocation-free.)
 type profLabels struct {
-	kind   [numKinds]pprof.LabelSet
-	kernel [numKernels]pprof.LabelSet
+	kind [numKinds]pprof.LabelSet
 }
 
 func newProfLabels() *profLabels {
@@ -212,9 +166,6 @@ func newProfLabels() *profLabels {
 	p := &profLabels{}
 	for k := Kind(0); k < numKinds; k++ {
 		p.kind[k] = pprof.Labels("query_kind", names.Kinds[k])
-	}
-	for kn := uint8(0); kn < numKernels; kn++ {
-		p.kernel[kn] = pprof.Labels("query_kind", "sssp", "kernel", names.Kernels[kn])
 	}
 	return p
 }

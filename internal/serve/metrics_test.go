@@ -63,9 +63,9 @@ func histSummary(t *testing.T, snap obs.Snapshot, name string, labels map[string
 }
 
 // TestServeMetrics pins the serving instrumentation against the server's
-// own always-on Stats: kernel-routing counters, per-kind latency counts,
-// coalescing totals, and the query-trace ring must all agree with the work
-// actually delivered.
+// own always-on Stats: per-kind latency counts, coalescing totals, the
+// batch-size histogram, and the query-trace ring must all agree with the
+// work actually delivered.
 func TestServeMetrics(t *testing.T) {
 	fx := makeFixture(t, 200, 11)
 	reg := obs.New()
@@ -85,7 +85,7 @@ func TestServeMetrics(t *testing.T) {
 	if _, err := srv.ServeBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	// One non-SSSP query for the "other" kernel row.
+	// One non-SSSP query, for the per-kind split.
 	if _, err := srv.Serve(serve.MSTQuery{}); err != nil {
 		t.Fatal(err)
 	}
@@ -95,22 +95,15 @@ func TestServeMetrics(t *testing.T) {
 		t.Fatalf("Stats coalesce = (%d, %d), want (4, 3)", st.CoalesceIn, st.CoalesceOut)
 	}
 	snap := reg.Snapshot()
-	if got := counterValue(t, snap, "lcs_serve_kernel_runs_total", map[string]string{"kernel": "walk"}); got != singles {
-		t.Fatalf("walk kernel runs = %d, want %d", got, singles)
-	}
-	bit := counterValue(t, snap, "lcs_serve_kernel_runs_total", map[string]string{"kernel": "bitparallel"})
-	scalar := counterValue(t, snap, "lcs_serve_kernel_runs_total", map[string]string{"kernel": "scalar"})
-	if bit+scalar != 1 {
-		t.Fatalf("batch kernel runs = %d bitparallel + %d scalar, want exactly 1 total", bit, scalar)
-	}
-	if got := counterValue(t, snap, "lcs_serve_kernel_runs_total", map[string]string{"kernel": "other"}); got != 1 {
-		t.Fatalf("other kernel runs = %d, want 1 (the MST query)", got)
-	}
 	if got := counterValue(t, snap, "lcs_serve_coalesce_in_total", nil); got != st.CoalesceIn {
 		t.Fatalf("coalesce_in counter = %d, Stats say %d", got, st.CoalesceIn)
 	}
 	if got := counterValue(t, snap, "lcs_serve_coalesce_out_total", nil); got != st.CoalesceOut {
 		t.Fatalf("coalesce_out counter = %d, Stats say %d", got, st.CoalesceOut)
+	}
+	// The batch's one group observes its distinct-root count.
+	if bt := histSummary(t, snap, "lcs_serve_batch_tasks", nil); bt.Count != 1 || bt.Sum != 3 {
+		t.Fatalf("batch tasks histogram count=%d sum=%d, want 1 and 3", bt.Count, bt.Sum)
 	}
 	// Latency: singles + one batched group execution, all successful.
 	lat := histSummary(t, snap, "lcs_serve_latency_ns", map[string]string{"kind": "sssp"})

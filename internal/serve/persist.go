@@ -23,7 +23,9 @@ import (
 // Load rebuilds the serving state by slicing the file mapping — no parse, no
 // per-element allocation. See DESIGN.md "Snapshot persistence".
 //
-// Section IDs are part of the format: never renumber, only append.
+// Section IDs are part of the format: never renumber, only append. A
+// retired ID stays reserved forever, so files that still carry it load
+// (the loader ignores sections it does not read).
 const (
 	secGraphOffsets   = 1 // []int32, n+1
 	secGraphNeighbors = 2 // []int32, 2m
@@ -46,14 +48,11 @@ const (
 
 	secTree = 16 // []int32, t (shortcut-MST edge IDs into g)
 
-	secTreeGOffsets   = 17 // tree-only CSR subgraph, same layout as 1..7
-	secTreeGNeighbors = 18
-	secTreeGArcEdge   = 19
-	secTreeGArcRev    = 20
-	secTreeGArcTail   = 21
-	secTreeGEdgeU     = 22
-	secTreeGEdgeV     = 23
-	secTreeArcW       = 24 // []float64, 2t (per-arc weights of treeG)
+	// 17..24 held a tree-only copy of the graph CSR (layout of 1..7) and
+	// its per-arc weights, read by a batch BFS kernel that no longer
+	// exists. Retired, never reuse: older files still carry them.
+	secRetiredTreeGFirst = 17
+	secRetiredTreeGLast  = 24
 
 	secTreeIdxOff = 25 // []int32, n+1
 	secTreeIdxTo  = 26 // []int32, 2t
@@ -99,7 +98,7 @@ func (sn *Snapshot) metaBytes() []byte {
 	i64(sn.buildCost.SchedStats.Messages)
 	i64(int64(sn.buildCost.SchedStats.MaxArcLoad))
 	i64(int64(sn.buildCost.SchedStats.MaxQueue))
-	i64(int64(sn.buildCost.SchedStats.OrderedVisits))
+	i64(0) // retired slot (formerly sched.Stats.OrderedVisits): written 0, skipped on read
 	i64(int64(sn.buildCost.Wall))
 	i64(int64(sn.s.Params.Diameter))
 	f64(sn.s.Params.KD)
@@ -168,7 +167,7 @@ func decodeMeta(b []byte) (dm decodedMeta, err error) {
 	sn.buildCost.SchedStats.Messages = i64()
 	sn.buildCost.SchedStats.MaxArcLoad = int(i64())
 	sn.buildCost.SchedStats.MaxQueue = int(i64())
-	sn.buildCost.SchedStats.OrderedVisits = int(i64())
+	i64() // retired slot (formerly sched.Stats.OrderedVisits)
 	sn.buildCost.Wall = time.Duration(i64())
 	dm.params.Diameter = int(i64())
 	dm.params.KD = f64()
@@ -255,15 +254,6 @@ func (sn *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	i32(secPartDil, pd)
 
 	i32(secTree, sn.tree)
-	tc := sn.treeG.CSR()
-	i32(secTreeGOffsets, tc.Offsets)
-	i32(secTreeGNeighbors, tc.Neighbors)
-	i32(secTreeGArcEdge, tc.ArcEdge)
-	i32(secTreeGArcRev, tc.ArcRev)
-	i32(secTreeGArcTail, tc.ArcTail)
-	i32(secTreeGEdgeU, tc.EdgeU)
-	i32(secTreeGEdgeV, tc.EdgeV)
-	f64(secTreeArcW, sn.treeArcW)
 
 	tiOff, tiTo, tiWt, _ := sn.ti.Raw()
 	i32(secTreeIdxOff, tiOff)
@@ -563,31 +553,6 @@ func snapshotFromFile(f *snapio.File, opts LoadOptions) (*Snapshot, error) {
 	}
 
 	tree := i32(secTree)
-	tc := graph.CSR{
-		Offsets:   i32(secTreeGOffsets),
-		Neighbors: i32(secTreeGNeighbors),
-		ArcEdge:   i32(secTreeGArcEdge),
-		ArcRev:    i32(secTreeGArcRev),
-		ArcTail:   i32(secTreeGArcTail),
-		EdgeU:     i32(secTreeGEdgeU),
-		EdgeV:     i32(secTreeGEdgeV),
-	}
-	treeArcW := f64(secTreeArcW)
-	if err != nil {
-		return nil, err
-	}
-	treeG, terr := graph.FromCSR(tc, verify)
-	if terr != nil {
-		return nil, corrupt("tree subgraph: %w", terr)
-	}
-	if treeG.NumNodes() != n || treeG.NumEdges() != len(tree) {
-		return nil, corrupt("tree subgraph: %d nodes / %d edges, want %d / %d",
-			treeG.NumNodes(), treeG.NumEdges(), n, len(tree))
-	}
-	if len(treeArcW) != treeG.NumArcs() {
-		return nil, corrupt("tree arc weights: %d entries for %d arcs", len(treeArcW), treeG.NumArcs())
-	}
-
 	tiOff := i32(secTreeIdxOff)
 	tiTo := i32(secTreeIdxTo)
 	tiWt := f64(secTreeIdxWt)
@@ -615,7 +580,7 @@ func snapshotFromFile(f *snapio.File, opts LoadOptions) (*Snapshot, error) {
 		return nil, corrupt("tree index: %w", tierr)
 	}
 	if verify {
-		if verr := verifyTree(g, w, tree, treeG, treeArcW, ti, dm.tiAcyclic); verr != nil {
+		if verr := verifyTree(g, w, tree, ti, dm.tiAcyclic); verr != nil {
 			return nil, verr
 		}
 	}
@@ -628,8 +593,6 @@ func snapshotFromFile(f *snapio.File, opts LoadOptions) (*Snapshot, error) {
 	sn.s = &shortcut.Shortcuts{P: p, H: h, Params: dm.params}
 	sn.partDil = partDil
 	sn.tree = tree
-	sn.treeG = treeG
-	sn.treeArcW = treeArcW
 	sn.ti = ti
 	sn.samplingSeed = hdr.Seed
 	sn.generation = hdr.Generation
@@ -720,18 +683,18 @@ func verifyPartition(g *graph.Graph, parts []shortcut.Part, partOf []int32) erro
 	return nil
 }
 
-// verifyTree runs the deep tree-state scan: the persisted MST edge list,
-// the tree-only execution subgraph with its per-arc weights, and the tree
-// index must all describe the same forest over g with weights w — exactly
-// the invariants the warm query paths index on without further checks.
-func verifyTree(g *graph.Graph, w graph.Weights, tree []graph.EdgeID,
-	treeG *graph.Graph, treeArcW []float64, ti *sssp.TreeIndex, acyclic bool) error {
+// verifyTree runs the deep tree-state scan: the persisted MST edge list and
+// the tree index must describe the same forest over g with weights w —
+// exactly the invariants the warm query paths index on without further
+// checks.
+func verifyTree(g *graph.Graph, w graph.Weights, tree []graph.EdgeID, ti *sssp.TreeIndex, acyclic bool) error {
 	const op = "serve.LoadSnapshot"
 	corrupt := func(format string, args ...any) error {
 		return reproerr.Errorf(op, reproerr.KindCorrupt, format, args...)
 	}
 	m := int32(g.NumEdges())
 	inTree := graph.NewBitset(g.NumEdges())
+	deg := make([]int32, g.NumNodes())
 	for _, e := range tree {
 		if e < 0 || e >= m {
 			return corrupt("tree: edge %d out of range [0,%d)", e, m)
@@ -740,34 +703,21 @@ func verifyTree(g *graph.Graph, w graph.Weights, tree []graph.EdgeID,
 			return corrupt("tree: edge %d listed twice", e)
 		}
 		inTree.Set(e)
+		u, v := g.EdgeEndpoints(e)
+		deg[u]++
+		deg[v]++
 	}
-	// treeG must realize exactly the tree edge set with g's weights: every
-	// treeG arc maps (via its endpoints) to a distinct tree edge of g and
-	// carries that edge's weight. Counts already match (NumEdges == len(tree)
-	// was checked), so per-arc membership makes it a bijection.
-	for a, arcs := int32(0), int32(treeG.NumArcs()); a < arcs; a++ {
-		u, v := treeG.ArcTail(a), treeG.ArcTarget(a)
-		e, ok := g.FindEdge(u, v)
-		if !ok {
-			return corrupt("tree subgraph: arc {%d,%d} is not an edge of the graph", u, v)
-		}
-		if !inTree.Has(e) {
-			return corrupt("tree subgraph: edge {%d,%d} is not a tree edge", u, v)
-		}
-		if treeArcW[a] != w[e] {
-			return corrupt("tree arc weights: arc {%d,%d} carries %g, graph weight is %g", u, v, treeArcW[a], w[e])
-		}
-	}
-	// The tree index must be the same adjacency: per node, same degree, and
-	// each indexed arc a tree edge with the matching weight.
+	// The tree index must be the same adjacency: per node, the degree the
+	// tree edge list gives it, and each indexed arc a tree edge with the
+	// matching weight.
 	tiOff, tiTo, tiWt, _ := ti.Raw()
 	for u := int32(0); u < int32(g.NumNodes()); u++ {
 		lo, hi := tiOff[u], tiOff[u+1]
 		if lo > hi {
 			return corrupt("tree index: offsets not monotone at node %d", u)
 		}
-		if hi-lo != int32(treeG.Degree(u)) {
-			return corrupt("tree index: node %d has degree %d, tree subgraph has %d", u, hi-lo, treeG.Degree(u))
+		if hi-lo != deg[u] {
+			return corrupt("tree index: node %d has degree %d, tree edge list gives %d", u, hi-lo, deg[u])
 		}
 		for a := lo; a < hi; a++ {
 			v := tiTo[a]
@@ -783,7 +733,8 @@ func verifyTree(g *graph.Graph, w graph.Weights, tree []graph.EdgeID,
 			}
 		}
 	}
-	// Recount acyclicity: the bit-parallel batch kernel trusts this flag.
+	// Recount acyclicity, so a loaded index never carries a flag its edges
+	// contradict.
 	uf := make([]int32, g.NumNodes())
 	for i := range uf {
 		uf[i] = int32(i)

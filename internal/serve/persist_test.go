@@ -58,10 +58,10 @@ func persistQueries(g *graph.Graph, parts [][]graph.NodeID) []serve.Query {
 // assertServesIdentically drives both snapshots through every query family
 // (plus one batch) and requires bit-identical answers.
 func assertServesIdentically(t *testing.T, tag string, got, want *serve.Snapshot,
-	g *graph.Graph, parts [][]graph.NodeID, gotWorkers, wantWorkers int) {
+	g *graph.Graph, parts [][]graph.NodeID) {
 	t.Helper()
-	srvG := serve.NewServer(got, serve.ServerOptions{Executors: 2, Workers: gotWorkers, Seed: 99})
-	srvW := serve.NewServer(want, serve.ServerOptions{Executors: 2, Workers: wantWorkers, Seed: 99})
+	srvG := serve.NewServer(got, serve.ServerOptions{Executors: 2, Seed: 99})
+	srvW := serve.NewServer(want, serve.ServerOptions{Executors: 2, Seed: 99})
 	queries := persistQueries(g, parts)
 	for qi, q := range queries {
 		ag, err := srvG.Serve(q)
@@ -89,7 +89,7 @@ func assertServesIdentically(t *testing.T, tag string, got, want *serve.Snapshot
 
 // TestPersistRoundTrip is the tentpole pin: for every graph family × load
 // mode, Write→Load answers every query family bit-identical to the built
-// snapshot, with worker counts varied on both sides.
+// snapshot, with the build's worker count varied across families.
 func TestPersistRoundTrip(t *testing.T) {
 	const n = 360
 	modes := []struct {
@@ -109,7 +109,7 @@ func TestPersistRoundTrip(t *testing.T) {
 			if err := serve.WriteSnapshotFile(path, sn); err != nil {
 				t.Fatalf("write: %v", err)
 			}
-			for mi, mode := range modes {
+			for _, mode := range modes {
 				t.Run(mode.name, func(t *testing.T) {
 					loaded, err := serve.LoadSnapshot(path, mode.opts)
 					if err != nil {
@@ -132,8 +132,7 @@ func TestPersistRoundTrip(t *testing.T) {
 						t.Fatalf("build cost %d/%d/%d, want %d/%d/%d", lr, lm, lp, br, bm, bp)
 					}
 					assertSnapshotsEqual(t, mode.name, loaded, sn)
-					assertServesIdentically(t, mode.name, loaded, sn, g, parts,
-						(fi+mi)%3, buildWorkers)
+					assertServesIdentically(t, mode.name, loaded, sn, g, parts)
 				})
 			}
 		})
@@ -158,7 +157,7 @@ func TestPersistStreamRoundTrip(t *testing.T) {
 		t.Fatalf("ReadSnapshot: %v", err)
 	}
 	assertSnapshotsEqual(t, "stream", loaded, sn)
-	assertServesIdentically(t, "stream", loaded, sn, g, parts, 1, 0)
+	assertServesIdentically(t, "stream", loaded, sn, g, parts)
 }
 
 // TestPersistAfterDelta pins the dynamic path across persistence: repair →
@@ -219,7 +218,7 @@ func TestPersistAfterDelta(t *testing.T) {
 		}
 	}
 	assertSnapshotsEqual(t, "gen1", loaded, repaired)
-	assertServesIdentically(t, "gen1", loaded, repaired, g1, parts, 0, 1)
+	assertServesIdentically(t, "gen1", loaded, repaired, g1, parts)
 
 	// Second delta, applied to both the loaded and the in-memory snapshot.
 	for attempt := 0; ; attempt++ {

@@ -78,10 +78,9 @@ func (QualityQuery) queryKind() Kind { return KindQuality }
 type Answer interface{ answerKind() Kind }
 
 // SSSPAnswer holds within-tree distances from Source. Rounds/Messages are
-// the marginal simulated cost of the answer: for a single warm query the
-// log n fragment-contraction propagation phases (the MST itself was paid at
-// snapshot build); for a batched query the shared scheduled execution's cost
-// (identical distances either way).
+// the marginal simulated cost of the answer: the log n fragment-contraction
+// propagation phases (the MST itself was paid at snapshot build), charged
+// identically to single and batched answers.
 type SSSPAnswer struct {
 	Source graph.NodeID
 	Dist   []float64

@@ -171,7 +171,7 @@ func TestServeSSSPIntoReusesBuffer(t *testing.T) {
 
 func TestServeBatchMatchesSingle(t *testing.T) {
 	fx := makeFixture(t, 400, 4)
-	srv := serve.NewServer(fx.snap, serve.ServerOptions{Workers: 2})
+	srv := serve.NewServer(fx.snap, serve.ServerOptions{})
 	queries := []serve.Query{
 		serve.SSSPQuery{Source: 7},
 		serve.MSTQuery{},
@@ -205,8 +205,8 @@ func TestServeBatchMatchesSingle(t *testing.T) {
 					t.Fatalf("query %d: dist[%d] batched %v vs single %v", i, v, got.Dist[v], want.Dist[v])
 				}
 			}
-			if got.Rounds <= 0 {
-				t.Fatalf("query %d: batched answer has no shared cost", i)
+			if got.Cost != want.Cost {
+				t.Fatalf("query %d: batched cost %+v vs single %+v", i, got.Cost, want.Cost)
 			}
 		case *serve.MSTAnswer:
 			got := batch[i].(*serve.MSTAnswer)
@@ -359,7 +359,7 @@ func TestSnapshotImmutableUnderLoad(t *testing.T) {
 	weightsBefore := append(graph.Weights(nil), fx.w...)
 	qualityBefore := fx.snap.Quality()
 
-	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 3, Workers: 2})
+	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 3})
 	queries := []serve.Query{
 		serve.SSSPQuery{Source: 1}, serve.SSSPQuery{Source: 2}, serve.MSTQuery{},
 		serve.MinCutQuery{}, serve.TwoECSSQuery{}, serve.QualityQuery{Part: 0},

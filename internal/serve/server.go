@@ -11,7 +11,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/reproerr"
-	"repro/internal/sched"
 	"repro/internal/sssp"
 )
 
@@ -21,37 +20,26 @@ type ServerOptions struct {
 	// queries in flight at once (further callers block on checkout).
 	// 0 selects runtime.GOMAXPROCS(0).
 	Executors int
-	// Workers selects the scheduler parallelism of batched executions
-	// (sched.Options.Workers); 0 = sequential. Answers are identical for
-	// every setting.
-	Workers int
 	// Seed derives the per-query deterministic randomness: a query's answer
 	// depends only on (snapshot, Seed, query), never on which executor runs
 	// it or what runs concurrently. 0 selects 1.
 	Seed int64
-	// DisableBitParallel forces batched SSSP groups onto the scalar
-	// random-delay kernel even when the snapshot tree is eligible for the
-	// bit-parallel fast path (see batch.go). Distances are identical either
-	// way — the knob exists for benchmarking the kernels against each other
-	// and as an escape hatch.
-	DisableBitParallel bool
 	// Metrics attaches an observability registry: per-kind latency and
-	// queue-wait histograms, executor-pool utilization, kernel-routing and
-	// coalescing counters, the sched bridge, and per-execution trace
-	// records. nil (the default) is the uninstrumented server — the hot
-	// paths then skip even their clock reads, and both modes keep the
-	// CI-enforced 0 allocs/op warm paths (every instrument write is atomic
-	// arithmetic on preallocated state).
+	// queue-wait histograms, executor-pool utilization, coalescing
+	// counters, and per-execution trace records. nil (the default) is the
+	// uninstrumented server — the hot paths then skip even their clock
+	// reads, and both modes keep the CI-enforced 0 allocs/op warm paths
+	// (every instrument write is atomic arithmetic on preallocated state).
 	Metrics *obs.Registry
 	// TraceDepth sizes the registry's query-trace ring on first
 	// registration (0 = obs.DefaultTraceDepth). Only meaningful with
 	// Metrics; if the registry already has a ring, that ring is shared.
 	TraceDepth int
 	// ProfileLabels wraps executor execution in runtime/pprof labels
-	// (query_kind, and kernel on batched SSSP groups) so CPU profiles
-	// attribute samples per query kind. Off by default: pprof.Do allocates
-	// a labeled context per call, so enabling it trades the warm paths'
-	// 0 allocs/op for profile attribution. Independent of Metrics.
+	// (query_kind) so CPU profiles attribute samples per query kind. Off
+	// by default: pprof.Do allocates a labeled context per call, so
+	// enabling it trades the warm paths' 0 allocs/op for profile
+	// attribution. Independent of Metrics.
 	ProfileLabels bool
 }
 
@@ -83,44 +71,33 @@ type Server struct {
 }
 
 // executor is one pooled context: every buffer a query needs, owned
-// exclusively while checked out (see DESIGN.md ownership rules). The runner
-// and forest amortize scheduler state across the batched executions this
-// executor serves — PR 2's Runner-reuse extended across queries. Executors
+// exclusively while checked out (see DESIGN.md ownership rules). Executors
 // hold no snapshot state: buffers grow to whatever graph the pinned
 // snapshot has, so the pool survives any number of epoch swaps.
 type executor struct {
 	treeScratch sssp.TreeScratch // warm SSSP walk buffers
-	runner      sched.Runner     // batched scheduled executions
-	forest      sched.BFSForest
 
-	// Batch-group scratch (see batch.go): the coalesced task list, the
-	// query-slot→task mapping, the per-root dedup marks (all-zero outside an
-	// active group run), the streaming parent-arc matrix and sequential
-	// visit log handed to the kernels (both task-major capacity,
-	// numTasks·NumNodes), and the chain stack of the distance-resolution
-	// fallback. All grow to the pinned snapshot's graph and are reused —
-	// the warm batch path allocates nothing, across any number of epoch
-	// swaps.
-	batchTasks []sched.BFSTask
-	taskOf     []int32
-	taskSlot   []int32
+	// Batch-group scratch (see batch.go): the per-root dedup marks
+	// (all-zero outside an active group), each slot's first occurrence of
+	// its root, and ServeBatch's source list and answer rows. All are
+	// reused — the warm batch path allocates nothing, across any number of
+	// epoch swaps.
 	rootMark   []int32
+	firstSlot  []int32
 	batchSrcs  []graph.NodeID
 	batchDists [][]float64
-	taskRows   [][]float64 // task→output row, for the log replay; re-nilled after use
-	parcs      []int32
-	order      []int64
-	pstack     []int32
 }
 
 // lease is one checked-out execution context: the executor plus the
 // snapshot pinned for the duration of exactly one query or batch. ep is
 // non-nil only in store mode, where it holds the epoch reference that
-// delays the snapshot's retirement drain until release.
+// delays the snapshot's retirement drain until release. done is the
+// caller's prefetched ctx.Done() channel (nil when not cancelable).
 type lease struct {
-	ex *executor
-	sn *Snapshot
-	ep *epoch
+	ex   *executor
+	sn   *Snapshot
+	ep   *epoch
+	done <-chan struct{}
 }
 
 // NewServer builds a server over one fixed snapshot.
@@ -240,7 +217,7 @@ func (s *Server) checkoutCtx(ctx context.Context) (lease, error) {
 	select {
 	case ex := <-s.pool:
 		sn, ep := s.resolve()
-		return lease{ex: ex, sn: sn, ep: ep}, nil
+		return lease{ex: ex, sn: sn, ep: ep, done: done}, nil
 	case <-done:
 		return lease{}, reproerr.FromContext("serve", ctx.Err())
 	}
@@ -287,22 +264,8 @@ func (s *Server) serveOne(ctx context.Context, q Query) (Answer, error) {
 	defer s.release(l)
 	t0 := s.m.nowIf()
 	a, err := s.serveOn(ctx, l, q)
-	kernel := kernelForKind(q.queryKind())
-	s.m.record(q.queryKind(), kernel, l, 1, wait, s.m.sinceNs(t0), err)
-	if err == nil {
-		s.m.kernelRun(kernel)
-	}
+	s.m.record(q.queryKind(), l, 1, wait, s.m.sinceNs(t0), err)
 	return a, err
-}
-
-// kernelForKind maps a single (non-batched) query to its kernel code: a
-// lone SSSP query runs the warm tree walk, the other kinds are not BFS
-// kernels at all.
-func kernelForKind(k Kind) uint8 {
-	if k == KindSSSP {
-		return kernelWalk
-	}
-	return kernelOther
 }
 
 // serveOn executes one query against the lease's pinned snapshot, under
@@ -393,11 +356,10 @@ func (s *Server) ServeSSSPIntoCtx(ctx context.Context, dst []float64, src graph.
 	} else {
 		out, err = l.sn.ti.DistancesInto(dst, src, &l.ex.treeScratch)
 	}
-	s.m.record(KindSSSP, kernelWalk, l, 1, wait, s.m.sinceNs(t0), err)
+	s.m.record(KindSSSP, l, 1, wait, s.m.sinceNs(t0), err)
 	if err != nil {
 		return out, err
 	}
-	s.m.kernelRun(kernelWalk)
 	s.served[KindSSSP].Add(1)
 	return out, nil
 }
@@ -405,7 +367,7 @@ func (s *Server) ServeSSSPIntoCtx(ctx context.Context, dst []float64, src graph.
 // distancesIntoProf is the warm walk under pprof labels; a separate method
 // for the same escape-analysis reason as serveOnProf.
 func (s *Server) distancesIntoProf(ctx context.Context, l lease, dst []float64, src graph.NodeID) (out []float64, err error) {
-	doProf(ctx, s.prof.kernel[kernelWalk], func() {
+	doProf(ctx, s.prof.kind[KindSSSP], func() {
 		out, err = l.sn.ti.DistancesInto(dst, src, &l.ex.treeScratch)
 	})
 	return out, err
@@ -415,14 +377,14 @@ func (s *Server) distancesIntoProf(ctx context.Context, l lease, dst []float64, 
 type Stats struct {
 	// Queries counts answered queries per kind (indexable by Kind).
 	SSSP, MST, MinCut, TwoECSS, Quality int64
-	// Batches counts ServeBatch calls; BatchedQueries the queries they
-	// carried.
+	// Batches counts ServeBatch and ServeSSSPBatchInto calls;
+	// BatchedQueries the queries they carried.
 	Batches        int64
 	BatchedQueries int64
-	// CoalesceIn counts SSSP queries that entered batched group execution;
-	// CoalesceOut the distinct-root tasks actually run after duplicate-root
+	// CoalesceIn counts SSSP queries that entered a batched group;
+	// CoalesceOut the distinct roots actually walked after duplicate-root
 	// coalescing. CoalesceIn - CoalesceOut is the number of queries answered
-	// by copying another task's distances — the coalescing hit count.
+	// by copying another root's distances — the coalescing hit count.
 	CoalesceIn  int64
 	CoalesceOut int64
 }

@@ -11,14 +11,13 @@
 //   - Snapshot: an immutable bundle of graph + weights + partition +
 //     constructed Shortcuts + the derived shortcut-MST and its query index,
 //     built once and shared read-only by any number of concurrent readers.
-//   - Server: a pool of per-worker executor contexts (reusable sched.Runner
-//     state via mst.Scratch, sssp.TreeScratch walk buffers, per-executor
-//     distance arrays) answering typed queries — SSSPQuery, MSTQuery,
-//     MinCutQuery, TwoECSSQuery, QualityQuery — concurrently, each answer
-//     bit-identical to its single-threaded counterpart.
-//   - ServeBatch: batched submission that groups same-kind queries so one
-//     random-delay scheduler execution serves the whole group (batched SSSP
-//     runs all sources as parallel scheduled BFS tasks over the tree).
+//   - Server: a pool of per-worker executor contexts (sssp.TreeScratch walk
+//     buffers and batch dedup scratch) answering typed queries — SSSPQuery,
+//     MSTQuery, MinCutQuery, TwoECSSQuery, QualityQuery — concurrently, each
+//     answer bit-identical to its single-threaded counterpart.
+//   - ServeBatch: batched submission on one executor and one pinned
+//     snapshot; its SSSP queries are deduplicated by root, and each
+//     distinct root runs one warm tree walk.
 //
 // See DESIGN.md "Serving architecture" for the immutability and ownership
 // arguments.
@@ -27,7 +26,6 @@ package serve
 import (
 	"context"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/cost"
@@ -85,8 +83,6 @@ type Snapshot struct {
 
 	tree       []graph.EdgeID // the shortcut-MST, derived once
 	treeWeight float64
-	treeG      *graph.Graph    // tree-only CSR subgraph: batch groups run on it filter-free
-	treeArcW   []float64       // treeG's per-arc weights (remapped from w), for distance resolution
 	ti         *sssp.TreeIndex // CSR tree adjacency, for warm SSSP walks
 
 	diameter       int
@@ -194,10 +190,6 @@ func NewSnapshot(g *graph.Graph, w graph.Weights, parts [][]graph.NodeID, opts S
 	if err != nil {
 		return nil, reproerr.Errorf(op, reproerr.KindOf(err), "tree index: %w", err)
 	}
-	treeG, treeArcW, err := treeExecGraph(g, w, mres.Tree)
-	if err != nil {
-		return nil, reproerr.Errorf(op, reproerr.KindOf(err), "tree subgraph: %w", err)
-	}
 	servRounds, servMessages := sssp.TreeServeCost(g.NumNodes(), mres.QualitySum, len(mres.Tree))
 
 	buildCost := mres.Cost
@@ -211,8 +203,6 @@ func NewSnapshot(g *graph.Graph, w graph.Weights, parts [][]graph.NodeID, opts S
 		partDil:        partDil,
 		tree:           mres.Tree,
 		treeWeight:     mres.Weight,
-		treeG:          treeG,
-		treeArcW:       treeArcW,
 		ti:             ti,
 		diameter:       d,
 		logFactor:      opts.LogFactor,
@@ -238,53 +228,6 @@ func measureQuality(ctx context.Context, s *shortcut.Shortcuts, cutoff int) ([]s
 		return nil, shortcut.Quality{}, err
 	}
 	return partDil, shortcut.AggregateQuality(partDil, s.Congestion()), nil
-}
-
-// treeExecGraph builds the tree-only CSR subgraph batch groups execute on:
-// same node IDs as g, but only the tree edges — so the batched BFS kernels
-// never scan a non-tree arc and need no membership filter at all. On a
-// degree-d graph that removes a factor-d/2 of arc scans (plus a closure call
-// per arc) from every batched visit, for both kernels. The returned arcW is
-// per-ARC (arcW[a] is the original weight of the edge arc a crosses), which
-// is all the batch distance resolution reads — distances are bit-identical
-// to a filtered run on g.
-func treeExecGraph(g *graph.Graph, w graph.Weights, tree []graph.EdgeID) (*graph.Graph, []float64, error) {
-	edges := make([][2]graph.NodeID, len(tree))
-	for i, e := range tree {
-		u, v := g.EdgeEndpoints(e)
-		if u > v {
-			u, v = v, u
-		}
-		edges[i] = [2]graph.NodeID{u, v}
-	}
-	// Sort a permutation alongside, so subgraph edge IDs (canonical sorted
-	// order, as FromEdges assigns them) map back to original weights.
-	ord := make([]int, len(tree))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.Slice(ord, func(a, b int) bool {
-		ea, eb := edges[ord[a]], edges[ord[b]]
-		if ea[0] != eb[0] {
-			return ea[0] < eb[0]
-		}
-		return ea[1] < eb[1]
-	})
-	sorted := make([][2]graph.NodeID, len(tree))
-	tw := make(graph.Weights, len(tree))
-	for i, o := range ord {
-		sorted[i] = edges[o]
-		tw[i] = w[tree[o]]
-	}
-	tg, err := graph.FromEdges(g.NumNodes(), sorted)
-	if err != nil {
-		return nil, nil, err
-	}
-	arcW := make([]float64, tg.NumArcs())
-	for a := range arcW {
-		arcW[a] = tw[tg.ArcEdge(int32(a))]
-	}
-	return tg, arcW, nil
 }
 
 // Graph returns the underlying graph.

@@ -14,7 +14,7 @@ import (
 // this package under -race.
 func TestConcurrentServeStress(t *testing.T) {
 	fx := makeFixture(t, 500, 42)
-	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 4, Workers: 2, Seed: 7})
+	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 4, Seed: 7})
 
 	queries := []serve.Query{
 		serve.SSSPQuery{Source: 0},

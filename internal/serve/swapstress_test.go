@@ -97,7 +97,7 @@ func TestHotSwapStress(t *testing.T) {
 	}
 
 	store := serve.NewStore(chain[0])
-	srv := serve.NewStoreServer(store, serve.ServerOptions{Executors: 3, Workers: 2, Seed: 5})
+	srv := serve.NewStoreServer(store, serve.ServerOptions{Executors: 3, Seed: 5})
 
 	var served atomic.Int64
 	stop := make(chan struct{})

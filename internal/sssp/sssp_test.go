@@ -150,10 +150,10 @@ func TestStretch(t *testing.T) {
 	}
 }
 
-// TestTreeIndexBitParallelEligible pins the forest check that gates the
-// serving layer's bit-parallel batch routing: forests (including partial
-// ones) are eligible, anything with a cycle or a duplicate edge is not.
-func TestTreeIndexBitParallelEligible(t *testing.T) {
+// TestTreeIndexAcyclic pins the forest check behind the index's persisted
+// acyclic flag: forests (including partial ones) are acyclic, anything with
+// a cycle or a duplicate edge is not.
+func TestTreeIndexAcyclic(t *testing.T) {
 	g, err := graph.FromEdges(4, [][2]graph.NodeID{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +175,8 @@ func TestTreeIndexBitParallelEligible(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got := ti.BitParallelEligible(); got != tc.want {
-			t.Errorf("%s: BitParallelEligible() = %v, want %v", tc.name, got, tc.want)
+		if _, _, _, got := ti.Raw(); got != tc.want {
+			t.Errorf("%s: acyclic = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

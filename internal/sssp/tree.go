@@ -50,9 +50,8 @@ func NewTreeIndex(g *graph.Graph, w graph.Weights, tree []graph.EdgeID) (*TreeIn
 		cursor[v]++
 	}
 	// Acyclicity check (union-find with path halving), reusing the cursor
-	// scratch: a forest admits exactly one path between any visited pair,
-	// which is what lets the serving layer route batched unweighted BFS over
-	// this edge set to the bit-parallel kernel (see BitParallelEligible).
+	// scratch. The flag is persisted with the index (see Raw), and the
+	// snapshot loader recounts it before trusting a loaded file.
 	uf := cursor
 	for i := range uf {
 		uf[i] = int32(i)
@@ -76,15 +75,6 @@ func NewTreeIndex(g *graph.Graph, w graph.Weights, tree []graph.EdgeID) (*TreeIn
 	}
 	return ti, nil
 }
-
-// BitParallelEligible reports whether the indexed edge set is a forest.
-// Over a forest every (source, node) pair has a unique admitted path, so a
-// batched unweighted BFS restricted to these edges is congestion-free and
-// delay-independent — the precondition under which sched.ParallelBFSBitInto
-// (level-synchronized, one shared filter word-wide) answers bit-identically
-// to the scalar random-delay kernel. The MST machinery always produces
-// forests; the check guards hand-built indices.
-func (ti *TreeIndex) BitParallelEligible() bool { return ti.acyclic }
 
 // NumNodes returns the node count of the indexed graph.
 func (ti *TreeIndex) NumNodes() int { return len(ti.off) - 1 }
