@@ -10,15 +10,14 @@ import (
 // surface lcsserve deploys: POST /v1/query, /v1/batch, /v1/delta, and
 // /v1/snapshot/swap on the serving mux, with /metrics, /healthz, and
 // /readyz on a separate admin mux. The gateway owns admission control
-// (bounded slots, immediate 429 shedding, Request-Timeout deadlines),
-// sssp request coalescing across concurrent clients (WithBatchWindow),
-// and its own instrument family on the shared registry:
+// (bounded slots, immediate 429 shedding, Request-Timeout deadlines) and
+// its own instrument family on the shared registry; every query serves
+// directly on the server:
 //
 //	reg := repro.NewMetrics()
 //	srv, _ := repro.NewStoreServerV2(store, repro.WithMetrics(reg))
 //	gw, _ := repro.NewGateway(srv,
 //	    repro.WithQueueDepth(64),
-//	    repro.WithBatchWindow(2*time.Millisecond),
 //	    repro.WithMetrics(reg))
 //	defer gw.Close()
 //	go http.ListenAndServe(":8080", gw.Handler())
@@ -29,8 +28,7 @@ import (
 // DESIGN.md "Gateway" for the wire format and semantics.
 
 // Gateway is the HTTP front end over one Server (see internal/gateway).
-// Construct with NewGateway; Close flushes open coalescing windows and
-// waits for their executions.
+// Construct with NewGateway; Close marks it draining (/readyz answers 503).
 type Gateway = gateway.Gateway
 
 // GatewayOptions is the gateway's raw options record. NewGateway assembles
@@ -39,9 +37,9 @@ type Gateway = gateway.Gateway
 type GatewayOptions = gateway.Options
 
 // NewGateway wraps srv in the HTTP front end, from functional options:
-// WithQueueDepth (admission capacity), WithBatchWindow / WithMaxBatch
-// (sssp coalescing), WithRequestTimeout (default deadline), WithWorkers /
-// WithMaxRounds (delta repair parallelism and bounds), and WithMetrics.
+// WithQueueDepth (admission capacity), WithRequestTimeout (default
+// deadline), WithWorkers / WithMaxRounds (delta repair parallelism and
+// bounds), and WithMetrics.
 func NewGateway(srv *Server, opts ...Option) (*Gateway, error) {
 	cfg, err := NewConfig(opts...)
 	if err != nil {
@@ -49,8 +47,6 @@ func NewGateway(srv *Server, opts ...Option) (*Gateway, error) {
 	}
 	return gateway.New(srv, gateway.Options{
 		QueueDepth:     cfg.QueueDepth,
-		BatchWindow:    cfg.BatchWindow,
-		MaxBatch:       cfg.MaxBatch,
 		DefaultTimeout: cfg.RequestTimeout,
 		DeltaWorkers:   cfg.Workers,
 		DeltaMaxRounds: cfg.MaxRounds,

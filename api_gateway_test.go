@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro"
 )
@@ -42,7 +41,6 @@ func TestGatewayFacade(t *testing.T) {
 	}
 	gw, err := repro.NewGateway(srv,
 		repro.WithQueueDepth(16),
-		repro.WithBatchWindow(time.Millisecond),
 		repro.WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)

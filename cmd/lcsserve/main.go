@@ -17,8 +17,8 @@
 //
 // Admin listener: /metrics (Prometheus text, ?format=json for JSON),
 // /healthz, /readyz (503 once draining). SIGTERM/SIGINT drains gracefully:
-// readiness flips, open coalescing windows flush, in-flight requests
-// finish (bounded by -drain), and the process exits cleanly.
+// readiness flips, in-flight requests finish (bounded by -drain), and the
+// process exits cleanly.
 package main
 
 import (
@@ -65,8 +65,6 @@ func run(args []string, stdout io.Writer, ready func(listen, admin string)) erro
 		executors  = fs.Int("executors", 0, "executor pool size (0 = GOMAXPROCS)")
 		workers    = fs.Int("workers", 0, "scheduler parallelism of /v1/delta repairs (0 = sequential)")
 		queueDepth = fs.Int("queue-depth", 0, "admission capacity before shedding 429s (0 = 4x executors)")
-		batchWin   = fs.Duration("batch-window", 0, "sssp coalescing window (0 = off)")
-		maxBatch   = fs.Int("max-batch", 0, "flush a window early at this many parked queries (0 = 64)")
 		timeout    = fs.Duration("timeout", 0, "default per-request deadline when no Request-Timeout header (0 = none)")
 		traceDepth = fs.Int("trace-depth", 0, "query trace-ring capacity (0 = default)")
 		seed       = fs.Int64("seed", 1, "per-query determinism seed; also seeds -graph-in snapshot builds")
@@ -84,7 +82,7 @@ func run(args []string, stdout io.Writer, ready func(listen, admin string)) erro
 	if err != nil {
 		return err
 	}
-	store := serve.NewStore(snap)
+	store := serve.NewStoreWith(snap, serve.StoreOptions{Metrics: reg})
 	srv := serve.NewStoreServer(store, serve.ServerOptions{
 		Executors:  *executors,
 		Seed:       *seed,
@@ -93,8 +91,6 @@ func run(args []string, stdout io.Writer, ready func(listen, admin string)) erro
 	})
 	gw, err := gateway.New(srv, gateway.Options{
 		QueueDepth:     *queueDepth,
-		BatchWindow:    *batchWin,
-		MaxBatch:       *maxBatch,
 		DefaultTimeout: *timeout,
 		DeltaWorkers:   *workers,
 		Metrics:        reg,
@@ -141,7 +137,7 @@ func run(args []string, stdout io.Writer, ready func(listen, admin string)) erro
 	}
 
 	fmt.Fprintf(stdout, "lcsserve: draining (up to %v)\n", *drain)
-	gw.Close() // readiness flips, coalescing windows flush
+	gw.Close() // readiness flips
 	shCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	errShutdown := httpSrv.Shutdown(shCtx)

@@ -85,7 +85,6 @@ func TestServeAndGracefulDrain(t *testing.T) {
 			"-listen", "127.0.0.1:0",
 			"-admin-listen", "127.0.0.1:0",
 			"-executors", "2",
-			"-batch-window", "1ms",
 			"-seed", "7",
 			"-drain", "5s",
 		}, &out, func(l, a string) { addrc <- [2]string{l, a} })
@@ -144,8 +143,15 @@ func TestServeAndGracefulDrain(t *testing.T) {
 		if resp.StatusCode != 200 {
 			t.Fatalf("%s: status %d", path, resp.StatusCode)
 		}
-		if path == "/metrics" && !bytes.Contains(body, []byte("lcs_gateway_requests_total")) {
-			t.Fatalf("/metrics missing gateway instruments:\n%s", body)
+		if path != "/metrics" {
+			continue
+		}
+		// One scrape covers every layer: the gateway, and the store whose
+		// epochs /v1/delta and /v1/snapshot/swap advance.
+		for _, want := range []string{"lcs_gateway_requests_total", "lcs_store_epoch"} {
+			if !bytes.Contains(body, []byte(want)) {
+				t.Fatalf("/metrics missing %s:\n%s", want, body)
+			}
 		}
 	}
 

@@ -87,14 +87,11 @@ type Config struct {
 	Metrics       *obs.Registry
 	TraceDepth    int
 	ProfileLabels bool
-	// QueueDepth, BatchWindow, MaxBatch, and RequestTimeout configure the
-	// gateway front end (NewGateway): admission capacity before shedding,
-	// the sssp coalescing window, its early-flush size, and the default
+	// QueueDepth and RequestTimeout configure the gateway front end
+	// (NewGateway): admission capacity before shedding and the default
 	// per-request deadline. Zero values are the gateway defaults:
-	// 4× executors, coalescing off, 64, no deadline.
+	// 4× executors, no deadline.
 	QueueDepth     int
-	BatchWindow    time.Duration
-	MaxBatch       int
 	RequestTimeout time.Duration
 
 	err error // first invalid option, reported by the entry point
@@ -332,9 +329,8 @@ func WithTraceDepth(n int) Option {
 func WithProfileLabels(on bool) Option { return func(c *Config) { c.ProfileLabels = on } }
 
 // WithQueueDepth caps a gateway's admission pool: the number of requests
-// admitted at once, executing or parked in a coalescing window. Requests
-// beyond it are shed immediately with 429 / KindBudgetExceeded
-// (0 = 4× the server's executor pool).
+// admitted at once. Requests beyond it are shed immediately with 429 /
+// KindBudgetExceeded (0 = 4× the server's executor pool).
 func WithQueueDepth(n int) Option {
 	return func(c *Config) {
 		if n < 0 {
@@ -342,33 +338,6 @@ func WithQueueDepth(n int) Option {
 			return
 		}
 		c.QueueDepth = n
-	}
-}
-
-// WithBatchWindow sets a gateway's sssp coalescing window: the first sssp
-// query opens a window of this length, and every sssp query arriving
-// within it joins one batched execution whose duplicate-root coalescing
-// answers identical roots with a single tree walk (0 = coalescing off).
-func WithBatchWindow(d time.Duration) Option {
-	return func(c *Config) {
-		if d < 0 {
-			c.fail("batch window %v < 0", d)
-			return
-		}
-		c.BatchWindow = d
-	}
-}
-
-// WithMaxBatch flushes a gateway's coalescing window early once this many
-// queries are parked (0 = 64). A batch walks its distinct roots one after
-// another on one executor, so the cap bounds how long a batch holds it.
-func WithMaxBatch(n int) Option {
-	return func(c *Config) {
-		if n < 0 {
-			c.fail("max batch %d < 0", n)
-			return
-		}
-		c.MaxBatch = n
 	}
 }
 

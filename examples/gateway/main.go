@@ -16,7 +16,6 @@ import (
 	"net"
 	"net/http"
 	"strings"
-	"time"
 
 	"repro"
 )
@@ -48,8 +47,8 @@ func run() error {
 
 	// Store-backed server + gateway on one shared registry: /v1/delta can
 	// hot-swap under traffic, and /metrics exposes both the gateway's
-	// instrument family (admission, shedding, coalescing) and the serving
-	// layer's (per-kind latency, executor utilization).
+	// instrument family (admission, shedding) and the serving layer's
+	// (per-kind latency, executor utilization).
 	reg := repro.NewMetrics()
 	store, err := repro.NewStoreV2(snap, repro.WithMetrics(reg))
 	if err != nil {
@@ -60,8 +59,7 @@ func run() error {
 		return err
 	}
 	gw, err := repro.NewGateway(srv,
-		repro.WithQueueDepth(64),                  // admission slots; overflow sheds 429
-		repro.WithBatchWindow(2*time.Millisecond), // coalesce concurrent sssp queries
+		repro.WithQueueDepth(64), // admission slots; overflow sheds 429
 		repro.WithMetrics(reg))
 	if err != nil {
 		return err

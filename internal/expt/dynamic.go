@@ -67,4 +67,3 @@ func E15Dynamic(cfg Config) (*Table, error) {
 	t.SetMeta("workers", cfg.Workers)
 	return t, nil
 }
-

@@ -88,8 +88,8 @@ func E17Load(cfg Config) (*Table, error) {
 		var backend load.Backend
 		if wire {
 			// The full wire path on a loopback listener: gateway admission
-			// and codec included, coalescing off so the two backends differ
-			// only by the wire itself.
+			// and codec included, so the two backends differ only by the
+			// wire itself.
 			gw, err := gateway.New(srv, gateway.Options{
 				QueueDepth: 4 * sched.Params.MaxInFlight, Metrics: cfg.Metrics,
 			})

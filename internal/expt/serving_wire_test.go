@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/gateway"
 	"repro/internal/gen"
@@ -35,7 +34,7 @@ func TestE14WireMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := serve.NewServer(snap, serve.ServerOptions{Executors: 2, Seed: 7})
-	gw, err := gateway.New(srv, gateway.Options{QueueDepth: 16, BatchWindow: time.Millisecond})
+	gw, err := gateway.New(srv, gateway.Options{QueueDepth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,178 +1,60 @@
 package gateway
 
 import (
-	"fmt"
-	"io"
-	"math"
 	"net/http"
-	"strings"
-	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/graph"
 	"repro/internal/testx"
 )
 
 // TestAdmissionShed pins the bounded-queue contract: with QueueDepth slots
 // occupied the next request is shed immediately with 429 — it neither
-// queues nor hangs — and the parked requests still complete when their
-// window flushes.
+// queues nor hangs — and once the slots are released the gateway serves
+// again.
 //
-// The setup is deterministic, not timing-dependent: a very long coalescing
-// window parks sssp requests while they hold their admission slots, so
-// "the gateway is full" is a state the test enters exactly, not a race it
-// hopes to win.
+// The test fills the pool by taking the slots itself, the same admit/done
+// pair every handler holds from admission to response, so "the gateway is
+// full" is a state it enters exactly, not a race it hopes to win.
 func TestAdmissionShed(t *testing.T) {
 	t.Cleanup(testx.LeakCheck(t.Fatalf))
 	fx := makeFixture(t, 200, 11)
 	const depth = 2
-	env := newEnv(t, fx, Options{
-		QueueDepth:  depth,
-		BatchWindow: time.Minute, // parked until Close flushes
-	})
+	env := newEnv(t, fx, Options{QueueDepth: depth})
+	g := env.gw
 
-	type result struct {
-		status int
-		raw    []byte
-	}
-	results := make(chan result, depth)
-	var wg sync.WaitGroup
 	for i := 0; i < depth; i++ {
-		wg.Add(1)
-		go func(src int64) {
-			defer wg.Done()
-			status, raw := post(t, env.srv.URL+"/v1/query",
-				QueryRequest{Kind: "sssp", Source: intp(src)}, nil)
-			results <- result{status, raw}
-		}(int64(i))
-	}
-
-	// Wait until both requests hold their slots (parked in the window).
-	depthGauge := env.reg.Gauge("lcs_gateway_queue_depth")
-	deadline := time.Now().Add(5 * time.Second)
-	for depthGauge.Value() != depth {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue depth never reached %d (at %d)", depth, depthGauge.Value())
+		if err := g.admit(); err != nil {
+			t.Fatalf("slot %d: %v", i, err)
 		}
-		time.Sleep(time.Millisecond)
 	}
 
 	// The pool is full: every further request — sssp or not — sheds with
-	// 429 immediately. Run several to pin that shedding doesn't consume
-	// slots or block.
-	for i := 0; i < 3; i++ {
-		done := make(chan struct{})
-		var status int
-		var raw []byte
-		go func() {
-			defer close(done)
-			status, raw = post(t, env.srv.URL+"/v1/query", QueryRequest{Kind: "mst"}, nil)
-		}()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("shed request hung instead of failing fast")
-		}
-		if status != http.StatusTooManyRequests {
-			t.Fatalf("status %d, want 429: %s", status, raw)
+	// 429. Run several to pin that shedding neither consumes slots nor
+	// blocks.
+	for i, req := range []QueryRequest{
+		{Kind: "sssp", Source: intp(0)},
+		{Kind: "mst"},
+		{Kind: "sssp", Source: intp(1)},
+	} {
+		if status, raw := post(t, env.srv.URL+"/v1/query", req, nil); status != http.StatusTooManyRequests {
+			t.Fatalf("request %d (%s): status %d, want 429: %s", i, req.Kind, status, raw)
 		}
 	}
 	if sheds := env.reg.Counter("lcs_gateway_shed_total").Value(); sheds != 3 {
 		t.Fatalf("shed counter %d, want 3", sheds)
 	}
+	if d := env.reg.Gauge("lcs_gateway_queue_depth").Value(); d != depth {
+		t.Fatalf("queue depth %d, want %d", d, depth)
+	}
 
-	// Close flushes the open window: the parked requests are served, not
-	// dropped.
-	env.gw.Close()
-	wg.Wait()
-	close(results)
-	for res := range results {
-		if res.status != 200 {
-			t.Fatalf("parked request finished %d: %s", res.status, res.raw)
-		}
+	for i := 0; i < depth; i++ {
+		g.done()
+	}
+	if status, raw := post(t, env.srv.URL+"/v1/query",
+		QueryRequest{Kind: "sssp", Source: intp(0)}, nil); status != http.StatusOK {
+		t.Fatalf("query after release: status %d: %s", status, raw)
 	}
 	if peak := env.reg.Gauge("lcs_gateway_queue_depth_peak").Value(); peak != depth {
 		t.Fatalf("peak depth %d, want %d", peak, depth)
-	}
-}
-
-// TestCoalescing pins the batch-window fold: concurrent sssp requests with
-// duplicate roots produce answers identical to direct serving, and the
-// coalescing counters show fewer executed roots than admitted queries —
-// observable both on the live registry and through the /metrics scrape.
-func TestCoalescing(t *testing.T) {
-	fx := makeFixture(t, 250, 12)
-	env := newEnv(t, fx, Options{BatchWindow: 300 * time.Millisecond})
-
-	roots := []int64{0, 1, 0, 1, 0, 2, 3, 0} // 8 queries, 4 distinct roots
-	type result struct {
-		root   int64
-		status int
-		raw    []byte
-	}
-	results := make(chan result, len(roots))
-	var wg sync.WaitGroup
-	for _, src := range roots {
-		wg.Add(1)
-		go func(src int64) {
-			defer wg.Done()
-			status, raw := post(t, env.srv.URL+"/v1/query",
-				QueryRequest{Kind: "sssp", Source: intp(src)}, nil)
-			results <- result{src, status, raw}
-		}(src)
-	}
-	wg.Wait()
-	close(results)
-
-	for res := range results {
-		if res.status != 200 {
-			t.Fatalf("root %d: status %d: %s", res.root, res.status, res.raw)
-		}
-		got := decodeResp[QueryResponse](t, res.raw)
-		want, err := env.direct.ServeSSSP(graph.NodeID(res.root))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.Dist {
-			if math.Float64bits(got.SSSP.Dist[i]) != math.Float64bits(want.Dist[i]) {
-				t.Fatalf("root %d: dist[%d] = %v, want %v", res.root, i, got.SSSP.Dist[i], want.Dist[i])
-			}
-		}
-	}
-
-	in := env.reg.Counter("lcs_gateway_coalesce_in_total").Value()
-	out := env.reg.Counter("lcs_gateway_coalesce_out_total").Value()
-	if in != int64(len(roots)) {
-		t.Fatalf("coalesce_in %d, want %d", in, len(roots))
-	}
-	// 4 distinct roots across however many windows the scheduler produced:
-	// out is at least the distinct count and, because at least one window
-	// held a duplicate (8 queries over at most 2 windows of 4 roots), must
-	// fold below the query count.
-	if out < 4 || out >= in {
-		t.Fatalf("coalesce_out %d with in %d: no fold happened", out, in)
-	}
-
-	// The same counters must be visible on the admin scrape (acceptance:
-	// coalescing observable over the wire).
-	resp, err := http.Get(env.admin.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
-	for _, want := range []string{
-		fmt.Sprintf("lcs_gateway_coalesce_in_total %d", in),
-		fmt.Sprintf("lcs_gateway_coalesce_out_total %d", out),
-		"lcs_gateway_window_batch",
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("metrics scrape missing %q:\n%s", want, body)
-		}
 	}
 }

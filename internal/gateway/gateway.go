@@ -8,13 +8,14 @@
 //     requests beyond capacity are shed immediately with 429
 //     (reproerr.KindBudgetExceeded) instead of queuing unboundedly, and
 //     per-request deadlines arrive via the Request-Timeout header;
-//   - request coalescing: sssp queries landing within a configurable batch
-//     window are folded into one ServeBatchCtx execution whose duplicate-
-//     root coalescing answers identical roots with a single traversal;
 //   - observability: per-endpoint request/error/latency instruments plus
-//     queue-depth, shed, and coalescing counters on the same obs.Registry
-//     the serve layer writes, exposed on an admin mux
-//     (/metrics, /healthz, /readyz).
+//     queue-depth and shed instruments on the same obs.Registry the serve
+//     layer writes, exposed on an admin mux (/metrics, /healthz, /readyz).
+//
+// Every /v1/query serves directly on the server: an sssp answer on a built
+// snapshot is one warm tree walk, cheaper than any window that would wait
+// to share it. /v1/batch runs as one ServeBatchCtx execution, whose
+// duplicate-root dedup answers repeated roots with a single walk.
 //
 // Everything below the HTTP layer — admission, executor checkout, the warm
 // sssp path — stays allocation-free; the JSON codec is the only allocating
@@ -38,20 +39,11 @@ import (
 )
 
 // Options configures a Gateway. The zero value serves: admission defaults
-// to 4× the server's executor pool, coalescing is off (BatchWindow 0), and
-// the gateway is uninstrumented.
+// to 4× the server's executor pool, and the gateway is uninstrumented.
 type Options struct {
-	// QueueDepth caps the number of requests admitted at once — executing
-	// or parked in a coalescing window. Requests beyond it are shed with
-	// 429. 0 selects 4× the server's executor pool.
+	// QueueDepth caps the number of requests admitted at once. Requests
+	// beyond it are shed with 429. 0 selects 4× the server's executor pool.
 	QueueDepth int
-	// BatchWindow is the sssp coalescing window: the first sssp query opens
-	// a window, every sssp query arriving within it joins the same batched
-	// execution. 0 disables coalescing (every query serves directly).
-	BatchWindow time.Duration
-	// MaxBatch flushes a window early once this many queries are parked.
-	// 0 selects 64.
-	MaxBatch int
 	// DefaultTimeout bounds requests that carry no Request-Timeout header.
 	// 0 means no implicit deadline.
 	DefaultTimeout time.Duration
@@ -70,26 +62,21 @@ type Options struct {
 
 // Gateway is the HTTP front end over one serve.Server. Create with New,
 // mount Handler on the serving listener and AdminHandler on the admin
-// listener, and Close on shutdown (flushes coalescing windows and waits for
-// their executions — no goroutine outlives Close).
+// listener, and Close on shutdown. The gateway starts no goroutines of its
+// own.
 type Gateway struct {
 	srv   *serve.Server
 	store *serve.Store
 	opts  Options
 	slots chan struct{}
-	co    *coalescer
 	m     *gwMetrics
-
-	base   context.Context
-	cancel context.CancelFunc
 
 	// deltaMu serializes the two mutating endpoints (/v1/delta and
 	// /v1/snapshot/swap): repairs apply to the snapshot they loaded, so two
 	// concurrent repairs would silently drop one delta without it.
 	deltaMu sync.Mutex
 
-	draining  atomic.Bool
-	closeOnce sync.Once
+	draining atomic.Bool
 }
 
 // errShed is the preallocated admission rejection — shedding under
@@ -111,38 +98,20 @@ func New(srv *serve.Server, opts Options) (*Gateway, error) {
 	if opts.QueueDepth == 0 {
 		opts.QueueDepth = 4 * srv.Executors()
 	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 64
-	}
-	if opts.BatchWindow < 0 {
-		return nil, reproerr.Invalid(op, "BatchWindow %v must be >= 0", opts.BatchWindow)
-	}
-	g := &Gateway{
+	return &Gateway{
 		srv:   srv,
 		store: srv.Store(),
 		opts:  opts,
 		slots: make(chan struct{}, opts.QueueDepth),
 		m:     newGwMetrics(opts.Metrics),
-	}
-	g.base, g.cancel = context.WithCancel(context.Background())
-	if opts.BatchWindow > 0 {
-		g.co = newCoalescer(srv, g.base, opts.BatchWindow, opts.MaxBatch, g.m)
-	}
-	return g, nil
+	}, nil
 }
 
-// Close drains the gateway: flushes any open coalescing window, waits for
-// its executions, and cancels the gateway's base context. Requests arriving
-// after Close are shed via /readyz-visible draining state; Close is
-// idempotent.
+// Close marks the gateway draining: /readyz answers 503 from then on, so a
+// load balancer stops routing to it while the HTTP servers drain in-flight
+// requests. Close is idempotent.
 func (g *Gateway) Close() {
-	g.closeOnce.Do(func() {
-		g.draining.Store(true)
-		if g.co != nil {
-			g.co.close()
-		}
-		g.cancel()
-	})
+	g.draining.Store(true)
 }
 
 // Handler returns the serving mux: the four /v1 endpoints, POST-only.
@@ -246,8 +215,7 @@ func parseRequestTimeout(h string) (time.Duration, error) {
 	return d, nil
 }
 
-// handleQuery serves POST /v1/query: one typed query, coalesced into the
-// current batch window when it is an sssp query and coalescing is on.
+// handleQuery serves POST /v1/query: one typed query, served directly.
 func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	g.m.requests[epQuery].Inc()
@@ -275,7 +243,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 
-	ans, err := g.serveQuery(ctx, q)
+	ans, err := g.srv.ServeCtx(ctx, q)
 	if err != nil {
 		g.writeError(w, epQuery, err)
 		return
@@ -283,32 +251,9 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	g.writeJSON(w, http.StatusOK, answerToResponse(ans))
 }
 
-// serveQuery routes one admitted query: sssp through the coalescer when a
-// window is configured, everything else directly to the server.
-func (g *Gateway) serveQuery(ctx context.Context, q serve.Query) (serve.Answer, error) {
-	if g.co != nil {
-		if sq, ok := q.(serve.SSSPQuery); ok {
-			if ch, ok := g.co.enqueue(sq.Source); ok {
-				select {
-				case res := <-ch:
-					if res.err != nil {
-						return nil, res.err
-					}
-					return res.ans, nil
-				case <-ctx.Done():
-					// The waiter's slot in the window still gets served;
-					// its 1-buffered channel absorbs the unread result.
-					return nil, reproerr.FromContext("gateway.coalesce", ctx.Err())
-				}
-			}
-		}
-	}
-	return g.srv.ServeCtx(ctx, q)
-}
-
 // handleBatch serves POST /v1/batch: the query list runs as one
 // ServeBatchCtx execution (one admission slot, one executor checkout), so
-// in-batch duplicate-root coalescing applies exactly as in the library.
+// in-batch duplicate-root dedup applies exactly as in the library.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	g.m.requests[epBatch].Inc()

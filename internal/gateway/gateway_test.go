@@ -11,7 +11,6 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -326,6 +325,8 @@ func TestErrorMapping(t *testing.T) {
 		{"sssp without source", `{"kind":"sssp"}`, nil, 400, "invalid input"},
 		{"source out of range", `{"kind":"sssp","source":4294967296}`, nil, 400, "invalid input"},
 		{"trailing data", `{"kind":"mst"} {"kind":"mst"}`, nil, 400, "invalid input"},
+		{"trailing brace", `{"kind":"mst"}}`, nil, 400, "invalid input"},
+		{"trailing bracket", `{"kind":"mst"}]`, nil, 400, "invalid input"},
 		{"bad timeout header", `{"kind":"mst"}`, map[string]string{"Request-Timeout": "soon"}, 400, "invalid input"},
 		{"expired deadline", `{"kind":"mst"}`, map[string]string{"Request-Timeout": "1ns"}, 504, "deadline exceeded"},
 	}
@@ -497,7 +498,7 @@ func TestSwapEndpoint(t *testing.T) {
 // gateway's and the serve layer's instrument families.
 func TestAdminEndpoints(t *testing.T) {
 	fx := makeFixture(t, 200, 7)
-	env := newEnv(t, fx, Options{BatchWindow: 2 * time.Millisecond})
+	env := newEnv(t, fx, Options{})
 
 	// Generate some traffic so the counters are non-zero.
 	for i := 0; i < 4; i++ {
@@ -531,7 +532,7 @@ func TestAdminEndpoints(t *testing.T) {
 		"lcs_gateway_requests_total{endpoint=\"query\"} 4",
 		"lcs_gateway_latency_ns",
 		"lcs_gateway_queue_depth",
-		"lcs_gateway_coalesce_in_total",
+		"lcs_gateway_shed_total",
 		"lcs_serve_latency_ns", // serve layer shares the registry
 	} {
 		if !bytes.Contains([]byte(body), []byte(want)) {

@@ -28,10 +28,6 @@ type gwMetrics struct {
 	shed     *obs.Counter                 // lcs_gateway_shed_total
 	depth    *obs.Gauge                   // lcs_gateway_queue_depth
 	depthPk  *obs.Gauge                   // lcs_gateway_queue_depth_peak
-	admitNs  *obs.Histogram               // lcs_gateway_admit_wait_ns
-	coalIn   *obs.Counter                 // lcs_gateway_coalesce_in_total
-	coalOut  *obs.Counter                 // lcs_gateway_coalesce_out_total
-	window   *obs.Histogram               // lcs_gateway_window_batch
 }
 
 // newGwMetrics registers the gateway instrument set on reg. A nil registry
@@ -47,10 +43,6 @@ func newGwMetrics(reg *obs.Registry) *gwMetrics {
 	m.shed = reg.Counter("lcs_gateway_shed_total")
 	m.depth = reg.Gauge("lcs_gateway_queue_depth")
 	m.depthPk = reg.Gauge("lcs_gateway_queue_depth_peak")
-	m.admitNs = reg.Histogram("lcs_gateway_admit_wait_ns")
-	m.coalIn = reg.Counter("lcs_gateway_coalesce_in_total")
-	m.coalOut = reg.Counter("lcs_gateway_coalesce_out_total")
-	m.window = reg.Histogram("lcs_gateway_window_batch")
 	return m
 }
 
@@ -63,12 +55,4 @@ func (m *gwMetrics) admitted(depth int64) {
 // released records one slot release.
 func (m *gwMetrics) released(depth int64) {
 	m.depth.Set(depth)
-}
-
-// flush records one coalescing window flush: in queries folded into out
-// distinct roots.
-func (m *gwMetrics) flush(in, out int) {
-	m.coalIn.Add(int64(in))
-	m.coalOut.Add(int64(out))
-	m.window.Observe(int64(in))
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/testx"
@@ -19,10 +18,7 @@ import (
 func TestStressQueriesWithDeltas(t *testing.T) {
 	t.Cleanup(testx.LeakCheck(t.Fatalf))
 	fx := makeFixture(t, 200, 13)
-	env := newEnv(t, fx, Options{
-		QueueDepth:  128,
-		BatchWindow: 2 * time.Millisecond,
-	})
+	env := newEnv(t, fx, Options{QueueDepth: 128})
 	n := fx.g.NumNodes()
 
 	// A fresh edge to churn: every delta inserts it, the next deletes it.

@@ -294,14 +294,16 @@ type ErrorResponse struct {
 }
 
 // decodeJSON strictly decodes one JSON body: unknown fields and trailing
-// data are rejected, and every failure is a typed KindInvalidInput.
+// data are rejected, and every failure is a typed KindInvalidInput. Only
+// end of input may follow the value: dec.More would report a stray closing
+// '}' or ']' as "no more values" and let it through.
 func decodeJSON(r io.Reader, into any) error {
 	dec := json.NewDecoder(io.LimitReader(r, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
 		return reproerr.Errorf("gateway.decode", reproerr.KindInvalidInput, "invalid request body: %w", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return reproerr.Invalid("gateway.decode", "trailing data after request body")
 	}
 	return nil

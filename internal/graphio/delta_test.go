@@ -50,17 +50,17 @@ func TestDeltaRoundTripUnweighted(t *testing.T) {
 
 func TestReadDeltaErrors(t *testing.T) {
 	cases := []string{
-		"",                                  // no header
-		"delta 1 0\n",                       // missing deletion
-		"delta 0 1\n",                       // missing insertion
-		"- 0 1\n",                           // body before header
-		"delta 0 0\ndelta 0 0\n",            // duplicate header
-		"delta 0 2\n+ 0 1 2.5\n+ 1 2\n",     // weight then no weight
-		"delta 0 2\n+ 0 1\n+ 1 2 2.5\n",     // no weight then weight
-		"delta 0 1\n+ 0 x\n",                // bad endpoint
-		"delta 0 1\n+ 0 1 x\n",              // bad weight
-		"delta 0 0\ngraph 1 0\n",            // foreign directive
-		"delta 1 0\n- 0\n",                  // short deletion
+		"",                              // no header
+		"delta 1 0\n",                   // missing deletion
+		"delta 0 1\n",                   // missing insertion
+		"- 0 1\n",                       // body before header
+		"delta 0 0\ndelta 0 0\n",        // duplicate header
+		"delta 0 2\n+ 0 1 2.5\n+ 1 2\n", // weight then no weight
+		"delta 0 2\n+ 0 1\n+ 1 2 2.5\n", // no weight then weight
+		"delta 0 1\n+ 0 x\n",            // bad endpoint
+		"delta 0 1\n+ 0 1 x\n",          // bad weight
+		"delta 0 0\ngraph 1 0\n",        // foreign directive
+		"delta 1 0\n- 0\n",              // short deletion
 	}
 	for _, in := range cases {
 		if _, _, err := ReadDelta(strings.NewReader(in)); err == nil {

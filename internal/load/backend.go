@@ -63,7 +63,7 @@ func (b *LibraryBackend) Do(ctx context.Context, q serve.Query) (Completion, err
 }
 
 // WireBackend drives a gateway over HTTP — POST /v1/query with the JSON
-// codec, so wire overhead (framing, admission, coalescing) lands in the same
+// codec, so wire overhead (framing, admission, codec) lands in the same
 // histograms as the library path.
 type WireBackend struct {
 	base   string

@@ -123,8 +123,7 @@ func (s *Server) serveSSSPGroup(ctx context.Context, l lease, queries []Query, i
 // srcs[i] into dsts[i] (each already sized to NumNodes) and returns the
 // number of distinct roots walked (0 on error).
 //
-// Duplicate sources are coalesced first — the primitive the gateway's
-// request coalescer relies on: each distinct root runs one
+// Duplicate sources are coalesced first: each distinct root runs one
 // sssp.TreeIndex.DistancesInto walk on the executor's TreeScratch, and
 // duplicate slots copy their first occurrence's row. The lease's
 // prefetched Done channel is polled between roots, so a canceled group
