@@ -31,11 +31,6 @@ import (
 // Construct with NewGateway; Close marks it draining (/readyz answers 503).
 type Gateway = gateway.Gateway
 
-// GatewayOptions is the gateway's raw options record. NewGateway assembles
-// one from functional options; use the type directly only when bypassing
-// the facade.
-type GatewayOptions = gateway.Options
-
 // NewGateway wraps srv in the HTTP front end, from functional options:
 // WithQueueDepth (admission capacity), WithRequestTimeout (default
 // deadline), WithWorkers / WithMaxRounds (delta repair parallelism and

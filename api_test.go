@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -21,7 +22,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := repro.BuildShortcuts(g, p, repro.ShortcutOptions{Diameter: 5, Rng: rng})
+	s, err := repro.BuildShortcutsCtx(context.Background(), g, p, repro.WithSeed(1), repro.WithDiameter(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestFacadeMST(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := repro.MSTDistributed(g, w, repro.MSTDistOptions{Rng: rng, Diameter: 4})
+	dist, err := repro.MSTDistributedCtx(context.Background(), g, w, repro.WithSeed(2), repro.WithDiameter(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,8 @@ func TestFacadeMinCutAndSSSP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := repro.MinCutApprox(g, w, repro.MinCutApproxOptions{Rng: rng, Trees: 8})
+	ctx := context.Background()
+	approx, err := repro.MinCutApproxCtx(ctx, g, w, repro.WithSeed(3), repro.WithTrees(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +87,7 @@ func TestFacadeMinCutAndSSSP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ap, err := repro.SSSPApprox(g, w, 0, repro.SSSPTreeOptions{Rng: rng, Diameter: 4})
+	ap, err := repro.SSSPApproxCtx(ctx, g, w, 0, repro.WithSeed(3), repro.WithDiameter(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +108,8 @@ func TestFacadeHardInstanceAndDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := repro.BuildShortcutsDistributed(hi.G, p, repro.DistShortcutOptions{
-		Rng: rng, KnownDiameter: 4,
-	})
+	res, err := repro.BuildShortcutsDistributedCtx(context.Background(), hi.G, p,
+		repro.WithSeed(4), repro.WithKnownDiameter(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +132,14 @@ func TestFacadeServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := repro.NewSnapshot(g, w, parts, repro.SnapshotOptions{Rng: rng, Diameter: 5})
+	snap, err := repro.NewSnapshotCtx(context.Background(), g, w, parts, repro.WithSeed(5), repro.WithDiameter(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := repro.NewServer(snap, repro.ServerOptions{Executors: 2})
+	srv, err := repro.NewServerV2(snap, repro.WithExecutors(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	exactTree, err := repro.MST(g, w)
 	if err != nil {

@@ -8,13 +8,14 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mincut"
 	"repro/internal/mst"
+	"repro/internal/reproerr"
 	"repro/internal/serve"
 	"repro/internal/shortcut"
 	"repro/internal/sssp"
 	"repro/internal/twoecss"
 )
 
-// API v2: context-first entry points over one functional-option vocabulary.
+// Context-first entry points over one functional-option vocabulary.
 //
 // Every long-running operation takes a context.Context first and a list of
 // Options last; cancellation is cooperative and checked at round
@@ -23,17 +24,14 @@ import (
 // with a *Error of KindCanceled/KindDeadline that also satisfies
 // errors.Is(err, context.Canceled) / context.DeadlineExceeded. Randomness
 // comes from WithSeed (splitmix64-derived, equal seeds ⇒ bit-identical
-// results) or WithRng (v1 interop). Results carry the unified Cost.
-//
-// The v1 entry points (BuildShortcuts, MSTDistributed, …) remain as thin
-// deprecated adapters over these, pinning behavioral equivalence.
+// results). Results carry the unified Cost.
 
 // Cost is the unified v2 cost accounting, embedded in every result type:
 // simulated rounds and messages, realized scheduler stats, and wall time.
 type Cost = cost.Cost
 
 // BuildShortcutsCtx runs the centralized sampling construction of Section 2
-// under ctx. Requires WithSeed or WithRng.
+// under ctx. Requires WithSeed.
 func BuildShortcutsCtx(ctx context.Context, g *Graph, p *Partition, opts ...Option) (*Shortcuts, error) {
 	cfg, err := NewConfig(opts...)
 	if err != nil {
@@ -50,7 +48,7 @@ func BuildShortcutsCtx(ctx context.Context, g *Graph, p *Partition, opts ...Opti
 
 // BuildShortcutsDistributedCtx runs the full distributed pipeline of
 // Section 2 on the CONGEST simulator under ctx, cancelable at every
-// simulated round and scheduler drain step. Requires WithSeed or WithRng.
+// simulated round and scheduler drain step. Requires WithSeed.
 func BuildShortcutsDistributedCtx(ctx context.Context, g *Graph, p *Partition, opts ...Option) (*DistShortcutResult, error) {
 	cfg, err := NewConfig(opts...)
 	if err != nil {
@@ -86,8 +84,8 @@ func BuildShortcutsDeterministicCtx(ctx context.Context, g *Graph, p *Partition,
 }
 
 // BuildShortcutsLocalCtx runs the locality-restricted variant under ctx
-// (experiment A5). Requires WithSeed or WithRng; WithRadius bounds the
-// sampling horizon.
+// (experiment A5). Requires WithSeed; WithRadius bounds the sampling
+// horizon.
 func BuildShortcutsLocalCtx(ctx context.Context, g *Graph, p *Partition, opts ...Option) (*Shortcuts, error) {
 	cfg, err := NewConfig(opts...)
 	if err != nil {
@@ -106,8 +104,7 @@ func BuildShortcutsLocalCtx(ctx context.Context, g *Graph, p *Partition, opts ..
 }
 
 // MSTDistributedCtx computes the MST with Borůvka phases through
-// low-congestion shortcuts (Corollary 1.2) under ctx. Requires WithSeed or
-// WithRng.
+// low-congestion shortcuts (Corollary 1.2) under ctx. Requires WithSeed.
 func MSTDistributedCtx(ctx context.Context, g *Graph, w Weights, opts ...Option) (*MSTDistResult, error) {
 	cfg, err := NewConfig(opts...)
 	if err != nil {
@@ -131,8 +128,7 @@ func (c *Config) mstOptions(ctx context.Context) mst.DistOptions {
 }
 
 // SSSPApproxCtx computes approximate SSSP distances through the
-// shortcut-MST (Corollary 4.2 shape) under ctx. Requires WithSeed or
-// WithRng.
+// shortcut-MST (Corollary 4.2 shape) under ctx. Requires WithSeed.
 func SSSPApproxCtx(ctx context.Context, g *Graph, w Weights, src NodeID, opts ...Option) (*SSSPTreeResult, error) {
 	cfg, err := NewConfig(opts...)
 	if err != nil {
@@ -151,10 +147,13 @@ func SSSPApproxCtx(ctx context.Context, g *Graph, w Weights, src NodeID, opts ..
 // MinCutApproxCtx approximates the minimum cut via greedy tree packing over
 // the shortcut-MST under ctx. WithEps tightens the approximation (WithTrees
 // sets the packed count explicitly and wins); WithTree seeds the packing
-// with a prebuilt tree. Requires WithSeed or WithRng.
+// with a prebuilt spanning tree. Requires WithSeed.
 func MinCutApproxCtx(ctx context.Context, g *Graph, w Weights, opts ...Option) (*MinCutApproxResult, error) {
 	cfg, err := NewConfig(opts...)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkTree(g, cfg.Tree); err != nil {
 		return nil, err
 	}
 	return mincut.Approx(g, w, mincut.ApproxOptions{
@@ -170,12 +169,14 @@ func MinCutApproxCtx(ctx context.Context, g *Graph, w Weights, opts ...Option) (
 }
 
 // TwoECSSCtx computes the approximate minimum-weight 2-ECSS under ctx
-// (Corollary 4.3 shape). Requires WithSeed or WithRng unless WithTree
-// supplies a prebuilt spanning tree — the shared v2 validation that
-// replaced twoecss's v1 conditional-Rng special case.
+// (Corollary 4.3 shape). Requires WithSeed unless WithTree supplies a
+// prebuilt spanning tree.
 func TwoECSSCtx(ctx context.Context, g *Graph, w Weights, opts ...Option) (*TwoECSSResult, error) {
 	cfg, err := NewConfig(opts...)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkTree(g, cfg.Tree); err != nil {
 		return nil, err
 	}
 	return twoecss.Approx(g, w, twoecss.Options{
@@ -189,12 +190,39 @@ func TwoECSSCtx(ctx context.Context, g *Graph, w Weights, opts ...Option) (*TwoE
 	})
 }
 
+// checkTree rejects a WithTree that is not a spanning tree of g: every edge
+// ID must lie in [0, m), there must be exactly n−1 of them, and none may
+// close a cycle. The engines index by these IDs unchecked, so the facade
+// checks the caller's tree once where it enters; the serving path passes
+// its snapshot's already-verified tree straight through.
+func checkTree(g *Graph, tree []EdgeID) error {
+	const op = "repro.WithTree"
+	if len(tree) == 0 {
+		return nil
+	}
+	n, m := g.NumNodes(), g.NumEdges()
+	if len(tree) != n-1 {
+		return reproerr.Invalid(op, "tree has %d edges, a spanning tree of %d nodes has %d", len(tree), n, n-1)
+	}
+	uf := mst.NewUnionFind(n)
+	for _, e := range tree {
+		if e < 0 || int(e) >= m {
+			return reproerr.Invalid(op, "tree edge %d out of range [0,%d)", e, m)
+		}
+		u, v := g.EdgeEndpoints(e)
+		if !uf.Union(int32(u), int32(v)) {
+			return reproerr.Invalid(op, "tree edge %d closes a cycle", e)
+		}
+	}
+	return nil
+}
+
 // NewSnapshotCtx builds the serving state under ctx: partition validation,
 // centralized shortcut construction, quality measurement, distributed
 // shortcut-MST, and tree indexing, cancelable between sampling steps,
 // between parts of the quality sweep, and at every simulated round — a cold
 // multi-second build aborts within one round of cancellation. Requires
-// WithSeed or WithRng.
+// WithSeed.
 func NewSnapshotCtx(ctx context.Context, g *Graph, w Weights, parts [][]NodeID, opts ...Option) (*Snapshot, error) {
 	cfg, err := NewConfig(opts...)
 	if err != nil {

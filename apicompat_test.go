@@ -17,16 +17,15 @@ import (
 var updateBaseline = flag.Bool("update", false, "rewrite api_baseline.txt from the current exported surface")
 
 // TestAPICompatibility is the API gate: the exported surface of package
-// repro — every v1 entry point now frozen as a deprecated adapter, plus the
-// v2 context-first surface — must match the checked-in api_baseline.txt
-// declaration for declaration. A mismatch means the public API changed
-// shape; if the change is intentional, regenerate with
+// repro must match the checked-in api_baseline.txt declaration for
+// declaration. A mismatch means the public API changed shape; if the change
+// is intentional, regenerate with
 //
 //	go test . -run TestAPICompatibility -update
 //
 // and review the baseline diff like any other API review. CI runs this test
-// on every push, so an accidental signature change (especially to the
-// deprecated v1 adapters, which existing callers pin) fails the build.
+// on every push, so an accidental signature change, which breaks existing
+// callers, fails the build.
 func TestAPICompatibility(t *testing.T) {
 	got := exportedSurface(t)
 	const baseline = "api_baseline.txt"

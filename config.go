@@ -9,13 +9,12 @@ import (
 	"repro/internal/reproerr"
 )
 
-// Config is the single options record of API v2, assembled from functional
-// options by every context-first entry point. One Config vocabulary spans
-// the whole facade — shortcut constructions, the application family (MST,
-// min cut, SSSP, 2-ECSS), snapshot builds, servers, and raw CONGEST runs —
-// replacing the seven per-package v1 Options structs that each re-declared
-// Rng/Workers/Diameter by hand. Fields are exported for introspection;
-// callers normally never touch a Config directly:
+// Config is the single options record of the facade, assembled from
+// functional options by every context-first entry point. One Config
+// vocabulary spans the whole facade — shortcut constructions, the
+// application family (MST, min cut, SSSP, 2-ECSS), snapshot builds, servers,
+// and raw CONGEST runs. Fields are exported for introspection; callers
+// normally never touch a Config directly:
 //
 //	res, err := repro.MSTDistributedCtx(ctx, g, w,
 //	    repro.WithSeed(42), repro.WithDiameter(6), repro.WithWorkers(-1))
@@ -30,11 +29,9 @@ type Config struct {
 	Workers int
 	// Seed seeds the deterministic randomness when HasSeed is set: the
 	// entry point derives a *rand.Rand via splitmix64, so equal seeds give
-	// bit-identical results everywhere. Rng, when non-nil, takes priority
-	// (the v1 interop path).
+	// bit-identical results everywhere.
 	Seed    uint64
 	HasSeed bool
-	Rng     *rand.Rand
 	// Diameter is the assumed graph diameter D (0 = double-sweep estimate);
 	// KnownDiameter skips the distributed construction's guessing loop.
 	Diameter      int
@@ -46,7 +43,7 @@ type Config struct {
 	Eps   float64
 	Trees int
 	// SamplingBoost scales the log n term of the sampling probability
-	// (v1's LogFactor; 0 = the paper's constant 1.0).
+	// (0 = the paper's constant 1.0).
 	SamplingBoost float64
 	// Reps is the number of sampling repetitions (0 = the paper's D).
 	Reps int
@@ -122,16 +119,11 @@ func (c *Config) fail(format string, args ...any) {
 func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
 
 // WithSeed seeds all randomness deterministically: the entry point derives
-// its *rand.Rand from seed via splitmix64, replacing v1's raw *rand.Rand
-// plumbing. Equal seeds give bit-identical results on every entry point.
+// its *rand.Rand from seed via splitmix64. Equal seeds give bit-identical
+// results on every entry point.
 func WithSeed(seed uint64) Option {
 	return func(c *Config) { c.Seed, c.HasSeed = seed, true }
 }
-
-// WithRng supplies an explicit randomness source (the v1 interop escape
-// hatch; the deprecated v1 adapters use it to pin bit-equivalence). It
-// takes priority over WithSeed.
-func WithRng(rng *rand.Rand) Option { return func(c *Config) { c.Rng = rng } }
 
 // WithDiameter sets the assumed diameter D (0 = double-sweep estimate).
 func WithDiameter(d int) Option {
@@ -171,8 +163,8 @@ func WithMaxRounds(n int) Option {
 // WithEps tightens the min-cut approximation (see Config.Eps).
 func WithEps(eps float64) Option {
 	return func(c *Config) {
-		if eps < 0 {
-			c.fail("eps %v < 0", eps)
+		if !(eps >= 0) { // NaN fails too
+			c.fail("eps %v is not >= 0", eps)
 			return
 		}
 		c.Eps = eps
@@ -190,12 +182,12 @@ func WithTrees(k int) Option {
 	}
 }
 
-// WithSamplingBoost scales the sampling probability's log n term (v1's
-// LogFactor; 0 = the paper's constant).
+// WithSamplingBoost scales the sampling probability's log n term (0 = the
+// paper's constant).
 func WithSamplingBoost(f float64) Option {
 	return func(c *Config) {
-		if f < 0 {
-			c.fail("sampling boost %v < 0", f)
+		if !(f >= 0) { // NaN fails too
+			c.fail("sampling boost %v is not >= 0", f)
 			return
 		}
 		c.SamplingBoost = f
@@ -216,8 +208,8 @@ func WithReps(n int) Option {
 // WithDepthFactor scales the scheduled BFS truncation depth (0 = 2).
 func WithDepthFactor(f float64) Option {
 	return func(c *Config) {
-		if f < 0 {
-			c.fail("depth factor %v < 0", f)
+		if !(f >= 0) { // NaN fails too
+			c.fail("depth factor %v is not >= 0", f)
 			return
 		}
 		c.DepthFactor = f
@@ -228,8 +220,8 @@ func WithDepthFactor(f float64) Option {
 // enforcement threshold (0 = 6).
 func WithCongestionCap(f float64) Option {
 	return func(c *Config) {
-		if f < 0 {
-			c.fail("congestion cap %v < 0", f)
+		if !(f >= 0) { // NaN fails too
+			c.fail("congestion cap %v is not >= 0", f)
 			return
 		}
 		c.CongestionCap = f
@@ -365,13 +357,10 @@ func splitmix64(x uint64) uint64 {
 	return x
 }
 
-// rng returns the configured randomness source: an explicit Rng, a
-// splitmix64-derived source for WithSeed, or nil (entry points that need
-// randomness then report the uniform KindInvalidInput error).
+// rng returns the configured randomness source: a splitmix64-derived
+// source for WithSeed, or nil (entry points that need randomness then
+// report the uniform KindInvalidInput error).
 func (c *Config) rng() *rand.Rand {
-	if c.Rng != nil {
-		return c.Rng
-	}
 	if c.HasSeed {
 		return rand.New(rand.NewSource(int64(splitmix64(c.Seed) >> 1)))
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -40,10 +41,8 @@ func run() error {
 
 	// The fully simulated distributed construction, including the
 	// diameter-guessing loop (nodes only know a 2-approximation).
-	res, err := repro.BuildShortcutsDistributed(g, p, repro.DistShortcutOptions{
-		Rng:       rng,
-		LogFactor: 0.3,
-	})
+	res, err := repro.BuildShortcutsDistributedCtx(context.Background(), g, p,
+		repro.WithSeed(3), repro.WithSamplingBoost(0.3))
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -40,15 +41,14 @@ func run() error {
 	}
 	exactWeight := w.Total(exact)
 
-	ours, err := repro.MSTDistributed(g, w, repro.MSTDistOptions{
-		Rng: rng, Diameter: diameter, LogFactor: 0.3,
-	})
+	ctx := context.Background()
+	ours, err := repro.MSTDistributedCtx(ctx, g, w,
+		repro.WithSeed(7), repro.WithDiameter(diameter), repro.WithSamplingBoost(0.3))
 	if err != nil {
 		return err
 	}
-	baseline, err := repro.MSTDistributed(g, w, repro.MSTDistOptions{
-		Rng: rng, Diameter: diameter, Baseline: true,
-	})
+	baseline, err := repro.MSTDistributedCtx(ctx, g, w,
+		repro.WithSeed(7), repro.WithDiameter(diameter), repro.WithBaseline(true))
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -71,10 +72,8 @@ func run() error {
 	}
 	fmt.Printf("exact min cut : %.0f (side size %d)\n", exact, len(side))
 
-	res, err := repro.MinCutApprox(g, w, repro.MinCutApproxOptions{
-		Rng:         rng,
-		Distributed: true,
-	})
+	res, err := repro.MinCutApproxCtx(context.Background(), g, w,
+		repro.WithSeed(11), repro.WithDistributedAccounting(true))
 	if err != nil {
 		return err
 	}

@@ -78,24 +78,6 @@ func Run(g *graph.Graph, factory Factory, opts Options) (Stats, []Program, error
 	return NewEngine(opts).Run(g, factory)
 }
 
-// RunSequential executes the programs in deterministic lock-step on a single
-// goroutine. Unlike Options.MaxRounds, maxRounds ≤ 0 is kept literally (the
-// seed behavior: any non-quiescent run exceeds the bound immediately).
-//
-// Deprecated: use NewEngine(Options{MaxRounds: maxRounds}).Run.
-func RunSequential(g *graph.Graph, factory Factory, maxRounds int) (Stats, []Program, error) {
-	return (&seqEngine{Options{MaxRounds: maxRounds}}).Run(g, factory)
-}
-
-// RunGoroutines executes the programs on the sharded worker pool with one
-// worker per available CPU. Like RunSequential, maxRounds ≤ 0 is kept
-// literally.
-//
-// Deprecated: use NewEngine(Options{Workers: -1, MaxRounds: maxRounds}).Run.
-func RunGoroutines(g *graph.Graph, factory Factory, maxRounds int) (Stats, []Program, error) {
-	return (&poolEngine{Options{Workers: runtime.GOMAXPROCS(0), MaxRounds: maxRounds}}).Run(g, factory)
-}
-
 // flatState is the arc-indexed run state shared by both execution modes.
 //
 // Message delivery exploits the CONGEST bandwidth constraint: at most one

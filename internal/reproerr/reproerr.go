@@ -103,8 +103,8 @@ func Invalid(op, format string, args ...any) *Error {
 }
 
 // errRngRequired is the uniform cause for every package's Rng validation —
-// one message everywhere (v1 had seven near-identical variants).
-var errRngRequired = errors.New("Rng is required (v2 callers: supply WithSeed or WithRng)")
+// one message everywhere.
+var errRngRequired = errors.New("Rng is required (supply WithSeed)")
 
 // RequireRng returns the uniform KindInvalidInput error when rng is nil.
 func RequireRng(op string, rng *rand.Rand) error {

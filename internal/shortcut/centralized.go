@@ -50,49 +50,76 @@ func Build(g *graph.Graph, p *Partition, opts Options) (*Shortcuts, error) {
 	if err := reproerr.RequireRng(op, opts.Rng); err != nil {
 		return nil, err
 	}
-	n := g.NumNodes()
-	if n == 0 {
-		return nil, reproerr.Invalid(op, "empty graph")
+	return build(op, g, p, opts, func(largeIdxOf []int32, numLarge int, params Params, hit func(li int32, e graph.EdgeID)) {
+		sampleHits(g, p, largeIdxOf, numLarge, params.P, params.Reps, opts.Rng, hit)
+	})
+}
+
+// build is the Section 2 skeleton Build and BuildSeeded share: Step 1 into
+// one edge bitset per large part, then step2's draws into the same bitsets.
+// step2 calls hit(li, e) for every draw that takes edge e into large part li.
+func build(
+	op string,
+	g *graph.Graph,
+	p *Partition,
+	opts Options,
+	step2 func(largeIdxOf []int32, numLarge int, params Params, hit func(li int32, e graph.EdgeID)),
+) (*Shortcuts, error) {
+	d, err := resolveDiameter(op, g, opts.Diameter)
+	if err != nil {
+		return nil, err
 	}
-	d := opts.Diameter
+	if err := ctxCheck(op, opts.Ctx); err != nil {
+		return nil, err
+	}
+	params := DeriveParams(g.NumNodes(), d, opts.Reps, opts.LogFactor)
+	large := p.LargeParts(int(params.KD))
+	his := stepOne(g, p, large)
+	if err := ctxCheck(op, opts.Ctx); err != nil {
+		return nil, err
+	}
+	step2(largeIndex(p, large), len(large), params, func(li int32, e graph.EdgeID) {
+		his[li].Set(e)
+	})
+	return collect(p, params, large, his), nil
+}
+
+// resolveDiameter rejects an empty graph and returns the diameter a
+// construction runs at: d, or the graph's double-sweep lower bound when d
+// is 0.
+func resolveDiameter(op string, g *graph.Graph, d int) (int, error) {
+	if g.NumNodes() == 0 {
+		return 0, reproerr.Invalid(op, "empty graph")
+	}
 	if d == 0 {
 		lo, _ := graph.DiameterBounds(g)
 		d = int(lo)
 	}
 	if d < 1 {
-		return nil, reproerr.Invalid(op, "diameter %d < 1", d)
+		return 0, reproerr.Invalid(op, "diameter %d < 1", d)
 	}
-	if err := ctxCheck(op, opts.Ctx); err != nil {
-		return nil, err
-	}
-	params := DeriveParams(n, d, opts.Reps, opts.LogFactor)
+	return d, nil
+}
 
-	sc := &Shortcuts{
-		P:      p,
-		H:      make([][]graph.EdgeID, p.NumParts()),
-		Params: params,
+// largeIndex maps every part to its position in large, or -1 for a part
+// that is not large.
+func largeIndex(p *Partition, large []int) []int32 {
+	idx := make([]int32, p.NumParts())
+	for i := range idx {
+		idx[i] = -1
 	}
-	large := p.LargeParts(int(params.KD))
-	if len(large) == 0 {
-		return sc, nil
+	for li, pi := range large {
+		idx[pi] = int32(li)
 	}
+	return idx
+}
 
-	// Per-large-part membership bitsets over edges.
+// stepOne returns one edge bitset per large part holding Step 1: every edge
+// incident to a node of the part.
+func stepOne(g *graph.Graph, p *Partition, large []int) []*graph.Bitset {
 	his := make([]*graph.Bitset, len(large))
-	for i := range his {
-		his[i] = graph.NewBitset(g.NumEdges())
-	}
-	// largeIdxOf[part] = position of part in `large`, or -1.
-	largeIdxOf := make([]int32, p.NumParts())
-	for i := range largeIdxOf {
-		largeIdxOf[i] = -1
-	}
 	for li, pi := range large {
-		largeIdxOf[pi] = int32(li)
-	}
-
-	// Step 1: incident edges of each large part's nodes.
-	for li, pi := range large {
+		his[li] = graph.NewBitset(g.NumEdges())
 		for _, u := range p.Part(pi).Nodes {
 			lo, hi := g.ArcRange(u)
 			for a := lo; a < hi; a++ {
@@ -100,28 +127,25 @@ func Build(g *graph.Graph, p *Partition, opts Options) (*Shortcuts, error) {
 			}
 		}
 	}
+	return his
+}
 
-	if err := ctxCheck(op, opts.Ctx); err != nil {
-		return nil, err
-	}
-	// Step 2: per directed arc (u, v) and repetition, sample the set of
-	// large parts (with u outside the part) that take the edge. Geometric
-	// skip-sampling keeps the work proportional to the number of hits.
-	sampleHits(g, p, largeIdxOf, len(large), params.P, params.Reps, opts.Rng, func(li int32, e graph.EdgeID) {
-		his[li].Set(e)
-	})
-
+// collect assembles the assignment: large part large[li] receives the
+// edges of his[li] in ascending order, every other part none.
+func collect(p *Partition, params Params, large []int, his []*graph.Bitset) *Shortcuts {
+	sc := &Shortcuts{P: p, H: make([][]graph.EdgeID, p.NumParts()), Params: params}
 	for li, pi := range large {
 		edges := make([]graph.EdgeID, 0, his[li].Count())
 		his[li].ForEach(func(e int32) { edges = append(edges, e) })
 		sc.H[pi] = edges
 	}
-	return sc, nil
+	return sc
 }
 
 // sampleHits invokes hit(largeIndex, edge) for every successful Bernoulli(p)
 // draw of (directed arc, repetition, large part) with the arc's tail outside
-// the part. Distribution-faithful to Step 2 of the centralized construction.
+// the part. Distribution-faithful to Step 2 of the centralized construction:
+// geometric skip-sampling keeps the work proportional to the number of hits.
 func sampleHits(
 	g *graph.Graph,
 	p *Partition,

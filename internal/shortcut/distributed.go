@@ -250,26 +250,8 @@ func tryGuess(
 
 	// Phase 4: local sampling (zero communication). Every node samples its
 	// incident directed edges into the N' subgraphs.
-	his := make([]*graph.Bitset, len(large))
-	for i := range his {
-		his[i] = graph.NewBitset(g.NumEdges())
-	}
-	largeIdxOf := make([]int32, p.NumParts())
-	for i := range largeIdxOf {
-		largeIdxOf[i] = -1
-	}
-	for li, pi := range large {
-		largeIdxOf[pi] = int32(li)
-	}
-	for li, pi := range large {
-		for _, u := range p.Part(pi).Nodes {
-			lo, hi := g.ArcRange(u)
-			for a := lo; a < hi; a++ {
-				his[li].Set(g.ArcEdge(a))
-			}
-		}
-	}
-	sampleHits(g, p, largeIdxOf, len(large), params.P, params.Reps, opts.Rng, func(li int32, e graph.EdgeID) {
+	his := stepOne(g, p, large)
+	sampleHits(g, p, largeIndex(p, large), len(large), params.P, params.Reps, opts.Rng, func(li int32, e graph.EdgeID) {
 		his[li].Set(e)
 	})
 
@@ -376,13 +358,7 @@ func tryGuess(
 	// flag test covers interior gaps; an entirely-unreached part has no
 	// boundary witness only if the leader itself failed, which cannot happen
 	// since the leader is the BFS root).
-	sc := &Shortcuts{P: p, H: make([][]graph.EdgeID, p.NumParts()), Params: params}
-	for li, pi := range large {
-		edges := make([]graph.EdgeID, 0, his[li].Count())
-		his[li].ForEach(func(e int32) { edges = append(edges, e) })
-		sc.H[pi] = edges
-	}
-	return sc, true, nil
+	return collect(p, params, large, his), true, nil
 }
 
 func maxMembership(g *graph.Graph, his []*graph.Bitset) int {

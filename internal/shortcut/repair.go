@@ -112,13 +112,7 @@ func RepairDistributed(
 	params := DeriveParams(n, opts.Diameter, opts.Reps, opts.LogFactor)
 	numParts := p.NumParts()
 	large := p.LargeParts(int(params.KD))
-	largeIdxOf := make([]int32, numParts)
-	for i := range largeIdxOf {
-		largeIdxOf[i] = -1
-	}
-	for li, pi := range large {
-		largeIdxOf[pi] = int32(li)
-	}
+	largeIdxOf := largeIndex(p, large)
 
 	// Step 1 of the repair: remap surviving shortcut edges. RemapEdges
 	// preserves ascending order, so untouched parts keep their canonical

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/graph"
-	"repro/internal/reproerr"
 )
 
 // Seeded sampling: the dynamic-graph variant of the Section 2 construction.
@@ -138,68 +137,7 @@ func seededSampleHits(
 // reproduces it part-locally after a graph delta. Options.Rng is ignored
 // (and may be nil); everything else matches Build.
 func BuildSeeded(g *graph.Graph, p *Partition, opts Options, seed uint64) (*Shortcuts, error) {
-	const op = "shortcut.BuildSeeded"
-	n := g.NumNodes()
-	if n == 0 {
-		return nil, reproerr.Invalid(op, "empty graph")
-	}
-	d := opts.Diameter
-	if d == 0 {
-		lo, _ := graph.DiameterBounds(g)
-		d = int(lo)
-	}
-	if d < 1 {
-		return nil, reproerr.Invalid(op, "diameter %d < 1", d)
-	}
-	if err := ctxCheck(op, opts.Ctx); err != nil {
-		return nil, err
-	}
-	params := DeriveParams(n, d, opts.Reps, opts.LogFactor)
-
-	sc := &Shortcuts{
-		P:      p,
-		H:      make([][]graph.EdgeID, p.NumParts()),
-		Params: params,
-	}
-	large := p.LargeParts(int(params.KD))
-	if len(large) == 0 {
-		return sc, nil
-	}
-
-	his := make([]*graph.Bitset, len(large))
-	for i := range his {
-		his[i] = graph.NewBitset(g.NumEdges())
-	}
-	largeIdxOf := make([]int32, p.NumParts())
-	for i := range largeIdxOf {
-		largeIdxOf[i] = -1
-	}
-	for li, pi := range large {
-		largeIdxOf[pi] = int32(li)
-	}
-
-	// Step 1: incident edges of each large part's nodes.
-	for li, pi := range large {
-		for _, u := range p.Part(pi).Nodes {
-			lo, hi := g.ArcRange(u)
-			for a := lo; a < hi; a++ {
-				his[li].Set(g.ArcEdge(a))
-			}
-		}
-	}
-
-	if err := ctxCheck(op, opts.Ctx); err != nil {
-		return nil, err
-	}
-	// Step 2: seeded per-arc draws.
-	seededSampleHits(g, p, largeIdxOf, len(large), params.P, params.Reps, seed, func(li int32, e graph.EdgeID) {
-		his[li].Set(e)
+	return build("shortcut.BuildSeeded", g, p, opts, func(largeIdxOf []int32, numLarge int, params Params, hit func(li int32, e graph.EdgeID)) {
+		seededSampleHits(g, p, largeIdxOf, numLarge, params.P, params.Reps, seed, hit)
 	})
-
-	for li, pi := range large {
-		edges := make([]graph.EdgeID, 0, his[li].Count())
-		his[li].ForEach(func(e int32) { edges = append(edges, e) })
-		sc.H[pi] = edges
-	}
-	return sc, nil
 }

@@ -22,47 +22,18 @@ import (
 // guarantee and is evaluated empirically (experiment A4).
 func BuildDeterministic(g *graph.Graph, p *Partition, opts Options) (*Shortcuts, error) {
 	const op = "shortcut.BuildDeterministic"
+	d, err := resolveDiameter(op, g, opts.Diameter)
+	if err != nil {
+		return nil, err
+	}
 	n := g.NumNodes()
-	if n == 0 {
-		return nil, reproerr.Invalid(op, "empty graph")
-	}
-	d := opts.Diameter
-	if d == 0 {
-		lo, _ := graph.DiameterBounds(g)
-		d = int(lo)
-	}
-	if d < 1 {
-		return nil, reproerr.Invalid(op, "diameter %d < 1", d)
-	}
 	params := DeriveParams(n, d, opts.Reps, opts.LogFactor)
-	sc := &Shortcuts{
-		P:      p,
-		H:      make([][]graph.EdgeID, p.NumParts()),
-		Params: params,
-	}
 	large := p.LargeParts(int(params.KD))
 	if len(large) == 0 {
-		return sc, nil
+		return collect(p, params, nil, nil), nil // no slots to stride over
 	}
-	his := make([]*graph.Bitset, len(large))
-	for i := range his {
-		his[i] = graph.NewBitset(g.NumEdges())
-	}
-	largeIdxOf := make([]int32, p.NumParts())
-	for i := range largeIdxOf {
-		largeIdxOf[i] = -1
-	}
-	for li, pi := range large {
-		largeIdxOf[pi] = int32(li)
-	}
-	for li, pi := range large {
-		for _, u := range p.Part(pi).Nodes {
-			lo, hi := g.ArcRange(u)
-			for a := lo; a < hi; a++ {
-				his[li].Set(g.ArcEdge(a))
-			}
-		}
-	}
+	his := stepOne(g, p, large)
+	largeIdxOf := largeIndex(p, large)
 	// Per (arc, rep): join a block of `take` consecutive part slots starting
 	// at a hash offset — a contiguous block guarantees exactly `take`
 	// distinct parts regardless of the modulus.
@@ -96,12 +67,7 @@ func BuildDeterministic(g *graph.Graph, p *Partition, opts Options) (*Shortcuts,
 			}
 		}
 	}
-	for li, pi := range large {
-		edges := make([]graph.EdgeID, 0, his[li].Count())
-		his[li].ForEach(func(e int32) { edges = append(edges, e) })
-		sc.H[pi] = edges
-	}
-	return sc, nil
+	return collect(p, params, large, his), nil
 }
 
 // LocalOptions configures BuildLocal.
@@ -124,42 +90,18 @@ func BuildLocal(g *graph.Graph, p *Partition, opts LocalOptions) (*Shortcuts, er
 	if err := reproerr.RequireRng(op, opts.Rng); err != nil {
 		return nil, err
 	}
-	n := g.NumNodes()
-	if n == 0 {
-		return nil, reproerr.Invalid(op, "empty graph")
-	}
-	d := opts.Diameter
-	if d == 0 {
-		lo, _ := graph.DiameterBounds(g)
-		d = int(lo)
-	}
-	if d < 1 {
-		return nil, reproerr.Invalid(op, "diameter %d < 1", d)
+	d, err := resolveDiameter(op, g, opts.Diameter)
+	if err != nil {
+		return nil, err
 	}
 	radius := opts.Radius
 	if radius <= 0 {
 		radius = (d + 1) / 2
 	}
+	n := g.NumNodes()
 	params := DeriveParams(n, d, opts.Reps, opts.LogFactor)
-	sc := &Shortcuts{
-		P:      p,
-		H:      make([][]graph.EdgeID, p.NumParts()),
-		Params: params,
-	}
 	large := p.LargeParts(int(params.KD))
-	if len(large) == 0 {
-		return sc, nil
-	}
-	his := make([]*graph.Bitset, len(large))
-	for li, pi := range large {
-		his[li] = graph.NewBitset(g.NumEdges())
-		for _, u := range p.Part(pi).Nodes {
-			lo, hi := g.ArcRange(u)
-			for a := lo; a < hi; a++ {
-				his[li].Set(g.ArcEdge(a))
-			}
-		}
-	}
+	his := stepOne(g, p, large)
 	// Per large part: restrict sampling to arcs whose tail is within radius
 	// of the part (multi-source truncated BFS).
 	for li, pi := range large {
@@ -183,10 +125,5 @@ func BuildLocal(g *graph.Graph, p *Partition, opts LocalOptions) (*Shortcuts, er
 			}
 		}
 	}
-	for li, pi := range large {
-		edges := make([]graph.EdgeID, 0, his[li].Count())
-		his[li].ForEach(func(e int32) { edges = append(edges, e) })
-		sc.H[pi] = edges
-	}
-	return sc, nil
+	return collect(p, params, large, his), nil
 }

@@ -3,6 +3,7 @@ package repro_test
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -11,8 +12,8 @@ import (
 	"repro/internal/gen"
 )
 
-// v2Fixture builds the shared graph/weights/partition the equivalence
-// tests run both API generations over.
+// v2Fixture builds the shared graph/weights/partition the facade tests run
+// over.
 type v2Fixture struct {
 	g     *repro.Graph
 	w     repro.Weights
@@ -55,107 +56,6 @@ func makeTwoECSSGraph(t *testing.T) (*repro.Graph, repro.Weights) {
 		t.Fatal(err)
 	}
 	return g, repro.UniformWeights(g, rngAt(8))
-}
-
-// TestV2EquivalenceShortcuts pins v1 and v2 bit-identical for the same
-// randomness source on the centralized construction.
-func TestV2EquivalenceShortcuts(t *testing.T) {
-	fx := makeV2Fixture(t)
-	v1, err := repro.BuildShortcuts(fx.g, fx.p, repro.ShortcutOptions{Diameter: 5, LogFactor: 0.3, Rng: rngAt(7)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := repro.BuildShortcutsCtx(context.Background(), fx.g, fx.p,
-		repro.WithDiameter(5), repro.WithSamplingBoost(0.3), repro.WithRng(rngAt(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(v1.H, v2.H) || v1.Params != v2.Params {
-		t.Fatal("v2 centralized shortcuts differ from v1 for the same seed")
-	}
-}
-
-// TestV2EquivalenceDistributed pins the distributed construction: identical
-// shortcuts, identical exact cost accounting (wall time excluded).
-func TestV2EquivalenceDistributed(t *testing.T) {
-	fx := makeV2Fixture(t)
-	v1, err := repro.BuildShortcutsDistributed(fx.g, fx.p, repro.DistShortcutOptions{LogFactor: 0.3, Rng: rngAt(7)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := repro.BuildShortcutsDistributedCtx(context.Background(), fx.g, fx.p,
-		repro.WithSamplingBoost(0.3), repro.WithRng(rngAt(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(v1.S.H, v2.S.H) {
-		t.Fatal("v2 distributed shortcuts differ from v1")
-	}
-	if v1.Rounds != v2.Rounds || v1.Messages != v2.Messages || v1.SchedStats != v2.SchedStats ||
-		v1.Guesses != v2.Guesses || v1.Diameter != v2.Diameter {
-		t.Fatalf("v2 accounting differs: v1 %+v/%+v vs v2 %+v/%+v",
-			v1.Cost, v1.SchedStats, v2.Cost, v2.SchedStats)
-	}
-}
-
-// TestV2EquivalenceApplications pins the whole application family.
-func TestV2EquivalenceApplications(t *testing.T) {
-	fx := makeV2Fixture(t)
-	ctx := context.Background()
-
-	m1, err := repro.MSTDistributed(fx.g, fx.w, repro.MSTDistOptions{Diameter: 5, LogFactor: 0.3, Rng: rngAt(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := repro.MSTDistributedCtx(ctx, fx.g, fx.w,
-		repro.WithDiameter(5), repro.WithSamplingBoost(0.3), repro.WithRng(rngAt(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m1.Tree, m2.Tree) || m1.Weight != m2.Weight ||
-		m1.Rounds != m2.Rounds || m1.Messages != m2.Messages {
-		t.Fatal("v2 MST differs from v1")
-	}
-
-	s1, err := repro.SSSPApprox(fx.g, fx.w, 4, repro.SSSPTreeOptions{Diameter: 5, LogFactor: 0.3, Rng: rngAt(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := repro.SSSPApproxCtx(ctx, fx.g, fx.w, 4,
-		repro.WithDiameter(5), repro.WithSamplingBoost(0.3), repro.WithRng(rngAt(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s1.Dist, s2.Dist) || s1.Rounds != s2.Rounds || s1.Messages != s2.Messages {
-		t.Fatal("v2 SSSP differs from v1")
-	}
-
-	c1, err := repro.MinCutApprox(fx.g, fx.w, repro.MinCutApproxOptions{Diameter: 5, LogFactor: 0.3, Trees: 4, Rng: rngAt(5)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := repro.MinCutApproxCtx(ctx, fx.g, fx.w,
-		repro.WithDiameter(5), repro.WithSamplingBoost(0.3), repro.WithTrees(4), repro.WithRng(rngAt(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1.Value != c2.Value || !reflect.DeepEqual(c1.Side, c2.Side) || c1.Trees != c2.Trees {
-		t.Fatal("v2 min cut differs from v1")
-	}
-
-	tg, tw := makeTwoECSSGraph(t)
-	e1, err := repro.TwoECSS(tg, tw, repro.TwoECSSOptions{LogFactor: 0.3, Rng: rngAt(6)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := repro.TwoECSSCtx(ctx, tg, tw,
-		repro.WithSamplingBoost(0.3), repro.WithRng(rngAt(6)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(e1.Edges, e2.Edges) || e1.Weight != e2.Weight {
-		t.Fatal("v2 2-ECSS differs from v1")
-	}
 }
 
 // TestV2SeedDeterminism asserts WithSeed is a complete replacement for raw
@@ -201,9 +101,9 @@ func TestV2SeedDeterminism(t *testing.T) {
 }
 
 // TestV2ErrorTaxonomy asserts every validation failure across the facade
-// satisfies errors.As(err, **repro.Error) with KindInvalidInput, with the
-// uniform randomness-requirement message — including twoecss's formerly
-// conditional Rng validation, now folded into the shared rule.
+// satisfies errors.As(err, **repro.Error) with KindInvalidInput: the
+// uniform randomness-requirement message, invalid option values (NaN
+// included), and a WithTree that is not a spanning tree.
 func TestV2ErrorTaxonomy(t *testing.T) {
 	fx := makeV2Fixture(t)
 	ctx := context.Background()
@@ -276,11 +176,46 @@ func TestV2ErrorTaxonomy(t *testing.T) {
 		t.Errorf("TwoECSSCtx with prebuilt tree should not need randomness: %v", err)
 	}
 
-	// Invalid option values fail at config time with the same taxonomy.
-	_, err = repro.MSTDistributedCtx(ctx, fx.g, fx.w, repro.WithSeed(1), repro.WithDiameter(-1))
+	// Invalid option values fail at config time with the same taxonomy; NaN
+	// fails every float option exactly like a negative value, before it can
+	// reach the sampling loop.
+	nan := math.NaN()
+	configErr := func(o repro.Option) error {
+		_, err := repro.NewConfig(o)
+		return err
+	}
+	_, errDiameter := repro.MSTDistributedCtx(ctx, fx.g, fx.w, repro.WithSeed(1), repro.WithDiameter(-1))
+	_, errBoost := repro.BuildShortcutsCtx(ctx, fx.g, fx.p, repro.WithSeed(1), repro.WithSamplingBoost(nan))
 	var re *repro.Error
-	if !errors.As(err, &re) || re.Kind != repro.KindInvalidInput {
-		t.Errorf("negative diameter: want KindInvalidInput *Error, got %v", err)
+	for name, err := range map[string]error{
+		"negative diameter":                    errDiameter,
+		"NaN eps":                              configErr(repro.WithEps(nan)),
+		"NaN sampling boost":                   configErr(repro.WithSamplingBoost(nan)),
+		"NaN depth factor":                     configErr(repro.WithDepthFactor(nan)),
+		"NaN congestion cap":                   configErr(repro.WithCongestionCap(nan)),
+		"BuildShortcutsCtx NaN sampling boost": errBoost,
+	} {
+		if !errors.As(err, &re) || re.Kind != repro.KindInvalidInput {
+			t.Errorf("%s: want KindInvalidInput *Error, got %v", name, err)
+		}
+	}
+
+	// A WithTree that is not a spanning tree is rejected by name before it
+	// reaches the engines, on both entry points that take one.
+	outOfRange := append([]repro.EdgeID(nil), mres.Tree...)
+	outOfRange[0] = 1 << 20
+	for name, tree := range map[string][]repro.EdgeID{
+		"out-of-range ID": outOfRange,
+		"duplicated edge": make([]repro.EdgeID, len(mres.Tree)), // n−1 copies of edge 0
+		"short":           mres.Tree[:len(mres.Tree)-1],
+	} {
+		_, errCut := repro.MinCutApproxCtx(ctx, tg, tw, repro.WithSeed(1), repro.WithTree(tree))
+		_, errECSS := repro.TwoECSSCtx(ctx, tg, tw, repro.WithTree(tree))
+		for entry, err := range map[string]error{"MinCutApproxCtx": errCut, "TwoECSSCtx": errECSS} {
+			if !errors.As(err, &re) || re.Kind != repro.KindInvalidInput || re.Op != "repro.WithTree" {
+				t.Errorf("%s, %s tree: want KindInvalidInput from repro.WithTree, got %v", entry, name, err)
+			}
+		}
 	}
 
 	// Weight validation is typed too.
@@ -333,6 +268,85 @@ func TestV2FacadeCancellation(t *testing.T) {
 	}
 }
 
+// floodProg floods the maximum node ID: a deterministic multi-round
+// program every worker setting must run identically.
+type floodProg struct {
+	max int64
+}
+
+func (f *floodProg) Init(v *repro.CongestView, out *repro.CongestOutbox) {
+	f.max = int64(v.ID())
+	out.Broadcast(v, repro.CongestMessage{A: f.max})
+}
+
+func (f *floodProg) Round(_ int, v *repro.CongestView, in []repro.CongestInbound, out *repro.CongestOutbox) {
+	improved := false
+	for _, m := range in {
+		if m.Msg.A > f.max {
+			f.max = m.Msg.A
+			improved = true
+		}
+	}
+	if improved {
+		out.Broadcast(v, repro.CongestMessage{A: f.max})
+	}
+}
+
+func (f *floodProg) Done() bool { return true }
+
+// TestV2RunCongestWorkers pins RunCongestCtx's execution modes against each
+// other: the sequential engine (WithWorkers(0)), one worker per CPU
+// (WithWorkers(-1)) and a 3-worker pool must report byte-identical stats
+// and final program states.
+func TestV2RunCongestWorkers(t *testing.T) {
+	g, err := repro.ClusterChain(600, 5, rngAt(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	factory := func(*repro.CongestView) repro.CongestProgram { return &floodProg{} }
+
+	type outcome struct {
+		workers int
+		stats   repro.CongestStats
+		maxes   []int64
+	}
+	var runs []outcome
+	for _, workers := range []int{0, -1, 3} {
+		st, progs, err := repro.RunCongestCtx(context.Background(), g, factory,
+			repro.WithWorkers(workers), repro.WithMaxRounds(1<<20))
+		if err != nil {
+			t.Fatalf("WithWorkers(%d): %v", workers, err)
+		}
+		maxes := make([]int64, len(progs))
+		for i, p := range progs {
+			maxes[i] = p.(*floodProg).max
+		}
+		runs = append(runs, outcome{workers: workers, stats: st, maxes: maxes})
+	}
+
+	want := runs[0]
+	if want.stats.Rounds <= 1 || want.stats.Messages == 0 {
+		t.Fatalf("degenerate reference run: %+v", want.stats)
+	}
+	for _, v := range want.maxes {
+		if v != int64(g.NumNodes()-1) {
+			t.Fatal("flood did not converge to the max ID")
+		}
+	}
+	for _, run := range runs[1:] {
+		if run.stats != want.stats {
+			t.Errorf("WithWorkers(%d) stats %+v differ from WithWorkers(%d) stats %+v",
+				run.workers, run.stats, want.workers, want.stats)
+		}
+		for i := range want.maxes {
+			if run.maxes[i] != want.maxes[i] {
+				t.Fatalf("WithWorkers(%d) node %d state %d differs from WithWorkers(%d) state %d",
+					run.workers, i, run.maxes[i], want.workers, want.maxes[i])
+			}
+		}
+	}
+}
+
 func ctxErrOf(t *testing.T, fx *v2Fixture) error {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -370,6 +384,9 @@ func TestV2ApplyDelta(t *testing.T) {
 	base, err := repro.NewSnapshotCtx(ctx, fx.g, fx.w, fx.parts, opts...)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if base.Cost().Wall <= 0 {
+		t.Error("snapshot build Cost.Wall not recorded")
 	}
 	// An insert-only delta is always repairable.
 	d, err := gen.InsertDelta(fx.g, 8, rand.New(rand.NewSource(3)))
@@ -425,35 +442,5 @@ func TestV2ApplyDelta(t *testing.T) {
 	}
 	if a.(*repro.MSTAnswer).Weight != repaired.TreeWeight() {
 		t.Fatal("store-backed server answered against the retired epoch")
-	}
-}
-
-// TestV2ServerEquivalence pins the v2 server construction and context-first
-// query methods against the v1 server.
-func TestV2ServerEquivalence(t *testing.T) {
-	fx := makeV2Fixture(t)
-	snap, err := repro.NewSnapshotCtx(context.Background(), fx.g, fx.w, fx.parts,
-		repro.WithSeed(9), repro.WithDiameter(5), repro.WithSamplingBoost(0.3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := repro.NewServer(snap, repro.ServerOptions{Executors: 2, Seed: 123})
-	v2, err := repro.NewServerV2(snap, repro.WithExecutors(2), repro.WithServerSeed(123))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, err := v1.Serve(repro.MinCutQuery{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := v2.ServeCtx(context.Background(), repro.MinCutQuery{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a1, a2) {
-		t.Fatal("v2 server answer differs from v1")
-	}
-	if snap.Cost().Wall <= 0 {
-		t.Error("snapshot build Cost.Wall not recorded")
 	}
 }
