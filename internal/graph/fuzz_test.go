@@ -1,6 +1,10 @@
 package graph
 
-import "testing"
+import (
+	"bytes"
+	"slices"
+	"testing"
+)
 
 // FuzzBuilder feeds arbitrary edge bytes into the Builder and checks the
 // structural invariants of whatever graph results: degree sum = 2m, arc/edge
@@ -230,5 +234,59 @@ func FuzzBitset(f *testing.F) {
 				t.Fatalf("ForEach yielded absent element %d", x)
 			}
 		})
+	})
+}
+
+// FuzzDiameterAmong cross-checks the bit-parallel DiameterAmong against the
+// one-BFS-per-node oracle on views decoded from the fuzz bytes. Graphs have
+// up to 80 nodes, so interest sets cross the 64-source chunk boundary.
+// Decoding: size picks n; data's first 10 bytes are S's membership bitmask
+// (bit i of byte i/8 for node i); the remaining bytes are edge pairs (a, b),
+// and a's high bit also puts the edge in H. The interest set is S.
+func FuzzDiameterAmong(f *testing.F) {
+	everyNode := bytes.Repeat([]byte{0xff}, 10)
+	everyOther := bytes.Repeat([]byte{0x55}, 10)
+	path, hPath := make([]byte, 0, 158), make([]byte, 0, 158)
+	for i := byte(0); i < 79; i++ {
+		path = append(path, i, i+1)
+		hPath = append(hPath, i|0x80, i+1)
+	}
+	f.Add(byte(79), slices.Concat(everyNode, path))      // a path through all 80 nodes
+	f.Add(byte(79), slices.Concat(everyOther, hPath))    // S joined only through H
+	f.Add(byte(79), slices.Concat(everyOther, path))     // G[S] has no edges: -1
+	f.Add(byte(69), slices.Concat(everyNode, path[:80])) // part of S cut off: -1
+	f.Fuzz(func(t *testing.T, size byte, data []byte) {
+		n := int(size)%80 + 1
+		var s []NodeID
+		for i := 0; i < n; i++ {
+			if i/8 < len(data) && data[i/8]&(1<<(i%8)) != 0 {
+				s = append(s, NodeID(i))
+			}
+		}
+		b := NewBuilder(n)
+		var hPairs [][2]NodeID
+		for i := 10; i+1 < len(data); i += 2 {
+			u, v := NodeID(int(data[i]&0x7f)%n), NodeID(int(data[i+1])%n)
+			if u == v {
+				continue
+			}
+			b.TryAddEdge(u, v)
+			if data[i]&0x80 != 0 {
+				hPairs = append(hPairs, [2]NodeID{u, v})
+			}
+		}
+		g := b.Build()
+		h := make([]EdgeID, 0, len(hPairs))
+		for _, p := range hPairs {
+			e, ok := g.FindEdge(p[0], p[1])
+			if !ok {
+				t.Fatalf("edge {%d,%d} missing after Build", p[0], p[1])
+			}
+			h = append(h, e)
+		}
+		v := NewAugmentedView(g, s, h)
+		if got, want := v.DiameterAmong(s), diameterAmongOracle(v, s); got != want {
+			t.Fatalf("n=%d |S|=%d |H|=%d: DiameterAmong = %d, oracle %d", n, len(s), len(h), got, want)
+		}
 	})
 }

@@ -85,21 +85,81 @@ func (v *AugmentedView) BFS(src NodeID) *BFSResult {
 }
 
 // DiameterAmong returns the largest pairwise hop distance *between nodes of
-// the set interest* inside the view, running one BFS per interest node.
-// It returns -1 if some pair of interest nodes is disconnected in the view.
-// This is the exact dilation of the augmented subgraph with respect to S.
+// the set interest* inside the view, or -1 if some pair of interest nodes is
+// disconnected in the view. This is the exact dilation of the augmented
+// subgraph with respect to S.
+//
+// It runs a level-synchronous multi-source BFS from 64 interest nodes at a
+// time, one bit per source in a uint64 per node (Then et al., VLDB 2014).
+// A source's bit first reaches a node at exactly the node's BFS level from
+// that source, so the deepest level at which an interest node gains a bit is
+// the largest distance from the chunk's sources to the interest set.
 func (v *AugmentedView) DiameterAmong(interest []NodeID) int32 {
+	g := v.g
+	n := g.NumNodes()
+	isInterest := NewBitset(n)
+	for _, t := range interest {
+		isInterest.Set(t)
+	}
+	// seen: source bits a node has been reached by; cur: bits it gained at
+	// the current level; next: bits it gains at the level being expanded.
+	seen := make([]uint64, n)
+	cur := make([]uint64, n)
+	next := make([]uint64, n)
+	// Frontiers hold view nodes plus, at level 0, the chunk's sources.
+	frontier := make([]NodeID, 0, len(v.nodes)+64)
+	grown := make([]NodeID, 0, len(v.nodes)+64)
 	var diam int32
-	for _, s := range interest {
-		res := v.BFS(s)
+	for lo := 0; lo < len(interest); lo += 64 {
+		chunk := interest[lo:min(lo+64, len(interest))]
+		frontier = frontier[:0]
+		for i, s := range chunk {
+			if cur[s] == 0 {
+				frontier = append(frontier, s)
+			}
+			cur[s] |= 1 << i
+			seen[s] |= 1 << i
+		}
+		for level := int32(1); len(frontier) > 0; level++ {
+			grown = grown[:0]
+			for _, u := range frontier {
+				bits := cur[u]
+				alo, ahi := g.ArcRange(u)
+				for a := alo; a < ahi; a++ {
+					w := g.neighbors[a]
+					gain := bits &^ (seen[w] | next[w])
+					if gain == 0 || !v.UsableArc(u, w, g.arcEdge[a]) {
+						continue
+					}
+					if next[w] == 0 {
+						grown = append(grown, w)
+					}
+					next[w] |= gain
+				}
+			}
+			for _, u := range frontier {
+				cur[u] = 0
+			}
+			for _, w := range grown {
+				cur[w], seen[w], next[w] = next[w], seen[w]|next[w], 0
+				if level > diam && isInterest.Has(w) {
+					diam = level
+				}
+			}
+			frontier, grown = grown, frontier
+		}
+		all := ^uint64(0) >> (64 - len(chunk))
 		for _, t := range interest {
-			d := res.Dist[t]
-			if d == Unreached {
+			if seen[t] != all {
 				return -1
 			}
-			if d > diam {
-				diam = d
-			}
+		}
+		// Only view nodes and the chunk's own sources can hold bits.
+		for _, u := range v.nodes {
+			seen[u] = 0
+		}
+		for _, s := range chunk {
+			seen[s] = 0
 		}
 	}
 	return diam

@@ -108,6 +108,103 @@ func TestEccentricityAmongBracketsDiameter(t *testing.T) {
 	}
 }
 
+// diameterAmongOracle is DiameterAmong's definition, one BFS per interest
+// node: the largest distance between two interest nodes inside the view, or
+// -1 if some pair is disconnected.
+func diameterAmongOracle(v *AugmentedView, interest []NodeID) int32 {
+	var diam int32
+	for _, s := range interest {
+		res := v.BFS(s)
+		for _, t := range interest {
+			d := res.Dist[t]
+			if d == Unreached {
+				return -1
+			}
+			if d > diam {
+				diam = d
+			}
+		}
+	}
+	return diam
+}
+
+// TestDiameterAmongMatchesOracle compares the bit-parallel kernel with the
+// oracle on random graphs with random S and H, on interest sets on both
+// sides of the 64-source chunk boundary.
+func TestDiameterAmongMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	sizes := []int{1, 63, 64, 65, 128, 129}
+	hDensity := []float64{0, 0.3, 0.7, 1}
+	var connected, split, viaH int
+	for trial := 0; trial < 4*len(sizes)*len(hDensity); trial++ {
+		size := sizes[trial%len(sizes)]
+		hp := hDensity[trial/len(sizes)%len(hDensity)]
+		n := size + 20 + rng.Intn(120)
+		// A random spanning tree plus chords: H drawn from it can route
+		// between S nodes through nodes outside S.
+		b := NewBuilder(n)
+		for i := 1; i < n; i++ {
+			b.TryAddEdge(NodeID(rng.Intn(i)), NodeID(i))
+		}
+		for i := 0; i < n/3; i++ {
+			b.TryAddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
+		}
+		g := b.Build()
+		perm := rng.Perm(n)
+		s := make([]NodeID, size)
+		for i := range s {
+			s[i] = NodeID(perm[i])
+		}
+		var h []EdgeID
+		for e := 0; e < g.NumEdges(); e++ {
+			if rng.Float64() < hp {
+				h = append(h, EdgeID(e))
+			}
+		}
+		v := NewAugmentedView(g, s, h)
+		want := diameterAmongOracle(v, s)
+		if got := v.DiameterAmong(s); got != want {
+			t.Fatalf("trial %d (n=%d |S|=%d |H|=%d): DiameterAmong = %d, oracle %d", trial, n, size, len(h), got, want)
+		}
+		switch {
+		case want < 0:
+			split++
+		case diameterAmongOracle(NewAugmentedView(g, s, nil), s) < 0:
+			viaH++
+		default:
+			connected++
+		}
+	}
+	// The draw must cover disconnected views and interest nodes that only
+	// H connects, or the comparison proves little.
+	if connected == 0 || split == 0 || viaH == 0 {
+		t.Fatalf("coverage: %d connected in G[S], %d connected only via H, %d disconnected", connected, viaH, split)
+	}
+}
+
+// TestDiameterAmongKeepsEarlierChunkMax pins that the result is the maximum
+// over all 64-source chunks: the diametral pair sits in the first chunk and
+// every later chunk's sources are nearer the middle of the path, so a
+// kernel that let a later chunk overwrite the maximum would answer less.
+func TestDiameterAmongKeepsEarlierChunkMax(t *testing.T) {
+	const n = 200
+	g := mustBuild(t, n, pathEdges(n))
+	all := make([]NodeID, n)
+	for i := range all {
+		all[i] = NodeID(i)
+	}
+	v := NewAugmentedView(g, all, nil)
+	interest := []NodeID{0, n - 1}
+	for u := NodeID(1); len(interest) < 129; u++ {
+		interest = append(interest, u)
+	}
+	// Chunk 2 is nodes 63..126 (farthest interest node 136 hops away) and
+	// chunk 3 is node 127 (farthest 127 hops away).
+	if got := v.DiameterAmong(interest); got != n-1 {
+		t.Fatalf("DiameterAmong = %d, want %d", got, n-1)
+	}
+}
+
 func TestWeightsValidate(t *testing.T) {
 	g := mustBuild(t, 3, pathEdges(3))
 	w := NewUnitWeights(g.NumEdges())

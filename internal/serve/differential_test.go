@@ -321,9 +321,8 @@ func TestDifferentialRepairVsRebuild(t *testing.T) {
 					serve.MSTQuery{},
 					serve.MinCutQuery{},
 					serve.MinCutQuery{Eps: 0.5},
-					serve.QualityQuery{Part: 0},
-					serve.QualityQuery{Part: len(parts) - 1},
 				}
+				queries = append(queries, everyPartQuality(parts)...)
 				// 2-ECSS is only defined on 2-edge-connected graphs; the
 				// sparser families keep bridges, so gate the query on the
 				// post-delta graph's shape (identically visible to both

@@ -37,7 +37,8 @@ func persistFixture(t testing.TB, famIdx, n, workers int, seed int64) (*serve.Sn
 	return sn, g, parts
 }
 
-// persistQueries returns one query of every family the snapshot can answer.
+// persistQueries returns one query of every family the snapshot can answer,
+// with a quality query for every part.
 func persistQueries(g *graph.Graph, parts [][]graph.NodeID) []serve.Query {
 	queries := []serve.Query{
 		serve.SSSPQuery{Source: 0},
@@ -46,11 +47,19 @@ func persistQueries(g *graph.Graph, parts [][]graph.NodeID) []serve.Query {
 		serve.MSTQuery{},
 		serve.MinCutQuery{},
 		serve.MinCutQuery{Eps: 0.5},
-		serve.QualityQuery{Part: 0},
-		serve.QualityQuery{Part: len(parts) - 1},
 	}
+	queries = append(queries, everyPartQuality(parts)...)
 	if len(twoecss.Bridges(g, allEdges(g))) == 0 {
 		queries = append(queries, serve.TwoECSSQuery{})
+	}
+	return queries
+}
+
+// everyPartQuality returns one QualityQuery per part.
+func everyPartQuality(parts [][]graph.NodeID) []serve.Query {
+	queries := make([]serve.Query, len(parts))
+	for i := range parts {
+		queries[i] = serve.QualityQuery{Part: i}
 	}
 	return queries
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/graph"
 	"repro/internal/mincut"
+	"repro/internal/reproerr"
 	"repro/internal/shortcut"
 	"repro/internal/twoecss"
 )
@@ -64,8 +65,8 @@ type MinCutQuery struct{ Eps float64 }
 type TwoECSSQuery struct{}
 
 // QualityQuery asks for the quality of one part's augmented subgraph:
-// per-part dilation measured on demand, congestion from the snapshot's
-// one-time measurement.
+// the part's dilation and the assignment's congestion, both as measured when
+// the snapshot was built or repaired.
 type QualityQuery struct{ Part int }
 
 func (SSSPQuery) queryKind() Kind    { return KindSSSP }
@@ -134,13 +135,14 @@ func (sn *Snapshot) serveMST() *MSTAnswer {
 	return &MSTAnswer{Tree: sn.tree, Weight: sn.treeWeight}
 }
 
-// serveQuality answers a QualityQuery: part dilation on demand plus the
-// congestion cached at build.
+// serveQuality answers a QualityQuery from the per-part dilation record the
+// snapshot carries (measured at build or repair, persisted with it) plus the
+// congestion cached with it.
 func (sn *Snapshot) serveQuality(q QualityQuery) (*QualityAnswer, error) {
-	pq, err := sn.s.PartDilation(q.Part, sn.dilationCutoff)
-	if err != nil {
-		return nil, err
+	if q.Part < 0 || q.Part >= len(sn.partDil) {
+		return nil, reproerr.Invalid("serve", "part %d out of range [0,%d)", q.Part, len(sn.partDil))
 	}
+	pq := sn.partDil[q.Part]
 	pq.Congestion = sn.quality.Congestion
 	return &QualityAnswer{Part: q.Part, Quality: pq}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mincut"
 	"repro/internal/mst"
+	"repro/internal/reproerr"
 	"repro/internal/serve"
 	"repro/internal/sssp"
 	"repro/internal/twoecss"
@@ -310,6 +311,16 @@ func TestServeQualityPerPart(t *testing.T) {
 		if ans.Quality.Congestion != overall.Congestion {
 			t.Fatalf("part %d: congestion %d, snapshot measured %d", i, ans.Quality.Congestion, overall.Congestion)
 		}
+		// The served record must equal a fresh measurement (3000 is
+		// NewSnapshot's default dilation cutoff).
+		want, err := fx.snap.Shortcuts().PartDilation(i, 3000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Congestion = overall.Congestion
+		if ans.Quality != want {
+			t.Fatalf("part %d: served %+v, recomputed %+v", i, ans.Quality, want)
+		}
 		if ans.Quality.DilationLo > maxLo {
 			maxLo = ans.Quality.DilationLo
 		}
@@ -321,8 +332,10 @@ func TestServeQualityPerPart(t *testing.T) {
 		t.Fatalf("per-part max dilation [%d,%d] vs snapshot [%d,%d]",
 			maxLo, maxHi, overall.DilationLo, overall.DilationHi)
 	}
-	if _, err := srv.Serve(serve.QualityQuery{Part: len(fx.parts)}); err == nil {
-		t.Fatal("out-of-range part accepted")
+	for _, part := range []int{-1, len(fx.parts)} {
+		if _, err := srv.Serve(serve.QualityQuery{Part: part}); reproerr.KindOf(err) != reproerr.KindInvalidInput {
+			t.Fatalf("part %d: error %v, want KindInvalidInput", part, err)
+		}
 	}
 }
 

@@ -79,7 +79,7 @@ type Snapshot struct {
 	s *shortcut.Shortcuts
 
 	quality shortcut.Quality   // measured once at build
-	partDil []shortcut.Quality // per-part dilation (congestion zero), for part-local repair
+	partDil []shortcut.Quality // per-part dilation (congestion zero), for quality queries and part-local repair
 
 	tree       []graph.EdgeID // the shortcut-MST, derived once
 	treeWeight float64

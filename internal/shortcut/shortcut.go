@@ -151,9 +151,10 @@ func (s *Shortcuts) CongestionProfile() []int {
 }
 
 // Dilation measures the dilation of the shortcut assignment. For parts with
-// at most exactCutoff nodes the per-part diameter is computed exactly (one
-// BFS per part node inside the augmented view); larger parts fall back to a
-// certified 2-approximation from the leader's eccentricity. exactCutoff ≤ 0
+// at most exactCutoff nodes the per-part diameter is computed exactly (a
+// bit-parallel BFS from every part node inside the augmented view, see
+// graph.AugmentedView.DiameterAmong); larger parts fall back to a certified
+// 2-approximation from the leader's eccentricity. exactCutoff ≤ 0
 // means always exact. A disconnected augmented part yields an error (Build
 // never produces one: Step 1 keeps G[Si] intact).
 func (s *Shortcuts) Dilation(exactCutoff int) (Quality, error) {
@@ -211,11 +212,11 @@ func AggregateQuality(partDil []Quality, congestion int) Quality {
 }
 
 // PartDilation measures the dilation of part i's augmented subgraph alone —
-// the snapshot-reentrant per-part entry point behind the serving layer's
-// QualityQuery, avoiding the all-parts sweep (and the global congestion
-// recount) per query. The returned Quality's Congestion field is zero;
-// callers holding a prebuilt Shortcuts combine it with the congestion they
-// measured once. exactCutoff as in Dilation.
+// the per-part entry point the serving layer's repair uses to re-measure
+// only the parts a delta touched, without the all-parts sweep (and the
+// global congestion recount). The returned Quality's Congestion field is
+// zero; callers holding a prebuilt Shortcuts combine it with the congestion
+// they measured once. exactCutoff as in Dilation.
 func (s *Shortcuts) PartDilation(i, exactCutoff int) (Quality, error) {
 	var q Quality
 	q.Exact = true
