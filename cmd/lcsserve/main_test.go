@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/gateway"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/graphio"
@@ -111,24 +112,16 @@ func TestServeAndGracefulDrain(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("query status %d: %s", resp.StatusCode, raw)
 	}
-	var qr struct {
-		Kind string `json:"kind"`
-		SSSP struct {
-			Source int64      `json:"source"`
-			Dist   []*float64 `json:"dist"`
-		} `json:"sssp"`
-		Rounds   int   `json:"rounds"`
-		Messages int64 `json:"messages"`
-	}
+	var qr gateway.QueryResponse
 	if err := json.Unmarshal(raw, &qr); err != nil {
 		t.Fatalf("undecodable answer %s: %v", raw, err)
 	}
-	if qr.Kind != "sssp" || qr.SSSP.Source != 5 || len(qr.SSSP.Dist) != 120 {
+	if qr.Kind != "sssp" || qr.SSSP == nil || qr.SSSP.Source != 5 || len(qr.SSSP.Dist) != 120 {
 		t.Fatalf("malformed answer: %s", raw)
 	}
 	for i, d := range qr.SSSP.Dist {
-		if d != nil && (math.IsNaN(*d) || *d < 0) {
-			t.Fatalf("dist[%d] = %v", i, *d)
+		if math.IsNaN(d) || d < 0 {
+			t.Fatalf("dist[%d] = %v", i, d)
 		}
 	}
 

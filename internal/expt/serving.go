@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/gateway"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/serve"
@@ -242,19 +243,10 @@ func fireQueries(ctx context.Context, srv *serve.Server, n, q, executors, batch 
 	return time.Since(start), simRounds, nil
 }
 
-// wireAnswer is the slice of the gateway's QueryResponse the sweep needs:
-// the dist length (to discover the remote n) and the simulated rounds.
-type wireAnswer struct {
-	SSSP struct {
-		Dist []*float64 `json:"dist"`
-	} `json:"sssp"`
-	Rounds int `json:"rounds"`
-}
-
 // postWireQuery POSTs one SSSP query at addr's /v1/query and decodes the
 // answer. Non-200 statuses surface with the wire error body.
-func postWireQuery(ctx context.Context, client *http.Client, addr string, src int) (wireAnswer, error) {
-	var ans wireAnswer
+func postWireQuery(ctx context.Context, client *http.Client, addr string, src int) (gateway.QueryResponse, error) {
+	var ans gateway.QueryResponse
 	base := addr
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
@@ -289,7 +281,7 @@ func probeWireN(ctx context.Context, addr string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if len(ans.SSSP.Dist) == 0 {
+	if ans.SSSP == nil || len(ans.SSSP.Dist) == 0 {
 		return 0, fmt.Errorf("probe answer has no dist vector")
 	}
 	return len(ans.SSSP.Dist), nil

@@ -48,8 +48,9 @@ func BenchmarkGatewaySSSPWarmCore(b *testing.B) {
 
 // BenchmarkGatewayQueryHTTP measures the full wire path — mux, JSON
 // decode, serve, JSON encode — for the wire-overhead comparison against
-// the core above. Allocates by design (the codec); not part of the
-// zero-alloc gate.
+// the core above. Not part of the zero-alloc gate: the request decode, the
+// answer row ServeCtx returns, and httptest's request and recorder
+// allocate; the response encode itself is gated below.
 func BenchmarkGatewayQueryHTTP(b *testing.B) {
 	fx := makeFixture(b, 2_000, 31)
 	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 1})
@@ -68,6 +69,65 @@ func BenchmarkGatewayQueryHTTP(b *testing.B) {
 		h.ServeHTTP(rec, req)
 		if rec.Code != 200 {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+}
+
+// ssspResponse serves one real n=2000 sssp row as its wire response.
+func ssspResponse(b *testing.B) *QueryResponse {
+	fx := makeFixture(b, 2_000, 31)
+	a, err := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 1}).ServeSSSP(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return answerToResponse(a)
+}
+
+// BenchmarkEncodeSSSPResponse encodes an n=2000 sssp response into a warm
+// pooled buffer — the handler's encode step without the ResponseWriter.
+// CI's benchmark smoke asserts 0 allocs/op.
+func BenchmarkEncodeSSSPResponse(b *testing.B) {
+	resp := ssspResponse(b)
+	// Collect the fixture's garbage, then warm the pool: a collection
+	// empties sync.Pool's per-P caches, so the warm-up must come after it.
+	runtime.GC()
+	var err error
+	bp := getBody()
+	if *bp, err = appendBody(*bp, resp); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(*bp)))
+	putBody(bp)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bp := getBody()
+		if *bp, err = appendBody(*bp, resp); err != nil {
+			b.Fatal(err)
+		}
+		putBody(bp)
+	}
+}
+
+// BenchmarkDecodeDistVector parses an n=2000 sssp row into a reused
+// receiver. CI's benchmark smoke asserts 0 allocs/op: the parser writes
+// into the receiver's capacity.
+func BenchmarkDecodeDistVector(b *testing.B) {
+	raw, err := appendRow(nil, ssspResponse(b).SSSP.Dist)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var row DistVector
+	if err := row.UnmarshalJSON(raw); err != nil { // size the receiver
+		b.Fatal(err)
+	}
+	runtime.GC()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(raw)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := row.UnmarshalJSON(raw); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

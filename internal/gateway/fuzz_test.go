@@ -3,6 +3,7 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"testing"
 
@@ -78,6 +79,63 @@ func FuzzGatewayRequest(f *testing.F) {
 			// Request-Timeout header, no concurrent load, depth 8. Anything
 			// but serve-or-reject is a contract break.
 			t.Fatalf("unexpected status %d for body %q: %s", rec.Code, body, rec.Body.Bytes())
+		}
+	})
+}
+
+// oracleDistVector is the reference decoder FuzzDistVector holds the
+// in-place parser to: json.Unmarshal into []*float64, null → +Inf.
+func oracleDistVector(b []byte) (DistVector, error) {
+	var raw []*float64
+	if err := json.Unmarshal(b, &raw); err != nil {
+		return nil, err
+	}
+	out := make(DistVector, len(raw))
+	for i, p := range raw {
+		if p == nil {
+			out[i] = math.Inf(1)
+		} else {
+			out[i] = *p
+		}
+	}
+	return out, nil
+}
+
+// FuzzDistVector differentially fuzzes DistVector.UnmarshalJSON against
+// oracleDistVector: the same accept/reject decision on every input, and
+// bit-identical values on accept — into a fresh receiver and into a reused
+// one holding stale values.
+func FuzzDistVector(f *testing.F) {
+	for _, seed := range []string{
+		`null`, `[]`, `[null]`, `[-0]`, `[5e-324]`, `[2.2250738585072014e-308]`, `[1e400]`,
+		`[1,]`, `[01]`, `[.5]`, `[+1]`, `[1 2]`, `[1.]`, `[1e]`, `[-]`,
+		`["1"]`, `[[1]]`, `[NaN]`, `[Infinity]`, `[true]`, `{}`, `1`, `nul`, `[1]x`,
+		` [ 0 , null , -1.5e-3 , 1E+2 ] `, "\t\n\r[\t1\n,\rnull\t]\n",
+		`[0.30000000000000004,1e21,1.7976931348623157e308]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		want, werr := oracleDistVector(b)
+		var fresh DistVector
+		err := fresh.UnmarshalJSON(b)
+		reused := DistVector{7, 7, 7, 7, 7, 7, 7, 7}
+		rerr := reused.UnmarshalJSON(b)
+		if (err == nil) != (werr == nil) || (rerr == nil) != (werr == nil) {
+			t.Fatalf("%q: err %v, reused err %v; oracle err %v", b, err, rerr, werr)
+		}
+		if werr != nil {
+			return
+		}
+		for _, got := range []DistVector{fresh, reused} {
+			if len(got) != len(want) {
+				t.Fatalf("%q: length %d, oracle %d", b, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%q: [%d] = %v, oracle %v", b, i, got[i], want[i])
+				}
+			}
 		}
 	})
 }

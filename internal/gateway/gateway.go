@@ -18,8 +18,10 @@
 // duplicate-root dedup answers repeated roots with a single walk.
 //
 // Everything below the HTTP layer — admission, executor checkout, the warm
-// sssp path — stays allocation-free; the JSON codec is the only allocating
-// stage, and it is the wire format's price, not the gateway's.
+// sssp path — stays allocation-free, and so does the response encode: bodies
+// are appended by hand into pooled buffers, and written with their
+// Content-Length only once encoding succeeded. What still allocates per
+// request is the request decode and the answer the server returns.
 package gateway
 
 import (
@@ -248,7 +250,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		g.writeError(w, epQuery, err)
 		return
 	}
-	g.writeJSON(w, http.StatusOK, answerToResponse(ans))
+	g.writeJSON(w, epQuery, answerToResponse(ans))
 }
 
 // handleBatch serves POST /v1/batch: the query list runs as one
@@ -299,7 +301,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, a := range answers {
 		resp.Answers[i] = answerToResponse(a)
 	}
-	g.writeJSON(w, http.StatusOK, &resp)
+	g.writeJSON(w, epBatch, &resp)
 }
 
 // handleDelta serves POST /v1/delta: apply a batch of edge mutations to the
@@ -356,7 +358,7 @@ func (g *Gateway) handleDelta(w http.ResponseWriter, r *http.Request) {
 		resp.Deleted = ri.Deleted
 		resp.Rechecked = ri.Rechecked
 	}
-	g.writeJSON(w, http.StatusOK, &resp)
+	g.writeJSON(w, epDelta, &resp)
 }
 
 // handleSwap serves POST /v1/snapshot/swap: load a persisted snapshot file
@@ -419,7 +421,7 @@ func (g *Gateway) handleSwap(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Epoch = g.store.Epoch()
 	resp.Generation = g.store.Snapshot().Generation()
-	g.writeJSON(w, http.StatusOK, &resp)
+	g.writeJSON(w, epSwap, &resp)
 }
 
 // ssspCore is the below-HTTP hot path the warm benchmark pins at
@@ -443,9 +445,64 @@ func (g *Gateway) writeError(w http.ResponseWriter, ep int, err error) {
 	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error(), Kind: kind.String()})
 }
 
-// writeJSON renders one success body.
-func (g *Gateway) writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
+// maxPooledBody caps the response buffers bodyPool keeps: a larger one (a
+// huge batch, say) is left to the collector rather than pinned in the pool.
+const maxPooledBody = 1 << 20
+
+// bodyPool recycles response buffers across requests.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// getBody takes an empty response buffer from the pool.
+func getBody() *[]byte {
+	bp := bodyPool.Get().(*[]byte)
+	*bp = (*bp)[:0]
+	return bp
+}
+
+// putBody returns bp to the pool unless its buffer grew past maxPooledBody.
+func putBody(bp *[]byte) {
+	if cap(*bp) <= maxPooledBody {
+		bodyPool.Put(bp)
+	}
+}
+
+// appendBody appends body's JSON encoding plus a trailing newline: the
+// bytes json.NewEncoder(w).Encode(body) writes. Query and batch responses
+// go through the hand-written appender, the other bodies through
+// json.Marshal.
+func appendBody(buf []byte, body any) ([]byte, error) {
+	var err error
+	switch b := body.(type) {
+	case *QueryResponse:
+		buf, err = appendResponse(buf, b)
+	case *BatchResponse:
+		buf, err = appendBatch(buf, b)
+	default:
+		var raw []byte
+		raw, err = json.Marshal(b)
+		buf = append(buf, raw...)
+	}
+	if err != nil {
+		return buf, err
+	}
+	return append(buf, '\n'), nil
+}
+
+// writeJSON renders one 200 body. The body is encoded into a pooled buffer
+// before the header goes out, so a body the codec rejects (a NaN distance,
+// say) becomes a 500 with an ErrorResponse instead of a 200 with an empty
+// body; a success carries its Content-Length.
+func (g *Gateway) writeJSON(w http.ResponseWriter, ep int, body any) {
+	bp := getBody()
+	defer putBody(bp)
+	var err error
+	if *bp, err = appendBody(*bp, body); err != nil {
+		g.writeError(w, ep, reproerr.Errorf("gateway.encode", reproerr.KindUnknown, "encode response: %w", err))
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(*bp)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(*bp)
 }

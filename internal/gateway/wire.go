@@ -1,10 +1,14 @@
 package gateway
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"strconv"
+	"unicode/utf8"
 
 	"repro/internal/graph"
 	"repro/internal/reproerr"
@@ -82,43 +86,169 @@ type DistVector []float64
 
 // MarshalJSON renders the vector as a JSON array with null for +Inf.
 func (d DistVector) MarshalJSON() ([]byte, error) {
-	if d == nil {
-		return []byte("null"), nil
+	buf, err := appendRow(make([]byte, 0, 8*len(d)+2), d)
+	if err != nil {
+		return nil, err
 	}
-	buf := make([]byte, 0, 8*len(d)+2)
+	return buf, nil
+}
+
+// appendRow appends d's wire form: null for a nil vector, else a JSON array
+// with null for +Inf. NaN and -Inf have no wire form and are an error.
+func appendRow(buf []byte, d DistVector) ([]byte, error) {
+	if d == nil {
+		return append(buf, "null"...), nil
+	}
 	buf = append(buf, '[')
 	for i, v := range d {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		if math.IsInf(v, 1) {
+		switch {
+		case math.IsInf(v, 1):
 			buf = append(buf, "null"...)
-			continue
+		case math.IsNaN(v) || math.IsInf(v, -1):
+			return buf, reproerr.Invalid("gateway.dist", "unencodable distance %v at index %d", v, i)
+		default:
+			buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
 		}
-		if math.IsNaN(v) || math.IsInf(v, -1) {
-			return nil, reproerr.Invalid("gateway.dist", "unencodable distance %v at index %d", v, i)
-		}
-		buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
 	}
 	return append(buf, ']'), nil
 }
 
-// UnmarshalJSON parses the array form, mapping null back to +Inf.
+// UnmarshalJSON parses the array form in place, mapping null back to +Inf.
+// It accepts exactly what json.Unmarshal accepts into a []*float64 (a JSON
+// null, or an array of JSON numbers and nulls, each number within float64
+// range) and converts each number with strconv.ParseFloat, as encoding/json
+// does, so the values are bit-identical. The receiver's capacity is reused:
+// a fresh receiver costs one allocation per row, a reused one none. A JSON
+// null decodes to a nil vector; a rejected input leaves an empty one.
 func (d *DistVector) UnmarshalJSON(b []byte) error {
-	var raw []*float64
-	if err := json.Unmarshal(b, &raw); err != nil {
-		return err
-	}
-	out := make(DistVector, len(raw))
-	for i, p := range raw {
-		if p == nil {
-			out[i] = math.Inf(1)
-		} else {
-			out[i] = *p
-		}
+	out, err := parseRow((*d)[:0], b)
+	if err != nil {
+		*d = out[:0]
+		return reproerr.Invalid("gateway.dist", "invalid distance row: %w", err)
 	}
 	*d = out
 	return nil
+}
+
+// parseRow appends the values of the JSON row b to out. A JSON null returns
+// nil.
+func parseRow(out DistVector, b []byte) (DistVector, error) {
+	i := skipSpace(b, 0)
+	if hasLiteral(b, i, "null") {
+		if skipSpace(b, i+4) != len(b) {
+			return out, errors.New("data after null")
+		}
+		return nil, nil
+	}
+	if i == len(b) || b[i] != '[' {
+		return out, errors.New("not an array")
+	}
+	// Every element but the last is followed by a comma, so the count
+	// bounds the row's length: one allocation at most.
+	if n := bytes.Count(b, []byte{','}) + 1; cap(out) < n {
+		out = make(DistVector, 0, n)
+	}
+	i = skipSpace(b, i+1)
+	if i < len(b) && b[i] == ']' {
+		return out, checkEnd(b, i+1)
+	}
+	for {
+		if hasLiteral(b, i, "null") {
+			out = append(out, math.Inf(1))
+			i += 4
+		} else {
+			end := numberEnd(b, i)
+			if end == i {
+				return out, fmt.Errorf("element %d: not a number or null", len(out))
+			}
+			v, err := strconv.ParseFloat(string(b[i:end]), 64)
+			if err != nil {
+				return out, fmt.Errorf("element %d: %w", len(out), err)
+			}
+			out = append(out, v)
+			i = end
+		}
+		i = skipSpace(b, i)
+		switch {
+		case i == len(b):
+			return out, errors.New("unterminated array")
+		case b[i] == ']':
+			return out, checkEnd(b, i+1)
+		case b[i] != ',':
+			return out, fmt.Errorf("element %d: want ',' or ']'", len(out))
+		}
+		i = skipSpace(b, i+1)
+	}
+}
+
+// checkEnd accepts only JSON whitespace from b[i] on.
+func checkEnd(b []byte, i int) error {
+	if skipSpace(b, i) != len(b) {
+		return errors.New("data after array")
+	}
+	return nil
+}
+
+// skipSpace returns the index of the first non-whitespace byte at or after
+// i (JSON whitespace: space, tab, newline, carriage return).
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// hasLiteral reports whether b holds lit at i.
+func hasLiteral(b []byte, i int, lit string) bool {
+	return len(b)-i >= len(lit) && string(b[i:i+len(lit)]) == lit
+}
+
+// numberEnd returns the end of the JSON number starting at b[i], or i when
+// none starts there. The grammar is JSON's:
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+func numberEnd(b []byte, i int) int {
+	start := i
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && b[i] >= '1' && b[i] <= '9':
+		i = digitsEnd(b, i+1)
+	default:
+		return start
+	}
+	if i < len(b) && b[i] == '.' {
+		j := digitsEnd(b, i+1)
+		if j == i+1 {
+			return start
+		}
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		j := i + 1
+		if j < len(b) && (b[j] == '+' || b[j] == '-') {
+			j++
+		}
+		k := digitsEnd(b, j)
+		if k == j {
+			return start
+		}
+		i = k
+	}
+	return i
+}
+
+// digitsEnd returns the index of the first non-digit at or after i.
+func digitsEnd(b []byte, i int) int {
+	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 // SSSPResult is the wire form of a serve.SSSPAnswer.
@@ -210,6 +340,90 @@ type BatchRequest struct {
 // BatchResponse is the aligned answer list of a batch.
 type BatchResponse struct {
 	Answers []*QueryResponse `json:"answers"`
+}
+
+// appendResponse appends r's JSON encoding, byte for byte what
+// encoding/json writes for it (without Encode's trailing newline). The
+// envelope and the sssp row are written by hand; the other kinds' small
+// payloads go through json.Marshal.
+func appendResponse(buf []byte, r *QueryResponse) ([]byte, error) {
+	if r == nil {
+		return append(buf, "null"...), nil
+	}
+	buf = append(buf, `{"kind":`...)
+	buf = appendString(buf, r.Kind)
+	if r.SSSP != nil {
+		buf = append(buf, `,"sssp":{"source":`...)
+		buf = strconv.AppendInt(buf, r.SSSP.Source, 10)
+		buf = append(buf, `,"dist":`...)
+		var err error
+		if buf, err = appendRow(buf, r.SSSP.Dist); err != nil {
+			return buf, err
+		}
+		buf = append(buf, '}')
+	}
+	for _, p := range [...]struct {
+		key string
+		v   any
+		set bool
+	}{
+		{`,"mst":`, r.MST, r.MST != nil},
+		{`,"mincut":`, r.MinCut, r.MinCut != nil},
+		{`,"twoecss":`, r.TwoECSS, r.TwoECSS != nil},
+		{`,"quality":`, r.Quality, r.Quality != nil},
+	} {
+		if !p.set {
+			continue
+		}
+		raw, err := json.Marshal(p.v)
+		if err != nil {
+			return buf, err
+		}
+		buf = append(append(buf, p.key...), raw...)
+	}
+	if r.Rounds != 0 {
+		buf = append(buf, `,"rounds":`...)
+		buf = strconv.AppendInt(buf, int64(r.Rounds), 10)
+	}
+	if r.Messages != 0 {
+		buf = append(buf, `,"messages":`...)
+		buf = strconv.AppendInt(buf, r.Messages, 10)
+	}
+	return append(buf, '}'), nil
+}
+
+// appendBatch appends a BatchResponse's JSON encoding, each answer through
+// appendResponse.
+func appendBatch(buf []byte, r *BatchResponse) ([]byte, error) {
+	if r.Answers == nil {
+		return append(buf, `{"answers":null}`...), nil
+	}
+	buf = append(buf, `{"answers":[`...)
+	for i, a := range r.Answers {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		var err error
+		if buf, err = appendResponse(buf, a); err != nil {
+			return buf, err
+		}
+	}
+	return append(buf, "]}"...), nil
+}
+
+// appendString appends s as a JSON string. Plain ASCII (every kind name) is
+// copied between quotes; anything encoding/json would escape goes through
+// json.Marshal, so the bytes always match it.
+func appendString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			raw, _ := json.Marshal(s) // a string always marshals
+			return append(buf, raw...)
+		}
+	}
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
 }
 
 // WireEdge is one edge insertion of a delta request.
