@@ -106,8 +106,7 @@ func (sn *Snapshot) metaBytes() []byte {
 	f64(sn.s.Params.P)
 	i64(int64(sn.s.Params.Reps))
 	f64(sn.s.Params.LogFactor)
-	_, _, _, acyclic := sn.ti.Raw()
-	u8(acyclic)
+	u8(true) // tree-index forest flag: every index is a forest; a stored 0 is corrupt
 	u8(sn.repair != nil)
 	var ri RepairInfo
 	if sn.repair != nil {
@@ -119,12 +118,10 @@ func (sn *Snapshot) metaBytes() []byte {
 	return b
 }
 
-// decodedMeta is the unpacked secMeta record plus the tree-index acyclic bit
-// that rides in it.
+// decodedMeta is the unpacked secMeta record.
 type decodedMeta struct {
 	sn        Snapshot // scalar fields only
 	params    shortcut.Params
-	tiAcyclic bool
 	hasRepair bool
 	repair    RepairInfo
 }
@@ -175,8 +172,12 @@ func decodeMeta(b []byte) (dm decodedMeta, err error) {
 	dm.params.P = f64()
 	dm.params.Reps = int(i64())
 	dm.params.LogFactor = f64()
-	if dm.tiAcyclic, err = u8(); err != nil {
+	forest, err := u8()
+	if err != nil {
 		return dm, err
+	}
+	if !forest {
+		return dm, reproerr.Errorf(op, reproerr.KindCorrupt, "tree index flagged as not a forest")
 	}
 	if dm.hasRepair, err = u8(); err != nil {
 		return dm, err
@@ -255,7 +256,7 @@ func (sn *Snapshot) WriteTo(w io.Writer) (int64, error) {
 
 	i32(secTree, sn.tree)
 
-	tiOff, tiTo, tiWt, _ := sn.ti.Raw()
+	tiOff, tiTo, tiWt := sn.ti.Raw()
 	i32(secTreeIdxOff, tiOff)
 	i32(secTreeIdxTo, tiTo)
 	f64(secTreeIdxWt, tiWt)
@@ -319,9 +320,10 @@ type LoadOptions struct {
 	// file being deleted or rewritten).
 	NoMmap bool
 	// SkipVerify skips section checksums and the O(n+m) structural scans,
-	// trusting the file completely — the fastest load, safe only for files
-	// this process (or an equally trusted builder) just wrote. A corrupt
-	// file loaded with SkipVerify can panic or serve wrong answers.
+	// trusting the file — the fastest load, safe only for files this
+	// process (or an equally trusted builder) just wrote. Only the tree
+	// index is still checked, as its rooted order is derived; any other
+	// corruption loaded with SkipVerify can panic or serve wrong answers.
 	SkipVerify bool
 	// Metrics records load observability into the registry: load counts by
 	// path (lcs_snapshot_load_total{path="mmap"|"heap"}), bytes loaded, and
@@ -394,7 +396,9 @@ func (sn *Snapshot) Mapped() bool { return sn.backing != nil && sn.backing.Mappe
 
 // snapshotFromFile assembles a Snapshot from a parsed container. Shape
 // checks (lengths, brackets) always run — they are O(1) per section and
-// keep even a trusted load panic-free on honest size mismatches. Unless
+// keep even a trusted load panic-free on honest size mismatches — and so
+// does sssp.RawTreeIndex's O(n) derivation of the tree's rooted order, which
+// checks every offset and target the warm walks index by. Unless
 // opts.SkipVerify, it additionally verifies every section checksum and runs
 // the deep O(n+m) structural scans that make arbitrary (fuzzed) bytes safe.
 func snapshotFromFile(f *snapio.File, opts LoadOptions) (*Snapshot, error) {
@@ -575,12 +579,12 @@ func snapshotFromFile(f *snapio.File, opts LoadOptions) (*Snapshot, error) {
 		return nil, corrupt("tree index: shape %d/%d/%d for n=%d t=%d",
 			len(tiOff), len(tiTo), len(tiWt), n, len(tree))
 	}
-	ti, tierr := sssp.RawTreeIndex(tiOff, tiTo, tiWt, dm.tiAcyclic)
+	ti, tierr := sssp.RawTreeIndex(tiOff, tiTo, tiWt)
 	if tierr != nil {
 		return nil, corrupt("tree index: %w", tierr)
 	}
 	if verify {
-		if verr := verifyTree(g, w, tree, ti, dm.tiAcyclic); verr != nil {
+		if verr := verifyTree(g, w, tree, ti); verr != nil {
 			return nil, verr
 		}
 	}
@@ -687,7 +691,7 @@ func verifyPartition(g *graph.Graph, parts []shortcut.Part, partOf []int32) erro
 // the tree index must describe the same forest over g with weights w —
 // exactly the invariants the warm query paths index on without further
 // checks.
-func verifyTree(g *graph.Graph, w graph.Weights, tree []graph.EdgeID, ti *sssp.TreeIndex, acyclic bool) error {
+func verifyTree(g *graph.Graph, w graph.Weights, tree []graph.EdgeID, ti *sssp.TreeIndex) error {
 	const op = "serve.LoadSnapshot"
 	corrupt := func(format string, args ...any) error {
 		return reproerr.Errorf(op, reproerr.KindCorrupt, format, args...)
@@ -709,21 +713,16 @@ func verifyTree(g *graph.Graph, w graph.Weights, tree []graph.EdgeID, ti *sssp.T
 	}
 	// The tree index must be the same adjacency: per node, the degree the
 	// tree edge list gives it, and each indexed arc a tree edge with the
-	// matching weight.
-	tiOff, tiTo, tiWt, _ := ti.Raw()
+	// matching weight. (RawTreeIndex already checked the offsets monotone
+	// and every target in range.)
+	tiOff, tiTo, tiWt := ti.Raw()
 	for u := int32(0); u < int32(g.NumNodes()); u++ {
 		lo, hi := tiOff[u], tiOff[u+1]
-		if lo > hi {
-			return corrupt("tree index: offsets not monotone at node %d", u)
-		}
 		if hi-lo != deg[u] {
 			return corrupt("tree index: node %d has degree %d, tree edge list gives %d", u, hi-lo, deg[u])
 		}
 		for a := lo; a < hi; a++ {
 			v := tiTo[a]
-			if v < 0 || int(v) >= g.NumNodes() {
-				return corrupt("tree index: arc %d: target %d out of range", a, v)
-			}
 			e, ok := g.FindEdge(u, v)
 			if !ok || !inTree.Has(e) {
 				return corrupt("tree index: arc %d: {%d,%d} is not a tree edge", a, u, v)
@@ -733,8 +732,7 @@ func verifyTree(g *graph.Graph, w graph.Weights, tree []graph.EdgeID, ti *sssp.T
 			}
 		}
 	}
-	// Recount acyclicity, so a loaded index never carries a flag its edges
-	// contradict.
+	// Recount acyclicity over the edge list itself.
 	uf := make([]int32, g.NumNodes())
 	for i := range uf {
 		uf[i] = int32(i)
@@ -746,18 +744,13 @@ func verifyTree(g *graph.Graph, w graph.Weights, tree []graph.EdgeID, ti *sssp.T
 		}
 		return x
 	}
-	isForest := true
 	for _, e := range tree {
 		u, v := g.EdgeEndpoints(e)
 		ru, rv := find(u), find(v)
 		if ru == rv {
-			isForest = false
-			break
+			return corrupt("tree: edge %d closes a cycle", e)
 		}
 		uf[ru] = rv
-	}
-	if isForest != acyclic {
-		return corrupt("tree index: stored acyclic=%v, recount says %v", acyclic, isForest)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -14,6 +15,8 @@ import (
 	"repro/internal/graph"
 	"repro/internal/reproerr"
 	"repro/internal/serve"
+	"repro/internal/snapio"
+	"repro/internal/sssp"
 	"repro/internal/twoecss"
 )
 
@@ -306,6 +309,46 @@ func TestPersistCorruption(t *testing.T) {
 		t.Fatal("absent file accepted")
 	} else if !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("absent file: %v does not wrap ErrNotExist", err)
+	}
+}
+
+// TestPersistSkipVerifyCorruptTreeIndex loads, with SkipVerify, a file
+// whose tree-index target section names a node past n. No checksum or deep
+// scan runs on that path, so the tree index's own load-time checks must
+// turn the file away with a typed KindCorrupt error — before a warm walk
+// could index out of range.
+func TestPersistSkipVerifyCorruptTreeIndex(t *testing.T) {
+	sn, g, _ := persistFixture(t, 0, 240, 0, 1800)
+	var buf bytes.Buffer
+	if _, err := sn.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	// The persisted targets are the CSR NewTreeIndex derives from the
+	// snapshot's own tree; find that section's bytes in the file.
+	ti, err := sssp.NewTreeIndex(g, sn.Weights(), sn.Tree())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, to, _ := ti.Raw()
+	targets := snapio.Int32Bytes(to)
+	at := bytes.Index(raw, targets)
+	if at < 0 || bytes.LastIndex(raw, targets) != at {
+		t.Fatalf("tree-index target section not found exactly once (at %d)", at)
+	}
+	binary.LittleEndian.PutUint32(raw[at:], uint32(g.NumNodes()+5))
+	path := filepath.Join(t.TempDir(), "corrupt.lcsnap")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := serve.LoadSnapshot(path, serve.LoadOptions{SkipVerify: true})
+	if err == nil {
+		loaded.Close()
+		t.Fatal("SkipVerify load accepted an out-of-range tree-index target")
+	}
+	var e *reproerr.Error
+	if !errors.As(err, &e) || e.Kind != reproerr.KindCorrupt {
+		t.Fatalf("err = %v, want a KindCorrupt *reproerr.Error", err)
 	}
 }
 

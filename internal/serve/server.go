@@ -75,7 +75,7 @@ type Server struct {
 // hold no snapshot state: buffers grow to whatever graph the pinned
 // snapshot has, so the pool survives any number of epoch swaps.
 type executor struct {
-	treeScratch sssp.TreeScratch // warm SSSP walk buffers
+	treeScratch sssp.TreeScratch // warm SSSP root-path stack, O(tree depth)
 
 	// Batch-group scratch (see batch.go): the per-root dedup marks
 	// (all-zero outside an active group), each slot's first occurrence of

@@ -9,15 +9,18 @@
 // query-serving system:
 //
 //   - Snapshot: an immutable bundle of graph + weights + partition +
-//     constructed Shortcuts + the derived shortcut-MST and its query index,
-//     built once and shared read-only by any number of concurrent readers.
-//   - Server: a pool of per-worker executor contexts (sssp.TreeScratch walk
-//     buffers and batch dedup scratch) answering typed queries — SSSPQuery,
-//     MSTQuery, MinCutQuery, TwoECSSQuery, QualityQuery — concurrently, each
-//     answer bit-identical to its single-threaded counterpart.
+//     constructed Shortcuts + the derived shortcut-MST and its query index
+//     (the tree's CSR plus a rooted BFS order, derived at build and again on
+//     load), built once and shared read-only by any number of concurrent
+//     readers.
+//   - Server: a pool of per-worker executor contexts (the sssp.TreeScratch
+//     root-path stack and batch dedup scratch) answering typed queries —
+//     SSSPQuery, MSTQuery, MinCutQuery, TwoECSSQuery, QualityQuery —
+//     concurrently, each answer bit-identical to its single-threaded
+//     counterpart.
 //   - ServeBatch: batched submission on one executor and one pinned
 //     snapshot; its SSSP queries are deduplicated by root, and each
-//     distinct root runs one warm tree walk.
+//     distinct root runs one warm sweep over the tree's rooted order.
 //
 // See DESIGN.md "Serving architecture" for the immutability and ownership
 // arguments.
@@ -83,7 +86,7 @@ type Snapshot struct {
 
 	tree       []graph.EdgeID // the shortcut-MST, derived once
 	treeWeight float64
-	ti         *sssp.TreeIndex // CSR tree adjacency, for warm SSSP walks
+	ti         *sssp.TreeIndex // CSR tree adjacency and rooted order, for warm SSSP walks
 
 	diameter       int
 	logFactor      float64

@@ -129,9 +129,10 @@ func TreeApprox(g *graph.Graph, w graph.Weights, src graph.NodeID, opts TreeOpti
 	if err != nil {
 		return nil, reproerr.Errorf(op, reproerr.KindOf(err), "%w", err)
 	}
-	// Distances within the tree from src (centralized walk over the tree;
-	// distributedly this is one upcast/downcast over the tree, charged as
-	// the tree's depth in rounds below).
+	// Distances within the tree from src: one centralized sweep over the
+	// tree's rooted order (src's root path upward, then every other node
+	// from its parent), the shape of the upcast/downcast that TreeServeCost
+	// charges below as quality-bounded prefix-sum phases.
 	ti, err := NewTreeIndex(g, w, mres.Tree)
 	if err != nil {
 		return nil, err

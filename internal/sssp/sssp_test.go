@@ -8,6 +8,7 @@ import (
 	"repro/internal/congest"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/reproerr"
 )
 
 func TestDijkstraPath(t *testing.T) {
@@ -150,9 +151,9 @@ func TestStretch(t *testing.T) {
 	}
 }
 
-// TestTreeIndexAcyclic pins the forest check behind the index's persisted
-// acyclic flag: forests (including partial ones) are acyclic, anything with
-// a cycle or a duplicate edge is not.
+// TestTreeIndexAcyclic pins NewTreeIndex's forest contract: forests
+// (including partial ones) are indexed, anything with a cycle or a
+// duplicate edge is rejected with KindInvalidInput.
 func TestTreeIndexAcyclic(t *testing.T) {
 	g, err := graph.FromEdges(4, [][2]graph.NodeID{{0, 1}, {1, 2}, {2, 3}, {3, 0}})
 	if err != nil {
@@ -162,7 +163,7 @@ func TestTreeIndexAcyclic(t *testing.T) {
 	cases := []struct {
 		name string
 		tree []graph.EdgeID
-		want bool
+		ok   bool
 	}{
 		{"spanning tree", []graph.EdgeID{0, 1, 2}, true},
 		{"partial forest", []graph.EdgeID{0, 2}, true},
@@ -171,12 +172,12 @@ func TestTreeIndexAcyclic(t *testing.T) {
 		{"duplicate edge", []graph.EdgeID{0, 0}, false},
 	}
 	for _, tc := range cases {
-		ti, err := NewTreeIndex(g, w, tc.tree)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if _, _, _, got := ti.Raw(); got != tc.want {
-			t.Errorf("%s: acyclic = %v, want %v", tc.name, got, tc.want)
+		_, err := NewTreeIndex(g, w, tc.tree)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case !tc.ok && reproerr.KindOf(err) != reproerr.KindInvalidInput:
+			t.Errorf("%s: err = %v, want KindInvalidInput", tc.name, err)
 		}
 	}
 }

@@ -1,12 +1,14 @@
 package sssp
 
 import (
+	"sort"
+
 	"repro/internal/graph"
 	"repro/internal/reproerr"
 )
 
-// TreeIndex is the immutable, query-reentrant form of a spanning tree: the
-// tree's adjacency in CSR form with per-arc weights, built once (e.g. at
+// TreeIndex is the immutable, query-reentrant form of a spanning forest: the
+// forest's adjacency in CSR form with per-arc weights, built once (e.g. at
 // snapshot-build time in the serving layer) and then shared read-only by any
 // number of concurrent per-source distance queries. It is the prebuilt state
 // TreeApprox derives internally on every call; serving builds it once and
@@ -16,18 +18,30 @@ type TreeIndex struct {
 	to  []graph.NodeID
 	wt  []float64
 
-	acyclic bool // the indexed edges form a forest (checked once at build)
+	// Rooted BFS order of every component, derived from the CSR once and
+	// never persisted. Position i holds node ord[i], whose parent is par[i]
+	// (-1 at a root) across an edge of weight pw[i]; pos inverts ord. Each
+	// component occupies a contiguous run of positions that starts at its
+	// root, its smallest node ID; comp lists the runs' start positions,
+	// then n.
+	ord  []graph.NodeID
+	pos  []int32
+	par  []graph.NodeID
+	pw   []float64
+	comp []int32
 }
 
-// NewTreeIndex indexes the given tree edges of g under weights w. Edges are
-// not validated beyond ID range; callers pass a spanning tree or forest
-// produced by the MST machinery.
+// NewTreeIndex indexes the given tree edges of g under weights w. The edges
+// must form a forest (callers pass a spanning tree or forest produced by the
+// MST machinery); a cycle or a repeated edge is rejected with
+// KindInvalidInput.
 func NewTreeIndex(g *graph.Graph, w graph.Weights, tree []graph.EdgeID) (*TreeIndex, error) {
+	const op = "sssp.NewTreeIndex"
 	n := g.NumNodes()
 	ti := &TreeIndex{off: make([]int32, n+1)}
 	for _, e := range tree {
 		if e < 0 || int(e) >= g.NumEdges() {
-			return nil, reproerr.Invalid("sssp.NewTreeIndex", "tree edge %d out of range", e)
+			return nil, reproerr.Invalid(op, "tree edge %d out of range", e)
 		}
 		u, v := g.EdgeEndpoints(e)
 		ti.off[u+1]++
@@ -39,9 +53,7 @@ func NewTreeIndex(g *graph.Graph, w graph.Weights, tree []graph.EdgeID) (*TreeIn
 	ti.to = make([]graph.NodeID, 2*len(tree))
 	ti.wt = make([]float64, 2*len(tree))
 	cursor := make([]int32, n)
-	for i := range cursor {
-		cursor[i] = ti.off[i]
-	}
+	copy(cursor, ti.off)
 	for _, e := range tree {
 		u, v := g.EdgeEndpoints(e)
 		ti.to[cursor[u]], ti.wt[cursor[u]] = v, w[e]
@@ -49,31 +61,69 @@ func NewTreeIndex(g *graph.Graph, w graph.Weights, tree []graph.EdgeID) (*TreeIn
 		ti.to[cursor[v]], ti.wt[cursor[v]] = u, w[e]
 		cursor[v]++
 	}
-	// Acyclicity check (union-find with path halving), reusing the cursor
-	// scratch. The flag is persisted with the index (see Raw), and the
-	// snapshot loader recounts it before trusting a loaded file.
-	uf := cursor
-	for i := range uf {
-		uf[i] = int32(i)
-	}
-	find := func(x int32) int32 {
-		for uf[x] != x {
-			uf[x] = uf[uf[x]]
-			x = uf[x]
-		}
-		return x
-	}
-	ti.acyclic = true
-	for _, e := range tree {
-		u, v := g.EdgeEndpoints(e)
-		ru, rv := find(int32(u)), find(int32(v))
-		if ru == rv {
-			ti.acyclic = false
-			break
-		}
-		uf[ru] = rv
+	if err := ti.deriveOrder(op); err != nil {
+		return nil, err
 	}
 	return ti, nil
+}
+
+// deriveOrder fills the rooted BFS order from the CSR, checking on the way
+// everything DistancesInto indexes by: monotone offsets, targets in [0,n),
+// and that the arcs are exactly those of an undirected forest — each
+// non-root node lists its parent once, and every other arc reaches an
+// unvisited node. A cycle, a repeated edge, a self-loop or an arc without its
+// reverse fails with KindInvalidInput. off must already run from 0 to
+// len(to).
+func (ti *TreeIndex) deriveOrder(op string) error {
+	n := len(ti.off) - 1
+	for u := 0; u < n; u++ {
+		if ti.off[u] > ti.off[u+1] {
+			return reproerr.Invalid(op, "offsets not monotone at node %d", u)
+		}
+	}
+	ti.ord = make([]graph.NodeID, n)
+	ti.pos = make([]int32, n)
+	ti.par = make([]graph.NodeID, n)
+	ti.pw = make([]float64, n)
+	for i := range ti.pos {
+		ti.pos[i] = -1
+	}
+	next := int32(0)
+	place := func(v, parent graph.NodeID, w float64) {
+		ti.pos[v] = next
+		ti.ord[next], ti.par[next], ti.pw[next] = v, parent, w
+		next++
+	}
+	for r := graph.NodeID(0); int(r) < n; r++ {
+		if ti.pos[r] >= 0 {
+			continue
+		}
+		ti.comp = append(ti.comp, next)
+		head := next
+		place(r, -1, 0)
+		for ; head < next; head++ {
+			u, p := ti.ord[head], ti.par[head]
+			parentSeen := p < 0
+			for a := ti.off[u]; a < ti.off[u+1]; a++ {
+				v := ti.to[a]
+				switch {
+				case v < 0 || int(v) >= n:
+					return reproerr.Invalid(op, "arc %d: target %d out of range [0,%d)", a, v, n)
+				case v == p && !parentSeen:
+					parentSeen = true
+				case ti.pos[v] >= 0:
+					return reproerr.Invalid(op, "not a forest: arc %d {%d,%d} closes a cycle", a, u, v)
+				default:
+					place(v, u, ti.wt[a])
+				}
+			}
+			if !parentSeen {
+				return reproerr.Invalid(op, "not a forest: node %d lists no arc back to its parent %d", u, p)
+			}
+		}
+	}
+	ti.comp = append(ti.comp, int32(n))
+	return nil
 }
 
 // NumNodes returns the node count of the indexed graph.
@@ -82,18 +132,22 @@ func (ti *TreeIndex) NumNodes() int { return len(ti.off) - 1 }
 // NumTreeEdges returns the number of indexed tree edges.
 func (ti *TreeIndex) NumTreeEdges() int { return len(ti.to) / 2 }
 
-// TreeScratch holds the reusable per-executor buffers of DistancesInto. The
-// zero value is ready to use; reusing one across queries makes the warm path
-// allocation-free. A TreeScratch must not be used concurrently.
+// TreeScratch holds the reusable per-executor buffer of DistancesInto: the
+// stack of positions on the source's path to its root, O(depth) entries.
+// The zero value is ready to use; reusing one across queries makes the warm
+// path allocation-free. A TreeScratch must not be used concurrently.
 type TreeScratch struct {
-	hops  []int32
-	queue []graph.NodeID
+	path []int32
 }
 
 // DistancesInto computes the weighted within-tree distances from src into
 // dst (grown to NumNodes, reusing capacity) and returns it. Nodes outside
 // src's tree component get Infinite. With a warm scratch and sufficient dst
 // capacity the walk performs zero allocations.
+//
+// Every entry is one float64 addition, dst[u] + w(u,v) with u the neighbour
+// of v toward src — the same addition, on the same operands, as a BFS from
+// src over the tree — so rows are bit-identical to that BFS.
 func (ti *TreeIndex) DistancesInto(dst []float64, src graph.NodeID, sc *TreeScratch) ([]float64, error) {
 	n := ti.NumNodes()
 	if src < 0 || int(src) >= n {
@@ -103,48 +157,68 @@ func (ti *TreeIndex) DistancesInto(dst []float64, src graph.NodeID, sc *TreeScra
 		dst = make([]float64, n)
 	}
 	dst = dst[:n]
-	if cap(sc.hops) < n {
-		sc.hops = make([]int32, n)
-	}
-	sc.hops = sc.hops[:n]
-	if cap(sc.queue) < n {
-		sc.queue = make([]graph.NodeID, 0, n)
-	}
-	sc.queue = sc.queue[:0]
-	for i := 0; i < n; i++ {
-		dst[i] = Infinite
-		sc.hops[i] = -1
-	}
+	ord, par, pw := ti.ord, ti.par, ti.pw
+
+	// (1) Walk from src up to its root: there the neighbour toward src is
+	// the child below, so each ancestor is one edge farther than its child.
+	p := ti.pos[src]
 	dst[src] = 0
-	sc.hops[src] = 0
-	sc.queue = append(sc.queue, src)
-	for head := 0; head < len(sc.queue); head++ {
-		u := sc.queue[head]
-		for a := ti.off[u]; a < ti.off[u+1]; a++ {
-			v := ti.to[a]
-			if sc.hops[v] == -1 {
-				sc.hops[v] = sc.hops[u] + 1
-				dst[v] = dst[u] + ti.wt[a]
-				sc.queue = append(sc.queue, v)
-			}
+	path := append(sc.path[:0], p)
+	for par[p] >= 0 {
+		u := par[p]
+		dst[u] = dst[ord[p]] + pw[p]
+		p = ti.pos[u]
+		path = append(path, p)
+	}
+	sc.path = path
+	lo, hi := p, ti.compEnd(p)
+
+	// (2) One forward pass over the component in BFS order. Off the root
+	// path the neighbour toward src is the parent, which precedes its
+	// children, so each node is one edge farther than its parent. The path
+	// positions (ascending from the root when read backwards) are already
+	// written; the pass covers the gaps between them.
+	for j := len(path) - 1; j >= 0; j-- {
+		end := hi
+		if j > 0 {
+			end = path[j-1]
 		}
+		a := path[j] + 1
+		o, pr, w := ord[a:end], par[a:end], pw[a:end]
+		for i, v := range o {
+			dst[v] = dst[pr[i]] + w[i]
+		}
+	}
+	for _, v := range ord[:lo] {
+		dst[v] = Infinite
+	}
+	for _, v := range ord[hi:] {
+		dst[v] = Infinite
 	}
 	return dst, nil
 }
 
-// Raw returns the index's internal arrays (tree CSR offsets, arc targets,
-// arc weights) and the acyclicity flag, as shared read-only slices for
-// zero-copy persistence.
-func (ti *TreeIndex) Raw() (off []int32, to []graph.NodeID, wt []float64, acyclic bool) {
-	return ti.off, ti.to, ti.wt, ti.acyclic
+// compEnd returns the end position of the component whose root sits at
+// position lo.
+func (ti *TreeIndex) compEnd(lo int32) int32 {
+	c := ti.comp
+	return c[sort.Search(len(c), func(k int) bool { return c[k] > lo })]
+}
+
+// Raw returns the index's persisted arrays (tree CSR offsets, arc targets,
+// arc weights) as shared read-only slices for zero-copy persistence. The
+// rooted order is not among them: RawTreeIndex derives it again on load.
+func (ti *TreeIndex) Raw() (off []int32, to []graph.NodeID, wt []float64) {
+	return ti.off, ti.to, ti.wt
 }
 
 // RawTreeIndex reassembles a TreeIndex around previously built arrays
-// without copying or re-deriving the acyclicity flag — the persistence load
-// path. The caller is responsible for structural validity (the snapshot
-// loader verifies the CSR shape, ID ranges, and that acyclic matches a
-// union-find recount before trusting the index).
-func RawTreeIndex(off []int32, to []graph.NodeID, wt []float64, acyclic bool) (*TreeIndex, error) {
+// without copying them — the persistence load path. It checks the CSR's
+// shape and derives the rooted order with checked offsets and targets, so a
+// malformed or cyclic index fails here with KindInvalidInput instead of
+// faulting a later walk. Agreement with a graph (each arc a tree edge of the
+// right weight) is the snapshot loader's verification.
+func RawTreeIndex(off []int32, to []graph.NodeID, wt []float64) (*TreeIndex, error) {
 	const op = "sssp.RawTreeIndex"
 	if len(off) < 1 {
 		return nil, reproerr.Invalid(op, "offsets empty (need n+1 entries)")
@@ -155,5 +229,9 @@ func RawTreeIndex(off []int32, to []graph.NodeID, wt []float64, acyclic bool) (*
 	if off[0] != 0 || int(off[len(off)-1]) != len(to) {
 		return nil, reproerr.Invalid(op, "offsets do not bracket %d arcs", len(to))
 	}
-	return &TreeIndex{off: off, to: to, wt: wt, acyclic: acyclic}, nil
+	ti := &TreeIndex{off: off, to: to, wt: wt}
+	if err := ti.deriveOrder(op); err != nil {
+		return nil, err
+	}
+	return ti, nil
 }
