@@ -33,11 +33,6 @@ import (
 // over. Close is safe on any snapshot (built ones are no-ops) and must not
 // race in-flight queries — retire the snapshot from its Store first.
 
-// LoadOptions re-exports the serving layer's load knobs for callers that
-// use serve directly; the facade entry points derive them from WithMmap and
-// WithSnapshotVerify.
-type LoadOptions = serve.LoadOptions
-
 // SaveSnapshot writes snap to path in the versioned binary snapshot format,
 // atomically: the bytes stream through a temp file in path's directory and
 // rename into place, so a crashed save never leaves a torn file where a

@@ -55,15 +55,13 @@ func BuildShortcutsDistributedCtx(ctx context.Context, g *Graph, p *Partition, o
 		return nil, err
 	}
 	return shortcut.BuildDistributed(g, p, shortcut.DistOptions{
-		Rng:                 cfg.rng(),
-		LogFactor:           cfg.SamplingBoost,
-		Reps:                cfg.Reps,
-		Workers:             cfg.Workers,
-		DepthFactor:         cfg.DepthFactor,
-		KnownDiameter:       cfg.KnownDiameter,
-		MaxRounds:           cfg.MaxRounds,
-		CongestionCapFactor: cfg.CongestionCap,
-		Ctx:                 ctx,
+		Rng:           cfg.rng(),
+		LogFactor:     cfg.SamplingBoost,
+		Reps:          cfg.Reps,
+		Workers:       cfg.Workers,
+		KnownDiameter: cfg.KnownDiameter,
+		MaxRounds:     cfg.MaxRounds,
+		Ctx:           ctx,
 	})
 }
 
@@ -115,15 +113,13 @@ func MSTDistributedCtx(ctx context.Context, g *Graph, w Weights, opts ...Option)
 
 func (c *Config) mstOptions(ctx context.Context) mst.DistOptions {
 	return mst.DistOptions{
-		Rng:                  c.rng(),
-		Diameter:             c.Diameter,
-		LogFactor:            c.SamplingBoost,
-		Baseline:             c.Baseline,
-		SimulateConstruction: c.SimulateConstruction,
-		Workers:              c.Workers,
-		DepthFactor:          c.DepthFactor,
-		MaxRounds:            c.MaxRounds,
-		Ctx:                  ctx,
+		Rng:       c.rng(),
+		Diameter:  c.Diameter,
+		LogFactor: c.SamplingBoost,
+		Baseline:  c.Baseline,
+		Workers:   c.Workers,
+		MaxRounds: c.MaxRounds,
+		Ctx:       ctx,
 	}
 }
 
@@ -229,22 +225,20 @@ func NewSnapshotCtx(ctx context.Context, g *Graph, w Weights, parts [][]NodeID, 
 		return nil, err
 	}
 	return serve.NewSnapshot(g, w, parts, serve.SnapshotOptions{
-		Rng:            cfg.rng(),
-		Diameter:       cfg.Diameter,
-		LogFactor:      cfg.SamplingBoost,
-		Workers:        cfg.Workers,
-		DilationCutoff: cfg.DilationCutoff,
-		MaxRounds:      cfg.MaxRounds,
-		Ctx:            ctx,
+		Rng:       cfg.rng(),
+		Diameter:  cfg.Diameter,
+		LogFactor: cfg.SamplingBoost,
+		Workers:   cfg.Workers,
+		MaxRounds: cfg.MaxRounds,
+		Ctx:       ctx,
 	})
 }
 
 // NewServerV2 builds a server over snap from functional options
-// (WithExecutors, WithSeed / WithServerSeed, WithMetrics,
-// WithProfileLabels). The server's context-first query methods — ServeCtx,
-// ServeBatchCtx, ServeSSSPIntoCtx — gate executor checkout on the context
-// and check it during execution; a canceled query leaves the pool fully
-// usable.
+// (WithExecutors, WithSeed / WithServerSeed, WithMetrics). The server's
+// context-first query methods — ServeCtx, ServeBatchCtx, ServeSSSPIntoCtx —
+// gate executor checkout on the context and check it during execution; a
+// canceled query leaves the pool fully usable.
 func NewServerV2(snap *Snapshot, opts ...Option) (*Server, error) {
 	cfg, err := NewConfig(opts...)
 	if err != nil {
@@ -255,11 +249,9 @@ func NewServerV2(snap *Snapshot, opts ...Option) (*Server, error) {
 
 func (c *Config) serverOptions() serve.ServerOptions {
 	return serve.ServerOptions{
-		Executors:     c.Executors,
-		Seed:          c.serverSeed(),
-		Metrics:       c.Metrics,
-		TraceDepth:    c.TraceDepth,
-		ProfileLabels: c.ProfileLabels,
+		Executors: c.Executors,
+		Seed:      c.serverSeed(),
+		Metrics:   c.Metrics,
 	}
 }
 
@@ -343,11 +335,10 @@ func ApplyDeltaCtx(ctx context.Context, snap *Snapshot, delta Delta, opts ...Opt
 }
 
 // NewStoreServerV2 builds a server over a store from functional options
-// (WithExecutors, WithSeed / WithServerSeed, WithMetrics,
-// WithProfileLabels): every query is answered against the store's snapshot
-// current at that query's executor checkout, with the epoch pinned until
-// the answer is extracted — a concurrent Store.Swap never tears an answer
-// or a batch.
+// (WithExecutors, WithSeed / WithServerSeed, WithMetrics): every query is
+// answered against the store's snapshot current at that query's executor
+// checkout, with the epoch pinned until the answer is extracted — a
+// concurrent Store.Swap never tears an answer or a batch.
 func NewStoreServerV2(store *Store, opts ...Option) (*Server, error) {
 	cfg, err := NewConfig(opts...)
 	if err != nil {

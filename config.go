@@ -22,6 +22,13 @@ import (
 // Zero values mean "use the entry point's default". Options that do not
 // apply to an entry point are ignored by it (WithExecutors on a shortcut
 // build, say), so one option list can drive a whole pipeline.
+//
+// The vocabulary holds the paper's parameters and ablation knobs (Reps,
+// Radius, Eps, SamplingBoost, Baseline, …), deployment settings
+// (Executors, QueueDepth, RequestTimeout, …) and execution controls
+// (Workers, MaxRounds, Metrics, …). The construction's own constants —
+// the BFS truncation depth factor, the congestion cap, the snapshot's
+// dilation cutoff — are fixed where they are used, not options.
 type Config struct {
 	// Workers selects execution parallelism for the CONGEST engine and the
 	// scheduler drain: 0/1 sequential, k > 1 a k-worker sharded pool,
@@ -45,21 +52,14 @@ type Config struct {
 	// SamplingBoost scales the log n term of the sampling probability
 	// (0 = the paper's constant 1.0).
 	SamplingBoost float64
-	// Reps is the number of sampling repetitions (0 = the paper's D).
-	Reps int
-	// DepthFactor scales the scheduled BFS truncation depth (0 = 2);
-	// CongestionCap scales the distributed construction's enforcement
-	// threshold (0 = 6); Radius restricts the local variant's sampling
-	// horizon (0 = ⌈D/2⌉).
-	DepthFactor   float64
-	CongestionCap float64
-	Radius        int
+	// Reps is the number of sampling repetitions (0 = the paper's D);
+	// Radius restricts the local variant's sampling horizon (0 = ⌈D/2⌉).
+	Reps   int
+	Radius int
 	// Baseline selects GH16 baseline shortcuts inside the distributed MST;
-	// SimulateConstruction additionally simulates the per-phase shortcut
-	// construction; DistributedAccounting charges simulated rounds in the
-	// min-cut / 2-ECSS reductions.
+	// DistributedAccounting charges simulated rounds in the min-cut /
+	// 2-ECSS reductions.
 	Baseline              bool
-	SimulateConstruction  bool
 	DistributedAccounting bool
 	// Tree supplies a prebuilt spanning tree (a snapshot's shortcut-MST):
 	// 2-ECSS skips its tree phase, min cut uses it as packed tree #1.
@@ -68,9 +68,6 @@ type Config struct {
 	// ServerSeed derives per-query randomness (0 = from Seed, else 1).
 	Executors  int
 	ServerSeed int64
-	// DilationCutoff bounds the exact per-part dilation computation in
-	// snapshot builds (0 = default 3000; negative = always exact).
-	DilationCutoff int
 	// NoMmap forces snapshot loads onto the portable heap read instead of
 	// the zero-copy mmap fast path; SkipSnapshotVerify skips checksum and
 	// structural verification on load (trusted artifacts only). Zero values
@@ -78,12 +75,8 @@ type Config struct {
 	NoMmap             bool
 	SkipSnapshotVerify bool
 	// Metrics attaches an observability registry (WithMetrics) to servers,
-	// stores, and snapshot loads; nil = uninstrumented. TraceDepth sizes
-	// the registry's query-trace ring on first registration (0 = default);
-	// ProfileLabels wraps executor execution in runtime/pprof labels.
-	Metrics       *obs.Registry
-	TraceDepth    int
-	ProfileLabels bool
+	// stores, and snapshot loads; nil = uninstrumented.
+	Metrics *obs.Registry
 	// QueueDepth and RequestTimeout configure the gateway front end
 	// (NewGateway): admission capacity before shedding and the default
 	// per-request deadline. Zero values are the gateway defaults:
@@ -160,11 +153,13 @@ func WithMaxRounds(n int) Option {
 	}
 }
 
-// WithEps tightens the min-cut approximation (see Config.Eps).
+// WithEps tightens the min-cut approximation (see Config.Eps). The packed
+// tree count grows as 1/eps, so only 0 or a finite eps ≥ 0.01 is valid —
+// the same rule the serving layer and the gateway apply to MinCutQuery.
 func WithEps(eps float64) Option {
 	return func(c *Config) {
-		if !(eps >= 0) { // NaN fails too
-			c.fail("eps %v is not >= 0", eps)
+		if err := mincut.CheckEps(eps); err != nil {
+			c.fail("%v", err)
 			return
 		}
 		c.Eps = eps
@@ -205,29 +200,6 @@ func WithReps(n int) Option {
 	}
 }
 
-// WithDepthFactor scales the scheduled BFS truncation depth (0 = 2).
-func WithDepthFactor(f float64) Option {
-	return func(c *Config) {
-		if !(f >= 0) { // NaN fails too
-			c.fail("depth factor %v is not >= 0", f)
-			return
-		}
-		c.DepthFactor = f
-	}
-}
-
-// WithCongestionCap scales the distributed construction's congestion
-// enforcement threshold (0 = 6).
-func WithCongestionCap(f float64) Option {
-	return func(c *Config) {
-		if !(f >= 0) { // NaN fails too
-			c.fail("congestion cap %v is not >= 0", f)
-			return
-		}
-		c.CongestionCap = f
-	}
-}
-
 // WithRadius restricts the local variant's sampling horizon (0 = ⌈D/2⌉).
 func WithRadius(r int) Option {
 	return func(c *Config) {
@@ -242,12 +214,6 @@ func WithRadius(r int) Option {
 // WithBaseline selects the GH16 O(D+√n) baseline shortcuts inside the
 // distributed MST (experiment E6's comparison arm).
 func WithBaseline(on bool) Option { return func(c *Config) { c.Baseline = on } }
-
-// WithSimulatedConstruction additionally simulates the distributed shortcut
-// construction every MST phase (full round accounting, slower).
-func WithSimulatedConstruction(on bool) Option {
-	return func(c *Config) { c.SimulateConstruction = on }
-}
 
 // WithDistributedAccounting charges simulated rounds in the min-cut /
 // 2-ECSS reductions by computing each tree through the distributed
@@ -274,10 +240,6 @@ func WithExecutors(n int) Option {
 // WithSeed when given, else the server default).
 func WithServerSeed(seed int64) Option { return func(c *Config) { c.ServerSeed = seed } }
 
-// WithDilationCutoff bounds the exact per-part dilation computation in
-// snapshot builds (negative = always exact).
-func WithDilationCutoff(n int) Option { return func(c *Config) { c.DilationCutoff = n } }
-
 // WithMmap toggles the zero-copy mmap fast path on snapshot loads (on by
 // default). Passing false forces the portable heap read — same snapshot,
 // no file mapping held open.
@@ -300,25 +262,6 @@ func WithSnapshotVerify(on bool) Option {
 // free. All instrument writes are atomic arithmetic on preallocated state:
 // the warm serve paths keep their 0 allocs/op with metrics attached.
 func WithMetrics(reg *Metrics) Option { return func(c *Config) { c.Metrics = reg } }
-
-// WithTraceDepth sizes the registry's bounded query-trace ring on first
-// registration (0 = the obs default, 1024 records). Only meaningful
-// together with WithMetrics.
-func WithTraceDepth(n int) Option {
-	return func(c *Config) {
-		if n < 0 {
-			c.fail("trace depth %d < 0", n)
-			return
-		}
-		c.TraceDepth = n
-	}
-}
-
-// WithProfileLabels wraps a server's executor execution in runtime/pprof
-// labels (query_kind) so CPU profiles attribute samples per query kind.
-// Off by default: the labeled context allocates per query, so enabling it
-// trades the warm paths' 0 allocs/op for attribution.
-func WithProfileLabels(on bool) Option { return func(c *Config) { c.ProfileLabels = on } }
 
 // WithQueueDepth caps a gateway's admission pool: the number of requests
 // admitted at once. Requests beyond it are shed immediately with 429 /

@@ -11,6 +11,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/graph"
+	"repro/internal/mincut"
 	"repro/internal/reproerr"
 	"repro/internal/serve"
 )
@@ -20,11 +21,6 @@ import (
 // 16 MiB leaves generous headroom while keeping a hostile body from
 // ballooning the decoder.
 const maxBodyBytes = 16 << 20
-
-// minMinCutEps floors the mincut approximation knob on the wire: the
-// packed tree count is DefaultTrees(n)/eps, so accepting arbitrarily small
-// positive eps would let one request buy unbounded work.
-const minMinCutEps = 0.01
 
 // QueryRequest is the JSON body of POST /v1/query and each element of a
 // batch request. Kind selects the query family; the other fields are
@@ -55,13 +51,10 @@ func (q *QueryRequest) toQuery() (serve.Query, error) {
 	case "mst":
 		return serve.MSTQuery{}, nil
 	case "mincut":
-		if q.Eps < 0 || math.IsNaN(q.Eps) || math.IsInf(q.Eps, 0) {
-			return nil, reproerr.Invalid(op, "eps %v must be a finite value >= 0", q.Eps)
-		}
 		// The packed tree count grows as 1/eps, so an arbitrarily small eps
-		// is an arbitrarily expensive request — the wire surface floors it.
-		if q.Eps > 0 && q.Eps < minMinCutEps {
-			return nil, reproerr.Invalid(op, "eps %v below the serving floor %v (tree count grows as 1/eps; use 0 for the default packing)", q.Eps, minMinCutEps)
+		// is an arbitrarily expensive request: mincut.CheckEps floors it.
+		if err := mincut.CheckEps(q.Eps); err != nil {
+			return nil, reproerr.Invalid(op, "%v", err)
 		}
 		return serve.MinCutQuery{Eps: q.Eps}, nil
 	case "twoecss":

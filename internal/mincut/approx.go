@@ -2,6 +2,7 @@ package mincut
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -69,10 +70,27 @@ func DefaultTrees(n int) int {
 	return k
 }
 
+// MinEps is the smallest positive approximation knob ε CheckEps accepts.
+// The packed-tree count grows as 1/ε, so an arbitrarily small ε buys
+// unbounded work, and far enough below this floor the count overflows int.
+const MinEps = 0.01
+
+// CheckEps validates an approximation knob ε: 0 (the default packing) or a
+// finite value ≥ MinEps. NaN, ±Inf, negative and too-small values fail. It
+// is the one rule behind the facade's WithEps, the serving layer's
+// MinCutQuery.Eps and the gateway's decode; callers wrap the error in
+// their own operation's KindInvalidInput.
+func CheckEps(eps float64) error {
+	if eps == 0 || (eps >= MinEps && !math.IsInf(eps, 1)) {
+		return nil
+	}
+	return fmt.Errorf("eps %v is neither 0 nor a finite value >= %v (the tree count grows as 1/eps; use 0 for the default packing)", eps, MinEps)
+}
+
 // TreesForEps maps an approximation knob ε to a packed-tree count:
 // DefaultTrees(n) scaled by 1/ε, floor 1 — the single rule shared by the
 // facade's WithEps and the serving layer's MinCutQuery.Eps, so the two
-// paths stay bit-equivalent.
+// paths stay bit-equivalent. Callers validate ε with CheckEps first.
 func TreesForEps(n int, eps float64) int {
 	k := DefaultTrees(n)
 	if eps > 0 {

@@ -1,6 +1,7 @@
 package mincut
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -223,5 +224,26 @@ func TestCutWeightEmptySide(t *testing.T) {
 	}
 	if got := CutWeight(g, w, []graph.NodeID{0}); got != 3 {
 		t.Errorf("singleton cut = %f, want 3", got)
+	}
+}
+
+// TestCheckEps pins the one eps rule the facade, the serving layer and the
+// gateway share: 0 or a finite value at or above MinEps. Every accepted
+// value packs a bounded, positive tree count; the rejected ones would not
+// (1e-300 overflows DefaultTrees/eps).
+func TestCheckEps(t *testing.T) {
+	const n = 2000
+	for _, eps := range []float64{0, MinEps, 0.5, 1, 1e6} {
+		if err := CheckEps(eps); err != nil {
+			t.Errorf("eps %v rejected: %v", eps, err)
+		}
+		if k := TreesForEps(n, eps); k < 1 || k > int(float64(DefaultTrees(n))/MinEps)+1 {
+			t.Errorf("eps %v packs %d trees", eps, k)
+		}
+	}
+	for _, eps := range []float64{1e-9, 1e-300, MinEps / 2, -1, math.Inf(1), math.Inf(-1), math.NaN()} {
+		if err := CheckEps(eps); err == nil {
+			t.Errorf("eps %v accepted", eps)
+		}
 	}
 }

@@ -24,21 +24,15 @@ type DistOptions struct {
 	// LogFactor as in shortcut.Options.
 	LogFactor float64
 	// Baseline selects the GH16 O(D+√n) shortcuts instead of the paper's
-	// construction — the comparison arm of experiment E6.
-	Baseline bool
-	// SimulateConstruction additionally simulates the distributed shortcut
-	// construction every phase (full round accounting, slower). When false,
+	// construction — the comparison arm of experiment E6. Either way the
 	// shortcuts are computed centrally and only the framework phases (MWOE
 	// convergecast, result broadcast, fragment-ID exchange) are simulated
 	// and charged — the per-phase costs that dominate the framework.
-	SimulateConstruction bool
-	// Workers selects the execution parallelism of the simulated
-	// construction phases (congest.Options) and of the random-delay
+	Baseline bool
+	// Workers selects the execution parallelism of the random-delay
 	// scheduled MWOE phases (sched.Options); 0 = sequential. All settings
 	// produce identical results.
 	Workers int
-	// DepthFactor as in shortcut.DistOptions (0 = 2).
-	DepthFactor float64
 	// MaxRounds bounds each scheduled phase (0 = default).
 	MaxRounds int
 	// Ctx, when non-nil, cancels the computation cooperatively: every
@@ -54,8 +48,8 @@ type DistResult struct {
 	Weight float64
 	Phases int
 	// Cost is the unified v2 accounting. Rounds/Messages aggregate all
-	// simulated phases (when SimulateConstruction is false the shortcut-
-	// construction rounds are excluded, documented in EXPERIMENTS.md);
+	// simulated phases (the shortcut-construction rounds are excluded,
+	// except the baseline's one global BFS);
 	// SchedStats carries the last scheduled phase's realized drain stats
 	// plus the worst per-arc load and queueing across all phases; Wall is
 	// the real duration. Field promotion keeps v1 accessors intact.
@@ -112,10 +106,6 @@ func DistributedScratch(g *graph.Graph, w graph.Weights, opts DistOptions, scrat
 			d = 1
 		}
 	}
-	depthFactor := opts.DepthFactor
-	if depthFactor <= 0 {
-		depthFactor = 2
-	}
 
 	res := &DistResult{}
 	uf := NewUnionFind(n)
@@ -137,27 +127,11 @@ func DistributedScratch(g *graph.Graph, w graph.Weights, opts DistOptions, scrat
 		}
 
 		var sc *shortcut.Shortcuts
-		switch {
-		case opts.Baseline:
+		if opts.Baseline {
 			sc = shortcut.GhaffariHaeupler(p, 0)
 			// Charge the baseline's construction: one global BFS.
 			res.AddSim(int(sc.Params.Diameter), int64(g.NumEdges()))
-		case opts.SimulateConstruction:
-			dres, err := shortcut.BuildDistributed(g, p, shortcut.DistOptions{
-				Rng:           opts.Rng,
-				LogFactor:     opts.LogFactor,
-				KnownDiameter: d,
-				DepthFactor:   depthFactor,
-				MaxRounds:     opts.MaxRounds,
-				Workers:       opts.Workers,
-				Ctx:           opts.Ctx,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("mst: phase %d shortcuts: %w", res.Phases, err)
-			}
-			sc = dres.S
-			res.AddSim(dres.Rounds, dres.Messages)
-		default:
+		} else {
 			sc, err = shortcut.Build(g, p, shortcut.Options{
 				Diameter:  d,
 				LogFactor: opts.LogFactor,
@@ -174,7 +148,7 @@ func DistributedScratch(g *graph.Graph, w graph.Weights, opts DistOptions, scrat
 		res.AddSim(1, int64(g.NumArcs()))
 
 		var qualityHint int
-		winners, qualityHint, err = mwoePhase(g, w, p, sc, uf, depthFactor, opts, sr, forest, winners, res)
+		winners, qualityHint, err = mwoePhase(g, w, p, sc, uf, opts, sr, forest, winners, res)
 		scratch.winners = winners
 		if err != nil {
 			return nil, fmt.Errorf("mst: phase %d MWOE: %w", res.Phases, err)
@@ -212,7 +186,6 @@ func mwoePhase(
 	p *shortcut.Partition,
 	sc *shortcut.Shortcuts,
 	uf *UnionFind,
-	depthFactor float64,
 	opts DistOptions,
 	sr *sched.Runner,
 	forest *sched.BFSForest,
@@ -224,7 +197,7 @@ func mwoePhase(
 	if kd < 1 {
 		kd = math.Sqrt(float64(n)) // baseline shortcuts: GH threshold scale
 	}
-	depthLimit := int32(math.Ceil(depthFactor*kd*math.Log2(float64(n)))) + 1
+	depthLimit := int32(math.Ceil(shortcut.DepthFactor*kd*math.Log2(float64(n)))) + 1
 
 	// Per-part allowed-edge bitsets: Hi plus the induced intra-part edges.
 	numParts := p.NumParts()

@@ -227,8 +227,3 @@ func Boruvka(g *graph.Graph, w graph.Weights) ([]graph.EdgeID, int, error) {
 	}
 	return tree, phases, nil
 }
-
-// TotalWeight sums the weights of an edge set.
-func TotalWeight(w graph.Weights, edges []graph.EdgeID) float64 {
-	return w.Total(edges)
-}

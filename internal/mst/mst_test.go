@@ -184,38 +184,6 @@ func TestDistributedBaselineAlsoCorrect(t *testing.T) {
 	}
 }
 
-func TestDistributedWithSimulatedConstruction(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	g, err := gen.ClusterChain(200, 4, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := graph.NewUniformWeights(g.NumEdges(), rng)
-	want, err := Kruskal(g, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Distributed(g, w, DistOptions{
-		Rng:                  rng,
-		Diameter:             4,
-		SimulateConstruction: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameEdgeSet(res.Tree, want) {
-		t.Error("simulated-construction MST differs from Kruskal")
-	}
-	// Full simulation must charge strictly more rounds than framework-only.
-	res2, err := Distributed(g, w, DistOptions{Rng: rand.New(rand.NewSource(6)), Diameter: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rounds <= res2.Rounds {
-		t.Errorf("simulated construction rounds %d not above framework-only %d", res.Rounds, res2.Rounds)
-	}
-}
-
 func TestDistributedOnHardInstance(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	hi, err := gen.NewHardInstance(800, 4, 0, 0, rng)

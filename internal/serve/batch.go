@@ -129,23 +129,6 @@ func (s *Server) serveSSSPGroup(ctx context.Context, l lease, queries []Query, i
 // prefetched Done channel is polled between roots, so a canceled group
 // stops after at most one more walk.
 func (s *Server) walkSSSPGroup(ctx context.Context, l lease, srcs []graph.NodeID, dsts [][]float64) (int, error) {
-	if s.prof != nil {
-		return s.walkSSSPGroupProf(ctx, l, srcs, dsts)
-	}
-	return s.walkSSSPGroupDirect(ctx, l, srcs, dsts)
-}
-
-// walkSSSPGroupProf runs the group's walks under the sssp kind's pprof
-// label set — its own method so the closure's captures heap-allocate only
-// when profiling is on (the unprofiled warm batch path asserts 0 allocs/op).
-func (s *Server) walkSSSPGroupProf(ctx context.Context, l lease, srcs []graph.NodeID, dsts [][]float64) (roots int, err error) {
-	doProf(ctx, s.prof.kind[KindSSSP], func() {
-		roots, err = s.walkSSSPGroupDirect(ctx, l, srcs, dsts)
-	})
-	return roots, err
-}
-
-func (s *Server) walkSSSPGroupDirect(ctx context.Context, l lease, srcs []graph.NodeID, dsts [][]float64) (int, error) {
 	sn, ex := l.sn, l.ex
 	n := sn.g.NumNodes()
 	// rootMark is all-zero outside this call: it holds 1+slot of each root's

@@ -171,16 +171,15 @@ func TestServeSSSPBatchIntoAllocs(t *testing.T) {
 }
 
 // TestServeBatchWalkStress hammers one snapshot with concurrent batches on
-// a plain server and an instrumented, profile-labeled one (shared
-// snapshot, disjoint executor pools), mixing ServeBatch and
-// ServeSSSPBatchInto and verifying every answer against the reference. The
-// CI -race leg runs this to pin the executors' scratch ownership under
-// real concurrency.
+// a plain server and an instrumented one (shared snapshot, disjoint
+// executor pools), mixing ServeBatch and ServeSSSPBatchInto and verifying
+// every answer against the reference. The CI -race leg runs this to pin
+// the executors' scratch ownership under real concurrency.
 func TestServeBatchWalkStress(t *testing.T) {
 	fx := makeFixture(t, 240, 39)
 	servers := []*serve.Server{
 		serve.NewServer(fx.snap, serve.ServerOptions{Executors: 2}),
-		serve.NewServer(fx.snap, serve.ServerOptions{Executors: 2, Metrics: obs.New(), ProfileLabels: true}),
+		serve.NewServer(fx.snap, serve.ServerOptions{Executors: 2, Metrics: obs.New()}),
 	}
 	n := fx.g.NumNodes()
 	want := make([][]float64, n)

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"context"
-	"runtime/pprof"
 	"time"
 
 	"repro/internal/cost"
@@ -151,31 +149,6 @@ func RecordCost(reg *obs.Registry, c cost.Cost) {
 	reg.Counter("lcs_sim_rounds_total").Add(int64(c.Rounds))
 	reg.Counter("lcs_sim_messages_total").Add(c.Messages)
 	RecordSchedStats(reg, c.SchedStats)
-}
-
-// profLabels holds the precomputed pprof label sets of a profiling-enabled
-// server, so the per-query wrapping rebuilds no label slices. (pprof.Do
-// itself allocates a labeled context per call — that is why profiling is
-// opt-in and independent of metrics, which stay allocation-free.)
-type profLabels struct {
-	kind [numKinds]pprof.LabelSet
-}
-
-func newProfLabels() *profLabels {
-	names := traceNames()
-	p := &profLabels{}
-	for k := Kind(0); k < numKinds; k++ {
-		p.kind[k] = pprof.Labels("query_kind", names.Kinds[k])
-	}
-	return p
-}
-
-// doProf runs f under the label set.
-func doProf(ctx context.Context, ls pprof.LabelSet, f func()) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	pprof.Do(ctx, ls, func(context.Context) { f() })
 }
 
 // nowIf returns the current time when metrics are enabled; the

@@ -56,8 +56,9 @@ type MSTQuery struct{}
 // MinCutQuery asks for an approximate global minimum cut via greedy tree
 // packing seeded with the snapshot's shortcut-MST (Corollary 1.2 shape).
 // Eps tightens the approximation by packing more trees: the packed count is
-// mincut.DefaultTrees(n) = ⌈2·log2 n⌉ for Eps ≤ 0, scaled by 1/Eps
-// otherwise.
+// mincut.DefaultTrees(n) = ⌈2·log2 n⌉ for Eps = 0, scaled by 1/Eps
+// otherwise. Eps must pass mincut.CheckEps (0 or a finite value ≥
+// mincut.MinEps), else the query fails with KindInvalidInput.
 type MinCutQuery struct{ Eps float64 }
 
 // TwoECSSQuery asks for the approximate minimum-weight 2-ECSS built on the
@@ -125,10 +126,6 @@ func (*MSTAnswer) answerKind() Kind     { return KindMST }
 func (*MinCutAnswer) answerKind() Kind  { return KindMinCut }
 func (*TwoECSSAnswer) answerKind() Kind { return KindTwoECSS }
 func (*QualityAnswer) answerKind() Kind { return KindQuality }
-
-// minCutTrees maps MinCutQuery.Eps to a packed-tree count — the shared
-// mincut.TreesForEps rule, so the facade's WithEps stays bit-equivalent.
-func minCutTrees(n int, eps float64) int { return mincut.TreesForEps(n, eps) }
 
 // serveMST answers an MSTQuery straight from the snapshot.
 func (sn *Snapshot) serveMST() *MSTAnswer {

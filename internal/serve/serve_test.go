@@ -274,6 +274,24 @@ func TestServeMinCutDeterministicAndSound(t *testing.T) {
 	}
 }
 
+// TestServeMinCutRejectsBadEps pins the library path to the gateway's eps
+// rule: a tiny eps would pack DefaultTrees/eps trees (22e9 at 1e-9, an int
+// overflow at 1e-300), so it fails typed before any packing starts, alone
+// or inside a batch.
+func TestServeMinCutRejectsBadEps(t *testing.T) {
+	fx := makeFixture(t, 200, 5)
+	srv := serve.NewServer(fx.snap, serve.ServerOptions{})
+	for _, eps := range []float64{1e-9, 1e-300, -1, math.Inf(1), math.NaN()} {
+		if _, err := srv.Serve(serve.MinCutQuery{Eps: eps}); reproerr.KindOf(err) != reproerr.KindInvalidInput {
+			t.Errorf("Serve eps=%v: got %v, want KindInvalidInput", eps, err)
+		}
+		batch := []serve.Query{serve.SSSPQuery{Source: 0}, serve.MinCutQuery{Eps: eps}}
+		if _, err := srv.ServeBatch(batch); reproerr.KindOf(err) != reproerr.KindInvalidInput {
+			t.Errorf("ServeBatch eps=%v: got %v, want KindInvalidInput", eps, err)
+		}
+	}
+}
+
 func TestServeTwoECSS(t *testing.T) {
 	fx := makeFixture(t, 300, 6)
 	srv := serve.NewServer(fx.snap, serve.ServerOptions{})

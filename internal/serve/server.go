@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/graph"
+	"repro/internal/mincut"
 	"repro/internal/obs"
 	"repro/internal/reproerr"
 	"repro/internal/sssp"
@@ -35,12 +36,6 @@ type ServerOptions struct {
 	// registration (0 = obs.DefaultTraceDepth). Only meaningful with
 	// Metrics; if the registry already has a ring, that ring is shared.
 	TraceDepth int
-	// ProfileLabels wraps executor execution in runtime/pprof labels
-	// (query_kind) so CPU profiles attribute samples per query kind. Off
-	// by default: pprof.Do allocates a labeled context per call, so
-	// enabling it trades the warm paths' 0 allocs/op for profile
-	// attribution. Independent of Metrics.
-	ProfileLabels bool
 }
 
 // Server answers typed queries from a pool of reusable executor contexts,
@@ -60,8 +55,7 @@ type Server struct {
 	opts  ServerOptions
 	pool  chan *executor
 
-	m    *serveMetrics // nil when ServerOptions.Metrics is nil
-	prof *profLabels   // nil unless ServerOptions.ProfileLabels
+	m *serveMetrics // nil when ServerOptions.Metrics is nil
 
 	served      [numKinds]atomic.Int64
 	batches     atomic.Int64
@@ -128,9 +122,6 @@ func newServer(opts ServerOptions) *Server {
 		opts: opts,
 		pool: make(chan *executor, opts.Executors),
 		m:    newServeMetrics(opts.Metrics, opts.TraceDepth, opts.Executors),
-	}
-	if opts.ProfileLabels {
-		s.prof = newProfLabels()
 	}
 	for i := 0; i < opts.Executors; i++ {
 		s.pool <- &executor{}
@@ -268,29 +259,11 @@ func (s *Server) serveOne(ctx context.Context, q Query) (Answer, error) {
 	return a, err
 }
 
-// serveOn executes one query against the lease's pinned snapshot, under
-// pprof labels when the server profiles (ServerOptions.ProfileLabels).
-func (s *Server) serveOn(ctx context.Context, l lease, q Query) (Answer, error) {
-	if s.prof != nil {
-		return s.serveOnProf(ctx, l, q)
-	}
-	return s.serveOnDirect(ctx, l, q)
-}
-
-// serveOnProf is serveOnDirect under the query kind's pprof label set. It
-// lives in its own method (not an inline closure in serveOn) so the
-// closure's captures heap-allocate only on the profiling path — the
-// unprofiled paths must keep their 0 allocs/op.
-func (s *Server) serveOnProf(ctx context.Context, l lease, q Query) (a Answer, err error) {
-	doProf(ctx, s.prof.kind[q.queryKind()], func() { a, err = s.serveOnDirect(ctx, l, q) })
-	return a, err
-}
-
-// serveOnDirect executes one query against the lease's pinned snapshot.
+// serveOn executes one query against the lease's pinned snapshot.
 // Every read of serving state goes through l.sn — never through the
 // server's construction-time fields — so the answer is internally
 // consistent even if the store swaps mid-query.
-func (s *Server) serveOnDirect(ctx context.Context, l lease, q Query) (Answer, error) {
+func (s *Server) serveOn(ctx context.Context, l lease, q Query) (Answer, error) {
 	sn := l.sn
 	switch q := q.(type) {
 	case SSSPQuery:
@@ -307,7 +280,12 @@ func (s *Server) serveOnDirect(ctx context.Context, l lease, q Query) (Answer, e
 	case MSTQuery:
 		return sn.serveMST(), nil
 	case MinCutQuery:
-		trees := minCutTrees(sn.g.NumNodes(), q.Eps)
+		if err := mincut.CheckEps(q.Eps); err != nil {
+			return nil, reproerr.Invalid("serve", "%v", err)
+		}
+		// The shared mincut.TreesForEps rule keeps the facade's WithEps
+		// bit-equivalent.
+		trees := mincut.TreesForEps(sn.g.NumNodes(), q.Eps)
 		return sn.serveMinCut(ctx, trees, s.queryRng(KindMinCut, int64(trees)))
 	case TwoECSSQuery:
 		return sn.serveTwoECSS(ctx)
@@ -350,27 +328,13 @@ func (s *Server) ServeSSSPIntoCtx(ctx context.Context, dst []float64, src graph.
 	}
 	defer s.release(l)
 	t0 := s.m.nowIf()
-	var out []float64
-	if s.prof != nil {
-		out, err = s.distancesIntoProf(ctx, l, dst, src)
-	} else {
-		out, err = l.sn.ti.DistancesInto(dst, src, &l.ex.treeScratch)
-	}
+	out, err := l.sn.ti.DistancesInto(dst, src, &l.ex.treeScratch)
 	s.m.record(KindSSSP, l, 1, wait, s.m.sinceNs(t0), err)
 	if err != nil {
 		return out, err
 	}
 	s.served[KindSSSP].Add(1)
 	return out, nil
-}
-
-// distancesIntoProf is the warm walk under pprof labels; a separate method
-// for the same escape-analysis reason as serveOnProf.
-func (s *Server) distancesIntoProf(ctx context.Context, l lease, dst []float64, src graph.NodeID) (out []float64, err error) {
-	doProf(ctx, s.prof.kind[KindSSSP], func() {
-		out, err = l.sn.ti.DistancesInto(dst, src, &l.ex.treeScratch)
-	})
-	return out, err
 }
 
 // Stats is a point-in-time snapshot of serving counters.

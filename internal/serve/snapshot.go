@@ -40,6 +40,13 @@ import (
 	"repro/internal/sssp"
 )
 
+// dilationCutoff bounds the exact per-part dilation of a build, as in
+// Shortcuts.Dilation: a part above it reports the [ecc, 2·ecc] bracket of
+// one leader BFS. The snapshot records the cutoff it was built with, and
+// the file format persists it, so a repair of a loaded snapshot measures
+// touched parts under the same cutoff as the build that produced it.
+const dilationCutoff = 3000
+
 // SnapshotOptions configures NewSnapshot.
 type SnapshotOptions struct {
 	// Rng drives the shortcut sampling and the MST's scheduled phases.
@@ -53,9 +60,6 @@ type SnapshotOptions struct {
 	// Workers selects the build parallelism (CONGEST engine + scheduler
 	// drain); 0 = sequential. The built snapshot is identical either way.
 	Workers int
-	// DilationCutoff bounds the per-part exact dilation computation, as in
-	// Shortcuts.Dilation (0 selects 3000; negative = always exact).
-	DilationCutoff int
 	// MaxRounds bounds each simulated build phase (0 = default).
 	MaxRounds int
 	// Ctx, when non-nil, cancels the build cooperatively: the shortcut
@@ -152,10 +156,6 @@ func NewSnapshot(g *graph.Graph, w graph.Weights, parts [][]graph.NodeID, opts S
 			d = 1
 		}
 	}
-	cutoff := opts.DilationCutoff
-	if cutoff == 0 {
-		cutoff = 3000
-	}
 
 	p, err := shortcut.NewPartition(g, parts)
 	if err != nil {
@@ -173,7 +173,7 @@ func NewSnapshot(g *graph.Graph, w graph.Weights, parts [][]graph.NodeID, opts S
 	if err != nil {
 		return nil, reproerr.Errorf(op, reproerr.KindOf(err), "shortcuts: %w", err)
 	}
-	partDil, quality, err := measureQuality(opts.Ctx, s, cutoff)
+	partDil, quality, err := measureQuality(opts.Ctx, s, dilationCutoff)
 	if err != nil {
 		return nil, reproerr.Errorf(op, reproerr.KindOf(err), "quality: %w", err)
 	}
@@ -209,7 +209,7 @@ func NewSnapshot(g *graph.Graph, w graph.Weights, parts [][]graph.NodeID, opts S
 		ti:             ti,
 		diameter:       d,
 		logFactor:      opts.LogFactor,
-		dilationCutoff: cutoff,
+		dilationCutoff: dilationCutoff,
 		samplingSeed:   samplingSeed,
 		buildCost:      buildCost,
 		phases:         mres.Phases,

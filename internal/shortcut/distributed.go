@@ -27,25 +27,23 @@ type DistOptions struct {
 	// k-worker sharded pool, negative one worker per CPU. All settings
 	// produce identical results.
 	Workers int
-	// DepthFactor scales the truncation depth of the scheduled BFS phase:
-	// depth = DepthFactor·kD·log2(n). 0 selects 2.
-	DepthFactor float64
 	// KnownDiameter skips the diameter-guessing loop when > 0 (the paper's
 	// "assuming the knowledge of D" variant).
 	KnownDiameter int
 	// MaxRounds bounds each simulated phase (0 = generous default).
 	MaxRounds int
-	// CongestionCapFactor scales the enforcement threshold on sampled edge
-	// congestion (0 selects 6); a guess whose sampling exceeds
-	// CongestionCapFactor·Reps·kD·ln(n)·LogFactor fails immediately, as in
-	// the paper's verification step.
-	CongestionCapFactor float64
 	// Ctx, when non-nil, cancels the construction cooperatively: it is
 	// checked at every simulated round barrier (CONGEST engine) and every
 	// scheduler drain step, so the run aborts within one round of
 	// cancellation with a reproerr.KindCanceled/KindDeadline error.
 	Ctx context.Context
 }
+
+// DepthFactor scales the truncation depth of every scheduled BFS over
+// augmented subgraphs: depth = DepthFactor·kD·log2(n). The construction's
+// phase 5, the repair's verification and the MST's MWOE phases each keep
+// their own formula around it.
+const DepthFactor = 2
 
 // DistResult is the outcome of the distributed construction with exact
 // simulated cost accounting.
@@ -171,6 +169,12 @@ func (r *DistResult) addStats(st congest.Stats) { r.AddSim(st.Rounds, st.Message
 
 func (r *DistResult) addSched(st sched.Stats) { r.AddSim(st.Rounds, st.Messages) }
 
+// congestionCapFactor scales tryGuess's enforcement threshold on sampled
+// edge congestion: a guess whose sampling exceeds
+// congestionCapFactor·Reps·kD·ln(n)·LogFactor (+16) fails immediately, as
+// in the paper's verification step.
+const congestionCapFactor = 6
+
 func tryGuess(
 	g *graph.Graph,
 	p *Partition,
@@ -256,22 +260,14 @@ func tryGuess(
 	})
 
 	// Congestion enforcement (the paper's cap before scheduling).
-	capFactor := opts.CongestionCapFactor
-	if capFactor <= 0 {
-		capFactor = 6
-	}
 	lf := params.LogFactor
-	capC := int(math.Ceil(capFactor*float64(params.Reps)*params.KD*math.Log(float64(n))*lf)) + 16
+	capC := int(math.Ceil(congestionCapFactor*float64(params.Reps)*params.KD*math.Log(float64(n))*lf)) + 16
 	if maxMembership(g, his) > capC {
 		return nil, false, nil // guess fails: congestion exceeded
 	}
 
 	// Phase 5: scheduled parallel truncated BFS in all augmented subgraphs.
-	depthFactor := opts.DepthFactor
-	if depthFactor <= 0 {
-		depthFactor = 2
-	}
-	depthLimit := int32(math.Ceil(depthFactor * params.KD * math.Log2(float64(n))))
+	depthLimit := int32(math.Ceil(DepthFactor * params.KD * math.Log2(float64(n))))
 	tasks := make([]sched.BFSTask, len(large))
 	for li, pi := range large {
 		h := his[li]

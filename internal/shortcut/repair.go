@@ -20,9 +20,11 @@ import (
 // analogue of a failed diameter guess in BuildDistributed).
 var ErrRepairVerify = errors.New("shortcut: repaired part tree does not span its part")
 
-// RepairOptions configures RepairDistributed. Seed, Diameter, Reps and
-// LogFactor must be the values of the original seeded build — they pin the
-// sampling streams and parameters the repair reproduces.
+// RepairOptions configures RepairDistributed. Seed, Diameter and LogFactor
+// must be the values of the original seeded build — they pin the sampling
+// streams and parameters the repair reproduces. The repair reproduces a
+// build with the default repetitions (Options.Reps = 0, the paper's D),
+// the only kind the serving layer makes.
 type RepairOptions struct {
 	// Seed is the sampling seed of the original BuildSeeded run. Required
 	// in the sense that a different seed repairs toward a different
@@ -31,12 +33,8 @@ type RepairOptions struct {
 	// Diameter is the pinned build diameter (must be ≥ 1; dynamic updates
 	// never re-estimate it, so repair and rebuild derive the same params).
 	Diameter int
-	// Reps and LogFactor as in Options (0 = paper defaults).
-	Reps      int
+	// LogFactor as in Options (0 = the paper's constant).
 	LogFactor float64
-	// DepthFactor scales the verification BFS truncation depth (0 = 2),
-	// matching DistOptions.
-	DepthFactor float64
 	// Rng drives the random delays of the verification schedule. Required.
 	// It never influences the repaired assignment — only the schedule under
 	// which the verification trees are grown.
@@ -109,7 +107,7 @@ func RepairDistributed(
 		return nil, reproerr.Invalid(op, "partition has %d parts, assignment %d", p.NumParts(), len(old.H))
 	}
 	start := time.Now()
-	params := DeriveParams(n, opts.Diameter, opts.Reps, opts.LogFactor)
+	params := DeriveParams(n, opts.Diameter, 0, opts.LogFactor)
 	numParts := p.NumParts()
 	large := p.LargeParts(int(params.KD))
 	largeIdxOf := largeIndex(p, large)
@@ -189,11 +187,7 @@ func RepairDistributed(
 
 	// Step 3: random-delay verification of the touched parts only —
 	// phases 5 and 6 of BuildDistributed restricted to the touched set.
-	depthFactor := opts.DepthFactor
-	if depthFactor <= 0 {
-		depthFactor = 2
-	}
-	depthLimit := int32(math.Ceil(depthFactor * params.KD * math.Log2(float64(n))))
+	depthLimit := int32(math.Ceil(DepthFactor * params.KD * math.Log2(float64(n))))
 	if depthLimit < 1 {
 		depthLimit = 1
 	}

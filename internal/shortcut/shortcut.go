@@ -78,12 +78,12 @@ func (q Quality) String() string {
 	return fmt.Sprintf("c=%d d∈[%d,%d]", q.Congestion, q.DilationLo, q.DilationHi)
 }
 
-// Congestion computes the exact congestion: the maximum over edges e of the
-// number of augmented subgraphs G[Si] ∪ Hi containing e. An edge inside
-// G[Si] that also appears in Hi counts once for part i.
-func (s *Shortcuts) Congestion() int {
+// edgeLoads returns, per edge e, the number of augmented subgraphs
+// G[Si] ∪ Hi containing e, and the largest such count. An edge inside G[Si]
+// that also appears in Hi counts once for part i.
+func (s *Shortcuts) edgeLoads() (count []int32, maxC int32) {
 	g := s.P.Graph()
-	count := make([]int32, g.NumEdges())
+	count = make([]int32, g.NumEdges())
 	mark := graph.NewBitset(g.NumEdges())
 	for i := 0; i < s.P.NumParts(); i++ {
 		mark.Reset()
@@ -103,12 +103,19 @@ func (s *Shortcuts) Congestion() int {
 		}
 		mark.ForEach(func(e int32) { count[e]++ })
 	}
-	var maxC int32
 	for _, c := range count {
 		if c > maxC {
 			maxC = c
 		}
 	}
+	return count, maxC
+}
+
+// Congestion computes the exact congestion: the maximum over edges e of the
+// number of augmented subgraphs G[Si] ∪ Hi containing e. An edge inside
+// G[Si] that also appears in Hi counts once for part i.
+func (s *Shortcuts) Congestion() int {
+	_, maxC := s.edgeLoads()
 	return int(maxC)
 }
 
@@ -116,33 +123,7 @@ func (s *Shortcuts) Congestion() int {
 // is the number of edges with congestion exactly c. Used by experiment E3 to
 // compare the distribution against the Chernoff bound.
 func (s *Shortcuts) CongestionProfile() []int {
-	g := s.P.Graph()
-	count := make([]int32, g.NumEdges())
-	mark := graph.NewBitset(g.NumEdges())
-	for i := 0; i < s.P.NumParts(); i++ {
-		mark.Reset()
-		part := s.P.Part(i)
-		for _, u := range part.Nodes {
-			g.Arcs(u, func(_ int32, v graph.NodeID, e graph.EdgeID) bool {
-				if s.P.PartOf(v) == int32(i) {
-					mark.Set(e)
-				}
-				return true
-			})
-		}
-		if i < len(s.H) {
-			for _, e := range s.H[i] {
-				mark.Set(e)
-			}
-		}
-		mark.ForEach(func(e int32) { count[e]++ })
-	}
-	var maxC int32
-	for _, c := range count {
-		if c > maxC {
-			maxC = c
-		}
-	}
+	count, maxC := s.edgeLoads()
 	hist := make([]int, maxC+1)
 	for _, c := range count {
 		hist[c]++

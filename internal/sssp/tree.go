@@ -129,9 +129,6 @@ func (ti *TreeIndex) deriveOrder(op string) error {
 // NumNodes returns the node count of the indexed graph.
 func (ti *TreeIndex) NumNodes() int { return len(ti.off) - 1 }
 
-// NumTreeEdges returns the number of indexed tree edges.
-func (ti *TreeIndex) NumTreeEdges() int { return len(ti.to) / 2 }
-
 // TreeScratch holds the reusable per-executor buffer of DistancesInto: the
 // stack of positions on the source's path to its root, O(depth) entries.
 // The zero value is ready to use; reusing one across queries makes the warm

@@ -178,7 +178,9 @@ func TestV2ErrorTaxonomy(t *testing.T) {
 
 	// Invalid option values fail at config time with the same taxonomy; NaN
 	// fails every float option exactly like a negative value, before it can
-	// reach the sampling loop.
+	// reach the sampling loop. An eps below mincut's floor, or +Inf, fails
+	// too: the packed tree count is DefaultTrees/eps, which overflows at
+	// 1e-300 and is 22e9 trees at 1e-9.
 	nan := math.NaN()
 	configErr := func(o repro.Option) error {
 		_, err := repro.NewConfig(o)
@@ -191,8 +193,9 @@ func TestV2ErrorTaxonomy(t *testing.T) {
 		"negative diameter":                    errDiameter,
 		"NaN eps":                              configErr(repro.WithEps(nan)),
 		"NaN sampling boost":                   configErr(repro.WithSamplingBoost(nan)),
-		"NaN depth factor":                     configErr(repro.WithDepthFactor(nan)),
-		"NaN congestion cap":                   configErr(repro.WithCongestionCap(nan)),
+		"tiny eps 1e-9":                        configErr(repro.WithEps(1e-9)),
+		"tiny eps 1e-300":                      configErr(repro.WithEps(1e-300)),
+		"infinite eps":                         configErr(repro.WithEps(math.Inf(1))),
 		"BuildShortcutsCtx NaN sampling boost": errBoost,
 	} {
 		if !errors.As(err, &re) || re.Kind != repro.KindInvalidInput {
