@@ -42,23 +42,32 @@ func IsConnected(g *Graph) bool {
 }
 
 // IsNodeSetConnected reports whether the subgraph induced by the given node
-// set is connected. An empty set is considered connected.
+// set is connected. An empty set and a single node are connected; a node
+// listed twice counts once.
 func IsNodeSetConnected(g *Graph, nodes []NodeID) bool {
-	if len(nodes) == 0 {
+	if len(nodes) <= 1 {
 		return true
 	}
-	member := NewBitset(g.NumNodes())
+	// unvisited holds the members the search has not reached yet.
+	unvisited := NewBitset(g.NumNodes())
+	distinct := 0
 	for _, v := range nodes {
-		member.Set(v)
-	}
-	res := FilteredBFS(g, nodes[0], -1, func(_ int32, _, v NodeID, _ EdgeID) bool {
-		return member.Has(v)
-	})
-	reached := 0
-	for _, v := range nodes {
-		if res.Dist[v] != Unreached {
-			reached++
+		if !unvisited.Has(v) {
+			unvisited.Set(v)
+			distinct++
 		}
 	}
-	return reached == len(nodes)
+	queue := make([]NodeID, 1, distinct)
+	queue[0] = nodes[0]
+	unvisited.Clear(nodes[0])
+	for head := 0; head < len(queue); head++ {
+		lo, hi := g.ArcRange(queue[head])
+		for a := lo; a < hi; a++ {
+			if v := g.ArcTarget(a); unvisited.Has(v) {
+				unvisited.Clear(v)
+				queue = append(queue, v)
+			}
+		}
+	}
+	return len(queue) == distinct
 }

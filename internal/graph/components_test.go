@@ -1,6 +1,9 @@
 package graph
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestConnectedComponents(t *testing.T) {
 	g := mustBuild(t, 7, [][2]NodeID{{0, 1}, {1, 2}, {3, 4}, {5, 6}})
@@ -47,8 +50,96 @@ func TestIsNodeSetConnected(t *testing.T) {
 	if !IsNodeSetConnected(g, nil) {
 		t.Error("empty set should be connected by convention")
 	}
-	if !IsNodeSetConnected(g, []NodeID{4}) {
+	single := []NodeID{4}
+	if !IsNodeSetConnected(g, single) {
 		t.Error("singleton should be connected")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { IsNodeSetConnected(g, single) }); allocs != 0 {
+		t.Errorf("singleton check allocates %v times, want 0", allocs)
+	}
+	if !IsNodeSetConnected(g, []NodeID{2, 1, 2, 3}) {
+		t.Error("a node listed twice should count once")
+	}
+	if IsNodeSetConnected(g, []NodeID{1, 2, 4, 5}) {
+		t.Error("{1,2} and {4,5} are joined only through non-member 3")
+	}
+}
+
+// isNodeSetConnectedOracle is IsNodeSetConnected as it was before the
+// member-only search: a FilteredBFS from the first node over arcs into
+// members, then a count of the listed nodes it reached.
+func isNodeSetConnectedOracle(g *Graph, nodes []NodeID) bool {
+	if len(nodes) == 0 {
+		return true
+	}
+	member := NewBitset(g.NumNodes())
+	for _, v := range nodes {
+		member.Set(v)
+	}
+	res := FilteredBFS(g, nodes[0], -1, func(_ int32, _, v NodeID, _ EdgeID) bool {
+		return member.Has(v)
+	})
+	reached := 0
+	for _, v := range nodes {
+		if res.Dist[v] != Unreached {
+			reached++
+		}
+	}
+	return reached == len(nodes)
+}
+
+// TestIsNodeSetConnectedMatchesOracle compares IsNodeSetConnected with the
+// oracle on random sparse graphs over three kinds of set: prefixes of a BFS
+// order (connected), random subsets (mostly disconnected), and the
+// neighbours of one node without that node (often joined only through it).
+// Every other set repeats one of its nodes.
+func TestIsNodeSetConnectedMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var connected, split, viaNonMember, dups int
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(80)
+		b := NewBuilder(n)
+		for i := 1; i < n; i++ {
+			b.TryAddEdge(NodeID(rng.Intn(i)), NodeID(i))
+		}
+		for i := 0; i < n/4; i++ {
+			b.TryAddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
+		}
+		g := b.Build()
+		var set []NodeID
+		kind := trial % 3
+		switch kind {
+		case 0:
+			order := BFS(g, NodeID(rng.Intn(n))).Reached
+			set = append(set, order[:1+rng.Intn(len(order))]...)
+		case 1:
+			for _, v := range rng.Perm(n)[:1+rng.Intn(n)] {
+				set = append(set, NodeID(v))
+			}
+		case 2:
+			set = append(set, g.Neighbors(NodeID(rng.Intn(n)))...)
+		}
+		if trial%2 == 1 && len(set) > 0 {
+			set = append(set, set[rng.Intn(len(set))])
+			rng.Shuffle(len(set), func(i, j int) { set[i], set[j] = set[j], set[i] })
+			dups++
+		}
+		want := isNodeSetConnectedOracle(g, set)
+		if got := IsNodeSetConnected(g, set); got != want {
+			t.Fatalf("trial %d (n=%d, set %v): IsNodeSetConnected = %v, oracle %v", trial, n, set, got, want)
+		}
+		switch {
+		case want:
+			connected++
+		case kind == 2:
+			viaNonMember++
+		default:
+			split++
+		}
+	}
+	if connected == 0 || split == 0 || viaNonMember == 0 || dups == 0 {
+		t.Fatalf("coverage: %d connected, %d disconnected, %d joined only through a non-member, %d with duplicates",
+			connected, split, viaNonMember, dups)
 	}
 }
 

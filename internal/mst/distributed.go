@@ -204,7 +204,8 @@ func mwoePhase(
 	tasks := make([]sched.BFSTask, numParts)
 	for i := 0; i < numParts; i++ {
 		pi := int32(i)
-		if len(sc.H[i]) == 0 {
+		switch len(sc.H[i]) {
+		case 0:
 			// Small part: the augmented subgraph is just G[Si]; checking
 			// part membership avoids allocating a bitset per fragment
 			// (critical in early Borůvka phases with Θ(n) fragments).
@@ -215,6 +216,11 @@ func mwoePhase(
 				},
 				DepthLimit: depthLimit,
 			}
+			continue
+		case g.NumEdges():
+			// Hi = E (a saturated build; H lists hold no duplicates): the
+			// augmented subgraph is all of G, the scheduler's admit-all path.
+			tasks[i] = sched.BFSTask{Root: p.Part(i).Leader, DepthLimit: depthLimit}
 			continue
 		}
 		allowed := graph.NewBitset(g.NumEdges())

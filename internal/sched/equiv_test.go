@@ -9,6 +9,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -188,6 +189,53 @@ func TestFlatSchedulerMatchesSeed(t *testing.T) {
 			for i := range wantAgg {
 				if gotAgg[i] != wantAgg[i] {
 					t.Fatalf("%s: aggregate[%d] = %+v, want %+v", label, i, gotAgg[i], wantAgg[i])
+				}
+			}
+		}
+	}
+}
+
+// TestAllowedNilMatchesAdmitAll pins the equivalence mst's MWOE phase
+// rests on when it gives a part whose shortcut is all of E a nil Allowed:
+// the scheduler's admit-all path must grow the same trees, with the same
+// Stats, as a filter that admits every arc.
+func TestAllowedNilMatchesAdmitAll(t *testing.T) {
+	admitAll := func(int32, graph.NodeID, graph.NodeID, graph.EdgeID) bool { return true }
+	var runner Runner
+	for _, sc := range equivScenarios(t) {
+		filtered := append([]BFSTask(nil), sc.tasks...)
+		for i := range filtered {
+			if filtered[i].Allowed == nil {
+				filtered[i].Allowed = admitAll
+			}
+		}
+		for _, workers := range []int{0, 2} {
+			label := fmt.Sprintf("%s/workers=%d", sc.name, workers)
+			want, wantStats, err := runner.ParallelBFS(sc.g, sc.tasks,
+				Options{MaxDelay: sc.maxDelay, Rng: rand.New(rand.NewSource(13)), Workers: workers})
+			if err != nil {
+				t.Fatalf("%s: nil Allowed: %v", label, err)
+			}
+			got, gotStats, err := runner.ParallelBFS(sc.g, filtered,
+				Options{MaxDelay: sc.maxDelay, Rng: rand.New(rand.NewSource(13)), Workers: workers})
+			if err != nil {
+				t.Fatalf("%s: admit-all filter: %v", label, err)
+			}
+			if gotStats != wantStats {
+				t.Fatalf("%s: stats %+v with the filter, %+v with nil", label, gotStats, wantStats)
+			}
+			for ti := 0; ti < want.NumTasks(); ti++ {
+				w, o := want.Outcome(ti), got.Outcome(ti)
+				if o.Len() != w.Len() {
+					t.Fatalf("%s: task %d visited %d nodes with the filter, %d with nil", label, ti, o.Len(), w.Len())
+				}
+				for j := 0; j < w.Len(); j++ {
+					if o.Node(j) != w.Node(j) || o.DistAt(j) != w.DistAt(j) || o.ParentArcAt(j) != w.ParentArcAt(j) ||
+						!slices.Equal(o.ChildArcsAt(j), w.ChildArcsAt(j)) {
+						t.Fatalf("%s: task %d entry %d differs: node %d dist %d parent arc %d children %v with the filter, node %d dist %d parent arc %d children %v with nil",
+							label, ti, j, o.Node(j), o.DistAt(j), o.ParentArcAt(j), o.ChildArcsAt(j),
+							w.Node(j), w.DistAt(j), w.ParentArcAt(j), w.ChildArcsAt(j))
+					}
 				}
 			}
 		}

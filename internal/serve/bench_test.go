@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/sssp"
+	"repro/internal/twoecss"
 )
 
 // benchFixture caches one snapshot per graph size: the build is the
@@ -219,6 +220,43 @@ func BenchmarkAmortization100k(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkNewSnapshot is the snapshot build at lib-batch-sweep's shape, with
+// the draws servebench's fixture makes at n=4000: an Erdős–Rényi graph with
+// edge probability 12/n, connected and bridge-free, uniform weights and
+// min(64, n/64) Voronoi parts. At its double-sweep diameter of 5 the
+// sampling probability saturates at 1. Run it with -benchmem; it is not one
+// of CI's 0 allocs/op gates.
+func BenchmarkNewSnapshot(b *testing.B) {
+	const n = 4000
+	rng := rand.New(rand.NewSource(20_210_721 + n))
+	var g *graph.Graph
+	for {
+		g = gen.ErdosRenyi(n, 12.0/n, rng)
+		all := make([]graph.EdgeID, g.NumEdges())
+		for e := range all {
+			all[e] = graph.EdgeID(e)
+		}
+		if graph.IsConnected(g) && len(twoecss.Bridges(g, all)) == 0 {
+			break
+		}
+	}
+	w := graph.NewUniformWeights(g.NumEdges(), rng)
+	parts, err := gen.VoronoiParts(g, min(64, n/64), rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	buildSeed := rng.Int63()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := serve.NewSnapshot(g, w, parts, serve.SnapshotOptions{
+			Rng: rand.New(rand.NewSource(buildSeed)),
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // deltaOfSize builds an insert-only delta of k edges absent from g.

@@ -58,6 +58,7 @@ func Build(g *graph.Graph, p *Partition, opts Options) (*Shortcuts, error) {
 // build is the Section 2 skeleton Build and BuildSeeded share: Step 1 into
 // one edge bitset per large part, then step2's draws into the same bitsets.
 // step2 calls hit(li, e) for every draw that takes edge e into large part li.
+// At p ≥ 1 neither step runs: see saturated.
 func build(
 	op string,
 	g *graph.Graph,
@@ -65,7 +66,7 @@ func build(
 	opts Options,
 	step2 func(largeIdxOf []int32, numLarge int, params Params, hit func(li int32, e graph.EdgeID)),
 ) (*Shortcuts, error) {
-	d, err := resolveDiameter(op, g, opts.Diameter)
+	d, err := resolveDiameter(op, g, p, opts.Diameter)
 	if err != nil {
 		return nil, err
 	}
@@ -74,6 +75,9 @@ func build(
 	}
 	params := DeriveParams(g.NumNodes(), d, opts.Reps, opts.LogFactor)
 	large := p.LargeParts(int(params.KD))
+	if params.P >= 1 {
+		return saturated(p, params, large, g.NumEdges()), nil
+	}
 	his := stepOne(g, p, large)
 	if err := ctxCheck(op, opts.Ctx); err != nil {
 		return nil, err
@@ -84,10 +88,40 @@ func build(
 	return collect(p, params, large, his), nil
 }
 
-// resolveDiameter rejects an empty graph and returns the diameter a
-// construction runs at: d, or the graph's double-sweep lower bound when d
-// is 0.
-func resolveDiameter(op string, g *graph.Graph, d int) (int, error) {
+// saturated is the assignment at p ≥ 1, where it is known without drawing:
+// Step 1 takes every edge touching Si, and Step 2 at p = 1 takes every arc
+// whose tail lies outside Si, so every large part's Hi is all of E. Neither
+// sampler reads an Rng at p ≥ 1, so skipping them leaves the caller's
+// stream where the samplers would have left it. Each large part gets its
+// own list (see DESIGN.md "Saturated sampling").
+func saturated(p *Partition, params Params, large []int, m int) *Shortcuts {
+	sc := &Shortcuts{P: p, H: make([][]graph.EdgeID, p.NumParts()), Params: params}
+	for _, pi := range large {
+		all := make([]graph.EdgeID, m)
+		for e := range all {
+			all[e] = graph.EdgeID(e)
+		}
+		sc.H[pi] = all
+	}
+	return sc
+}
+
+// requireOver rejects a partition that was not built over g: its part-of
+// table and node lists index another graph's nodes.
+func requireOver(op string, g *graph.Graph, p *Partition) error {
+	if p.Graph() != g {
+		return reproerr.Invalid(op, "partition is over another graph (%d nodes; this one has %d)", p.Graph().NumNodes(), g.NumNodes())
+	}
+	return nil
+}
+
+// resolveDiameter rejects an empty graph or a partition over another graph
+// and returns the diameter a construction runs at: d, or the graph's
+// double-sweep lower bound when d is 0.
+func resolveDiameter(op string, g *graph.Graph, p *Partition, d int) (int, error) {
+	if err := requireOver(op, g, p); err != nil {
+		return 0, err
+	}
 	if g.NumNodes() == 0 {
 		return 0, reproerr.Invalid(op, "empty graph")
 	}

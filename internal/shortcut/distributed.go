@@ -97,6 +97,9 @@ func BuildDistributed(g *graph.Graph, p *Partition, opts DistOptions) (*DistResu
 	if err := reproerr.RequireRng(op, opts.Rng); err != nil {
 		return nil, err
 	}
+	if err := requireOver(op, g, p); err != nil {
+		return nil, err
+	}
 	n := g.NumNodes()
 	if n == 0 {
 		return nil, reproerr.Invalid(op, "empty graph")

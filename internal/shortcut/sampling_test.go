@@ -1,8 +1,10 @@
 package shortcut
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -179,5 +181,100 @@ func TestBuildQualityMonotoneInLogFactor(t *testing.T) {
 	}
 	if hq.DilationHi > lq.DilationHi+2 {
 		t.Errorf("dilation grew with more sampling: %d -> %d", lq.DilationHi, hq.DilationHi)
+	}
+}
+
+// TestBuildSaturatedMatchesSampler pins build's p ≥ 1 branch to the steps it
+// skips: Step 1 plus each sampler at probability 1, collected. Small parts
+// must stay nil, every large part must own its list, and Build must leave
+// its Rng where the sampler, which draws nothing at p = 1, would have.
+func TestBuildSaturatedMatchesSampler(t *testing.T) {
+	type satCase struct {
+		name string
+		g    *graph.Graph
+		p    *Partition
+		opts Options
+		mix  bool // must hold both small and large parts
+	}
+	g, p := samplingFixture(t)
+	cases := []satCase{{"path6", g, p, Options{Diameter: 5, LogFactor: 2}, false}}
+
+	rng := rand.New(rand.NewSource(5))
+	er := gen.ErdosRenyi(200, 0.03, rng)
+	parts, err := gen.VoronoiParts(er, 8, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, satCase{"er200/voronoi", er, mustPartition(t, er, parts), Options{Diameter: 5}, false})
+	// A singleton (small) part, four Voronoi parts, and three parts' worth
+	// of nodes in no part at all.
+	mixed := append([][]graph.NodeID{{parts[0][0]}}, parts[1:5]...)
+	cases = append(cases, satCase{"er200/mixed", er, mustPartition(t, er, mixed), Options{Diameter: 5}, true})
+
+	const seed = 42
+	for _, c := range cases {
+		for _, reps := range []int{1, 0} { // 0: the paper's D repetitions
+			name := fmt.Sprintf("%s/reps=%d", c.name, reps)
+			opts := c.opts
+			opts.Reps = reps
+			params := DeriveParams(c.g.NumNodes(), opts.Diameter, reps, opts.LogFactor)
+			if params.P < 1 {
+				t.Fatalf("%s: P = %v, the case must saturate", name, params.P)
+			}
+			large := c.p.LargeParts(int(params.KD))
+			isLarge := make([]bool, c.p.NumParts())
+			for _, pi := range large {
+				isLarge[pi] = true
+			}
+			if c.mix && (len(large) == 0 || len(large) == c.p.NumParts()) {
+				t.Fatalf("%s: %d of %d parts large, want a mix", name, len(large), c.p.NumParts())
+			}
+			oracle := func(step2 func(largeIdxOf []int32, hit func(li int32, e graph.EdgeID))) *Shortcuts {
+				his := stepOne(c.g, c.p, large)
+				step2(largeIndex(c.p, large), func(li int32, e graph.EdgeID) { his[li].Set(e) })
+				return collect(c.p, params, large, his)
+			}
+
+			opts.Rng = rand.New(rand.NewSource(seed))
+			built, err := Build(c.g, c.p, opts)
+			if err != nil {
+				t.Fatalf("%s: Build: %v", name, err)
+			}
+			if next, want := opts.Rng.Int63(), rand.New(rand.NewSource(seed)).Int63(); next != want {
+				t.Errorf("%s: Build moved the Rng: next draw %d, want %d", name, next, want)
+			}
+			seeded, err := BuildSeeded(c.g, c.p, opts, seed)
+			if err != nil {
+				t.Fatalf("%s: BuildSeeded: %v", name, err)
+			}
+			for _, run := range []struct {
+				name      string
+				got, want *Shortcuts
+			}{
+				{"Build", built, oracle(func(idx []int32, hit func(int32, graph.EdgeID)) {
+					sampleHits(c.g, c.p, idx, len(large), 1, params.Reps, rand.New(rand.NewSource(seed)), hit)
+				})},
+				{"BuildSeeded", seeded, oracle(func(idx []int32, hit func(int32, graph.EdgeID)) {
+					seededSampleHits(c.g, c.p, idx, len(large), 1, params.Reps, seed, hit)
+				})},
+			} {
+				if !reflect.DeepEqual(run.got, run.want) {
+					t.Fatalf("%s: %s differs from Step 1 plus the sampler at p = 1", name, run.name)
+				}
+				owner := make(map[*graph.EdgeID]int)
+				for i, h := range run.got.H {
+					if !isLarge[i] {
+						if h != nil {
+							t.Errorf("%s: %s gave small part %d a non-nil list", name, run.name, i)
+						}
+						continue
+					}
+					if j, shared := owner[&h[0]]; shared {
+						t.Errorf("%s: %s: parts %d and %d share one list", name, run.name, j, i)
+					}
+					owner[&h[0]] = i
+				}
+			}
+		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 // guarantee and is evaluated empirically (experiment A4).
 func BuildDeterministic(g *graph.Graph, p *Partition, opts Options) (*Shortcuts, error) {
 	const op = "shortcut.BuildDeterministic"
-	d, err := resolveDiameter(op, g, opts.Diameter)
+	d, err := resolveDiameter(op, g, p, opts.Diameter)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +90,7 @@ func BuildLocal(g *graph.Graph, p *Partition, opts LocalOptions) (*Shortcuts, er
 	if err := reproerr.RequireRng(op, opts.Rng); err != nil {
 		return nil, err
 	}
-	d, err := resolveDiameter(op, g, opts.Diameter)
+	d, err := resolveDiameter(op, g, p, opts.Diameter)
 	if err != nil {
 		return nil, err
 	}

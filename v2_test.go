@@ -103,7 +103,8 @@ func TestV2SeedDeterminism(t *testing.T) {
 // TestV2ErrorTaxonomy asserts every validation failure across the facade
 // satisfies errors.As(err, **repro.Error) with KindInvalidInput: the
 // uniform randomness-requirement message, invalid option values (NaN
-// included), and a WithTree that is not a spanning tree.
+// included), a partition built over another graph, and a WithTree that is
+// not a spanning tree.
 func TestV2ErrorTaxonomy(t *testing.T) {
 	fx := makeV2Fixture(t)
 	ctx := context.Background()
@@ -188,8 +189,7 @@ func TestV2ErrorTaxonomy(t *testing.T) {
 	}
 	_, errDiameter := repro.MSTDistributedCtx(ctx, fx.g, fx.w, repro.WithSeed(1), repro.WithDiameter(-1))
 	_, errBoost := repro.BuildShortcutsCtx(ctx, fx.g, fx.p, repro.WithSeed(1), repro.WithSamplingBoost(nan))
-	var re *repro.Error
-	for name, err := range map[string]error{
+	invalid := map[string]error{
 		"negative diameter":                    errDiameter,
 		"NaN eps":                              configErr(repro.WithEps(nan)),
 		"NaN sampling boost":                   configErr(repro.WithSamplingBoost(nan)),
@@ -197,7 +197,44 @@ func TestV2ErrorTaxonomy(t *testing.T) {
 		"tiny eps 1e-300":                      configErr(repro.WithEps(1e-300)),
 		"infinite eps":                         configErr(repro.WithEps(math.Inf(1))),
 		"BuildShortcutsCtx NaN sampling boost": errBoost,
+	}
+
+	// A partition built over another graph indexes that graph's nodes; every
+	// shortcut entry point rejects it, whichever graph is larger.
+	pathPartition := func(n int) (*repro.Graph, *repro.Partition) {
+		g := gen.Path(n)
+		p, err := repro.NewPartition(g, gen.PathSegments(n, n/2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, p
+	}
+	g5, p5 := pathPartition(5)
+	g10, p10 := pathPartition(10)
+	for entry, build := range map[string]func(*repro.Graph, *repro.Partition) error{
+		"BuildShortcutsCtx": func(g *repro.Graph, p *repro.Partition) error {
+			_, err := repro.BuildShortcutsCtx(ctx, g, p, repro.WithSeed(1))
+			return err
+		},
+		"BuildShortcutsDeterministicCtx": func(g *repro.Graph, p *repro.Partition) error {
+			_, err := repro.BuildShortcutsDeterministicCtx(ctx, g, p)
+			return err
+		},
+		"BuildShortcutsLocalCtx": func(g *repro.Graph, p *repro.Partition) error {
+			_, err := repro.BuildShortcutsLocalCtx(ctx, g, p, repro.WithSeed(1))
+			return err
+		},
+		"BuildShortcutsDistributedCtx": func(g *repro.Graph, p *repro.Partition) error {
+			_, err := repro.BuildShortcutsDistributedCtx(ctx, g, p, repro.WithSeed(1))
+			return err
+		},
 	} {
+		invalid[entry+" 10-node partition on a 5-node graph"] = build(g5, p10)
+		invalid[entry+" 5-node partition on a 10-node graph"] = build(g10, p5)
+	}
+
+	var re *repro.Error
+	for name, err := range invalid {
 		if !errors.As(err, &re) || re.Kind != repro.KindInvalidInput {
 			t.Errorf("%s: want KindInvalidInput *Error, got %v", name, err)
 		}
