@@ -33,8 +33,8 @@ type Gateway = gateway.Gateway
 
 // NewGateway wraps srv in the HTTP front end, from functional options:
 // WithQueueDepth (admission capacity), WithRequestTimeout (default
-// deadline), WithWorkers / WithMaxRounds (delta repair parallelism and
-// bounds), and WithMetrics.
+// deadline), and WithMetrics. Its /v1/delta updates take no options (see
+// ApplyDeltaCtx).
 func NewGateway(srv *Server, opts ...Option) (*Gateway, error) {
 	cfg, err := NewConfig(opts...)
 	if err != nil {
@@ -43,8 +43,6 @@ func NewGateway(srv *Server, opts ...Option) (*Gateway, error) {
 	return gateway.New(srv, gateway.Options{
 		QueueDepth:     cfg.QueueDepth,
 		DefaultTimeout: cfg.RequestTimeout,
-		DeltaWorkers:   cfg.Workers,
-		DeltaMaxRounds: cfg.MaxRounds,
 		Metrics:        cfg.Metrics,
 	})
 }

@@ -258,12 +258,13 @@ func (c *Config) serverOptions() serve.ServerOptions {
 // Dynamic graphs: incremental snapshot updates and hot-swap serving.
 //
 // A Snapshot built by NewSnapshotCtx is one link of a delta chain:
-// ApplyDeltaCtx absorbs a batch of edge mutations by part-local repair and
-// returns a new Snapshot whose query answers are bit-identical to a
-// from-scratch NewSnapshotCtx on the post-delta graph with the same seed —
-// at a cost that scales with the parts the delta touches, not with n. A
-// Store hot-swaps the active snapshot under live traffic; NewStoreServerV2
-// serves whatever the store holds, pinning the epoch per query.
+// ApplyDeltaCtx absorbs a batch of edge mutations and returns a new
+// Snapshot whose query answers are bit-identical to a from-scratch
+// NewSnapshotCtx on the post-delta graph with the same seed — without
+// re-running the simulated MST construction, and re-measuring dilation only
+// for the parts the delta touches. A Store hot-swaps the active snapshot
+// under live traffic; NewStoreServerV2 serves whatever the store holds,
+// pinning the epoch per query.
 
 // Delta is a batch of edge mutations over a fixed vertex set: deletions
 // (by endpoints) applied before insertions (with weights).
@@ -281,7 +282,7 @@ type DeltaRemap = graph.DeltaRemap
 // the new graph (bit-identical to building the post-delta edge set from
 // scratch), migrated weights, and the edge-ID remap. The input graph is
 // never modified. Snapshot holders normally use ApplyDeltaCtx, which does
-// this and repairs the serving state in one step.
+// this and derives the new serving state in one step.
 func ApplyGraphDelta(g *Graph, w Weights, d Delta) (*Graph, Weights, *DeltaRemap, error) {
 	return graph.ApplyDelta(g, w, d)
 }
@@ -291,8 +292,8 @@ func ApplyGraphDelta(g *Graph, w Weights, d Delta) (*Graph, Weights, *DeltaRemap
 // Store.SwapCtx).
 type Store = serve.Store
 
-// RepairInfo describes the incremental update that produced a repaired
-// snapshot (Snapshot.Repair).
+// RepairInfo describes the delta that produced a snapshot
+// (Snapshot.Repair).
 type RepairInfo = serve.RepairInfo
 
 // NewStore creates a store serving snap at epoch 1.
@@ -311,27 +312,21 @@ func NewStoreV2(snap *Snapshot, opts ...Option) (*Store, error) {
 }
 
 // ApplyDeltaCtx applies a batch of edge mutations to a snapshot's graph and
-// repairs the serving state part-locally under ctx: only the parts whose
-// shortcut subgraphs the delta invalidates are re-sampled and re-verified
-// (random-delay scheduling, reusing pooled scheduler state), the per-part
-// quality record is patched, and the shortcut-MST is re-derived through the
-// centralized Borůvka mirror. The result is bit-identical, query for query,
-// to a from-scratch NewSnapshotCtx on the post-delta graph with the same
-// seed and WithDiameter(snap.Diameter()) — the repair pins the base build's
+// derives the new serving state under ctx: the shortcuts are rebuilt
+// centrally with the snapshot's own sampling seed and diameter (per-edge
+// sampling streams keep every part the delta does not reach unchanged),
+// dilation is re-measured only for the parts whose augmented subgraph
+// changed, and the shortcut-MST is re-derived through the centralized
+// Borůvka mirror. The result is bit-identical, query for query, to a
+// from-scratch NewSnapshotCtx on the post-delta graph with the same seed
+// and WithDiameter(snap.Diameter()) — the update pins the base build's
 // diameter, so a rebuild that lets the diameter re-estimate from the
 // mutated graph may derive different (equally valid) parameters. Its
-// Cost() reports the repair's price. WithWorkers and WithMaxRounds apply;
-// the sampling seed is inherited from the snapshot's build, so no WithSeed
-// is needed.
-func ApplyDeltaCtx(ctx context.Context, snap *Snapshot, delta Delta, opts ...Option) (*Snapshot, error) {
-	cfg, err := NewConfig(opts...)
-	if err != nil {
-		return nil, err
-	}
-	return serve.ApplyDelta(ctx, snap, delta, serve.DeltaOptions{
-		Workers:   cfg.Workers,
-		MaxRounds: cfg.MaxRounds,
-	})
+// Cost() is the update's wall time, with zero simulated rounds and
+// messages. The sampling seed is inherited from the snapshot's build, so
+// the update takes no options.
+func ApplyDeltaCtx(ctx context.Context, snap *Snapshot, delta Delta) (*Snapshot, error) {
+	return serve.ApplyDelta(ctx, snap, delta, serve.DeltaOptions{})
 }
 
 // NewStoreServerV2 builds a server over a store from functional options

@@ -12,7 +12,7 @@
 //
 //	POST /v1/query          one typed query {"kind":"sssp","source":0}
 //	POST /v1/batch          {"queries":[...]} — one batched execution
-//	POST /v1/delta          edge mutations, repaired + swapped in live
+//	POST /v1/delta          edge mutations, applied + swapped in live
 //	POST /v1/snapshot/swap  ship a persisted snapshot file into the epoch
 //
 // Admin listener: /metrics (Prometheus text, ?format=json for JSON),
@@ -63,7 +63,6 @@ func run(args []string, stdout io.Writer, ready func(listen, admin string)) erro
 		listen     = fs.String("listen", ":8080", "serving listener address")
 		adminL     = fs.String("admin-listen", ":9090", "admin listener address (/metrics, /healthz, /readyz)")
 		executors  = fs.Int("executors", 0, "executor pool size (0 = GOMAXPROCS)")
-		workers    = fs.Int("workers", 0, "scheduler parallelism of /v1/delta repairs (0 = sequential)")
 		queueDepth = fs.Int("queue-depth", 0, "admission capacity before shedding 429s (0 = 4x executors)")
 		timeout    = fs.Duration("timeout", 0, "default per-request deadline when no Request-Timeout header (0 = none)")
 		traceDepth = fs.Int("trace-depth", 0, "query trace-ring capacity (0 = default)")
@@ -92,7 +91,6 @@ func run(args []string, stdout io.Writer, ready func(listen, admin string)) erro
 	gw, err := gateway.New(srv, gateway.Options{
 		QueueDepth:     *queueDepth,
 		DefaultTimeout: *timeout,
-		DeltaWorkers:   *workers,
 		Metrics:        reg,
 	})
 	if err != nil {

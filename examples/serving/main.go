@@ -103,11 +103,13 @@ func run() error {
 		fmt.Printf("serve: 2-ECSS correctly refused: %v\n", err)
 	}
 
-	// Dynamic update: absorb an edge delta by part-local repair (the result
-	// is bit-identical to rebuilding from scratch on the mutated graph, at a
-	// fraction of the cost) and hot-swap it under live traffic through a
-	// Store. Queries pin their epoch at checkout, so the swap never tears an
-	// in-flight answer; SwapCtx returns once the old epoch has drained.
+	// Dynamic update: absorb an edge delta by a seeded rebuild that skips
+	// the simulated MST and re-measures only the touched parts' dilation
+	// (the result is bit-identical to rebuilding from scratch on the mutated
+	// graph, at a fraction of the cost) and hot-swap it under live traffic
+	// through a Store. Queries pin their epoch at checkout, so the swap
+	// never tears an in-flight answer; SwapCtx returns once the old epoch
+	// has drained.
 	store := repro.NewStore(snap)
 	ssrv, err := repro.NewStoreServerV2(store, repro.WithExecutors(4))
 	if err != nil {
@@ -122,7 +124,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("delta: repaired %d parts in %v (generation %d; cold build was %v)\n",
+	fmt.Printf("delta: %d parts touched in %v (generation %d; cold build was %v)\n",
 		len(next.Repair().Touched), time.Since(updStart).Round(time.Millisecond),
 		next.Generation(), bc.Wall.Round(time.Millisecond))
 	if _, err := store.SwapCtx(ctx, next); err != nil {

@@ -10,17 +10,18 @@ import (
 )
 
 // E15Dynamic measures the dynamic-graph update path: the latency of
-// absorbing an edge delta into a served snapshot by part-local repair
-// (serve.ApplyDelta), swept over delta sizes, against the from-scratch
-// rebuild each update replaces. The claim under test is the economics of
-// Kogan–Parter's per-part construction: a delta invalidates only the parts
-// it touches, so update latency scales with the touched-part count — not
-// with n — while the repaired snapshot stays bit-identical to a rebuild
-// (pinned by the differential suite in internal/serve).
+// absorbing an edge delta into a served snapshot (serve.ApplyDelta: a
+// seeded shortcut rebuild, dilation re-measured only for the touched
+// parts, the MST re-derived by the centralized mirror), swept over delta
+// sizes, against the simulated from-scratch build each update replaces.
+// Per-edge sampling streams keep every part the delta does not reach
+// unchanged, so only the touched parts' dilation is re-measured, while the
+// new snapshot stays bit-identical to a rebuild (pinned by the
+// differential suite in internal/serve).
 func E15Dynamic(cfg Config) (*Table, error) {
 	cfg = cfg.WithDefaults()
-	t := NewTable("E15: incremental update latency vs delta size (part-local repair)",
-		"n", "delta", "update ms", "touched parts", "parts", "repair rounds", "build ms", "speedup")
+	t := NewTable("E15: incremental update latency vs delta size (seeded rebuild, touched parts re-measured)",
+		"n", "delta", "update ms", "touched parts", "parts", "build ms", "speedup")
 	n := cfg.DistSizes[len(cfg.DistSizes)-1]
 	rng := cfg.rng(18_000_000_000)
 	g, err := gen.ClusterChain(n, 6, rng)
@@ -51,7 +52,7 @@ func E15Dynamic(cfg Config) (*Table, error) {
 			return nil, fmt.Errorf("E15 delta=%d: %w", size, err)
 		}
 		updStart := time.Now()
-		next, err := serve.ApplyDelta(cfg.ctx(), snap, d, serve.DeltaOptions{Workers: cfg.Workers})
+		next, err := serve.ApplyDelta(cfg.ctx(), snap, d, serve.DeltaOptions{})
 		if err != nil {
 			return nil, fmt.Errorf("E15 delta=%d: %w", size, err)
 		}
@@ -59,10 +60,10 @@ func E15Dynamic(cfg Config) (*Table, error) {
 		updMS := float64(upd) / float64(time.Millisecond)
 		rep := next.Repair()
 		t.AddRow(I(n), I(size), F(updMS), I(len(rep.Touched)), I(numParts),
-			I(next.Cost().Rounds), F(buildMS), F(buildMS/updMS))
+			F(buildMS), F(buildMS/updMS))
 	}
-	t.AddNote("every delta is applied to the same base snapshot; repaired results are bit-identical to a from-scratch rebuild (differential suite)")
-	t.AddNote("update latency scales with the touched-part count, not n: the serving layer stays live under continuous mutation (hot-swap via serve.Store)")
+	t.AddNote("every delta is applied to the same base snapshot; updated snapshots are bit-identical to a from-scratch rebuild (differential suite)")
+	t.AddNote("an update simulates nothing: only the touched parts' dilation is re-measured, and the serving layer stays live under continuous mutation (hot-swap via serve.Store)")
 	t.SetMeta("build_ms", buildMS)
 	t.SetMeta("workers", cfg.Workers)
 	return t, nil

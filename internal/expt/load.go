@@ -111,7 +111,7 @@ func E17Load(cfg Config) (*Table, error) {
 		} else {
 			backend = &load.LibraryBackend{Srv: srv}
 		}
-		r := &load.Runner{Schedule: sched, Backend: backend, Store: store, UpdateWorkers: cfg.Workers}
+		r := &load.Runner{Schedule: sched, Backend: backend, Store: store}
 		return r.Run(cfg.ctx())
 	}
 

@@ -49,13 +49,6 @@ type Options struct {
 	// DefaultTimeout bounds requests that carry no Request-Timeout header.
 	// 0 means no implicit deadline.
 	DefaultTimeout time.Duration
-	// DeltaWorkers selects the scheduler parallelism of /v1/delta repairs
-	// (serve.DeltaOptions.Workers); 0 = sequential, identical results
-	// either way.
-	DeltaWorkers int
-	// DeltaMaxRounds bounds each delta repair's scheduled verification
-	// phases (0 = default).
-	DeltaMaxRounds int
 	// Metrics attaches the gateway's instrument set. Pass the same registry
 	// as the server's so /metrics exposes both layers in one scrape. nil =
 	// uninstrumented.
@@ -305,7 +298,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDelta serves POST /v1/delta: apply a batch of edge mutations to the
-// active snapshot and swap the repaired snapshot in under live traffic.
+// active snapshot and swap the resulting snapshot in under live traffic.
 // Mutations are serialized (deltaMu); queries keep flowing throughout — the
 // epoch protocol retires the old snapshot only after its readers drain.
 func (g *Gateway) handleDelta(w http.ResponseWriter, r *http.Request) {
@@ -337,10 +330,7 @@ func (g *Gateway) handleDelta(w http.ResponseWriter, r *http.Request) {
 
 	g.deltaMu.Lock()
 	defer g.deltaMu.Unlock()
-	repaired, err := serve.ApplyDelta(ctx, g.store.Snapshot(), delta, serve.DeltaOptions{
-		Workers:   g.opts.DeltaWorkers,
-		MaxRounds: g.opts.DeltaMaxRounds,
-	})
+	repaired, err := serve.ApplyDelta(ctx, g.store.Snapshot(), delta, serve.DeltaOptions{})
 	if err != nil {
 		g.writeError(w, epDelta, err)
 		return

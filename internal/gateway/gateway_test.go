@@ -430,6 +430,44 @@ findPair:
 	}
 }
 
+// TestDeltaDisconnectingDeletion posts a deletion that disconnects a part:
+// the gateway answers 400 with the invalid-input kind, the store stays on
+// its epoch and snapshot generation, and the MST answer is unchanged.
+func TestDeltaDisconnectingDeletion(t *testing.T) {
+	fx := makeFixture(t, 250, 4)
+	env := newEnv(t, fx, Options{})
+	u, v, ok := testx.PartLeafEdge(fx.g, fx.snap.Partition().PartOf)
+	if !ok {
+		t.Fatal("fixture has no node with a single intra-part edge")
+	}
+	mst := func() []byte {
+		status, raw := post(t, env.srv.URL+"/v1/query", QueryRequest{Kind: "mst"}, nil)
+		if status != 200 {
+			t.Fatalf("mst status %d: %s", status, raw)
+		}
+		return raw
+	}
+	before := mst()
+	epoch, generation := env.store.Epoch(), env.store.Snapshot().Generation()
+
+	status, raw := post(t, env.srv.URL+"/v1/delta", DeltaRequest{
+		Delete: [][2]int64{{int64(u), int64(v)}},
+	}, nil)
+	if status != 400 {
+		t.Fatalf("delta status %d, want 400 (%s)", status, raw)
+	}
+	if e := decodeResp[ErrorResponse](t, raw); e.Kind != reproerr.KindInvalidInput.String() {
+		t.Fatalf("error kind %q, want %q", e.Kind, reproerr.KindInvalidInput)
+	}
+	if env.store.Epoch() != epoch || env.store.Snapshot().Generation() != generation {
+		t.Fatalf("store at epoch %d generation %d, want %d and %d",
+			env.store.Epoch(), env.store.Snapshot().Generation(), epoch, generation)
+	}
+	if after := mst(); !bytes.Equal(after, before) {
+		t.Fatalf("mst after the rejected delta %s, want %s", after, before)
+	}
+}
+
 // TestSwapEndpoint ships a persisted snapshot through /v1/snapshot/swap:
 // a fresh-chain file swaps in (Drained true, epoch bumped), replaying the
 // then-stale active state is rejected with 400, and a missing file is a

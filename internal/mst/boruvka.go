@@ -15,7 +15,7 @@ import (
 // append order, at a centralized O((n + m)·phases) cost.
 //
 // This is the MST engine of the dynamic snapshot path: after a graph delta,
-// the repaired snapshot re-derives its shortcut-MST through this mirror in
+// the new snapshot re-derives its shortcut-MST through this mirror in
 // milliseconds, and the differential test harness pins the result against
 // the simulated construction a from-scratch rebuild performs.
 //

@@ -2,73 +2,55 @@ package serve
 
 import (
 	"context"
-	"math/rand"
 	"sort"
-	"sync"
 	"time"
 
+	"repro/internal/cost"
 	"repro/internal/graph"
 	"repro/internal/mst"
 	"repro/internal/reproerr"
-	"repro/internal/sched"
 	"repro/internal/shortcut"
 	"repro/internal/sssp"
 )
 
-// repairState is the scheduler scratch one repair's verification phases
-// run on: the random-delay Runner and extraction forest. Pooled so a
-// continuous delta stream amortizes the scheduler's flat buffers across
-// repairs — PR 2's Runner-reuse extended to the update path.
-type repairState struct {
-	runner sched.Runner
-	forest sched.BFSForest
-}
-
-var repairPool = sync.Pool{New: func() any { return new(repairState) }}
-
-// DeltaOptions configures ApplyDelta.
-type DeltaOptions struct {
-	// Workers selects the scheduler parallelism of the repair's
-	// verification phases; 0 = sequential. The repaired snapshot is
-	// identical for every setting.
-	Workers int
-	// MaxRounds bounds each scheduled verification phase (0 = default).
-	MaxRounds int
-}
+// DeltaOptions configures ApplyDelta. It has no fields: the new snapshot is
+// a pure function of the old one and the delta.
+type DeltaOptions struct{}
 
 // ApplyDelta applies a batch of edge mutations to a snapshot's graph and
-// repairs the serving state part-locally:
+// derives the serving state of the post-delta graph:
 //
 //   - the CSR graph and weights are rebuilt through graph.ApplyDelta
 //     (bit-identical to a from-scratch build of the post-delta edge set);
 //   - parts that lost an intra-part edge are re-checked for connectivity
 //     (a disconnecting delta fails with KindInvalidInput — repartition and
 //     rebuild from scratch in that case);
-//   - the shortcut assignment is repaired by shortcut.RepairDistributed:
-//     surviving edges keep their seeded draws, inserted edges get fresh
-//     deterministic ones, and only the touched parts re-run the paper's
-//     random-delay verification;
+//   - the shortcut assignment is rebuilt by shortcut.BuildSeeded with the
+//     old snapshot's sampling seed and diameter: its per-edge streams give
+//     surviving edges their old draws and inserted edges fresh ones, so a
+//     part the delta did not reach keeps its H (under the edge remap);
 //   - per-part dilation is re-measured only for parts whose augmented
-//     subgraph changed; congestion is recounted (O(m), and m-bound, not
-//     build-bound);
+//     subgraph changed (H changed, or an intra-part edge came or went);
+//     congestion is recounted (O(m));
 //   - the shortcut-MST is re-derived through the centralized Borůvka
 //     mirror, bit-identical to the simulated construction a rebuild runs.
 //
 // The result is a new immutable Snapshot whose query answers are
 // bit-identical to NewSnapshot on the post-delta graph with the same
 // derived seeds and the same pinned diameter — the property the
-// differential test harness pins. The repair always reuses the base
+// differential test harness pins. The update always reuses the base
 // build's diameter (Snapshot.Diameter()); a rebuild that passes Diameter 0
 // re-estimates it from the mutated graph and may legitimately derive
 // different parameters, so comparisons must pin it explicitly. The old
 // snapshot is untouched and remains serveable (a Store hot-swaps between
-// them). The new snapshot's Cost() reports the repair's price; its
-// Generation() increments; Repair() describes what was touched.
+// them). The new snapshot's Cost() is the update's wall time, with zero
+// simulated rounds and messages; its Generation() increments; Repair()
+// describes what was touched.
 //
 // Answers' simulated cost metadata (rounds/messages) is carried over from
-// the original build — the repair deliberately does not re-run the
+// the original build — the update deliberately does not re-run the
 // simulated MST construction that metadata describes.
-func ApplyDelta(ctx context.Context, old *Snapshot, delta graph.Delta, opts DeltaOptions) (*Snapshot, error) {
+func ApplyDelta(ctx context.Context, old *Snapshot, delta graph.Delta, _ DeltaOptions) (*Snapshot, error) {
 	const op = "serve.ApplyDelta"
 	if old == nil {
 		return nil, reproerr.Invalid(op, "nil snapshot")
@@ -115,34 +97,14 @@ func ApplyDelta(ctx context.Context, old *Snapshot, delta graph.Delta, opts Delt
 		return nil, reproerr.Errorf(op, reproerr.KindOf(err), "%w", err)
 	}
 
-	// The repair's verification schedule needs randomness for its delays;
-	// derive it from the sampling seed and the generation so the whole
-	// chain is a pure function of the original WithSeed. (The delays never
-	// influence the repaired state — only the schedule it is verified
-	// under.)
-	h := old.samplingSeed ^ (old.generation+1)*0x9E3779B97F4A7C15
-	h ^= h >> 30
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 27
-	repairRng := rand.New(rand.NewSource(int64(h >> 1)))
-
-	rs := repairPool.Get().(*repairState)
-	rr, err := shortcut.RepairDistributed(g2, p2, old.s, rm, rm.Inserted, shortcut.RepairOptions{
-		Seed:      old.samplingSeed,
-		Diameter:  old.diameter,
-		LogFactor: old.logFactor,
-		Rng:       repairRng,
-		Workers:   opts.Workers,
-		MaxRounds: opts.MaxRounds,
-		Runner:    &rs.runner,
-		Forest:    &rs.forest,
-		Ctx:       ctx,
-	})
-	repairPool.Put(rs)
+	s2, err := shortcut.BuildSeeded(g2, p2, shortcut.Options{
+		Diameter: old.diameter, LogFactor: old.logFactor, Ctx: ctx,
+	}, old.samplingSeed)
 	if err != nil {
-		return nil, reproerr.Errorf(op, reproerr.KindOf(err), "repair: %w", err)
+		return nil, reproerr.Errorf(op, reproerr.KindOf(err), "shortcuts: %w", err)
 	}
-	for _, pi := range rr.Touched {
+	touched := changedParts(old.s.H, s2.H, rm.OldToNew)
+	for _, pi := range touched {
 		qualityTouched[pi] = struct{}{}
 	}
 
@@ -155,13 +117,13 @@ func ApplyDelta(ctx context.Context, old *Snapshot, delta graph.Delta, opts Delt
 		if err := reproerr.CtxCheck(op, ctx); err != nil {
 			return nil, err
 		}
-		pq, err := rr.S.PartDilation(pi, old.dilationCutoff)
+		pq, err := s2.PartDilation(pi, old.dilationCutoff)
 		if err != nil {
 			return nil, reproerr.Errorf(op, reproerr.KindOf(err), "quality: %w", err)
 		}
 		partDil[pi] = pq
 	}
-	quality := shortcut.AggregateQuality(partDil, rr.S.Congestion())
+	quality := shortcut.AggregateQuality(partDil, s2.Congestion())
 
 	// Re-derive the shortcut-MST through the centralized mirror —
 	// bit-identical to the simulated construction, at milliseconds.
@@ -175,13 +137,11 @@ func ApplyDelta(ctx context.Context, old *Snapshot, delta graph.Delta, opts Delt
 	}
 	servRounds, servMessages := sssp.TreeServeCost(g2.NumNodes(), old.qualitySum, len(tree))
 
-	buildCost := rr.Cost
-	buildCost.Wall = time.Since(start)
 	return &Snapshot{
 		g:              g2,
 		w:              w2,
 		p:              p2,
-		s:              rr.S,
+		s:              s2,
 		quality:        quality,
 		partDil:        partDil,
 		tree:           tree,
@@ -193,15 +153,41 @@ func ApplyDelta(ctx context.Context, old *Snapshot, delta graph.Delta, opts Delt
 		samplingSeed:   old.samplingSeed,
 		generation:     old.generation + 1,
 		repair: &RepairInfo{
-			Touched:   rr.Touched,
+			Touched:   touched,
 			Inserted:  len(delta.Insert),
 			Deleted:   len(delta.Delete),
 			Rechecked: len(recheck),
 		},
-		buildCost:    buildCost,
+		buildCost:    cost.Cost{Wall: time.Since(start)},
 		phases:       old.phases,
 		qualitySum:   old.qualitySum,
 		servRounds:   servRounds,
 		servMessages: servMessages,
 	}, nil
+}
+
+// changedParts lists, ascending, the parts whose shortcut list in newH is
+// not their list in oldH carried through the edge remap oldToNew (a
+// deleted edge maps to -1, an inserted one has no preimage, so either
+// marks its part). Compared in place: no remapped copy is built.
+func changedParts(oldH, newH [][]graph.EdgeID, oldToNew []graph.EdgeID) []int {
+	var out []int
+	for pi, h := range newH {
+		if !sameUnderRemap(oldH[pi], h, oldToNew) {
+			out = append(out, pi)
+		}
+	}
+	return out
+}
+
+func sameUnderRemap(oldList, newList, oldToNew []graph.EdgeID) bool {
+	if len(oldList) != len(newList) {
+		return false
+	}
+	for j, e := range oldList {
+		if oldToNew[e] != newList[j] {
+			return false
+		}
+	}
+	return true
 }

@@ -236,7 +236,7 @@ func TestPersistAfterDelta(t *testing.T) {
 	for attempt := 0; ; attempt++ {
 		d2 := diffDelta(g1, partOf, 24, deltaRng)
 		nextMem, errM := serve.ApplyDelta(context.Background(), repaired, d2, serve.DeltaOptions{})
-		nextLoad, errL := serve.ApplyDelta(context.Background(), loaded, d2, serve.DeltaOptions{Workers: 1})
+		nextLoad, errL := serve.ApplyDelta(context.Background(), loaded, d2, serve.DeltaOptions{})
 		if (errM == nil) != (errL == nil) {
 			t.Fatalf("delta diverged: in-memory err %v, loaded err %v", errM, errL)
 		}

@@ -43,7 +43,7 @@ import (
 // dilationCutoff bounds the exact per-part dilation of a build, as in
 // Shortcuts.Dilation: a part above it reports the [ecc, 2·ecc] bracket of
 // one leader BFS. The snapshot records the cutoff it was built with, and
-// the file format persists it, so a repair of a loaded snapshot measures
+// the file format persists it, so a delta on a loaded snapshot measures
 // touched parts under the same cutoff as the build that produced it.
 const dilationCutoff = 3000
 
@@ -75,10 +75,10 @@ type SnapshotOptions struct {
 // is safe for unlimited concurrent readers (see DESIGN.md for the argument).
 //
 // Snapshots form chains under graph deltas: ApplyDelta derives a new
-// Snapshot from an old one by part-local repair (bit-identical to a
-// from-scratch rebuild on the post-delta graph), with Generation counting
-// the chain position. The old snapshot remains valid and immutable — a
-// Store swaps between them under live traffic.
+// Snapshot from an old one (bit-identical to a from-scratch rebuild on the
+// post-delta graph), with Generation counting the chain position. The old
+// snapshot remains valid and immutable — a Store swaps between them under
+// live traffic.
 type Snapshot struct {
 	g *graph.Graph
 	w graph.Weights
@@ -86,7 +86,7 @@ type Snapshot struct {
 	s *shortcut.Shortcuts
 
 	quality shortcut.Quality   // measured once at build
-	partDil []shortcut.Quality // per-part dilation (congestion zero), for quality queries and part-local repair
+	partDil []shortcut.Quality // per-part dilation (congestion zero), for quality queries and delta updates
 
 	tree       []graph.EdgeID // the shortcut-MST, derived once
 	treeWeight float64
@@ -117,11 +117,11 @@ type Snapshot struct {
 	backing *snapio.File
 }
 
-// RepairInfo describes the incremental update that produced a repaired
-// snapshot.
+// RepairInfo describes the delta update that produced a snapshot.
 type RepairInfo struct {
-	// Touched lists the parts whose shortcut subgraphs were re-sampled and
-	// re-verified (ascending).
+	// Touched lists the parts whose shortcut subgraph H changed under the
+	// delta's edge remap (ascending); with the parts that gained or lost an
+	// intra-part edge, these are the parts whose dilation was re-measured.
 	Touched []int
 	// Inserted and Deleted count the delta's edge mutations.
 	Inserted, Deleted int
@@ -163,9 +163,9 @@ func NewSnapshot(g *graph.Graph, w graph.Weights, parts [][]graph.NodeID, opts S
 	}
 	// The sampling seed is the build's first draw: the whole shortcut
 	// assignment becomes a pure per-edge function of (graph, partition,
-	// seed), which is what lets ApplyDelta repair it part-locally and still
-	// agree bit-for-bit with a from-scratch rebuild (see DESIGN.md "Dynamic
-	// snapshots").
+	// seed), which is what lets ApplyDelta keep every untouched part's H
+	// and dilation record and still agree bit-for-bit with a from-scratch
+	// rebuild (see DESIGN.md "Dynamic snapshots").
 	samplingSeed := opts.Rng.Uint64()
 	s, err := shortcut.BuildSeeded(g, p, shortcut.Options{
 		Diameter: d, LogFactor: opts.LogFactor, Ctx: opts.Ctx,
@@ -221,10 +221,10 @@ func NewSnapshot(g *graph.Graph, w graph.Weights, parts [][]graph.NodeID, opts S
 
 // measureQuality computes every part's dilation (cancelable between parts —
 // the per-part BFS sweep is the expensive unit) plus the assignment's
-// congestion, returning both the per-part record the repair path reuses and
+// congestion, returning both the per-part record the delta path reuses and
 // the aggregated Quality. Measurement and fold live in internal/shortcut
 // (PartDilations / AggregateQuality), shared with DilationCtx, so there is
-// exactly one definition of "quality" for builds, rebuilds, and repairs.
+// exactly one definition of "quality" for builds, rebuilds, and deltas.
 func measureQuality(ctx context.Context, s *shortcut.Shortcuts, cutoff int) ([]shortcut.Quality, shortcut.Quality, error) {
 	partDil, err := s.PartDilations(ctx, cutoff)
 	if err != nil {
@@ -268,13 +268,14 @@ func (sn *Snapshot) Phases() int { return sn.phases }
 // Cost returns the unified v2 accounting of the snapshot build: the
 // shortcut-MST's simulated rounds/messages and scheduler stats, plus the
 // wall-clock time of the whole build (partition validation through tree
-// indexing). For a repaired snapshot (Generation > 0) this is the cost of
-// the repair — the quantity the dynamic path exists to shrink.
+// indexing). For a delta snapshot (Generation > 0) it is the update's wall
+// time alone: the update simulates nothing, so rounds, messages and
+// SchedStats are zero.
 func (sn *Snapshot) Cost() cost.Cost { return sn.buildCost }
 
 // Diameter returns the build diameter the snapshot's parameters were
-// derived with. Deltas pin it: every repaired descendant reuses it, which
-// is what keeps repair and from-scratch rebuild parameter-identical.
+// derived with. Deltas pin it: every descendant reuses it, which is what
+// keeps a delta chain and a from-scratch rebuild parameter-identical.
 func (sn *Snapshot) Diameter() int { return sn.diameter }
 
 // Generation returns the snapshot's position in its delta chain: 0 for a

@@ -1,7 +1,6 @@
 package shortcut
 
 import (
-	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -39,17 +38,8 @@ type RepairOptions struct {
 	// It never influences the repaired assignment — only the schedule under
 	// which the verification trees are grown.
 	Rng *rand.Rand
-	// Workers and MaxRounds as in DistOptions.
-	Workers   int
-	MaxRounds int
-	// Runner and Forest, when non-nil, are caller-held scheduler state
-	// (e.g. a serving executor's) reused for the verification phases; nil
-	// allocates locally.
-	Runner *sched.Runner
-	Forest *sched.BFSForest
-	// Ctx cancels the verification cooperatively at every scheduler drain
-	// step.
-	Ctx context.Context
+	// Workers as in DistOptions.
+	Workers int
 }
 
 // RepairResult is the outcome of a part-local repair.
@@ -84,6 +74,9 @@ type RepairResult struct {
 // p must be the (rebound) partition over g; old the assignment being
 // repaired; rm the edge remap of the delta; inserted the new-graph EdgeIDs
 // of the inserted edges.
+//
+// The serving path does not call it: serve.ApplyDelta reruns BuildSeeded,
+// which needs no verification. It remains for servebench's delta replay.
 func RepairDistributed(
 	g *graph.Graph,
 	p *Partition,
@@ -195,14 +188,8 @@ func RepairDistributed(
 	if kdInt < 1 {
 		kdInt = 1
 	}
-	runner := opts.Runner
-	if runner == nil {
-		runner = &sched.Runner{}
-	}
-	forest := opts.Forest
-	if forest == nil {
-		forest = &sched.BFSForest{}
-	}
+	runner := &sched.Runner{}
+	forest := &sched.BFSForest{}
 
 	tasks := make([]sched.BFSTask, len(res.Touched))
 	sets := make([]*graph.Bitset, len(res.Touched))
@@ -232,13 +219,9 @@ func RepairDistributed(
 		}
 	}
 	schedOpts := sched.Options{
-		MaxDelay:  kdInt,
-		Rng:       opts.Rng,
-		MaxRounds: opts.MaxRounds,
-		Workers:   opts.Workers,
-	}
-	if opts.Ctx != nil {
-		schedOpts.Ctx = opts.Ctx
+		MaxDelay: kdInt,
+		Rng:      opts.Rng,
+		Workers:  opts.Workers,
 	}
 	st, err := runner.ParallelBFSInto(forest, g, tasks, schedOpts)
 	if err != nil {

@@ -10,15 +10,17 @@ import (
 //
 // Build draws its Bernoulli samples from one sequential *rand.Rand stream,
 // which welds every draw to the global arc iteration order: touching a
-// single edge shifts every later draw, so no part-local repair can ever
-// reproduce what a from-scratch rebuild would compute. BuildSeeded instead
-// derives an independent splitmix64 stream per (tail, head, repetition)
-// triple, keyed by the endpoint node IDs — NOT by EdgeID, which a delta
-// renumbers. The sampled hit set of an edge is then a pure function of
-// (seed, endpoints, repetition), independent of every other edge, which is
-// exactly the property RepairDistributed needs: after a delta, unchanged
-// edges keep their draws bit-for-bit, inserted edges get fresh deterministic
-// draws, and the repaired assignment equals the from-scratch one exactly.
+// single edge shifts every later draw, so a rebuild after a delta would
+// resample every part. BuildSeeded instead derives an independent
+// splitmix64 stream per (tail, head, repetition) triple, keyed by the
+// endpoint node IDs — NOT by EdgeID, which a delta renumbers. The sampled
+// hit set of an edge is then a pure function of (seed, endpoints,
+// repetition), independent of every other edge: rebuilt after a delta with
+// the same seed, unchanged edges keep their draws bit-for-bit and inserted
+// edges get fresh deterministic ones, so every part the delta does not
+// reach keeps its H (under the delta's edge remap) — and with it its
+// dilation record, which serve.ApplyDelta reuses instead of re-measuring.
+// RepairDistributed derives the same assignment part-locally.
 //
 // The per-stream geometric skip-sampling is the same Log1p trick as
 // sampleHits, so the draw distribution is identical to Build's.
@@ -133,9 +135,9 @@ func seededSampleHits(
 // BuildSeeded runs the centralized construction of Section 2 with seeded
 // per-arc sampling: the result is a pure function of (g, p, opts, seed),
 // with every edge's draws independent of every other edge's. This is the
-// construction behind dynamic snapshots — see RepairDistributed, which
-// reproduces it part-locally after a graph delta. Options.Rng is ignored
-// (and may be nil); everything else matches Build.
+// construction behind dynamic snapshots: serve.ApplyDelta reruns it on the
+// post-delta graph with the original seed. Options.Rng is ignored (and may
+// be nil); everything else matches Build.
 func BuildSeeded(g *graph.Graph, p *Partition, opts Options, seed uint64) (*Shortcuts, error) {
 	return build("shortcut.BuildSeeded", g, p, opts, func(largeIdxOf []int32, numLarge int, params Params, hit func(li int32, e graph.EdgeID)) {
 		seededSampleHits(g, p, largeIdxOf, numLarge, params.P, params.Reps, seed, hit)

@@ -160,7 +160,7 @@ func (s *Shortcuts) DilationCtx(ctx context.Context, exactCutoff int) (Quality, 
 
 // PartDilations measures every part's dilation individually (each returned
 // Quality has Congestion 0), cancelable between parts. This is the per-part
-// record the dynamic snapshot path caches so a repair re-measures only
+// record the dynamic snapshot path caches so a delta re-measures only
 // touched parts; AggregateQuality folds it back into DilationCtx's result.
 func (s *Shortcuts) PartDilations(ctx context.Context, exactCutoff int) ([]Quality, error) {
 	out := make([]Quality, s.P.NumParts())
@@ -179,7 +179,7 @@ func (s *Shortcuts) PartDilations(ctx context.Context, exactCutoff int) ([]Quali
 
 // AggregateQuality folds per-part dilations and a congestion measurement
 // into one Quality — the single fold shared by DilationCtx and the serving
-// layer's snapshot build/repair, so a repaired snapshot's quality is
+// layer's snapshot build and delta update, so a delta snapshot's quality is
 // definitionally identical to a rebuilt one's.
 func AggregateQuality(partDil []Quality, congestion int) Quality {
 	q := Quality{Exact: true, Congestion: congestion}
@@ -198,9 +198,9 @@ func AggregateQuality(partDil []Quality, congestion int) Quality {
 }
 
 // PartDilation measures the dilation of part i's augmented subgraph alone —
-// the per-part entry point the serving layer's repair uses to re-measure
-// only the parts a delta touched, without the all-parts sweep (and the
-// global congestion recount). The returned Quality's Congestion field is
+// the per-part entry point the serving layer's delta update uses to
+// re-measure only the parts a delta touched, without the all-parts sweep
+// (and the global congestion recount). The returned Quality's Congestion field is
 // zero; callers holding a prebuilt Shortcuts combine it with the congestion
 // they measured once. exactCutoff as in Dilation.
 func (s *Shortcuts) PartDilation(i, exactCutoff int) (Quality, error) {

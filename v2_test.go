@@ -433,15 +433,17 @@ func TestV2ApplyDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repaired, err := repro.ApplyDeltaCtx(ctx, base, d, repro.WithWorkers(2))
+	repaired, err := repro.ApplyDeltaCtx(ctx, base, d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if repaired.Generation() != 1 || repaired.Repair() == nil {
 		t.Fatalf("generation %d, repair %+v", repaired.Generation(), repaired.Repair())
 	}
-	if repaired.Cost().Wall <= 0 {
-		t.Error("repair Cost.Wall not recorded")
+	// A delta snapshot's cost is its wall time: the update simulates
+	// nothing.
+	if c := repaired.Cost(); c.Wall <= 0 || c.Rounds != 0 || c.Messages != 0 || c.SchedStats != (repro.SchedStats{}) {
+		t.Errorf("delta Cost %+v, want wall time only", c)
 	}
 	g2, w2, _, err := repro.ApplyGraphDelta(fx.g, fx.w, d)
 	if err != nil {
