@@ -26,9 +26,12 @@ import (
 // swaps, free of coordinated omission (latency is charged from each query's
 // scheduled arrival).
 //
-// Every delivered sssp/mst answer is also attributed to a snapshot
-// generation; a non-zero "torn" count means some answer mixed state from two
-// epochs, the failure the epoch protocol exists to prevent.
+// Every delivered answer, of all five kinds, is also checked: it must equal
+// the answer a same-seed reference server gives on some snapshot generation
+// of its window (the swaps that returned before it was sent, up to those
+// that started before it returned). A non-zero "torn" count means some
+// answer is wrong or mixed state from two epochs, the failure the epoch
+// protocol exists to prevent.
 func E17Load(cfg Config) (*Table, error) {
 	cfg = cfg.WithDefaults()
 	t := NewTable("E17: open-loop load (Zipf/Poisson arrivals, racing hot swaps)",
@@ -81,8 +84,7 @@ func E17Load(cfg Config) (*Table, error) {
 	// starting from a fresh store at the base snapshot so every run races
 	// the identical generation chain.
 	runScenario := func(sched *load.Schedule, wire bool) (*load.Result, error) {
-		store := serve.NewStore(snap)
-		srv := serve.NewStoreServer(store, serve.ServerOptions{
+		srv := serve.NewStoreServer(serve.NewStore(snap), serve.ServerOptions{
 			Executors: executors, Seed: cfg.Seed, Metrics: cfg.Metrics,
 		})
 		var backend load.Backend
@@ -111,7 +113,7 @@ func E17Load(cfg Config) (*Table, error) {
 		} else {
 			backend = &load.LibraryBackend{Srv: srv}
 		}
-		r := &load.Runner{Schedule: sched, Backend: backend, Store: store}
+		r := &load.Runner{Schedule: sched, Backend: backend, Server: srv}
 		return r.Run(cfg.ctx())
 	}
 
@@ -144,8 +146,9 @@ func E17Load(cfg Config) (*Table, error) {
 	}
 
 	// External wire rows: the same workloads POSTed at a running lcsserve.
-	// The remote owns its snapshot, so there is no swap surface to race or
-	// verify against — update rate is forced to 0 and the torn check is off.
+	// The remote owns its snapshot, so there is no swap surface to race and
+	// no local server to check against — update rate is forced to 0 and the
+	// Runner gets no Server, which turns the torn check off.
 	// The schedule's roots index the LOCAL fixture, so the remote must serve
 	// a snapshot of the same size (start lcsserve from this run's
 	// -snapshot-out, or any equal-n build).
@@ -181,7 +184,7 @@ func E17Load(cfg Config) (*Table, error) {
 	}
 
 	t.AddNote("open loop: arrivals fire on a pre-drawn Poisson schedule regardless of outstanding work; latency is charged from the scheduled arrival (no coordinated omission)")
-	t.AddNote("torn: delivered sssp/mst answers attributed to no snapshot generation — must be 0; '-' marks runs without a local swap surface to verify against")
+	t.AddNote("torn: delivered answers, all five kinds, equal to no reference answer of a snapshot generation in their window — must be 0; '-' marks runs without a local server to check against")
 	t.AddNote("same seed ⇒ identical schedule for every backend; library and wire rows of one scenario replay the same workload")
 	t.AddNote("fixture: bridge-free ER n=%d (the mix exercises twoecss), snapshot built in %s",
 		n, buildTime.Round(time.Millisecond))

@@ -15,7 +15,9 @@
 // Every /v1/query serves directly on the server: an sssp answer on a built
 // snapshot is one warm tree walk, cheaper than any window that would wait
 // to share it. /v1/batch runs as one ServeBatchCtx execution, whose
-// duplicate-root dedup answers repeated roots with a single walk.
+// duplicate-root dedup answers repeated roots with a single walk; a batch
+// whose sssp rows would exceed maxBatchDists distances is refused with 429
+// before admission.
 //
 // Everything below the HTTP layer — admission, executor checkout, the warm
 // sssp path — stays allocation-free, and so does the response encode: bodies
@@ -264,6 +266,7 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	queries := make([]serve.Query, len(req.Queries))
+	rows := 0
 	for i := range req.Queries {
 		q, err := req.Queries[i].toQuery()
 		if err != nil {
@@ -271,7 +274,15 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 				reproerr.KindInvalidInput, "queries[%d]: %w", i, err))
 			return
 		}
+		if _, ok := q.(serve.SSSPQuery); ok {
+			rows++
+		}
 		queries[i] = q
+	}
+	if n := g.srv.Snapshot().Graph().NumNodes(); rows*n > maxBatchDists {
+		g.writeError(w, epBatch, reproerr.Errorf("gateway.batch", reproerr.KindBudgetExceeded,
+			"%d sssp rows of %d distances exceed the batch budget of %d distances", rows, n, maxBatchDists))
+		return
 	}
 	if err := g.admit(); err != nil {
 		g.writeError(w, epBatch, err)

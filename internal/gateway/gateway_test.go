@@ -304,6 +304,46 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
+// TestBatchBudget pins the batch budget: a batch whose sssp rows would hold
+// more than maxBatchDists distances, duplicate roots included, is refused
+// with 429 before admission (no executor is checked out and the server's
+// counters do not move), and the next batch is served.
+func TestBatchBudget(t *testing.T) {
+	fx := makeFixture(t, 200, 5)
+	env := newEnv(t, fx, Options{})
+	rows := maxBatchDists/fx.g.NumNodes() + 1
+	body := bytes.NewBufferString(`{"queries":[`)
+	for i := 0; i < rows; i++ {
+		if i > 0 {
+			body.WriteByte(',')
+		}
+		body.WriteString(`{"kind":"sssp","source":0}`)
+	}
+	body.WriteString(`]}`)
+	before := env.gw.srv.Stats()
+	status, raw := post(t, env.srv.URL+"/v1/batch", json.RawMessage(body.Bytes()), nil)
+	if status != http.StatusTooManyRequests {
+		t.Fatalf("%d-row batch: status %d, want 429", rows, status)
+	}
+	if e := decodeResp[ErrorResponse](t, raw); e.Kind != reproerr.KindBudgetExceeded.String() {
+		t.Fatalf("error kind %q, want %q", e.Kind, reproerr.KindBudgetExceeded)
+	}
+	if after := env.gw.srv.Stats(); after != before {
+		t.Fatalf("refused batch moved the server's counters: %+v → %+v", before, after)
+	}
+	for _, name := range []string{"lcs_serve_executors_inflight_peak", "lcs_gateway_queue_depth_peak"} {
+		if peak := env.reg.Gauge(name).Value(); peak != 0 {
+			t.Fatalf("%s = %d after a refused batch, want 0", name, peak)
+		}
+	}
+	status, raw = post(t, env.srv.URL+"/v1/batch", BatchRequest{Queries: []QueryRequest{
+		{Kind: "sssp", Source: intp(0)}, {Kind: "sssp", Source: intp(0)},
+	}}, nil)
+	if status != http.StatusOK {
+		t.Fatalf("batch after the refusal: status %d: %s", status, raw)
+	}
+}
+
 // TestErrorMapping pins the HTTP error surface end to end: malformed and
 // invalid requests map to the taxonomy's status codes with machine-readable
 // kinds in the body.

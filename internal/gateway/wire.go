@@ -10,10 +10,12 @@ import (
 	"strconv"
 	"unicode/utf8"
 
+	"repro/internal/cost"
 	"repro/internal/graph"
 	"repro/internal/mincut"
 	"repro/internal/reproerr"
 	"repro/internal/serve"
+	"repro/internal/shortcut"
 )
 
 // maxBodyBytes bounds every request body the gateway decodes. Delta
@@ -21,6 +23,14 @@ import (
 // 16 MiB leaves generous headroom while keeping a hostile body from
 // ballooning the decoder.
 const maxBodyBytes = 16 << 20
+
+// maxBatchDists bounds the distances one /v1/batch may materialize: its
+// sssp queries times the snapshot's node count. Every sssp query of a batch,
+// duplicates included, gets its own n-float row before anything is
+// written, so a body of maxBodyBytes could otherwise ask for about 620k
+// rows. 1<<24 distances are 128 MiB of rows, 65 times a 64-root batch at
+// n=4000.
+const maxBatchDists = 1 << 24
 
 // QueryRequest is the JSON body of POST /v1/query and each element of a
 // batch request. Kind selects the query family; the other fields are
@@ -323,6 +333,37 @@ func answerToResponse(a serve.Answer) *QueryResponse {
 		}}
 	}
 	return nil
+}
+
+// ResponseToAnswer is answerToResponse's inverse: it maps a decoded wire
+// answer back onto its typed serve answer, which equals the served one
+// field for field. An sssp answer's Dist is r.SSSP.Dist itself, not a copy.
+// A response without the result field its kind names is KindCorrupt.
+func ResponseToAnswer(r *QueryResponse) (serve.Answer, error) {
+	switch {
+	case r.Kind == "sssp" && r.SSSP != nil:
+		return &serve.SSSPAnswer{
+			Source: graph.NodeID(r.SSSP.Source),
+			Dist:   []float64(r.SSSP.Dist),
+			Cost:   cost.Cost{Rounds: r.Rounds, Messages: r.Messages},
+		}, nil
+	case r.Kind == "mst" && r.MST != nil:
+		return &serve.MSTAnswer{Tree: r.MST.Edges, Weight: r.MST.Weight}, nil
+	case r.Kind == "mincut" && r.MinCut != nil:
+		return &serve.MinCutAnswer{Value: r.MinCut.Value, Side: r.MinCut.Side, Trees: r.MinCut.Trees}, nil
+	case r.Kind == "twoecss" && r.TwoECSS != nil:
+		e := r.TwoECSS
+		return &serve.TwoECSSAnswer{Edges: e.Edges, Weight: e.Weight, LowerBound: e.LowerBound, Ratio: e.Ratio}, nil
+	case r.Kind == "quality" && r.Quality != nil:
+		q := r.Quality
+		return &serve.QualityAnswer{Part: q.Part, Quality: shortcut.Quality{
+			Congestion: q.Congestion,
+			DilationLo: q.DilationLo,
+			DilationHi: q.DilationHi,
+			Exact:      q.Exact,
+		}}, nil
+	}
+	return nil, reproerr.Errorf("gateway.answer", reproerr.KindCorrupt, "%q response without its result", r.Kind)
 }
 
 // BatchRequest is the JSON body of POST /v1/batch.

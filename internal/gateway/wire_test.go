@@ -6,10 +6,13 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/reproerr"
+	"repro/internal/serve"
 )
 
 // TestDistVectorRoundTrip pins the Inf↔null wire encoding: +Inf
@@ -190,5 +193,55 @@ func TestQueryValidation(t *testing.T) {
 		if _, err := q.toQuery(); err != nil {
 			t.Errorf("good[%d] %+v: rejected: %v", i, q, err)
 		}
+	}
+}
+
+// TestResponseToAnswerRoundTrip pins the wire mapping in both directions:
+// each kind's served answer, mapped to its QueryResponse, encoded as the
+// handler encodes it, decoded as a client decodes it and mapped back by
+// ResponseToAnswer, equals the original, the sssp row bit for bit with +Inf
+// and -0 included.
+func TestResponseToAnswerRoundTrip(t *testing.T) {
+	fx := makeFixture(t, 120, 3)
+	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 1, Seed: 7})
+	for _, q := range []serve.Query{
+		serve.SSSPQuery{Source: 5}, serve.MSTQuery{}, serve.MinCutQuery{},
+		serve.TwoECSSQuery{}, serve.QualityQuery{Part: 2},
+	} {
+		a, err := srv.Serve(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sssp, isSSSP := a.(*serve.SSSPAnswer)
+		if isSSSP {
+			// The fixture is connected; plant the values the codec treats
+			// specially.
+			sssp.Dist[0], sssp.Dist[1] = math.Inf(1), math.Copysign(0, -1)
+		}
+		raw, err := appendResponse(nil, answerToResponse(a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp QueryResponse
+		if err := json.Unmarshal(raw, &resp); err != nil {
+			t.Fatalf("%T: decoding %s: %v", a, raw, err)
+		}
+		back, err := ResponseToAnswer(&resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, a) {
+			t.Fatalf("%T: %+v came back as %+v", a, a, back)
+		}
+		if isSSSP {
+			for i, d := range back.(*serve.SSSPAnswer).Dist {
+				if math.Float64bits(d) != math.Float64bits(sssp.Dist[i]) {
+					t.Fatalf("dist[%d] = %v came back as %v: bits differ", i, sssp.Dist[i], d)
+				}
+			}
+		}
+	}
+	if _, err := ResponseToAnswer(&QueryResponse{Kind: "mst", SSSP: &SSSPResult{}}); reproerr.KindOf(err) != reproerr.KindCorrupt {
+		t.Fatalf("mst response without its result: err %v, want KindCorrupt", err)
 	}
 }

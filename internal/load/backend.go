@@ -15,19 +15,14 @@ import (
 	"repro/internal/serve"
 )
 
-// Completion is what the runner needs back from a served query for SLO and
-// torn-answer accounting. Kinds without attribution material (mincut,
-// twoecss, quality) return the zero Completion.
+// Completion is what the runner needs back from a served query for the
+// answer check: Dist for sssp, TreeEdges for mst, and the whole Answer for
+// mincut, twoecss and quality. Dist is the full distance row (wire backends
+// decode it bit-identically, the DistVector contract).
 type Completion struct {
-	// Root and Dist are set for sssp answers; Dist is the full distance row
-	// (wire backends decode it bit-identically, the DistVector contract).
-	Root graph.NodeID
-	Dist []float64
-	// TreeHead is the identity of an MST answer's tree slice — set by the
-	// library backend only, where pointer identity names the generation
-	// exactly. TreeEdges carries the edge ids for both backends.
-	TreeHead  *graph.EdgeID
+	Dist      []float64
 	TreeEdges []graph.EdgeID
+	Answer    serve.Answer
 }
 
 // Backend serves one query; both implementations expose the same five-kind
@@ -50,16 +45,18 @@ func (b *LibraryBackend) Do(ctx context.Context, q serve.Query) (Completion, err
 	if err != nil {
 		return Completion{}, err
 	}
-	switch ans := a.(type) {
+	return completion(a), nil
+}
+
+// completion keeps of a what the check compares.
+func completion(a serve.Answer) Completion {
+	switch a := a.(type) {
 	case *serve.SSSPAnswer:
-		return Completion{Root: ans.Source, Dist: ans.Dist}, nil
+		return Completion{Dist: a.Dist}
 	case *serve.MSTAnswer:
-		if len(ans.Tree) == 0 {
-			return Completion{}, fmt.Errorf("load: empty MST answer")
-		}
-		return Completion{TreeHead: &ans.Tree[0], TreeEdges: ans.Tree}, nil
+		return Completion{TreeEdges: a.Tree}
 	}
-	return Completion{}, nil
+	return Completion{Answer: a}
 }
 
 // WireBackend drives a gateway over HTTP — POST /v1/query with the JSON
@@ -120,13 +117,11 @@ func (b *WireBackend) Do(ctx context.Context, q serve.Query) (Completion, error)
 	if err := json.Unmarshal(raw, &ans); err != nil {
 		return Completion{}, fmt.Errorf("%s: undecodable answer: %w", op, err)
 	}
-	switch {
-	case ans.SSSP != nil:
-		return Completion{Root: graph.NodeID(ans.SSSP.Source), Dist: ans.SSSP.Dist}, nil
-	case ans.MST != nil:
-		return Completion{TreeEdges: ans.MST.Edges}, nil
+	a, err := gateway.ResponseToAnswer(&ans)
+	if err != nil {
+		return Completion{}, err
 	}
-	return Completion{}, nil
+	return completion(a), nil
 }
 
 // queryToRequest is toQuery's inverse: the typed serve query onto its wire

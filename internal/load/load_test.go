@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -182,7 +183,7 @@ func TestRunLibraryWithUpdates(t *testing.T) {
 	}
 	store := serve.NewStore(snap)
 	srv := serve.NewStoreServer(store, serve.ServerOptions{Executors: 4, Seed: 5})
-	r := &Runner{Schedule: sched, Backend: &LibraryBackend{Srv: srv}, Store: store}
+	r := &Runner{Schedule: sched, Backend: &LibraryBackend{Srv: srv}, Server: srv}
 	res, err := r.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -209,19 +210,8 @@ func TestRunWireWithUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := serve.NewStore(snap)
-	gw, err := gateway.New(serve.NewStoreServer(store, serve.ServerOptions{Executors: 4, Seed: 5}),
-		gateway.Options{QueueDepth: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(gw.Handler())
-	defer func() {
-		hs.Close()
-		gw.Close()
-	}()
-
-	r := &Runner{Schedule: sched, Backend: NewWireBackend(hs.URL, nil), Store: store}
+	srv := serve.NewStoreServer(serve.NewStore(snap), serve.ServerOptions{Executors: 4, Seed: 5})
+	r := &Runner{Schedule: sched, Backend: wireBackend(t, srv), Server: srv}
 	res, err := r.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -256,11 +246,131 @@ func assertClean(t *testing.T, res *Result, sched *Schedule) {
 	if res.Latency.Quantile(0.999) < res.Latency.Quantile(0.5) {
 		t.Fatal("p999 below p50")
 	}
-	if !res.TornChecked || res.Checked == 0 {
-		t.Fatalf("torn check did not run: %+v", res)
+	if !res.TornChecked || int64(res.Checked) != res.Delivered {
+		t.Fatalf("checked %d of %d delivered answers: %+v", res.Checked, res.Delivered, res)
 	}
 	if res.Torn != 0 {
 		t.Fatalf("%d of %d checked answers torn", res.Torn, res.Checked)
+	}
+}
+
+// wireBackend serves srv through a gateway on a loopback listener, closed
+// when the test ends.
+func wireBackend(t *testing.T, srv *serve.Server) *WireBackend {
+	t.Helper()
+	gw, err := gateway.New(srv, gateway.Options{QueueDepth: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(gw.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		gw.Close()
+	})
+	return NewWireBackend(hs.URL, nil)
+}
+
+// corruptFirst passes answers through, except the first of each kind,
+// which it alters in one place: one bit of one distance, one tree edge
+// dropped, or one number of a whole answer.
+type corruptFirst struct {
+	Backend
+	mu   sync.Mutex
+	seen map[string]bool
+}
+
+func (c *corruptFirst) Do(ctx context.Context, q serve.Query) (Completion, error) {
+	comp, err := c.Backend.Do(ctx, q)
+	if err != nil {
+		return comp, err
+	}
+	c.mu.Lock()
+	first := !c.seen[kindName(q)]
+	c.seen[kindName(q)] = true
+	c.mu.Unlock()
+	if !first {
+		return comp, nil
+	}
+	switch a := comp.Answer.(type) {
+	case *serve.MinCutAnswer:
+		b := *a
+		b.Value++
+		return Completion{Answer: &b}, nil
+	case *serve.TwoECSSAnswer:
+		b := *a
+		b.Weight++
+		return Completion{Answer: &b}, nil
+	case *serve.QualityAnswer:
+		b := *a
+		b.Quality.Congestion++
+		return Completion{Answer: &b}, nil
+	}
+	if _, ok := q.(serve.MSTQuery); ok {
+		return Completion{TreeEdges: comp.TreeEdges[1:]}, nil
+	}
+	d := append([]float64(nil), comp.Dist...)
+	d[len(d)-1] = math.Nextafter(d[len(d)-1], math.Inf(1))
+	return Completion{Dist: d}, nil
+}
+
+// TestRunCatchesWrongAnswers pins that the check covers every kind: over a
+// fixed-snapshot server, a backend that corrupts the first answer of each
+// of the five kinds yields exactly five torn answers, and every other
+// delivered answer is checked clean, on both backends.
+func TestRunCatchesWrongAnswers(t *testing.T) {
+	snap := makeSnapshot(t, 300, 4)
+	p := Params{Rate: 100, Duration: 400 * time.Millisecond, Seed: 3,
+		Mix: Mix{SSSP: 1, MST: 1, MinCut: 1, TwoECSS: 1, Quality: 1}}
+	sched, err := BuildSchedule(p, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for kind, c := range sched.KindCounts() {
+		if c < 2 {
+			t.Fatalf("schedule draws %d %s queries; the test needs two of each kind", c, kind)
+		}
+	}
+	srv := serve.NewServer(snap, serve.ServerOptions{Executors: 4, Seed: 5})
+	for _, backend := range []Backend{&LibraryBackend{Srv: srv}, wireBackend(t, srv)} {
+		t.Run(backend.Name(), func(t *testing.T) {
+			r := &Runner{Schedule: sched, Backend: &corruptFirst{Backend: backend, seen: map[string]bool{}}, Server: srv}
+			res, err := r.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Delivered != int64(len(sched.Events)) || int64(res.Checked) != res.Delivered {
+				t.Fatalf("delivered %d, checked %d of %d events (failures: %v)",
+					res.Delivered, res.Checked, len(sched.Events), res.FailureSample)
+			}
+			if res.Torn != 5 {
+				t.Fatalf("%d torn answers, want exactly the 5 corrupted ones", res.Torn)
+			}
+		})
+	}
+}
+
+// TestRunCatchesStaleAnswers pins the generation windows: a backend that
+// keeps answering from the base snapshot while the store swaps underneath
+// it serves answers from outside their windows, and the check counts them
+// torn.
+func TestRunCatchesStaleAnswers(t *testing.T) {
+	snap := makeSnapshot(t, 300, 2)
+	sched, err := BuildSchedule(testParams, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := serve.ServerOptions{Executors: 4, Seed: 5}
+	srv := serve.NewStoreServer(serve.NewStore(snap), opts)
+	stale := &LibraryBackend{Srv: serve.NewServer(snap, opts)}
+	res, err := (&Runner{Schedule: sched, Backend: stale, Server: srv}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.UpdatesApplied == 0 || int64(res.Checked) != res.Delivered {
+		t.Fatalf("applied %d updates, checked %d of %d delivered", res.UpdatesApplied, res.Checked, res.Delivered)
+	}
+	if res.Torn == 0 {
+		t.Fatalf("no torn answer among %d served from generation 0 across %d swaps", res.Checked, res.UpdatesApplied)
 	}
 }
 
@@ -279,7 +389,7 @@ func TestRunCancellation(t *testing.T) {
 	srv := serve.NewStoreServer(store, serve.ServerOptions{Executors: 2, Seed: 5})
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	r := &Runner{Schedule: sched, Backend: &LibraryBackend{Srv: srv}, Store: store}
+	r := &Runner{Schedule: sched, Backend: &LibraryBackend{Srv: srv}, Server: srv}
 	res, err := r.Run(ctx)
 	if err == nil {
 		t.Fatal("canceled run returned no error")

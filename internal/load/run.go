@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/reproerr"
 	"repro/internal/serve"
@@ -19,12 +17,14 @@ import (
 type Runner struct {
 	Schedule *Schedule
 	Backend  Backend
-	// Store, when set, is the hot-swap surface the scheduled updates drive
-	// (serve.ApplyDelta + Store.Swap at each update's instant, racing the
-	// query stream) and the base of the generation chain the torn-answer
-	// check verifies against. nil disables updates and the check — the
-	// external-lcsserve case, where the remote snapshot is out of reach.
-	Store *serve.Store
+	// Server, when set, is the server the Backend serves through. Every
+	// delivered answer is checked against reference servers over its
+	// snapshots at its seed, and, when it is store-backed, the scheduled
+	// updates are applied to the store's snapshot and swapped in at their
+	// instants, racing the query stream. nil skips updates and the check:
+	// the external-lcsserve case, where the remote snapshot is out of
+	// reach.
+	Server *serve.Server
 }
 
 // Result is one scenario's outcome: offered-vs-delivered accounting, the
@@ -41,9 +41,10 @@ type Result struct {
 	// UpdatesApplied counts completed hot swaps; Generations the snapshot
 	// chain length (updates + 1).
 	UpdatesApplied, Generations int
-	// Checked/Torn are the attribution counts: every checked answer must
-	// match at least one generation's reference (Torn == 0). TornChecked is
-	// false when no Store was attached (external wire target).
+	// Checked/Torn are the attribution counts: every delivered answer is
+	// checked, and must equal its reference in some generation of its
+	// window (Torn == 0). TornChecked is false when no Server was attached
+	// (external wire target).
 	Checked, Torn int
 	TornChecked   bool
 	Elapsed       time.Duration
@@ -59,11 +60,18 @@ type Result struct {
 	FailureSample []string
 }
 
-// ssspObs is one delivered sssp answer's attribution material.
-type ssspObs struct {
-	root graph.NodeID
-	hash uint64
+// delivery is one delivered answer's record: when its call was sent and
+// returned (offsets from the run start) and what the check compares; the
+// zero record marks a query that was not delivered. The slice of them is
+// allocated before the run, and each element is written only by the
+// goroutine serving it.
+type delivery struct {
+	sent, done time.Duration
+	obs        Observation
 }
+
+// swap is one update's Store.Swap call, as offsets from the run start.
+type swap struct{ start, end time.Duration }
 
 // Run executes the schedule. The returned Result is valid even when err is
 // non-nil for a context cancellation — it then covers the portion that ran.
@@ -74,29 +82,30 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	}
 	sched := r.Schedule
 	p := sched.Params.withDefaults()
-	if len(sched.Updates) > 0 && r.Store == nil {
-		return nil, reproerr.Invalid(op, "scheduled updates require a Store to swap against")
+	var store *serve.Store
+	var chain []*serve.Snapshot
+	if r.Server != nil {
+		store = r.Server.Store()
+		chain = append(chain, r.Server.Snapshot())
+	}
+	if len(sched.Updates) > 0 && store == nil {
+		return nil, reproerr.Invalid(op, "scheduled updates require a store-backed Server to swap against")
 	}
 	res := &Result{Backend: r.Backend.Name(), Offered: len(sched.Events)}
 
 	var latHist, qwHist obs.Histogram
 	var delivered, shed, deadline, canceled, failed atomic.Int64
-	var obsMu sync.Mutex
-	var ssspSeen []ssspObs
-	var mstHeads []*graph.EdgeID
-	var mstEdgeHashes []uint64
+	var failMu sync.Mutex
 	var failures []string
-
-	var chain []*serve.Snapshot
-	if r.Store != nil {
-		chain = append(chain, r.Store.Snapshot())
-	}
+	deliveries := make([]delivery, len(sched.Events))
+	var swaps []swap
 
 	start := time.Now()
 
 	// Updater: applies each scheduled delta to the chain tip at its instant
 	// and swaps it in under the live query stream. Single writer — chain
-	// needs no lock (the verification below reads it only after updWg.Wait).
+	// and swaps need no lock (the check below reads them only after
+	// updWg.Wait).
 	var updWg sync.WaitGroup
 	var updErr error
 	if len(sched.Updates) > 0 {
@@ -114,7 +123,10 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 					updErr = fmt.Errorf("update %d: %w", i, err)
 					return
 				}
-				r.Store.Swap(next)
+				s := swap{start: time.Since(start)}
+				store.Swap(next)
+				s.end = time.Since(start)
+				swaps = append(swaps, s)
 				chain = append(chain, next)
 			}
 		}()
@@ -126,7 +138,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	var qWg sync.WaitGroup
 	timer := newStoppedTimer()
 dispatch:
-	for _, ev := range sched.Events {
+	for i, ev := range sched.Events {
 		if !sleepUntil(ctx, timer, start, ev.At) {
 			break dispatch
 		}
@@ -139,10 +151,12 @@ dispatch:
 		res.Dispatched++
 		wait := time.Since(start) - ev.At
 		qWg.Add(1)
-		go func(ev Event, wait time.Duration) {
+		go func(d *delivery, ev Event, wait time.Duration) {
 			defer func() { <-sem; qWg.Done() }()
 			qctx, cancel := context.WithTimeout(ctx, p.Timeout)
+			sent := time.Since(start)
 			comp, err := r.Backend.Do(qctx, ev.Query)
+			done := time.Since(start)
 			cancel()
 			if err != nil {
 				switch kind := reproerr.KindOf(err); {
@@ -154,40 +168,32 @@ dispatch:
 					canceled.Add(1)
 				default:
 					failed.Add(1)
-					obsMu.Lock()
+					failMu.Lock()
 					if len(failures) < 4 {
 						failures = append(failures, err.Error())
 					}
-					obsMu.Unlock()
+					failMu.Unlock()
 				}
 				return
 			}
 			// Latency from the scheduled arrival, not the dispatch — the
 			// coordinated-omission-free measurement this package exists for.
-			lat := time.Since(start) - ev.At
 			delivered.Add(1)
-			latHist.Observe(int64(lat))
+			latHist.Observe(int64(done - ev.At))
 			if wait < 0 {
 				wait = 0
 			}
 			qwHist.Observe(int64(wait))
-			switch {
-			case comp.Dist != nil:
-				h := hashDist(comp.Dist)
-				obsMu.Lock()
-				ssspSeen = append(ssspSeen, ssspObs{comp.Root, h})
-				obsMu.Unlock()
-			case comp.TreeHead != nil:
-				obsMu.Lock()
-				mstHeads = append(mstHeads, comp.TreeHead)
-				obsMu.Unlock()
-			case comp.TreeEdges != nil:
-				h := hashEdges(comp.TreeEdges)
-				obsMu.Lock()
-				mstEdgeHashes = append(mstEdgeHashes, h)
-				obsMu.Unlock()
+			*d = delivery{sent: sent, done: done, obs: Observation{Query: ev.Query}}
+			switch ev.Query.(type) {
+			case serve.SSSPQuery:
+				d.obs.Hash = RowHash(comp.Dist)
+			case serve.MSTQuery:
+				d.obs.Hash = EdgeHash(comp.TreeEdges)
+			default:
+				d.obs.Answer = comp.Answer
 			}
-		}(ev, wait)
+		}(&deliveries[i], ev, wait)
 	}
 	qWg.Wait()
 	updWg.Wait()
@@ -209,11 +215,26 @@ dispatch:
 	}
 	res.Latency = latHist.Snapshot()
 	res.QueueWait = qwHist.Snapshot()
-	if r.Store != nil {
-		res.UpdatesApplied = len(chain) - 1
+	if r.Server != nil {
+		res.UpdatesApplied = len(swaps)
 		res.Generations = len(chain)
 		res.TornChecked = true
-		verifyTorn(chain, ssspSeen, mstHeads, mstEdgeHashes, res)
+		ck := NewChecker(chain, r.Server.Seed())
+		for i := range deliveries {
+			d := &deliveries[i]
+			if d.obs.Query == nil {
+				continue
+			}
+			d.obs.Lo, d.obs.Hi = window(swaps, d.sent, d.done)
+			gen, err := ck.Attribute(d.obs)
+			if err != nil {
+				return nil, fmt.Errorf("%s: check: %w", op, err)
+			}
+			res.Checked++
+			if gen < 0 {
+				res.Torn++
+			}
+		}
 	}
 	if ctx.Err() != nil {
 		return res, reproerr.FromContext(op, ctx.Err())
@@ -221,112 +242,19 @@ dispatch:
 	return res, nil
 }
 
-// verifyTorn attributes every captured answer to the generation chain: a
-// sssp row must hash to some generation's tree distances for its root, an
-// MST answer must be (by slice identity or edge-id hash) some generation's
-// tree. An answer matching no generation mixed state from two epochs — the
-// torn-answer failure the epoch protocol exists to prevent.
-func verifyTorn(chain []*serve.Snapshot, sssp []ssspObs, heads []*graph.EdgeID, edgeHashes []uint64, res *Result) {
-	headSet := make(map[*graph.EdgeID]struct{}, len(chain))
-	treeHashes := make(map[uint64]struct{}, len(chain))
-	for _, sn := range chain {
-		t := sn.Tree()
-		if len(t) > 0 {
-			headSet[&t[0]] = struct{}{}
-			treeHashes[hashEdges(t)] = struct{}{}
+// window bounds the generation an answer may come from: its query's lease
+// pinned the store after sent and before done, so every swap that returned
+// by sent is in, and no swap that started after done can be.
+func window(swaps []swap, sent, done time.Duration) (lo, hi int) {
+	for _, s := range swaps {
+		if s.end <= sent {
+			lo++
+		}
+		if s.start <= done {
+			hi++
 		}
 	}
-	// Reference rows are computed lazily per distinct root: one tree walk
-	// per (root × generation) actually observed, not per answer.
-	rootRefs := make(map[graph.NodeID]map[uint64]struct{})
-	for _, o := range sssp {
-		res.Checked++
-		refs, ok := rootRefs[o.root]
-		if !ok {
-			refs = make(map[uint64]struct{}, len(chain))
-			for _, sn := range chain {
-				refs[hashDist(treeDist(sn, o.root))] = struct{}{}
-			}
-			rootRefs[o.root] = refs
-		}
-		if _, ok := refs[o.hash]; !ok {
-			res.Torn++
-		}
-	}
-	for _, h := range heads {
-		res.Checked++
-		if _, ok := headSet[h]; !ok {
-			res.Torn++
-		}
-	}
-	for _, h := range edgeHashes {
-		res.Checked++
-		if _, ok := treeHashes[h]; !ok {
-			res.Torn++
-		}
-	}
-}
-
-// treeDist walks a snapshot's shortcut-MST from src accumulating weights —
-// the exact row the warm sssp path serves (pinned by the serve tests), so
-// hashing it reproduces a generation's reference answer bit-for-bit.
-func treeDist(sn *serve.Snapshot, src graph.NodeID) []float64 {
-	g, w, tree := sn.Graph(), sn.Weights(), sn.Tree()
-	n := g.NumNodes()
-	type arc struct {
-		to graph.NodeID
-		w  float64
-	}
-	adj := make([][]arc, n)
-	for _, e := range tree {
-		u, v := g.EdgeEndpoints(e)
-		adj[u] = append(adj[u], arc{v, w[e]})
-		adj[v] = append(adj[v], arc{u, w[e]})
-	}
-	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-	queue := []graph.NodeID{src}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, a := range adj[u] {
-			if math.IsInf(dist[a.to], 1) {
-				dist[a.to] = dist[u] + a.w
-				queue = append(queue, a.to)
-			}
-		}
-	}
-	return dist
-}
-
-// hashDist is FNV-1a over the row's IEEE-754 bits: answers that differ in
-// any bit of any distance hash apart, which is the wire contract's exactness
-// (DistVector round-trips bit-identically).
-func hashDist(dist []float64) uint64 {
-	h := uint64(14695981039346656037)
-	for _, d := range dist {
-		b := math.Float64bits(d)
-		for s := 0; s < 64; s += 8 {
-			h ^= (b >> s) & 0xff
-			h *= 1099511628211
-		}
-	}
-	return h
-}
-
-// hashEdges is FNV-1a over an MST answer's edge-id sequence.
-func hashEdges(edges []graph.EdgeID) uint64 {
-	h := uint64(14695981039346656037)
-	for _, e := range edges {
-		b := uint64(uint32(e))
-		for s := 0; s < 32; s += 8 {
-			h ^= (b >> s) & 0xff
-			h *= 1099511628211
-		}
-	}
-	return h
+	return lo, hi
 }
 
 // newStoppedTimer returns a drained timer ready for Reset.

@@ -141,6 +141,9 @@ func (s *Server) Snapshot() *Snapshot {
 // Store returns the backing store, or nil for a fixed-snapshot server.
 func (s *Server) Store() *Store { return s.store }
 
+// Seed returns the resolved ServerOptions.Seed (0 resolves to 1).
+func (s *Server) Seed() int64 { return s.opts.Seed }
+
 // Executors returns the executor-pool size — the maximum number of queries
 // in flight at once. A network front end sizes its admission queue from
 // this: requests beyond pool + queue capacity are shed instead of queued

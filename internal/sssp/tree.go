@@ -23,12 +23,13 @@ type TreeIndex struct {
 	// (-1 at a root) across an edge of weight pw[i]; pos inverts ord. Each
 	// component occupies a contiguous run of positions that starts at its
 	// root, its smallest node ID; comp lists the runs' start positions,
-	// then n.
-	ord  []graph.NodeID
-	pos  []int32
-	par  []graph.NodeID
-	pw   []float64
-	comp []int32
+	// then n. height is the largest depth of any node below its root.
+	ord    []graph.NodeID
+	pos    []int32
+	par    []graph.NodeID
+	pw     []float64
+	comp   []int32
+	height int32
 }
 
 // NewTreeIndex indexes the given tree edges of g under weights w. The edges
@@ -101,7 +102,11 @@ func (ti *TreeIndex) deriveOrder(op string) error {
 		ti.comp = append(ti.comp, next)
 		head := next
 		place(r, -1, 0)
-		for ; head < next; head++ {
+		for depth, levelEnd := int32(0), next; head < next; head++ {
+			if head == levelEnd {
+				depth, levelEnd = depth+1, next
+				ti.height = max(ti.height, depth)
+			}
 			u, p := ti.ord[head], ti.par[head]
 			parentSeen := p < 0
 			for a := ti.off[u]; a < ti.off[u+1]; a++ {
@@ -130,9 +135,11 @@ func (ti *TreeIndex) deriveOrder(op string) error {
 func (ti *TreeIndex) NumNodes() int { return len(ti.off) - 1 }
 
 // TreeScratch holds the reusable per-executor buffer of DistancesInto: the
-// stack of positions on the source's path to its root, O(depth) entries.
-// The zero value is ready to use; reusing one across queries makes the warm
-// path allocation-free. A TreeScratch must not be used concurrently.
+// stack of positions on the source's path to its root, sized to the tree's
+// height by the first walk over a tree taller than any before. The zero
+// value is ready to use; reusing one across queries makes every later walk
+// of that tree allocation-free, whatever its source. A TreeScratch must not
+// be used concurrently.
 type TreeScratch struct {
 	path []int32
 }
@@ -158,6 +165,9 @@ func (ti *TreeIndex) DistancesInto(dst []float64, src graph.NodeID, sc *TreeScra
 
 	// (1) Walk from src up to its root: there the neighbour toward src is
 	// the child below, so each ancestor is one edge farther than its child.
+	if cap(sc.path) <= int(ti.height) {
+		sc.path = make([]int32, 0, ti.height+1)
+	}
 	p := ti.pos[src]
 	dst[src] = 0
 	path := append(sc.path[:0], p)

@@ -157,6 +157,31 @@ func TestDistancesIntoMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestTreeScratchSizedByFirstWalk pins that one walk sizes the root-path
+// stack for every source of the tree: after a walk from the root of a
+// 300-node path, the walk from its far end, 299 edges below, finds the
+// stack big enough and does not grow it.
+func TestTreeScratchSizedByFirstWalk(t *testing.T) {
+	g := gen.Path(300)
+	ti, err := NewTreeIndex(g, graph.NewUniformWeights(g.NumEdges(), rand.New(rand.NewSource(1))), allEdges(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc TreeScratch
+	dst, err := ti.DistancesInto(nil, 0, &sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := cap(sc.path)
+	if _, err := ti.DistancesInto(dst, 299, &sc); err != nil {
+		t.Fatal(err)
+	}
+	if first < 300 || cap(sc.path) != first {
+		t.Fatalf("root-path stack capacity %d after the root's walk, %d after the far end's; want one capacity of at least 300",
+			first, cap(sc.path))
+	}
+}
+
 // TestRawTreeIndexRejectsMalformed feeds RawTreeIndex malformed persisted
 // arrays: each must fail with KindInvalidInput rather than build an index
 // a later walk could index out of range with or read garbage from.
