@@ -190,8 +190,6 @@ type CongestStats = congest.Stats
 // (Theorem 2.1): realized rounds, messages, per-edge congestion, and peak
 // queueing. It is reported by the distributed shortcut construction
 // (DistShortcutResult.SchedStats) and tracked by lcsbench's -json output.
-// WithWorkers drives the scheduler's sharded drain as well as the CONGEST
-// engine, with bit-for-bit identical results for every setting.
 type SchedStats = sched.Stats
 
 // The CONGEST node-programming vocabulary, re-exported so external modules

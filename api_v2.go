@@ -58,7 +58,6 @@ func BuildShortcutsDistributedCtx(ctx context.Context, g *Graph, p *Partition, o
 		Rng:           cfg.rng(),
 		LogFactor:     cfg.SamplingBoost,
 		Reps:          cfg.Reps,
-		Workers:       cfg.Workers,
 		KnownDiameter: cfg.KnownDiameter,
 		MaxRounds:     cfg.MaxRounds,
 		Ctx:           ctx,
@@ -117,7 +116,6 @@ func (c *Config) mstOptions(ctx context.Context) mst.DistOptions {
 		Diameter:  c.Diameter,
 		LogFactor: c.SamplingBoost,
 		Baseline:  c.Baseline,
-		Workers:   c.Workers,
 		MaxRounds: c.MaxRounds,
 		Ctx:       ctx,
 	}
@@ -134,7 +132,6 @@ func SSSPApproxCtx(ctx context.Context, g *Graph, w Weights, src NodeID, opts ..
 		Rng:       cfg.rng(),
 		Diameter:  cfg.Diameter,
 		LogFactor: cfg.SamplingBoost,
-		Workers:   cfg.Workers,
 		MaxRounds: cfg.MaxRounds,
 		Ctx:       ctx,
 	})
@@ -158,7 +155,6 @@ func MinCutApproxCtx(ctx context.Context, g *Graph, w Weights, opts ...Option) (
 		Diameter:    cfg.Diameter,
 		LogFactor:   cfg.SamplingBoost,
 		Distributed: cfg.DistributedAccounting,
-		Workers:     cfg.Workers,
 		FirstTree:   cfg.Tree,
 		Ctx:         ctx,
 	})
@@ -180,7 +176,6 @@ func TwoECSSCtx(ctx context.Context, g *Graph, w Weights, opts ...Option) (*TwoE
 		Diameter:    cfg.Diameter,
 		LogFactor:   cfg.SamplingBoost,
 		Distributed: cfg.DistributedAccounting,
-		Workers:     cfg.Workers,
 		Tree:        cfg.Tree,
 		Ctx:         ctx,
 	})
@@ -228,7 +223,6 @@ func NewSnapshotCtx(ctx context.Context, g *Graph, w Weights, parts [][]NodeID, 
 		Rng:       cfg.rng(),
 		Diameter:  cfg.Diameter,
 		LogFactor: cfg.SamplingBoost,
-		Workers:   cfg.Workers,
 		MaxRounds: cfg.MaxRounds,
 		Ctx:       ctx,
 	})
@@ -350,7 +344,6 @@ func RunCongestCtx(ctx context.Context, g *Graph, factory CongestFactory, opts .
 		return CongestStats{}, nil, err
 	}
 	return congest.Run(g, factory, congest.Options{
-		Workers:   cfg.Workers,
 		MaxRounds: cfg.MaxRounds,
 		Ctx:       ctx,
 	})

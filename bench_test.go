@@ -1,5 +1,5 @@
 // Benchmarks regenerating every experiment of EXPERIMENTS.md (E1–E13,
-// A1–A3) at reduced "quick" scale, plus micro-benchmarks of the hot paths.
+// A1, A2, A4, A5) at reduced "quick" scale, plus micro-benchmarks of the hot paths.
 // Full-scale tables are produced by cmd/lcsbench.
 package repro_test
 
@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro"
-	"repro/internal/congest"
 	"repro/internal/expt"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -52,30 +51,6 @@ func BenchmarkA1Repetitions(b *testing.B)   { runExperiment(b, expt.A1Repetition
 func BenchmarkA2Scheduling(b *testing.B)    { runExperiment(b, expt.A2Scheduling) }
 func BenchmarkA4Deterministic(b *testing.B) { runExperiment(b, expt.A4Deterministic) }
 func BenchmarkA5Local(b *testing.B)         { runExperiment(b, expt.A5Local) }
-
-// BenchmarkA3Engines compares the two CONGEST engines on an identical BFS
-// workload (the engine-equivalence ablation).
-func BenchmarkA3Engines(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	g := gen.ErdosRenyi(2000, 0.002, rng)
-	for _, eng := range []struct {
-		name string
-		opts congest.Options
-	}{
-		{"sequential", congest.Options{MaxRounds: 1 << 20}},
-		{"pool", congest.Options{Workers: -1, MaxRounds: 1 << 20}},
-	} {
-		b.Run(eng.name, func(b *testing.B) {
-			engine := congest.NewEngine(eng.opts)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := congest.RunBFS(g, 0, engine); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // --- micro-benchmarks of the hot paths ---------------------------------------
 

@@ -79,7 +79,6 @@ func run(args []string, stdout io.Writer) error {
 		logFactor = fs.Float64("logfactor", 0.3, "sampling probability log-term scale")
 		quick     = fs.Bool("quick", false, "reduced sweeps")
 		csv       = fs.Bool("csv", false, "emit CSV instead of aligned text")
-		engine    = fs.String("engine", "sequential", "CONGEST engine for simulated experiments: sequential, pool (one worker per CPU), or a worker count")
 		jsonOut   = fs.Bool("json", false, "emit all tables as a JSON array (overrides -csv)")
 		benchOut  = fs.String("bench-out", "", "append the run envelope + tables as a trajectory entry to this JSON file (e.g. BENCH_serving.json for -serve runs); repeated runs accumulate a performance history; stdout keeps its text/CSV/JSON form")
 		benchTag  = fs.String("bench-tag", "", "tag recorded on the -bench-out trajectory entry (a PR number, commit, or machine name)")
@@ -164,9 +163,6 @@ func run(args []string, stdout io.Writer) error {
 		cfg.Metrics = reg
 	}
 	var err error
-	if cfg.Workers, err = parseEngine(*engine); err != nil {
-		return fmt.Errorf("-engine: %w", err)
-	}
 	if cfg.Sizes, err = parseInts(*sizes); err != nil {
 		return fmt.Errorf("-sizes: %w", err)
 	}
@@ -246,7 +242,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	start := time.Now()
-	info := expt.RunInfo{Engine: *engine, Workers: cfg.Workers, Seed: cfg.Seed}
+	info := expt.RunInfo{Seed: cfg.Seed}
 	var tables []*expt.Table
 	for _, e := range selected {
 		tbl, err := e.run(cfg)
@@ -298,23 +294,6 @@ func run(args []string, stdout io.Writer) error {
 		return expt.WriteJSON(stdout, info, tables)
 	}
 	return nil
-}
-
-// parseEngine maps the -engine flag to a congest.Options.Workers value:
-// "sequential" → 0, "pool" → one worker per CPU, an integer → that many
-// workers.
-func parseEngine(s string) (int, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "sequential", "seq":
-		return 0, nil
-	case "pool", "parallel":
-		return -1, nil
-	}
-	w, err := strconv.Atoi(strings.TrimSpace(s))
-	if err != nil {
-		return 0, fmt.Errorf("want sequential, pool, or a worker count, got %q", s)
-	}
-	return w, nil
 }
 
 func parseInts(s string) ([]int, error) {

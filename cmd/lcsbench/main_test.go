@@ -15,8 +15,6 @@ import (
 // contract -json promises.
 type envelope struct {
 	Run struct {
-		Engine   string `json:"engine"`
-		Workers  int    `json:"workers"`
 		Seed     int64  `json:"seed"`
 		Canceled bool   `json:"canceled"`
 		Error    string `json:"error"`
@@ -48,10 +46,10 @@ func runJSON(t *testing.T, args []string) envelope {
 
 func TestJSONEnvelope(t *testing.T) {
 	env := runJSON(t, []string{
-		"-quick", "-json", "-seed", "5", "-engine", "2",
+		"-quick", "-json", "-seed", "5",
 		"-sizes", "500", "-diameters", "4", "quality",
 	})
-	if env.Run.Engine != "2" || env.Run.Workers != 2 || env.Run.Seed != 5 {
+	if env.Run.Seed != 5 {
 		t.Fatalf("run info: %+v", env.Run)
 	}
 	if len(env.Tables) != 1 {
@@ -205,9 +203,6 @@ func TestErrors(t *testing.T) {
 	}
 	if err := run([]string{}, &out); err == nil {
 		t.Fatal("missing experiment accepted")
-	}
-	if err := run([]string{"-engine", "banana", "quality"}, &out); err == nil {
-		t.Fatal("bad engine accepted")
 	}
 	if err := run([]string{"-sizes", "12,x", "quality"}, &out); err == nil {
 		t.Fatal("bad sizes accepted")

@@ -17,7 +17,7 @@ import (
 // normally never touch a Config directly:
 //
 //	res, err := repro.MSTDistributedCtx(ctx, g, w,
-//	    repro.WithSeed(42), repro.WithDiameter(6), repro.WithWorkers(-1))
+//	    repro.WithSeed(42), repro.WithDiameter(6))
 //
 // Zero values mean "use the entry point's default". Options that do not
 // apply to an entry point are ignored by it (WithExecutors on a shortcut
@@ -26,14 +26,10 @@ import (
 // The vocabulary holds the paper's parameters and ablation knobs (Reps,
 // Radius, Eps, SamplingBoost, Baseline, …), deployment settings
 // (Executors, QueueDepth, RequestTimeout, …) and execution controls
-// (Workers, MaxRounds, Metrics, …). The construction's own constants —
+// (MaxRounds, Metrics, …). The construction's own constants —
 // the BFS truncation depth factor, the congestion cap, the snapshot's
 // dilation cutoff — are fixed where they are used, not options.
 type Config struct {
-	// Workers selects execution parallelism for the CONGEST engine and the
-	// scheduler drain: 0/1 sequential, k > 1 a k-worker sharded pool,
-	// negative one worker per CPU. Results are identical for every setting.
-	Workers int
 	// Seed seeds the deterministic randomness when HasSeed is set: the
 	// entry point derives a *rand.Rand via splitmix64, so equal seeds give
 	// bit-identical results everywhere.
@@ -107,9 +103,6 @@ func (c *Config) fail(format string, args ...any) {
 		c.err = reproerr.Invalid("repro.Config", format, args...)
 	}
 }
-
-// WithWorkers selects execution parallelism (see Config.Workers).
-func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
 
 // WithSeed seeds all randomness deterministically: the entry point derives
 // its *rand.Rand from seed via splitmix64. Equal seeds give bit-identical

@@ -47,34 +47,31 @@ func cancelTestGraph(t *testing.T) *graph.Graph {
 }
 
 // TestEngineCancelMidRun cancels the context from inside a program round
-// and asserts, for the sequential engine and the sharded pool: the run
-// aborts with an error satisfying errors.Is(err, context.Canceled) and
-// carrying reproerr.KindCanceled, it aborts within one round of the
-// trigger, and no worker goroutines leak.
+// and asserts: the run aborts with an error satisfying
+// errors.Is(err, context.Canceled) and carrying reproerr.KindCanceled, it
+// aborts within one round of the trigger, and no goroutine leaks.
 func TestEngineCancelMidRun(t *testing.T) {
 	g := cancelTestGraph(t)
-	for _, workers := range []int{0, 4, -1} {
-		defer testx.LeakCheck(t.Errorf)()
-		ctx, cancel := context.WithCancel(context.Background())
-		const trigger = 5
-		factory := func(*View) Program { return &chatterNode{trigger: trigger, cancel: cancel} }
-		stats, _, err := Run(g, factory, Options{Workers: workers, Ctx: ctx})
-		cancel()
-		if err == nil {
-			t.Fatalf("workers=%d: run completed despite cancellation", workers)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: errors.Is(err, context.Canceled) = false for %v", workers, err)
-		}
-		var re *reproerr.Error
-		if !errors.As(err, &re) || re.Kind != reproerr.KindCanceled {
-			t.Errorf("workers=%d: want *reproerr.Error with KindCanceled, got %v", workers, err)
-		}
-		// The engine checks at the round barrier: the abort must come at
-		// the barrier right after the triggering round.
-		if stats.Messages > int64(trigger+2)*int64(g.NumArcs()) {
-			t.Errorf("workers=%d: run kept going after cancellation: %d messages", workers, stats.Messages)
-		}
+	defer testx.LeakCheck(t.Errorf)()
+	ctx, cancel := context.WithCancel(context.Background())
+	const trigger = 5
+	factory := func(*View) Program { return &chatterNode{trigger: trigger, cancel: cancel} }
+	stats, _, err := Run(g, factory, Options{Ctx: ctx})
+	cancel()
+	if err == nil {
+		t.Fatal("run completed despite cancellation")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("errors.Is(err, context.Canceled) = false for %v", err)
+	}
+	var re *reproerr.Error
+	if !errors.As(err, &re) || re.Kind != reproerr.KindCanceled {
+		t.Errorf("want *reproerr.Error with KindCanceled, got %v", err)
+	}
+	// The engine checks at the round barrier: the abort must come at the
+	// barrier right after the triggering round.
+	if stats.Messages > int64(trigger+2)*int64(g.NumArcs()) {
+		t.Errorf("run kept going after cancellation: %d messages", stats.Messages)
 	}
 }
 

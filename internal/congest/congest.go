@@ -9,15 +9,13 @@
 // machine words) and counts the two quantities the paper's theorems bound:
 // rounds and total messages.
 //
-// A single Engine (see NewEngine and Options) executes Program semantics in
-// two modes sharing one flat-buffer delivery path: a deterministic
-// single-goroutine lock-step mode (Workers ≤ 1) and a sharded worker pool
-// (Workers > 1) with per-round barriers. Because CONGEST permits at most one
-// message per directed arc per round, delivery is a direct write into a
-// per-arc slot (slot graph.ArcReverse(a) for a send on arc a) guarded by an
-// occupancy byte: no sorting, no per-delivery allocation, and inbox
-// iteration in CSR port order — deterministic by construction, identical
-// across modes and worker counts. Ablation A3 asserts the equivalence.
+// The Engine (see NewEngine and Options) executes Program semantics in
+// lock-step on one goroutine over flat per-arc buffers. Because CONGEST
+// permits at most one message per directed arc per round, delivery is a
+// direct write into a per-arc slot (slot graph.ArcReverse(a) for a send on
+// arc a) guarded by an occupancy byte: no sorting, no per-delivery
+// allocation, and inbox iteration in CSR port order — deterministic by
+// construction.
 package congest
 
 import (

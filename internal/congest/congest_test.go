@@ -9,12 +9,11 @@ import (
 	"repro/internal/graph"
 )
 
-// seq returns the deterministic single-goroutine engine.
+// seq returns the lock-step engine with a round budget.
 func seq(maxRounds int) Engine { return NewEngine(Options{MaxRounds: maxRounds}) }
 
-// engines lists the execution modes every primitive test runs under: the
-// sequential path, a shard-per-CPU pool, and an intentionally odd shard
-// count (shard boundaries cutting through message traffic).
+// engines lists the engines every primitive test runs under, by subtest
+// name: the lock-step engine is the only one.
 func engines(maxRounds int) []struct {
 	name string
 	eng  Engine
@@ -24,8 +23,6 @@ func engines(maxRounds int) []struct {
 		eng  Engine
 	}{
 		{"sequential", seq(maxRounds)},
-		{"pool", NewEngine(Options{Workers: -1, MaxRounds: maxRounds})},
-		{"pool3", NewEngine(Options{Workers: 3, MaxRounds: maxRounds})},
 	}
 }
 
@@ -259,31 +256,6 @@ func TestMaxRoundsEnforced(t *testing.T) {
 				t.Errorf("err = %v, want ErrMaxRounds", err)
 			}
 		})
-	}
-}
-
-func TestEnginesProduceIdenticalResults(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 5; trial++ {
-		g := gen.ErdosRenyi(40+trial*10, 0.06, rng)
-		root := graph.NodeID(trial)
-		seqTree, seqStats, err := RunBFS(g, root, seq(1000))
-		if err != nil {
-			t.Fatal(err)
-		}
-		goTree, goStats, err := RunBFS(g, root, NewEngine(Options{Workers: -1, MaxRounds: 1000}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seqStats != goStats {
-			t.Errorf("trial %d: stats differ: %+v vs %+v", trial, seqStats, goStats)
-		}
-		for v := 0; v < g.NumNodes(); v++ {
-			if seqTree.Dist[v] != goTree.Dist[v] || seqTree.ParentPort[v] != goTree.ParentPort[v] {
-				t.Errorf("trial %d: node %d differs (dist %d/%d parent %d/%d)", trial, v,
-					seqTree.Dist[v], goTree.Dist[v], seqTree.ParentPort[v], goTree.ParentPort[v])
-			}
-		}
 	}
 }
 

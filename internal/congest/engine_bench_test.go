@@ -3,7 +3,7 @@ package congest
 // Benchmarks of the engine itself: rounds/sec and messages/sec for a BFS
 // flood on ClusterChain at n ∈ {1e4, 1e5}, comparing the seed delivery path
 // (global sort.Slice per round, staging outbox, goroutine-per-node) against
-// the flat arc-indexed path in both execution modes. Run with:
+// the flat arc-indexed path. Run with:
 //
 //	go test ./internal/congest -bench BenchmarkEngine -benchtime 2x
 
@@ -55,13 +55,6 @@ func BenchmarkEngineBFS(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("n=%d/flat-sequential", n), func(b *testing.B) {
 			eng := NewEngine(Options{MaxRounds: 1 << 20})
-			benchEngineOnce(b, g, func() (Stats, error) {
-				_, st, err := RunBFS(g, 0, eng)
-				return st, err
-			})
-		})
-		b.Run(fmt.Sprintf("n=%d/flat-pool", n), func(b *testing.B) {
-			eng := NewEngine(Options{Workers: -1, MaxRounds: 1 << 20})
 			benchEngineOnce(b, g, func() (Stats, error) {
 				_, st, err := RunBFS(g, 0, eng)
 				return st, err

@@ -8,8 +8,8 @@ package congest
 //
 //   - the old-vs-new delivery-path benchmarks in engine_bench_test.go, so
 //     the perf trajectory of the engine stays measurable against the seed;
-//   - TestFlatEngineMatchesSeedEngine, which pins the new engines to the
-//     seed's observable behavior (identical trees AND identical stats).
+//   - TestFlatEngineMatchesSeedEngine, which pins the engine to the seed's
+//     observable behavior (identical trees AND identical stats).
 
 import (
 	"fmt"

@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
-// testGraphs builds the graph shapes the engine equivalence properties run
+// testGraphs builds the graph shapes the seed-equivalence property runs
 // over: the "typical" ClusterChain workload, the lower-bound-shaped
 // HardInstance, and a sparse random graph, across a few seeds.
 func testGraphs(t *testing.T) map[string]*graph.Graph {
@@ -34,67 +33,8 @@ func testGraphs(t *testing.T) map[string]*graph.Graph {
 	return shapes
 }
 
-// workerSweeps returns the worker counts the pool is exercised with,
-// including counts that do not divide n and a count above NumCPU.
-func workerSweeps() []int {
-	return []int{2, 3, 5, 8, runtime.GOMAXPROCS(0), 2*runtime.GOMAXPROCS(0) + 1, -1}
-}
-
-// TestEngineEquivalenceProperty asserts the tentpole determinism guarantee:
-// for every graph shape, seed, and worker count, the sharded pool produces
-// byte-identical program outputs and Stats to the sequential engine — for a
-// program (BFS) whose outputs are sensitive to inbox ordering, and for a
-// multi-phase composite (BFS + enumerate) whose second phase depends on the
-// first's full output.
-func TestEngineEquivalenceProperty(t *testing.T) {
-	for name, g := range testGraphs(t) {
-		t.Run(name, func(t *testing.T) {
-			root := graph.NodeID(g.NumNodes() / 3)
-			wantTree, wantStats, err := RunBFS(g, root, seq(1<<20))
-			if err != nil {
-				t.Fatal(err)
-			}
-			marked := make([]bool, g.NumNodes())
-			for v := range marked {
-				marked[v] = v%5 == 0
-			}
-			wantEnum, wantEnumStats, err := RunEnumerate(g, wantTree, marked, seq(1<<20))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range workerSweeps() {
-				eng := NewEngine(Options{Workers: workers, MaxRounds: 1 << 20})
-				tree, stats, err := RunBFS(g, root, eng)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if stats != wantStats {
-					t.Errorf("workers=%d: stats %+v, want %+v", workers, stats, wantStats)
-				}
-				if !reflect.DeepEqual(tree.Dist, wantTree.Dist) ||
-					!reflect.DeepEqual(tree.ParentPort, wantTree.ParentPort) {
-					t.Errorf("workers=%d: BFS tree differs from sequential", workers)
-				}
-				if !childPortsEqual(tree.ChildPorts, wantTree.ChildPorts) {
-					t.Errorf("workers=%d: child ports differ from sequential", workers)
-				}
-				enum, enumStats, err := RunEnumerate(g, tree, marked, eng)
-				if err != nil {
-					t.Fatalf("workers=%d enumerate: %v", workers, err)
-				}
-				if enumStats != wantEnumStats {
-					t.Errorf("workers=%d: enumerate stats %+v, want %+v", workers, enumStats, wantEnumStats)
-				}
-				if enum.Total != wantEnum.Total || !reflect.DeepEqual(enum.Index, wantEnum.Index) {
-					t.Errorf("workers=%d: enumeration differs from sequential", workers)
-				}
-			}
-		})
-	}
-}
-
-// TestFlatEngineMatchesSeedEngine pins both modes of the flat-buffer engine
-// to the seed engine's observable behavior on the BFS workload: identical
+// TestFlatEngineMatchesSeedEngine pins the flat-buffer engine to the seed
+// engine's observable behavior on the BFS workload: identical
 // distances, parent ports (inbox-order sensitive!), child ports, and Stats.
 // Inbox order is preserved because Builder sorts each node's neighbor list
 // by ID, so the seed's (receiver, sender-arc) sort order coincides with the
@@ -114,21 +54,19 @@ func TestFlatEngineMatchesSeedEngine(t *testing.T) {
 			if seedStats != goSeedStats || !reflect.DeepEqual(seedTree.Dist, goSeedTree.Dist) {
 				t.Fatal("seed engines disagree with each other")
 			}
-			for _, workers := range []int{0, 4, -1} {
-				tree, stats, err := RunBFS(g, root, NewEngine(Options{Workers: workers, MaxRounds: 1 << 20}))
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if stats != seedStats {
-					t.Errorf("workers=%d: stats %+v, want seed %+v", workers, stats, seedStats)
-				}
-				if !reflect.DeepEqual(tree.Dist, seedTree.Dist) ||
-					!reflect.DeepEqual(tree.ParentPort, seedTree.ParentPort) {
-					t.Errorf("workers=%d: tree differs from seed engine", workers)
-				}
-				if !childPortsEqual(tree.ChildPorts, seedTree.ChildPorts) {
-					t.Errorf("workers=%d: child ports differ from seed engine", workers)
-				}
+			tree, stats, err := RunBFS(g, root, seq(1<<20))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats != seedStats {
+				t.Errorf("stats %+v, want seed %+v", stats, seedStats)
+			}
+			if !reflect.DeepEqual(tree.Dist, seedTree.Dist) ||
+				!reflect.DeepEqual(tree.ParentPort, seedTree.ParentPort) {
+				t.Error("tree differs from seed engine")
+			}
+			if !childPortsEqual(tree.ChildPorts, seedTree.ChildPorts) {
+				t.Error("child ports differ from seed engine")
 			}
 		})
 	}
@@ -152,33 +90,15 @@ func childPortsEqual(a, b [][]int) bool {
 	return true
 }
 
-// TestEngineWorkersExceedNodes covers the degenerate pool configurations.
-func TestEngineWorkersExceedNodes(t *testing.T) {
-	g := gen.Path(5)
-	tree, stats, err := RunBFS(g, 0, NewEngine(Options{Workers: 64, MaxRounds: 100}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, wantStats, err := RunBFS(g, 0, seq(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats != wantStats || !reflect.DeepEqual(tree.Dist, want.Dist) {
-		t.Errorf("Workers=64 on n=5 differs: %+v vs %+v", stats, wantStats)
-	}
-}
-
 // TestEngineEmptyGraph: a run over zero nodes terminates in zero rounds.
 func TestEngineEmptyGraph(t *testing.T) {
 	g := graph.NewBuilder(0).Build()
-	for _, workers := range []int{0, 4} {
-		stats, progs, err := Run(g, func(v *View) Program { return &bfsNode{root: 0} }, Options{Workers: workers, MaxRounds: 10})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Rounds != 0 || stats.Messages != 0 || len(progs) != 0 {
-			t.Errorf("workers=%d: %+v, %d programs", workers, stats, len(progs))
-		}
+	stats, progs, err := Run(g, func(v *View) Program { return &bfsNode{root: 0} }, Options{MaxRounds: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Rounds != 0 || stats.Messages != 0 || len(progs) != 0 {
+		t.Errorf("%+v, %d programs", stats, len(progs))
 	}
 }
 

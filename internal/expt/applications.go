@@ -40,8 +40,7 @@ func E6MST(cfg Config) (*Table, error) {
 				return nil, err
 			}
 			ours, err := mst.Distributed(g, w, mst.DistOptions{
-				Rng: cfg.rng(int64(d*31 + n)), Diameter: d, LogFactor: cfg.LogFactor,
-				Workers: cfg.Workers, Ctx: cfg.Ctx,
+				Rng: cfg.rng(int64(d*31 + n)), Diameter: d, LogFactor: cfg.LogFactor, Ctx: cfg.Ctx,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("E6 ours D=%d n=%d: %w", d, n, err)
@@ -155,8 +154,7 @@ func E8Messages(cfg Config) (*Table, error) {
 				return nil, fmt.Errorf("E8 D=%d n=%d: %w", d, n, err)
 			}
 			res, err := shortcut.BuildDistributed(hi.G, p, shortcut.DistOptions{
-				Rng: rng, LogFactor: cfg.LogFactor, KnownDiameter: d,
-				Workers: cfg.Workers, Ctx: cfg.Ctx,
+				Rng: rng, LogFactor: cfg.LogFactor, KnownDiameter: d, Ctx: cfg.Ctx,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("E8 D=%d n=%d: %w", d, n, err)
@@ -202,9 +200,7 @@ func E10Scheduler(cfg Config) (*Table, error) {
 				DepthLimit: 8,
 			}
 		}
-		out, stats, err := sched.ParallelBFS(g, tasks, sched.Options{
-			MaxDelay: k, Rng: rng, Workers: cfg.Workers,
-		})
+		out, stats, err := sched.ParallelBFS(g, tasks, sched.Options{MaxDelay: k, Rng: rng})
 		if err != nil {
 			return nil, fmt.Errorf("E10 k=%d: %w", k, err)
 		}
@@ -223,7 +219,6 @@ func E10Scheduler(cfg Config) (*Table, error) {
 		runs = append(runs, schedRun{Tasks: k, Stats: stats})
 	}
 	t.SetMeta("sched_runs", runs)
-	t.SetMeta("workers", cfg.Workers)
 	return t, nil
 }
 
@@ -264,13 +259,12 @@ func E12SSSP(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, bfStats, err := sssp.BellmanFord(g, w, src, congest.Options{Workers: cfg.Workers, MaxRounds: 1 << 22, Ctx: cfg.Ctx})
+		_, bfStats, err := sssp.BellmanFord(g, w, src, congest.Options{MaxRounds: 1 << 22, Ctx: cfg.Ctx})
 		if err != nil {
 			return nil, fmt.Errorf("E12 BF n=%d: %w", n, err)
 		}
 		res, err := sssp.TreeApprox(g, w, src, sssp.TreeOptions{
-			Rng: rng, Diameter: d, LogFactor: cfg.LogFactor, Workers: cfg.Workers,
-			Ctx: cfg.Ctx,
+			Rng: rng, Diameter: d, LogFactor: cfg.LogFactor, Ctx: cfg.Ctx,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("E12 tree n=%d: %w", n, err)
@@ -304,8 +298,7 @@ func E13TwoECSS(cfg Config) (*Table, error) {
 		}
 		w := graph.NewUniformWeights(g.NumEdges(), rng)
 		res, err := twoecss.Approx(g, w, twoecss.Options{
-			Rng: rng, LogFactor: cfg.LogFactor, Distributed: true, Workers: cfg.Workers,
-			Ctx: cfg.Ctx,
+			Rng: rng, LogFactor: cfg.LogFactor, Distributed: true, Ctx: cfg.Ctx,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("E13 n=%d: %w", n, err)
@@ -340,12 +333,12 @@ func A2Scheduling(cfg Config) (*Table, error) {
 		for i := range tasks {
 			tasks[i] = sched.BFSTask{Root: graph.NodeID(rng.Intn(g.NumNodes())), DepthLimit: 6}
 		}
-		with, wStats, err := sched.ParallelBFS(g, tasks, sched.Options{MaxDelay: 2 * k, Rng: rng, Workers: cfg.Workers})
+		with, wStats, err := sched.ParallelBFS(g, tasks, sched.Options{MaxDelay: 2 * k, Rng: rng})
 		if err != nil {
 			return nil, err
 		}
 		_ = with
-		without, oStats, err := sched.ParallelBFS(g, tasks, sched.Options{Workers: cfg.Workers})
+		without, oStats, err := sched.ParallelBFS(g, tasks, sched.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -355,7 +348,6 @@ func A2Scheduling(cfg Config) (*Table, error) {
 		runs = append(runs, schedRun{Tasks: k, Delayed: wStats, NoDelay: oStats})
 	}
 	t.SetMeta("sched_runs", runs)
-	t.SetMeta("workers", cfg.Workers)
 	t.AddNote("delays smooth the per-edge queue peaks; without them all tasks contend at start")
 	return t, nil
 }

@@ -37,8 +37,7 @@ func E15Dynamic(cfg Config) (*Table, error) {
 
 	buildStart := time.Now()
 	snap, err := serve.NewSnapshot(g, w, parts, serve.SnapshotOptions{
-		Rng: rng, Diameter: 6, LogFactor: cfg.LogFactor, Workers: cfg.Workers,
-		Ctx: cfg.Ctx,
+		Rng: rng, Diameter: 6, LogFactor: cfg.LogFactor, Ctx: cfg.Ctx,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("E15: snapshot: %w", err)
@@ -65,6 +64,5 @@ func E15Dynamic(cfg Config) (*Table, error) {
 	t.AddNote("every delta is applied to the same base snapshot; updated snapshots are bit-identical to a from-scratch rebuild (differential suite)")
 	t.AddNote("an update simulates nothing: only the touched parts' dilation is re-measured, and the serving layer stays live under continuous mutation (hot-swap via serve.Store)")
 	t.SetMeta("build_ms", buildMS)
-	t.SetMeta("workers", cfg.Workers)
 	return t, nil
 }

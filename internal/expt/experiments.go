@@ -31,10 +31,6 @@ type Config struct {
 	LogFactor float64
 	// Quick reduces sweeps for benchmark iterations.
 	Quick bool
-	// Workers selects the CONGEST engine parallelism for the simulated
-	// experiments (see congest.Options); 0 = deterministic sequential.
-	// Results are identical for every setting.
-	Workers int
 	// ServeQueries is the number of warm queries fired per E14 serving
 	// sweep point (0 = default).
 	ServeQueries int
@@ -288,8 +284,7 @@ func E2Rounds(cfg Config) (*Table, error) {
 				return nil, fmt.Errorf("E2 D=%d n=%d: %w", d, n, err)
 			}
 			res, err := shortcut.BuildDistributed(hi.G, p, shortcut.DistOptions{
-				Rng: rng, LogFactor: cfg.LogFactor, KnownDiameter: d,
-				Workers: cfg.Workers, Ctx: cfg.Ctx,
+				Rng: rng, LogFactor: cfg.LogFactor, KnownDiameter: d, Ctx: cfg.Ctx,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("E2 D=%d n=%d: %w", d, n, err)

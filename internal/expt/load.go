@@ -57,7 +57,7 @@ func E17Load(cfg Config) (*Table, error) {
 	}
 	buildStart := time.Now()
 	snap, err := serve.NewSnapshot(g, w, parts, serve.SnapshotOptions{
-		Rng: rng, LogFactor: cfg.LogFactor, Workers: cfg.Workers, Ctx: cfg.Ctx,
+		Rng: rng, LogFactor: cfg.LogFactor, Ctx: cfg.Ctx,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("E17: snapshot: %w", err)

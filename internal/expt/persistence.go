@@ -45,8 +45,7 @@ func E16Persistence(cfg Config) (*Table, error) {
 		}
 		buildStart := time.Now()
 		snap, err := serve.NewSnapshot(g, w, parts, serve.SnapshotOptions{
-			Rng: rng, Diameter: 6, LogFactor: cfg.LogFactor, Workers: cfg.Workers,
-			Ctx: cfg.Ctx,
+			Rng: rng, Diameter: 6, LogFactor: cfg.LogFactor, Ctx: cfg.Ctx,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("E16 n=%d: snapshot: %w", n, err)
@@ -126,6 +125,5 @@ func E16Persistence(cfg Config) (*Table, error) {
 	t.AddNote("load mmap is the default (checksums + deep structural verification); noverify maps and slices only")
 	t.AddNote("first query on the loaded mapping verified bit-identical to the built snapshot")
 	t.AddNote("speedup = build s / load mmap ms: the cold-start factor a replica gains by shipping bytes")
-	t.SetMeta("workers", cfg.Workers)
 	return t, nil
 }

@@ -61,8 +61,7 @@ func E14Serving(cfg Config) (*Table, error) {
 		}
 		buildStart := time.Now()
 		snap, err = serve.NewSnapshot(g, w, parts, serve.SnapshotOptions{
-			Rng: rng, Diameter: 6, LogFactor: cfg.LogFactor, Workers: cfg.Workers,
-			Ctx: cfg.Ctx,
+			Rng: rng, Diameter: 6, LogFactor: cfg.LogFactor, Ctx: cfg.Ctx,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("E14: snapshot: %w", err)
@@ -84,7 +83,7 @@ func E14Serving(cfg Config) (*Table, error) {
 	for i := 0; i < rebuildQueries; i++ {
 		if _, err := sssp.TreeApprox(g, w, graph.NodeID(i), sssp.TreeOptions{
 			Rng: cfg.rng(int64(17_000_000_000 + i)), Diameter: 6,
-			LogFactor: cfg.LogFactor, Workers: cfg.Workers, Ctx: cfg.Ctx,
+			LogFactor: cfg.LogFactor, Ctx: cfg.Ctx,
 		}); err != nil {
 			return nil, fmt.Errorf("E14: rebuild baseline: %w", err)
 		}
@@ -175,7 +174,6 @@ func E14Serving(cfg Config) (*Table, error) {
 	t.AddNote("backend: library calls the server in-process; wire POSTs to -serve-addr")
 	t.SetMeta("build_ms", float64(buildTime)/float64(time.Millisecond))
 	t.SetMeta("rebuild_ms_per_query", float64(rebuildPer)/float64(time.Millisecond))
-	t.SetMeta("workers", cfg.Workers)
 	return t, nil
 }
 

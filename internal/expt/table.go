@@ -100,14 +100,8 @@ func (t *Table) CSV(w io.Writer) {
 }
 
 // RunInfo describes the execution configuration of a JSON-emitted run, so
-// BENCH_*.json files can track throughput across engine settings and PRs.
+// BENCH_*.json files can track throughput across seeds and PRs.
 type RunInfo struct {
-	// Engine is the raw -engine flag value.
-	Engine string `json:"engine"`
-	// Workers is the resolved worker count threaded through the CONGEST
-	// engine and the random-delay scheduler (0 = sequential, < 0 = one per
-	// CPU).
-	Workers int `json:"workers"`
 	// Seed is the run's base random seed.
 	Seed int64 `json:"seed"`
 	// Canceled reports whether the run was aborted by -timeout (or a

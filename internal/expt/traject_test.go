@@ -7,17 +7,39 @@ import (
 	"testing"
 )
 
-func readTrajectory(t *testing.T, path string) trajectoryFile {
+// trajectory is the decoded shape of a trajectory file.
+type trajectory struct {
+	Trajectory []TrajectoryEntry `json:"trajectory"`
+}
+
+func readTrajectory(t *testing.T, path string) trajectory {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tf trajectoryFile
+	var tf trajectory
 	if err := json.Unmarshal(raw, &tf); err != nil {
 		t.Fatalf("trajectory file is not valid JSON: %v\n%s", err, raw)
 	}
 	return tf
+}
+
+// readEntries decodes a trajectory file's entries generically, keys
+// RunInfo and TrajectoryEntry do not declare included.
+func readEntries(t *testing.T, path string) []map[string]any {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tf struct {
+		Trajectory []map[string]any `json:"trajectory"`
+	}
+	if err := json.Unmarshal(raw, &tf); err != nil {
+		t.Fatalf("trajectory file is not valid JSON: %v\n%s", err, raw)
+	}
+	return tf.Trajectory
 }
 
 func sampleTable(title string) *Table {
@@ -27,8 +49,9 @@ func sampleTable(title string) *Table {
 }
 
 // TestAppendJSON pins the trajectory writer: a missing file starts at seq 0,
-// repeated appends accumulate with increasing seq and preserved tags, and a
-// legacy single-run {run, tables} file is upgraded to entry 0 in place.
+// repeated appends accumulate with increasing seq and preserved tags, and an
+// append copies earlier entries as written, keys the current build does not
+// declare included.
 func TestAppendJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_test.json")
 
@@ -56,18 +79,35 @@ func TestAppendJSON(t *testing.T) {
 			t.Fatalf("entry %d has no timestamp", i)
 		}
 	}
+
+	// An entry written by an older build, with keys this one does not
+	// declare, must survive the next append unchanged.
+	old := `{"trajectory": [{"seq": 0, "tag": "old", "note": "kept",
+		"run": {"engine": "pool", "workers": -1, "commit": "abc123", "seed": 1, "canceled": false},
+		"tables": [{"title": "A", "columns": ["x"], "rows": [["1"]]}]}]}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := AppendJSON(path, "third", RunInfo{Seed: 3}, []*Table{sampleTable("C")}); err != nil {
+		t.Fatal(err)
+	}
+	entries := readEntries(t, path)
+	if len(entries) != 2 || entries[1]["seq"] != 1.0 || entries[1]["tag"] != "third" {
+		t.Fatalf("got %v, want the old entry and a new one at seq 1", entries)
+	}
+	run, _ := entries[0]["run"].(map[string]any)
+	if run["engine"] != "pool" || run["workers"] != -1.0 || run["commit"] != "abc123" || entries[0]["note"] != "kept" {
+		t.Fatalf("append dropped keys of an earlier entry: %v", entries[0])
+	}
 }
 
+// TestAppendJSONLegacyUpgrade pins the upgrade of a single-run {run,
+// tables} file: it becomes entry 0, its run copied as written.
 func TestAppendJSONLegacyUpgrade(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_legacy.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteJSON(f, RunInfo{Seed: 7, Engine: "pool"}, []*Table{sampleTable("old")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	legacy := `{"run": {"engine": "pool", "workers": -1, "commit": "abc123", "seed": 7, "canceled": false},
+		"tables": [{"title": "old", "columns": ["x", "y"], "rows": [["1", "2"]]}]}`
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -80,11 +120,15 @@ func TestAppendJSONLegacyUpgrade(t *testing.T) {
 	}
 	old := tf.Trajectory[0]
 	if old.Seq != 0 || old.Tag != "legacy" || old.RecordedAt != "" ||
-		old.Run.Seed != 7 || old.Run.Engine != "pool" || old.Tables[0].Title != "old" {
+		old.Run.Seed != 7 || old.Tables[0].Title != "old" {
 		t.Fatalf("legacy entry not preserved: %+v", old)
 	}
 	if tf.Trajectory[1].Seq != 1 || tf.Trajectory[1].Tag != "new" {
 		t.Fatalf("appended entry wrong: %+v", tf.Trajectory[1])
+	}
+	run, _ := readEntries(t, path)[0]["run"].(map[string]any)
+	if run["engine"] != "pool" || run["workers"] != -1.0 || run["commit"] != "abc123" {
+		t.Fatalf("upgrade dropped keys of the legacy run: %v", run)
 	}
 }
 

@@ -27,9 +27,6 @@ type ApproxOptions struct {
 	// through the distributed shortcut-MST (true) or centrally via Kruskal
 	// with zero round accounting (false, for fast correctness tests).
 	Distributed bool
-	// Workers selects the parallelism of the distributed MST (engine and
-	// scheduler); 0 = sequential. Results are identical for every setting.
-	Workers int
 	// FirstTree, when non-empty, is a prebuilt spanning tree (a serving
 	// snapshot's shortcut-MST) used as packed tree #1: its construction cost
 	// was paid once at snapshot build, so it is neither recomputed nor
@@ -168,7 +165,6 @@ func Approx(g *graph.Graph, w graph.Weights, opts ApproxOptions) (*ApproxResult,
 				Rng:       opts.Rng,
 				Diameter:  opts.Diameter,
 				LogFactor: opts.LogFactor,
-				Workers:   opts.Workers,
 				Ctx:       opts.Ctx,
 			}, &scratch)
 			if err != nil {

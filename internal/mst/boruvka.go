@@ -5,9 +5,9 @@ import (
 	"repro/internal/reproerr"
 )
 
-// Boruvka computes the MST (or spanning forest) with a centralized mirror of
-// Distributed's Borůvka framework: the same phase structure, the same
-// fragment enumeration order (fragments appear by their smallest member),
+// BoruvkaMirror computes the MST (or spanning forest) with a centralized
+// mirror of Distributed's Borůvka framework: the same phase structure, the
+// same fragment enumeration order (fragments appear by their smallest member),
 // the same MWOE tie-breaking ((weight, EdgeID) lexicographic, the
 // sched.AggValue.Better rule), and the same winner-merge order — but no
 // CONGEST simulation, no shortcut construction, and no scheduler. The

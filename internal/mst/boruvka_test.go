@@ -12,8 +12,8 @@ import (
 
 // TestBoruvkaMatchesDistributed pins the centralized mirror bit-for-bit
 // against the simulated distributed construction — same tree edges, same
-// append order, same summed weight — across graph families, sizes, seeds and
-// worker settings. This is the equivalence the dynamic snapshot path relies
+// append order, same summed weight — across graph families, sizes and seeds.
+// This is the equivalence the dynamic snapshot path relies
 // on: a repaired snapshot derives its tree from the mirror, a from-scratch
 // rebuild from the simulation.
 func TestBoruvkaMatchesDistributed(t *testing.T) {
@@ -42,9 +42,7 @@ func TestBoruvkaMatchesDistributed(t *testing.T) {
 					t.Fatalf("%s n=%d: %v", c.name, n, err)
 				}
 				w := graph.NewUniformWeights(g.NumEdges(), rng)
-				dres, err := mst.Distributed(g, w, mst.DistOptions{
-					Rng: rng, LogFactor: 0.3, Workers: int(seed % 3),
-				})
+				dres, err := mst.Distributed(g, w, mst.DistOptions{Rng: rng, LogFactor: 0.3})
 				if err != nil {
 					t.Fatalf("%s n=%d seed=%d: distributed: %v", c.name, n, seed, err)
 				}

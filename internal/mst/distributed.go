@@ -29,10 +29,6 @@ type DistOptions struct {
 	// convergecast, result broadcast, fragment-ID exchange) are simulated
 	// and charged — the per-phase costs that dominate the framework.
 	Baseline bool
-	// Workers selects the execution parallelism of the random-delay
-	// scheduled MWOE phases (sched.Options); 0 = sequential. All settings
-	// produce identical results.
-	Workers int
 	// MaxRounds bounds each scheduled phase (0 = default).
 	MaxRounds int
 	// Ctx, when non-nil, cancels the computation cooperatively: every
@@ -246,7 +242,6 @@ func mwoePhase(
 		MaxDelay:  int(math.Ceil(kd)),
 		Rng:       opts.Rng,
 		MaxRounds: opts.MaxRounds,
-		Workers:   opts.Workers,
 		Ctx:       opts.Ctx,
 	})
 	if err != nil {
@@ -299,7 +294,6 @@ func mwoePhase(
 		MaxDelay:  int(math.Ceil(kd)),
 		Rng:       opts.Rng,
 		MaxRounds: opts.MaxRounds,
-		Workers:   opts.Workers,
 		Ctx:       opts.Ctx,
 	})
 	if err != nil {

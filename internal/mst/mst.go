@@ -180,50 +180,3 @@ func (h *edgeHeap) pop() heapItem {
 	}
 	return top
 }
-
-// Boruvka computes the MST by repeated minimum-weight-outgoing-edge (MWOE)
-// contraction — the centralized skeleton of the distributed algorithm. It
-// returns the tree edges and the number of phases (≤ ⌈log2 n⌉ on connected
-// graphs).
-func Boruvka(g *graph.Graph, w graph.Weights) ([]graph.EdgeID, int, error) {
-	if err := w.Validate(g); err != nil {
-		return nil, 0, reproerr.New("mst", reproerr.KindInvalidInput, err)
-	}
-	n := g.NumNodes()
-	uf := NewUnionFind(n)
-	tree := make([]graph.EdgeID, 0, n-1)
-	phases := 0
-	for {
-		best := make(map[int32]graph.EdgeID)
-		for e := 0; e < g.NumEdges(); e++ {
-			u, v := g.EdgeEndpoints(graph.EdgeID(e))
-			ru, rv := uf.Find(u), uf.Find(v)
-			if ru == rv {
-				continue
-			}
-			for _, r := range [2]int32{ru, rv} {
-				cur, ok := best[r]
-				if !ok || w[graph.EdgeID(e)] < w[cur] ||
-					(w[graph.EdgeID(e)] == w[cur] && graph.EdgeID(e) < cur) {
-					best[r] = graph.EdgeID(e)
-				}
-			}
-		}
-		if len(best) == 0 {
-			break
-		}
-		phases++
-		merged := false
-		for _, e := range best {
-			u, v := g.EdgeEndpoints(e)
-			if uf.Union(u, v) {
-				tree = append(tree, e)
-				merged = true
-			}
-		}
-		if !merged {
-			break
-		}
-	}
-	return tree, phases, nil
-}

@@ -85,7 +85,7 @@ func TestKruskalPrimBoruvkaAgree(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		b, _, err := Boruvka(g, w)
+		b, _, err := BoruvkaMirror(g, w)
 		if err != nil {
 			return false
 		}
@@ -117,12 +117,12 @@ func TestKruskalSpanningForest(t *testing.T) {
 
 func TestBoruvkaPhasesLogBound(t *testing.T) {
 	g, w := randomConnected(3, 128, 0.05)
-	_, phases, err := Boruvka(g, w)
+	res, err := Distributed(g, w, DistOptions{Rng: rand.New(rand.NewSource(3))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if phases > 8 { // log2(128) = 7, one slack
-		t.Errorf("phases = %d, want <= 8", phases)
+	if res.Phases > 8 { // log2(128) = 7, one slack
+		t.Errorf("phases = %d, want <= 8", res.Phases)
 	}
 }
 
@@ -135,8 +135,8 @@ func TestWeightsValidationPropagates(t *testing.T) {
 	if _, err := Prim(g, bad); err == nil {
 		t.Error("Prim accepted invalid weights")
 	}
-	if _, _, err := Boruvka(g, bad); err == nil {
-		t.Error("Boruvka accepted invalid weights")
+	if _, _, err := BoruvkaMirror(g, bad); err == nil {
+		t.Error("BoruvkaMirror accepted invalid weights")
 	}
 }
 

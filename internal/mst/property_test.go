@@ -58,7 +58,7 @@ func TestBoruvkaTreeIsSpanning(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.ErdosRenyi(80, 0.05, rng)
 		w := graph.NewUniformWeights(g.NumEdges(), rng)
-		tree, _, err := Boruvka(g, w)
+		tree, _, err := BoruvkaMirror(g, w)
 		if err != nil {
 			return false
 		}

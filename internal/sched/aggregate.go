@@ -55,8 +55,7 @@ type aggToken struct {
 
 // aggRun is the drain handler of one ParallelMinAggregate execution.
 // Per-member state lives in the Runner's flat waiting/acc arrays at
-// stateOff[task]+memberIndex; a member's slots are only touched by its
-// owner shard.
+// stateOff[task]+memberIndex.
 type aggRun struct {
 	r     *Runner
 	g     *graph.Graph
@@ -79,37 +78,28 @@ func (h *aggRun) start(ti int32) {
 	}
 	for i := 0; i < n; i++ {
 		if r.waiting[off+int32(i)] == 0 {
-			h.sendUp(ti, i, -1, -1)
+			h.sendUp(ti, i)
 		}
 	}
 }
 
 // sendUp forwards a node's accumulated value to its parent, or — at the
 // root — publishes the task result and starts the downward broadcast.
-// sh < 0 marks the coordinator (start-time) path.
-func (h *aggRun) sendUp(ti int32, i int, sh int, pos int32) {
+func (h *aggRun) sendUp(ti int32, i int) {
 	r := h.r
 	t := &h.tasks[ti]
 	val := r.acc[r.stateOff[ti]+int32(i)]
 	if pa := t.Tree.ParentArcAt(i); pa >= 0 {
-		h.emit(sh, pos, h.g.ArcReverse(pa), aggToken{task: ti, kind: 0, val: val})
+		r.agg.send(h.g.ArcReverse(pa), aggToken{task: ti, kind: 0, val: val})
 		return
 	}
 	h.out[ti] = val
 	for _, ca := range t.Tree.ChildArcsAt(i) {
-		h.emit(sh, pos, ca, aggToken{task: ti, kind: 1, val: val})
+		r.agg.send(ca, aggToken{task: ti, kind: 1, val: val})
 	}
 }
 
-func (h *aggRun) emit(sh int, pos int32, arc int32, tk aggToken) {
-	if sh < 0 {
-		h.r.agg.seed(arc, tk)
-		return
-	}
-	h.r.agg.send(sh, pos, arc, tk)
-}
-
-func (h *aggRun) deliver(sh int, pos int32, arc int32, tk aggToken) {
+func (h *aggRun) deliver(arc int32, tk aggToken) {
 	r := h.r
 	t := &h.tasks[tk.task]
 	i, ok := t.Tree.Index(h.g.ArcTarget(arc))
@@ -124,12 +114,12 @@ func (h *aggRun) deliver(sh int, pos int32, arc int32, tk aggToken) {
 		}
 		r.waiting[gi]--
 		if r.waiting[gi] == 0 {
-			h.sendUp(tk.task, i, sh, pos)
+			h.sendUp(tk.task, i)
 		}
 	case 1:
 		r.acc[gi] = tk.val
 		for _, ca := range t.Tree.ChildArcsAt(i) {
-			r.agg.send(sh, pos, ca, aggToken{task: tk.task, kind: 1, val: tk.val})
+			r.agg.send(ca, aggToken{task: tk.task, kind: 1, val: tk.val})
 		}
 	}
 }
@@ -162,13 +152,11 @@ func (r *Runner) ParallelMinAggregateInto(dst []AggValue, g *graph.Graph, tasks 
 	}
 
 	d := &r.agg
-	d.prepare(g, opts.Workers)
+	d.prepare(g)
 	r.aggRun = aggRun{r: r, g: g, tasks: tasks, out: dst}
 	d.h = &r.aggRun
 
 	maxRounds := opts.maxRounds(64*(g.NumNodes()+len(tasks)) + r.starts.last + 64)
-	d.startPool()
 	stats, err := d.drive(&r.starts, maxRounds, opts)
-	d.stopPool()
 	return dst, stats, err
 }

@@ -14,15 +14,13 @@ import (
 //     aligned load, and extraction walks the arrays in ascending (task,
 //     node) order — no sorting, no searching. Chosen whenever
 //     numTasks·n ≤ denseStateLimit.
-//   - sparse: an epoch-tagged open-addressed (task, node) set plus
-//     per-shard append arenas, for workloads (like early Borůvka phases)
-//     whose task count makes the dense product prohibitive; extraction
-//     sorts each task's visits and resolves children by binary search.
+//   - sparse: an epoch-tagged open-addressed (task, node) set plus append
+//     arenas, for workloads (like early Borůvka phases) whose task count
+//     makes the dense product prohibitive; extraction sorts each task's
+//     visits and resolves children by binary search.
 //
 // Both paths produce byte-identical forests: visits are canonically
-// ordered by (task, node) and children by notification arrival. Node
-// ownership partitions every per-(task, node) slot between shards, so
-// neither representation needs locks under the pooled drain.
+// ordered by (task, node) and children by notification arrival.
 
 // denseStateLimit bounds numTasks·NumNodes for the dense representation
 // (a visited bit, an 8-byte cell, and a 4-byte slot entry). It is a
@@ -53,11 +51,9 @@ type bfsToken struct {
 // notifyToken marks a child-notification token in bfsToken.dist.
 const notifyToken int32 = -1
 
-// bfsShardState is one shard's slice of the sparse per-task BFS state and —
-// in both modes — its child-notification arena in delivery order. Each node
-// is owned by exactly one shard, so all state for a (task, node) pair lives
-// in one place.
-type bfsShardState struct {
+// bfsState is the sparse per-task BFS state and — in both representations
+// — the child-notification arena in delivery order.
+type bfsState struct {
 	set   visitSet
 	vtask []int32
 	vnode []graph.NodeID
@@ -67,7 +63,7 @@ type bfsShardState struct {
 	carc  []int32 // down arc (parent→child), i.e. ArcReverse of the notification arc
 }
 
-func (st *bfsShardState) reset(sparse bool) {
+func (st *bfsState) reset(sparse bool) {
 	if sparse {
 		st.set.reset()
 	}
@@ -94,8 +90,8 @@ type bfsRun struct {
 }
 
 // visit records the first arrival of task ti at node v (arriving over arc,
-// -1 at roots) into shard sh's state, reporting false if already visited.
-func (h *bfsRun) visit(sh int, ti int32, v graph.NodeID, dist int32, arc int32) bool {
+// -1 at roots), reporting false if already visited.
+func (h *bfsRun) visit(ti int32, v graph.NodeID, dist int32, arc int32) bool {
 	if h.dense {
 		r := h.r
 		w := &r.denseBits[int(ti)*h.stride+int(v>>6)]
@@ -107,7 +103,7 @@ func (h *bfsRun) visit(sh int, ti int32, v graph.NodeID, dist int32, arc int32) 
 		r.dense[int(ti)*h.n+int(v)] = denseCell{dist: dist, parc: arc}
 		return true
 	}
-	st := &h.r.bfsShards[sh]
+	st := &h.r.bfsState
 	if !st.set.add(visitKey(ti, v)) {
 		return false
 	}
@@ -122,7 +118,7 @@ func (h *bfsRun) start(ti int32) {
 	g := h.g
 	t := &h.tasks[ti]
 	d := &h.r.bfs
-	if !h.visit(d.shardOfNode(t.Root), ti, t.Root, 0, -1) {
+	if !h.visit(ti, t.Root, 0, -1) {
 		return // tokens cannot predate the start; kept for symmetry with the seed
 	}
 	if t.DepthLimit == 0 {
@@ -134,27 +130,27 @@ func (h *bfsRun) start(ti int32) {
 		if t.Allowed != nil && !t.Allowed(a, t.Root, v, g.ArcEdge(a)) {
 			continue
 		}
-		d.seed(a, bfsToken{task: ti, dist: 0})
+		d.send(a, bfsToken{task: ti, dist: 0})
 	}
 }
 
-func (h *bfsRun) deliver(sh int, pos int32, arc int32, tk bfsToken) {
+func (h *bfsRun) deliver(arc int32, tk bfsToken) {
 	g := h.g
 	d := &h.r.bfs
 	v := g.ArcTarget(arc)
 	if tk.dist == notifyToken {
-		st := &h.r.bfsShards[sh]
+		st := &h.r.bfsState
 		st.ctask = append(st.ctask, tk.task)
 		st.carc = append(st.carc, g.ArcReverse(arc))
 		return
 	}
 	nd := tk.dist + 1
-	if !h.visit(sh, tk.task, v, nd, arc) {
+	if !h.visit(tk.task, v, nd, arc) {
 		return
 	}
 	// Notify the parent over the reverse direction of this edge; the
 	// notification shares bandwidth with everything else.
-	d.send(sh, pos, g.ArcReverse(arc), bfsToken{task: tk.task, dist: notifyToken})
+	d.send(g.ArcReverse(arc), bfsToken{task: tk.task, dist: notifyToken})
 	t := &h.tasks[tk.task]
 	if t.DepthLimit >= 0 && nd >= t.DepthLimit {
 		return
@@ -162,7 +158,7 @@ func (h *bfsRun) deliver(sh int, pos int32, arc int32, tk bfsToken) {
 	lo, hi := g.ArcRange(v)
 	if t.Allowed == nil {
 		for a := lo; a < hi; a++ {
-			d.send(sh, pos, a, bfsToken{task: tk.task, dist: nd})
+			d.send(a, bfsToken{task: tk.task, dist: nd})
 		}
 		return
 	}
@@ -170,7 +166,7 @@ func (h *bfsRun) deliver(sh int, pos int32, arc int32, tk bfsToken) {
 		if !t.Allowed(a, v, g.ArcTarget(a), g.ArcEdge(a)) {
 			continue
 		}
-		d.send(sh, pos, a, bfsToken{task: tk.task, dist: nd})
+		d.send(a, bfsToken{task: tk.task, dist: nd})
 	}
 }
 
@@ -182,7 +178,7 @@ func (r *Runner) ParallelBFSInto(f *BFSForest, g *graph.Graph, tasks []BFSTask, 
 		return Stats{}, err
 	}
 	d := &r.bfs
-	p := d.prepare(g, opts.Workers)
+	d.prepare(g)
 	n := g.NumNodes()
 	dense := len(tasks) > 0 && n > 0 && len(tasks) <= denseStateLimit/n
 	stride := (n + 63) / 64
@@ -195,23 +191,12 @@ func (r *Runner) ParallelBFSInto(f *BFSForest, g *graph.Graph, tasks []BFSTask, 
 		r.dense = resize(r.dense, size)
 		r.denseVis = resize(r.denseVis, size) // written during extraction only
 	}
-	if cap(r.bfsShards) >= p {
-		r.bfsShards = r.bfsShards[:p]
-	} else {
-		ns := make([]bfsShardState, p)
-		copy(ns, r.bfsShards)
-		r.bfsShards = ns
-	}
-	for w := range r.bfsShards {
-		r.bfsShards[w].reset(!dense)
-	}
+	r.bfsState.reset(!dense)
 	r.bfsRun = bfsRun{r: r, g: g, tasks: tasks, n: n, stride: stride, dense: dense}
 	d.h = &r.bfsRun
 
 	maxRounds := opts.maxRounds(64*(g.NumNodes()+len(tasks)) + r.starts.last + 64)
-	d.startPool()
 	stats, err := d.drive(&r.starts, maxRounds, opts)
-	d.stopPool()
 	// Extract even on ErrMaxRounds: partial outcomes are reported, as ever.
 	if dense {
 		r.extractForestDense(f, g, len(tasks))
@@ -254,38 +239,24 @@ func (r *Runner) extractForestDense(f *BFSForest, g *graph.Graph, numTasks int) 
 	}
 	f.taskOff[numTasks] = int32(slots)
 
-	totalC := 0
-	for w := range r.bfsShards {
-		totalC += len(r.bfsShards[w].ctask)
-	}
+	st := &r.bfsState
 	f.childOff = resize(f.childOff, slots+1)
 	for i := range f.childOff {
 		f.childOff[i] = 0
 	}
-	f.childArc = resize(f.childArc, totalC)
-	r.slotScratch = resize(r.slotScratch, totalC)
-	k := 0
-	for w := range r.bfsShards {
-		st := &r.bfsShards[w]
-		for i, t := range st.ctask {
-			s := r.denseVis[int(t)*n+int(g.ArcTail(st.carc[i]))] - 1
-			r.slotScratch[k] = s
-			k++
-			f.childOff[s+1]++
-		}
+	f.childArc = resize(f.childArc, len(st.ctask))
+	r.slotScratch = resize(r.slotScratch, len(st.ctask))
+	for i, t := range st.ctask {
+		s := r.denseVis[int(t)*n+int(g.ArcTail(st.carc[i]))] - 1
+		r.slotScratch[i] = s
+		f.childOff[s+1]++
 	}
 	for i := 0; i < slots; i++ {
 		f.childOff[i+1] += f.childOff[i]
 	}
-	k = 0
-	for w := range r.bfsShards {
-		st := &r.bfsShards[w]
-		for i := range st.ctask {
-			s := r.slotScratch[k]
-			k++
-			f.childArc[f.childOff[s]] = st.carc[i]
-			f.childOff[s]++
-		}
+	for i, s := range r.slotScratch {
+		f.childArc[f.childOff[s]] = st.carc[i]
+		f.childOff[s]++
 	}
 	for i := slots; i > 0; i-- {
 		f.childOff[i] = f.childOff[i-1]
@@ -293,79 +264,61 @@ func (r *Runner) extractForestDense(f *BFSForest, g *graph.Graph, numTasks int) 
 	f.childOff[0] = 0
 }
 
-// extractForestSparse gathers the shards' visit arenas into f's CSR layout:
-// visits bucketed by task and sorted by node ID, children bucketed per
-// visit preserving arrival order (each visit's children live in one shard's
-// arena, and the bucketing pass is stable).
+// extractForestSparse gathers the visit arenas into f's CSR layout: visits
+// bucketed by task and sorted by node ID, children bucketed per visit
+// preserving arrival order (the bucketing pass is stable).
 func (r *Runner) extractForestSparse(f *BFSForest, g *graph.Graph, numTasks int) {
+	st := &r.bfsState
 	f.g = g
 	f.taskOff = resize(f.taskOff, numTasks+1)
 	for i := range f.taskOff {
 		f.taskOff[i] = 0
 	}
-	total := 0
-	for w := range r.bfsShards {
-		total += len(r.bfsShards[w].vtask)
-	}
+	total := len(st.vtask)
 	f.nodes = resize(f.nodes, total)
 	f.dist = resize(f.dist, total)
 	f.parc = resize(f.parc, total)
 
-	for w := range r.bfsShards {
-		for _, t := range r.bfsShards[w].vtask {
-			f.taskOff[t+1]++
-		}
+	for _, t := range st.vtask {
+		f.taskOff[t+1]++
 	}
 	for t := 0; t < numTasks; t++ {
 		f.taskOff[t+1] += f.taskOff[t]
 	}
 	// Place visits using taskOff as running cursors, then shift back.
-	for w := range r.bfsShards {
-		st := &r.bfsShards[w]
-		for i, t := range st.vtask {
-			j := f.taskOff[t]
-			f.taskOff[t]++
-			f.nodes[j] = st.vnode[i]
-			f.dist[j] = st.vdist[i]
-			f.parc[j] = st.vparc[i]
-		}
+	for i, t := range st.vtask {
+		j := f.taskOff[t]
+		f.taskOff[t]++
+		f.nodes[j] = st.vnode[i]
+		f.dist[j] = st.vdist[i]
+		f.parc[j] = st.vparc[i]
 	}
 	for t := numTasks; t > 0; t-- {
 		f.taskOff[t] = f.taskOff[t-1]
 	}
 	f.taskOff[0] = 0
 	// Node IDs are unique within a task, so any comparison sort yields the
-	// same canonical order regardless of the shards' interleaving.
+	// same canonical order.
 	for t := 0; t < numTasks; t++ {
 		r.sorter = forestSorter{f: f, lo: f.taskOff[t], hi: f.taskOff[t+1]}
 		sort.Sort(&r.sorter)
 	}
 
-	totalC := 0
-	for w := range r.bfsShards {
-		totalC += len(r.bfsShards[w].ctask)
-	}
 	f.childOff = resize(f.childOff, total+1)
 	for i := range f.childOff {
 		f.childOff[i] = 0
 	}
-	f.childArc = resize(f.childArc, totalC)
-	for w := range r.bfsShards {
-		st := &r.bfsShards[w]
-		for i, t := range st.ctask {
-			f.childOff[f.slot(t, g.ArcTail(st.carc[i]))+1]++
-		}
+	f.childArc = resize(f.childArc, len(st.ctask))
+	for i, t := range st.ctask {
+		f.childOff[f.slot(t, g.ArcTail(st.carc[i]))+1]++
 	}
 	for i := 0; i < total; i++ {
 		f.childOff[i+1] += f.childOff[i]
 	}
-	for w := range r.bfsShards {
-		st := &r.bfsShards[w]
-		for i, t := range st.ctask {
-			s := f.slot(t, g.ArcTail(st.carc[i]))
-			f.childArc[f.childOff[s]] = st.carc[i]
-			f.childOff[s]++
-		}
+	for i, t := range st.ctask {
+		s := f.slot(t, g.ArcTail(st.carc[i]))
+		f.childArc[f.childOff[s]] = st.carc[i]
+		f.childOff[s]++
 	}
 	for i := total; i > 0; i-- {
 		f.childOff[i] = f.childOff[i-1]

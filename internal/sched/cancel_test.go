@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/gen"
@@ -17,40 +16,38 @@ import (
 // arc filter — i.e. mid-delivery, deep inside the drain — and asserts the
 // execution aborts at the next round boundary with an error satisfying
 // errors.Is(err, context.Canceled) and reproerr.KindCanceled, without
-// leaking pool goroutines, for the inline and the sharded drain.
+// leaking goroutines.
 func TestParallelBFSCancelMidDrain(t *testing.T) {
 	g := gen.ErdosRenyi(400, 0.03, rand.New(rand.NewSource(3)))
-	for _, workers := range []int{0, 4} {
-		defer testx.LeakCheck(t.Errorf)()
-		ctx, cancel := context.WithCancel(context.Background())
-		var deliveries atomic.Int64
-		task := BFSTask{
-			Root: 0,
-			Allowed: func(_ int32, _, _ graph.NodeID, _ graph.EdgeID) bool {
-				if deliveries.Add(1) == 25 {
-					cancel() // mid-drain: the round in flight completes
-				}
-				return true
-			},
-			DepthLimit: -1,
-		}
-		_, stats, err := ParallelBFS(g, []BFSTask{task, task, task}, Options{Workers: workers, Ctx: ctx})
-		cancel()
-		if err == nil {
-			t.Fatalf("workers=%d: drain completed despite cancellation", workers)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("workers=%d: errors.Is(err, context.Canceled) = false for %v", workers, err)
-		}
-		var re *reproerr.Error
-		if !errors.As(err, &re) || re.Kind != reproerr.KindCanceled {
-			t.Errorf("workers=%d: want KindCanceled, got %v", workers, err)
-		}
-		// Abort happened within one drain step of the trigger: far fewer
-		// messages than the full 3-task expansion of the graph.
-		if full := int64(3 * g.NumArcs()); stats.Messages >= full {
-			t.Errorf("workers=%d: %d messages, drain ran to completion (%d)", workers, stats.Messages, full)
-		}
+	defer testx.LeakCheck(t.Errorf)()
+	ctx, cancel := context.WithCancel(context.Background())
+	deliveries := 0
+	task := BFSTask{
+		Root: 0,
+		Allowed: func(_ int32, _, _ graph.NodeID, _ graph.EdgeID) bool {
+			if deliveries++; deliveries == 25 {
+				cancel() // mid-drain: the round in flight completes
+			}
+			return true
+		},
+		DepthLimit: -1,
+	}
+	_, stats, err := ParallelBFS(g, []BFSTask{task, task, task}, Options{Ctx: ctx})
+	cancel()
+	if err == nil {
+		t.Fatal("drain completed despite cancellation")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("errors.Is(err, context.Canceled) = false for %v", err)
+	}
+	var re *reproerr.Error
+	if !errors.As(err, &re) || re.Kind != reproerr.KindCanceled {
+		t.Errorf("want KindCanceled, got %v", err)
+	}
+	// Abort happened within one drain step of the trigger: far fewer
+	// messages than the full 3-task expansion of the graph.
+	if full := int64(3 * g.NumArcs()); stats.Messages >= full {
+		t.Errorf("%d messages, drain ran to completion (%d)", stats.Messages, full)
 	}
 }
 

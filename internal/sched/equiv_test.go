@@ -1,13 +1,12 @@
 package sched
 
-// Seed-equivalence property tests: the flat scheduler, under every Workers
-// setting and both drain paths, must reproduce the seed scheduler's
-// outcomes bit-for-bit — visited sets, distances, parents, children orders,
+// Seed-equivalence property tests: the flat scheduler, with both per-task
+// state representations, must reproduce the seed scheduler's outcomes
+// bit-for-bit — visited sets, distances, parents, children orders,
 // aggregation results, and Stats — across seeds, graph shapes, and task
 // counts.
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -15,8 +14,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
-
-var equivWorkers = []int{0, 1, 2, 3, 8, -1}
 
 type equivScenario struct {
 	name     string
@@ -166,30 +163,27 @@ func TestFlatSchedulerMatchesSeed(t *testing.T) {
 			t.Fatalf("%s: seed aggregate: %v", sc.name, err)
 		}
 
-		for _, workers := range equivWorkers {
-			label := fmt.Sprintf("%s/workers=%d", sc.name, workers)
-			f, stats, err := runner.ParallelBFS(sc.g, sc.tasks,
-				Options{MaxDelay: sc.maxDelay, Rng: rand.New(rand.NewSource(7)), Workers: workers})
-			if err != nil {
-				t.Fatalf("%s: flat BFS: %v", label, err)
-			}
-			if stats != wantBFSStats {
-				t.Fatalf("%s: BFS stats %+v, want %+v", label, stats, wantBFSStats)
-			}
-			compareBFS(t, label, sc.g, wantBFS, f)
+		f, stats, err := runner.ParallelBFS(sc.g, sc.tasks,
+			Options{MaxDelay: sc.maxDelay, Rng: rand.New(rand.NewSource(7))})
+		if err != nil {
+			t.Fatalf("%s: flat BFS: %v", sc.name, err)
+		}
+		if stats != wantBFSStats {
+			t.Fatalf("%s: BFS stats %+v, want %+v", sc.name, stats, wantBFSStats)
+		}
+		compareBFS(t, sc.name, sc.g, wantBFS, f)
 
-			gotAgg, aggStats, err := runner.ParallelMinAggregate(sc.g, flatAggTasksFrom(f, sc.tasks),
-				Options{MaxDelay: sc.maxDelay, Rng: rand.New(rand.NewSource(8)), Workers: workers})
-			if err != nil {
-				t.Fatalf("%s: flat aggregate: %v", label, err)
-			}
-			if aggStats != wantAggStats {
-				t.Fatalf("%s: aggregate stats %+v, want %+v", label, aggStats, wantAggStats)
-			}
-			for i := range wantAgg {
-				if gotAgg[i] != wantAgg[i] {
-					t.Fatalf("%s: aggregate[%d] = %+v, want %+v", label, i, gotAgg[i], wantAgg[i])
-				}
+		gotAgg, aggStats, err := runner.ParallelMinAggregate(sc.g, flatAggTasksFrom(f, sc.tasks),
+			Options{MaxDelay: sc.maxDelay, Rng: rand.New(rand.NewSource(8))})
+		if err != nil {
+			t.Fatalf("%s: flat aggregate: %v", sc.name, err)
+		}
+		if aggStats != wantAggStats {
+			t.Fatalf("%s: aggregate stats %+v, want %+v", sc.name, aggStats, wantAggStats)
+		}
+		for i := range wantAgg {
+			if gotAgg[i] != wantAgg[i] {
+				t.Fatalf("%s: aggregate[%d] = %+v, want %+v", sc.name, i, gotAgg[i], wantAgg[i])
 			}
 		}
 	}
@@ -209,65 +203,32 @@ func TestAllowedNilMatchesAdmitAll(t *testing.T) {
 				filtered[i].Allowed = admitAll
 			}
 		}
-		for _, workers := range []int{0, 2} {
-			label := fmt.Sprintf("%s/workers=%d", sc.name, workers)
-			want, wantStats, err := runner.ParallelBFS(sc.g, sc.tasks,
-				Options{MaxDelay: sc.maxDelay, Rng: rand.New(rand.NewSource(13)), Workers: workers})
-			if err != nil {
-				t.Fatalf("%s: nil Allowed: %v", label, err)
-			}
-			got, gotStats, err := runner.ParallelBFS(sc.g, filtered,
-				Options{MaxDelay: sc.maxDelay, Rng: rand.New(rand.NewSource(13)), Workers: workers})
-			if err != nil {
-				t.Fatalf("%s: admit-all filter: %v", label, err)
-			}
-			if gotStats != wantStats {
-				t.Fatalf("%s: stats %+v with the filter, %+v with nil", label, gotStats, wantStats)
-			}
-			for ti := 0; ti < want.NumTasks(); ti++ {
-				w, o := want.Outcome(ti), got.Outcome(ti)
-				if o.Len() != w.Len() {
-					t.Fatalf("%s: task %d visited %d nodes with the filter, %d with nil", label, ti, o.Len(), w.Len())
-				}
-				for j := 0; j < w.Len(); j++ {
-					if o.Node(j) != w.Node(j) || o.DistAt(j) != w.DistAt(j) || o.ParentArcAt(j) != w.ParentArcAt(j) ||
-						!slices.Equal(o.ChildArcsAt(j), w.ChildArcsAt(j)) {
-						t.Fatalf("%s: task %d entry %d differs: node %d dist %d parent arc %d children %v with the filter, node %d dist %d parent arc %d children %v with nil",
-							label, ti, j, o.Node(j), o.DistAt(j), o.ParentArcAt(j), o.ChildArcsAt(j),
-							w.Node(j), w.DistAt(j), w.ParentArcAt(j), w.ChildArcsAt(j))
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestFlatSchedulerMatchesSeedShardedRounds forces every pooled round
-// through the sharded two-phase path (no inline shortcut), so the
-// position-merge machinery itself is pinned to the seed.
-func TestFlatSchedulerMatchesSeedShardedRounds(t *testing.T) {
-	old := shardedRoundMin
-	shardedRoundMin = 0
-	defer func() { shardedRoundMin = old }()
-
-	var runner Runner
-	for _, sc := range equivScenarios(t) {
-		wantBFS, wantStats, err := seedParallelBFS(sc.g, sc.tasks,
-			Options{MaxDelay: sc.maxDelay, Rng: rand.New(rand.NewSource(21))})
+		want, wantStats, err := runner.ParallelBFS(sc.g, sc.tasks,
+			Options{MaxDelay: sc.maxDelay, Rng: rand.New(rand.NewSource(13))})
 		if err != nil {
-			t.Fatalf("%s: seed BFS: %v", sc.name, err)
+			t.Fatalf("%s: nil Allowed: %v", sc.name, err)
 		}
-		for _, workers := range []int{2, 5, -1} {
-			label := fmt.Sprintf("%s/sharded/workers=%d", sc.name, workers)
-			f, stats, err := runner.ParallelBFS(sc.g, sc.tasks,
-				Options{MaxDelay: sc.maxDelay, Rng: rand.New(rand.NewSource(21)), Workers: workers})
-			if err != nil {
-				t.Fatalf("%s: flat BFS: %v", label, err)
+		got, gotStats, err := runner.ParallelBFS(sc.g, filtered,
+			Options{MaxDelay: sc.maxDelay, Rng: rand.New(rand.NewSource(13))})
+		if err != nil {
+			t.Fatalf("%s: admit-all filter: %v", sc.name, err)
+		}
+		if gotStats != wantStats {
+			t.Fatalf("%s: stats %+v with the filter, %+v with nil", sc.name, gotStats, wantStats)
+		}
+		for ti := 0; ti < want.NumTasks(); ti++ {
+			w, o := want.Outcome(ti), got.Outcome(ti)
+			if o.Len() != w.Len() {
+				t.Fatalf("%s: task %d visited %d nodes with the filter, %d with nil", sc.name, ti, o.Len(), w.Len())
 			}
-			if stats != wantStats {
-				t.Fatalf("%s: stats %+v, want %+v", label, stats, wantStats)
+			for j := 0; j < w.Len(); j++ {
+				if o.Node(j) != w.Node(j) || o.DistAt(j) != w.DistAt(j) || o.ParentArcAt(j) != w.ParentArcAt(j) ||
+					!slices.Equal(o.ChildArcsAt(j), w.ChildArcsAt(j)) {
+					t.Fatalf("%s: task %d entry %d differs: node %d dist %d parent arc %d children %v with the filter, node %d dist %d parent arc %d children %v with nil",
+						sc.name, ti, j, o.Node(j), o.DistAt(j), o.ParentArcAt(j), o.ChildArcsAt(j),
+						w.Node(j), w.DistAt(j), w.ParentArcAt(j), w.ChildArcsAt(j))
+				}
 			}
-			compareBFS(t, label, sc.g, wantBFS, f)
 		}
 	}
 }
@@ -279,7 +240,7 @@ func TestRunnerReuseIsStateless(t *testing.T) {
 	var reused Runner
 	// Warm the reused runner on every scenario once.
 	for _, sc := range scs {
-		if _, _, err := reused.ParallelBFS(sc.g, sc.tasks, Options{Workers: 2}); err != nil {
+		if _, _, err := reused.ParallelBFS(sc.g, sc.tasks, Options{}); err != nil {
 			t.Fatalf("%s: warmup: %v", sc.name, err)
 		}
 	}
@@ -327,17 +288,15 @@ func TestFlatSchedulerMatchesSeedSparseState(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: seed BFS: %v", sc.name, err)
 		}
-		for _, workers := range []int{0, 3} {
-			label := fmt.Sprintf("%s/sparse/workers=%d", sc.name, workers)
-			f, stats, err := runner.ParallelBFS(sc.g, sc.tasks,
-				Options{MaxDelay: sc.maxDelay, Rng: rand.New(rand.NewSource(13)), Workers: workers})
-			if err != nil {
-				t.Fatalf("%s: flat BFS: %v", label, err)
-			}
-			if stats != wantStats {
-				t.Fatalf("%s: stats %+v, want %+v", label, stats, wantStats)
-			}
-			compareBFS(t, label, sc.g, wantBFS, f)
+		label := sc.name + "/sparse"
+		f, stats, err := runner.ParallelBFS(sc.g, sc.tasks,
+			Options{MaxDelay: sc.maxDelay, Rng: rand.New(rand.NewSource(13))})
+		if err != nil {
+			t.Fatalf("%s: flat BFS: %v", label, err)
 		}
+		if stats != wantStats {
+			t.Fatalf("%s: stats %+v, want %+v", label, stats, wantStats)
+		}
+		compareBFS(t, label, sc.g, wantBFS, f)
 	}
 }

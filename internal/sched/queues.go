@@ -1,22 +1,18 @@
 package sched
 
 // Per-arc token FIFOs: an inline front slot in the arc descriptor plus a
-// power-of-two ring region in a shard-local arena.
+// power-of-two ring region in the drain's arena.
 //
 // The realized backlog of most arcs is 0 or 1 token, so the front token is
 // stored inline in the NumArcs-sized descriptor table: an uncongested push
 // or pop touches one descriptor and never allocates. Backlog behind the
-// front lives in a ring region of the owner shard's arena, sized to the
+// front lives in a ring region of the arena, sized to the
 // arc's realized backlog by doubling (the old region is abandoned inside
 // the arena — bounded by the doubling — so there is no free-list churn and
 // no per-chunk pointer chasing). Regions stay bound to their arc for the
 // whole run; the arena is truncated wholesale between runs, and the
 // descriptor table is epoch-tagged so a Runner invalidates all queues by
 // bumping the epoch instead of clearing the table.
-//
-// Each arc has exactly one owner shard — the shard of its tail node — and
-// only the owner pushes to or pops from the arc, so no queue state is ever
-// shared between workers (see drain.go).
 
 // arcQueue is the per-arc FIFO descriptor (32 bytes for the 8-byte BFS
 // token). The inline slot holds the front token iff frontInline; the ring
@@ -26,16 +22,16 @@ type arcQueue[T any] struct {
 	epoch       uint32
 	qlen        int32  // tokens currently queued
 	load        int32  // tokens ever pushed (realized arc congestion)
-	base        int32  // ring region base in the owner arena
+	base        int32  // ring region base in the arena
 	head        uint32 // ring consume offset
 	lcap        uint8  // log2 of the ring capacity; 0 = no region yet
 	frontInline bool
 }
 
-// ringArena is one shard's ring storage.
+// ringArena is the drain's ring storage.
 type ringArena[T any] struct {
 	buf  []T
-	maxQ int32 // largest post-push queue length among this shard's pushes
+	maxQ int32 // largest post-push queue length of the run
 }
 
 func (a *ringArena[T]) reset() {
@@ -78,7 +74,7 @@ func grow[T any](q *arcQueue[T], a *ringArena[T], ringCnt int32) {
 	q.lcap = newL
 }
 
-// push appends tk to arc's queue using the owner arena a, reporting whether
+// push appends tk to arc's queue using arena a, reporting whether
 // the queue was empty beforehand (the arc-activation signal).
 func push[T any](qs []arcQueue[T], epoch uint32, a *ringArena[T], arc int32, tk T) (wasEmpty bool) {
 	q := &qs[arc]

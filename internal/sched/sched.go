@@ -21,9 +21,7 @@
 // dense per-task visited/dist/parent arrays (with an epoch-tagged hash
 // fallback for huge task counts) — no maps, no steady-state allocation in
 // the round loop. A Runner can be reused across executions to amortize
-// every buffer; Options.Workers shards the drain across a worker pool with
-// bit-for-bit identical results (see drain.go for the determinism
-// argument).
+// every buffer (see drain.go for the determinism argument).
 package sched
 
 import (
@@ -60,14 +58,6 @@ type Options struct {
 	// Rng supplies the shared randomness for start delays. Must be non-nil
 	// when MaxDelay > 0.
 	Rng *rand.Rand
-	// Workers selects the execution mode of the drain. 0 or 1 runs the
-	// deterministic single-goroutine path; k > 1 shards each round's token
-	// deliveries over a pool of k workers; any negative value selects
-	// runtime.GOMAXPROCS(0) workers. Every setting produces bit-for-bit
-	// identical outcomes and Stats. When Workers > 1, task filters
-	// (BFSTask.Allowed) are called concurrently and must be safe for
-	// concurrent read-only use — every filter in this repository is.
-	Workers int
 	// Ctx, when non-nil, is checked once per drain round: a canceled or
 	// expired context aborts the execution within one round with a
 	// reproerr.KindCanceled/KindDeadline error wrapping ctx.Err(). The
@@ -107,13 +97,13 @@ type BFSTask struct {
 // Borůvka phases) makes the round loop allocation-free in steady state.
 // A Runner must not be used concurrently.
 type Runner struct {
-	bfs       drainer[bfsToken]
-	agg       drainer[aggToken]
-	bfsShards []bfsShardState
-	starts    startPlan
-	bfsRun    bfsRun
-	aggRun    aggRun
-	sorter    forestSorter
+	bfs      drainer[bfsToken]
+	agg      drainer[aggToken]
+	bfsState bfsState
+	starts   startPlan
+	bfsRun   bfsRun
+	aggRun   aggRun
+	sorter   forestSorter
 
 	// dense per-(task, node) BFS state (see bfs.go)
 	denseBits   []uint64    // visited bitset, task-row word stride

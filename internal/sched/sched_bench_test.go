@@ -1,8 +1,7 @@
 package sched
 
 // Old-vs-new scheduler benchmarks: the seed scheduler copy (seed_sched_test)
-// against the flat scheduler, sequential and pooled, plus the Runner-reuse
-// path whose round loop and extraction must show 0 allocs/op in steady
+// against the flat scheduler, plus the Runner-reuse path whose round loop and extraction must show 0 allocs/op in steady
 // state (checked in CI by the benchmark smoke step with -benchmem).
 
 import (
@@ -80,32 +79,6 @@ func BenchmarkParallelBFSFlat(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rng.Seed(1) // identical schedule every iteration
 				stats, err := runner.ParallelBFSInto(&f, g, tasks, Options{MaxDelay: 16, Rng: rng})
-				if err != nil {
-					b.Fatal(err)
-				}
-				messages += stats.Messages
-			}
-			reportMsgRate(b, messages)
-		})
-	}
-}
-
-func BenchmarkParallelBFSFlatPool(b *testing.B) {
-	for _, sz := range benchSizes(b) {
-		b.Run(sz.name, func(b *testing.B) {
-			g, tasks := benchBFSWorkload(b, sz.n)
-			rng := rand.New(rand.NewSource(1))
-			var runner Runner
-			var f BFSForest
-			if _, err := runner.ParallelBFSInto(&f, g, tasks, Options{MaxDelay: 16, Rng: rng, Workers: -1}); err != nil {
-				b.Fatal(err) // warmup: reach the Runner's steady state
-			}
-			var messages int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rng.Seed(1) // identical schedule every iteration
-				stats, err := runner.ParallelBFSInto(&f, g, tasks, Options{MaxDelay: 16, Rng: rng, Workers: -1})
 				if err != nil {
 					b.Fatal(err)
 				}

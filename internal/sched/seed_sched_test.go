@@ -8,10 +8,9 @@ package sched
 //
 //   - the old-vs-new benchmarks in sched_bench_test.go, so the perf
 //     trajectory of the scheduler stays measurable against the seed;
-//   - TestFlatSchedulerMatchesSeed, which pins the flat scheduler (every
-//     Workers setting) to the seed's observable behavior: identical visited
-//     sets, distances, parents, children orders, aggregation results, and
-//     Stats.
+//   - TestFlatSchedulerMatchesSeed, which pins the flat scheduler to the
+//     seed's observable behavior: identical visited sets, distances,
+//     parents, children orders, aggregation results, and Stats.
 
 import (
 	"fmt"

@@ -49,7 +49,7 @@ func getBenchFixture(b *testing.B, n int) *benchFixture {
 		b.Fatal(err)
 	}
 	snap, err := serve.NewSnapshot(g, w, parts, serve.SnapshotOptions{
-		Rng: rng, Diameter: 6, LogFactor: 0.3, Workers: -1,
+		Rng: rng, Diameter: 6, LogFactor: 0.3,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -179,7 +179,7 @@ func BenchmarkSSSPRebuildPerQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := sssp.TreeApprox(fx.g, fx.w, graph.NodeID(i%fx.g.NumNodes()), sssp.TreeOptions{
-			Rng: rand.New(rand.NewSource(int64(i))), Diameter: 6, LogFactor: 0.3, Workers: -1,
+			Rng: rand.New(rand.NewSource(int64(i))), Diameter: 6, LogFactor: 0.3,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -213,7 +213,7 @@ func BenchmarkAmortization100k(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			_, err := sssp.TreeApprox(fx.g, fx.w, graph.NodeID(i%fx.g.NumNodes()), sssp.TreeOptions{
-				Rng: rand.New(rand.NewSource(int64(i))), Diameter: 6, LogFactor: 0.3, Workers: -1,
+				Rng: rand.New(rand.NewSource(int64(i))), Diameter: 6, LogFactor: 0.3,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -302,7 +302,7 @@ func BenchmarkApplyDelta(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := serve.NewSnapshot(g2, w2, parts, serve.SnapshotOptions{
-				Rng: rand.New(rand.NewSource(int64(i + 1))), Diameter: 6, LogFactor: 0.3, Workers: -1,
+				Rng: rand.New(rand.NewSource(int64(i + 1))), Diameter: 6, LogFactor: 0.3,
 			}); err != nil {
 				b.Fatal(err)
 			}

@@ -16,8 +16,7 @@ import (
 // The differential harness: for random delta streams over several generator
 // families, the Snapshot ApplyDelta derives must be query-for-query
 // bit-identical to a from-scratch NewSnapshot on the post-delta graph under
-// the same derived seeds — across worker counts on the rebuild side. This
-// is the pin that lets the dynamic update path exist at all: reusing the
+// the same derived seeds. This is the pin that lets the dynamic update path exist at all: reusing the
 // untouched parts' dilation records and skipping the simulated MST are only
 // optimizations if nobody can tell they happened.
 
@@ -270,9 +269,6 @@ func TestDifferentialRepairVsRebuild(t *testing.T) {
 	}
 	for _, fam := range diffFamilies() {
 		for si, size := range sizes {
-			// Vary the rebuild's workers: the delta and rebuilt snapshots
-			// must agree regardless.
-			rebuildWorkers := (si + 1) % 3
 			t.Run(fmt.Sprintf("%s/delta=%d", fam.name, size), func(t *testing.T) {
 				seed := int64(1000*si + 7)
 				genRng := rand.New(rand.NewSource(seed))
@@ -320,7 +316,7 @@ func TestDifferentialRepairVsRebuild(t *testing.T) {
 					t.Fatalf("size %d: %d of %d parts touched, want fewer", size, len(touched), len(parts))
 				}
 				rebuilt, err := serve.NewSnapshot(g1, w1, parts, serve.SnapshotOptions{
-					Rng: buildRng(), Diameter: diameter, LogFactor: 0.3, Workers: rebuildWorkers,
+					Rng: buildRng(), Diameter: diameter, LogFactor: 0.3,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -764,19 +764,9 @@ func verifyTree(g *graph.Graph, w graph.Weights, tree []graph.EdgeID, ti *sssp.T
 // retired snapshot and the new epoch number; the swap does not wait for the
 // retired epoch to drain (see SwapFromFileCtx).
 func (st *Store) SwapFromFile(path string, opts LoadOptions) (*Snapshot, uint64, error) {
-	const op = "serve.SwapFromFile"
-	sn, err := LoadSnapshot(path, opts)
+	sn, err := st.loadNewer("serve.SwapFromFile", path, opts)
 	if err != nil {
 		return nil, 0, err
-	}
-	cur := st.Snapshot()
-	if cur != nil && cur.samplingSeed == sn.samplingSeed && sn.generation <= cur.generation {
-		gen := sn.generation
-		sn.Close()
-		st.m.staleRejected()
-		return nil, 0, reproerr.Invalid(op,
-			"stale snapshot: shipped generation %d, active generation %d (same chain, seed %#x)",
-			gen, cur.generation, cur.samplingSeed)
 	}
 	old, seq := st.Swap(sn)
 	return old, seq, nil
@@ -789,7 +779,18 @@ func (st *Store) SwapFromFile(path string, opts LoadOptions) (*Snapshot, uint64,
 // and unconditional; a canceled wait reports only that draining was still
 // in progress.
 func (st *Store) SwapFromFileCtx(ctx context.Context, path string, opts LoadOptions) (*Snapshot, error) {
-	const op = "serve.SwapFromFileCtx"
+	sn, err := st.loadNewer("serve.SwapFromFileCtx", path, opts)
+	if err != nil {
+		return nil, err
+	}
+	return st.SwapCtx(ctx, sn)
+}
+
+// loadNewer loads the snapshot file a swap ships in, refusing it as stale
+// (KindInvalidInput, counted by the store's metrics) when it is from the
+// active snapshot's build chain (equal sampling seed) with a generation not
+// beyond the active one.
+func (st *Store) loadNewer(op, path string, opts LoadOptions) (*Snapshot, error) {
 	sn, err := LoadSnapshot(path, opts)
 	if err != nil {
 		return nil, err
@@ -803,5 +804,5 @@ func (st *Store) SwapFromFileCtx(ctx context.Context, path string, opts LoadOpti
 			"stale snapshot: shipped generation %d, active generation %d (same chain, seed %#x)",
 			gen, cur.generation, cur.samplingSeed)
 	}
-	return st.SwapCtx(ctx, sn)
+	return sn, nil
 }

@@ -21,7 +21,7 @@ import (
 )
 
 // persistFixture builds one serving snapshot for persistence tests.
-func persistFixture(t testing.TB, famIdx, n, workers int, seed int64) (*serve.Snapshot, *graph.Graph, [][]graph.NodeID) {
+func persistFixture(t testing.TB, famIdx, n int, seed int64) (*serve.Snapshot, *graph.Graph, [][]graph.NodeID) {
 	t.Helper()
 	fam := diffFamilies()[famIdx]
 	genRng := rand.New(rand.NewSource(seed))
@@ -32,7 +32,7 @@ func persistFixture(t testing.TB, famIdx, n, workers int, seed int64) (*serve.Sn
 		t.Fatal(err)
 	}
 	sn, err := serve.NewSnapshot(g, w, parts, serve.SnapshotOptions{
-		Rng: rand.New(rand.NewSource(seed + 1)), Diameter: 6, LogFactor: 0.3, Workers: workers,
+		Rng: rand.New(rand.NewSource(seed + 1)), Diameter: 6, LogFactor: 0.3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func assertServesIdentically(t *testing.T, tag string, got, want *serve.Snapshot
 
 // TestPersistRoundTrip is the tentpole pin: for every graph family × load
 // mode, Write→Load answers every query family bit-identical to the built
-// snapshot, with the build's worker count varied across families.
+// snapshot.
 func TestPersistRoundTrip(t *testing.T) {
 	const n = 360
 	modes := []struct {
@@ -114,9 +114,8 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 	for fi := range diffFamilies() {
 		fam := diffFamilies()[fi]
-		buildWorkers := fi % 3
 		t.Run(fam.name, func(t *testing.T) {
-			sn, g, parts := persistFixture(t, fi, n, buildWorkers, int64(500+fi))
+			sn, g, parts := persistFixture(t, fi, n, int64(500+fi))
 			path := filepath.Join(t.TempDir(), "snap.lcsnap")
 			if err := serve.WriteSnapshotFile(path, sn); err != nil {
 				t.Fatalf("write: %v", err)
@@ -155,7 +154,7 @@ func TestPersistRoundTrip(t *testing.T) {
 // snapshot shipped through a plain byte stream (no file, no mmap) still
 // serves identically.
 func TestPersistStreamRoundTrip(t *testing.T) {
-	sn, g, parts := persistFixture(t, 0, 240, 0, 900)
+	sn, g, parts := persistFixture(t, 0, 240, 900)
 	var buf bytes.Buffer
 	written, err := sn.WriteTo(&buf)
 	if err != nil {
@@ -172,6 +171,35 @@ func TestPersistStreamRoundTrip(t *testing.T) {
 	assertServesIdentically(t, "stream", loaded, sn, g, parts)
 }
 
+// TestWriteSnapshotFileFailedRename points WriteSnapshotFile at an existing
+// non-empty directory, so the final rename fails: the error is typed, no
+// .snap-* temp file is left behind, and the directory is untouched.
+func TestWriteSnapshotFileFailedRename(t *testing.T) {
+	sn, _, _ := persistFixture(t, 0, 240, 950)
+	dir := t.TempDir()
+	target := filepath.Join(dir, "snap.lcsnap")
+	if err := os.Mkdir(target, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(target, "keep"), []byte("keep"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var re *reproerr.Error
+	if err := serve.WriteSnapshotFile(target, sn); !errors.As(err, &re) {
+		t.Fatalf("rename onto a directory: %v, want a *reproerr.Error", err)
+	}
+	if temps, err := filepath.Glob(filepath.Join(dir, ".snap-*")); err != nil || len(temps) != 0 {
+		t.Fatalf("temp files left behind: %v (%v)", temps, err)
+	}
+	entries, err := os.ReadDir(target)
+	if err != nil || len(entries) != 1 || entries[0].Name() != "keep" {
+		t.Fatalf("target directory changed: %v (%v)", entries, err)
+	}
+	if b, err := os.ReadFile(filepath.Join(target, "keep")); err != nil || string(b) != "keep" {
+		t.Fatalf("target directory content changed: %q (%v)", b, err)
+	}
+}
+
 // TestPersistAfterDelta pins the dynamic path across persistence: repair →
 // save → load serves identically to the in-memory repaired snapshot, the
 // repair record survives, and a further ApplyDelta on the LOADED snapshot
@@ -180,7 +208,7 @@ func TestPersistStreamRoundTrip(t *testing.T) {
 // diameter) persisted losslessly.
 func TestPersistAfterDelta(t *testing.T) {
 	const n = 360
-	sn, g, parts := persistFixture(t, 0, n, 0, 1300)
+	sn, g, parts := persistFixture(t, 0, n, 1300)
 	partOf := partOfTable(g.NumNodes(), parts)
 	deltaRng := rand.New(rand.NewSource(1301))
 	var repaired *serve.Snapshot
@@ -258,7 +286,7 @@ func TestPersistAfterDelta(t *testing.T) {
 // every mutation must surface as a typed *reproerr.Error — never a panic,
 // never a silently wrong snapshot.
 func TestPersistCorruption(t *testing.T) {
-	sn, _, _ := persistFixture(t, 0, 240, 0, 1700)
+	sn, _, _ := persistFixture(t, 0, 240, 1700)
 	var buf bytes.Buffer
 	if _, err := sn.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -318,7 +346,7 @@ func TestPersistCorruption(t *testing.T) {
 // turn the file away with a typed KindCorrupt error — before a warm walk
 // could index out of range.
 func TestPersistSkipVerifyCorruptTreeIndex(t *testing.T) {
-	sn, g, _ := persistFixture(t, 0, 240, 0, 1800)
+	sn, g, _ := persistFixture(t, 0, 240, 1800)
 	var buf bytes.Buffer
 	if _, err := sn.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -355,7 +383,7 @@ func TestPersistSkipVerifyCorruptTreeIndex(t *testing.T) {
 // TestPersistClose pins Close semantics: idempotent, nil-safe, a no-op for
 // built snapshots.
 func TestPersistClose(t *testing.T) {
-	sn, _, _ := persistFixture(t, 0, 240, 0, 2100)
+	sn, _, _ := persistFixture(t, 0, 240, 2100)
 	if err := sn.Close(); err != nil {
 		t.Fatalf("Close on built snapshot: %v", err)
 	}
@@ -386,7 +414,7 @@ func TestPersistClose(t *testing.T) {
 // bytes in under live traffic, bumps its epoch, rejects a stale replay of
 // the same chain, and the drained retired snapshot closes cleanly.
 func TestSwapFromFile(t *testing.T) {
-	sn, g, parts := persistFixture(t, 0, 360, 0, 2500)
+	sn, g, parts := persistFixture(t, 0, 360, 2500)
 	partOf := partOfTable(g.NumNodes(), parts)
 	deltaRng := rand.New(rand.NewSource(2501))
 	var repaired *serve.Snapshot
@@ -423,12 +451,44 @@ func TestSwapFromFile(t *testing.T) {
 		t.Fatalf("boot query: %v", err)
 	}
 
-	// Replaying the same generation (or older, same chain) is stale.
-	if _, _, err := st.SwapFromFile(gen0, serve.LoadOptions{}); reproerr.KindOf(err) != reproerr.KindInvalidInput {
-		t.Fatalf("stale swap: %v", err)
+	// Rejected swaps, through either entry point, leave the store on its
+	// boot epoch: replaying the same generation (or older, same chain) is
+	// stale, and a file cut off at an odd offset (never a 64-byte-aligned
+	// section boundary) is corrupt.
+	raw, err := os.ReadFile(gen1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.Epoch() != 1 || st.Swaps() != 0 {
-		t.Fatalf("store mutated by rejected swap: epoch %d swaps %d", st.Epoch(), st.Swaps())
+	truncated := filepath.Join(dir, "truncated.lcsnap")
+	if err := os.WriteFile(truncated, raw[:len(raw)/2|1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	swaps := []struct {
+		name string
+		swap func(path string) error
+	}{
+		{"SwapFromFile", func(path string) error {
+			_, _, err := st.SwapFromFile(path, serve.LoadOptions{})
+			return err
+		}},
+		{"SwapFromFileCtx", func(path string) error {
+			_, err := st.SwapFromFileCtx(context.Background(), path, serve.LoadOptions{})
+			return err
+		}},
+	}
+	for _, sw := range swaps {
+		for _, c := range []struct {
+			path string
+			kind reproerr.Kind
+		}{{gen0, reproerr.KindInvalidInput}, {truncated, reproerr.KindCorrupt}} {
+			if err := sw.swap(c.path); reproerr.KindOf(err) != c.kind {
+				t.Fatalf("%s(%s): %v, want %v", sw.name, filepath.Base(c.path), err, c.kind)
+			}
+			if st.Epoch() != 1 || st.Swaps() != 0 {
+				t.Fatalf("store mutated by rejected %s(%s): epoch %d swaps %d",
+					sw.name, filepath.Base(c.path), st.Epoch(), st.Swaps())
+			}
+		}
 	}
 
 	retired, err := st.SwapFromFileCtx(context.Background(), gen1, serve.LoadOptions{})

@@ -57,9 +57,6 @@ type SnapshotOptions struct {
 	Diameter int
 	// LogFactor as in shortcut.Options.
 	LogFactor float64
-	// Workers selects the build parallelism (CONGEST engine + scheduler
-	// drain); 0 = sequential. The built snapshot is identical either way.
-	Workers int
 	// MaxRounds bounds each simulated build phase (0 = default).
 	MaxRounds int
 	// Ctx, when non-nil, cancels the build cooperatively: the shortcut
@@ -182,7 +179,6 @@ func NewSnapshot(g *graph.Graph, w graph.Weights, parts [][]graph.NodeID, opts S
 		Rng:       opts.Rng,
 		Diameter:  d,
 		LogFactor: opts.LogFactor,
-		Workers:   opts.Workers,
 		MaxRounds: opts.MaxRounds,
 		Ctx:       opts.Ctx,
 	})

@@ -21,12 +21,6 @@ type DistOptions struct {
 	// LogFactor and Reps as in Options (0 = paper defaults).
 	LogFactor float64
 	Reps      int
-	// Workers selects the execution parallelism of both the CONGEST engine
-	// (see congest.Options) and the random-delay scheduler (see
-	// sched.Options): 0 runs the deterministic sequential mode, k > 1 a
-	// k-worker sharded pool, negative one worker per CPU. All settings
-	// produce identical results.
-	Workers int
 	// KnownDiameter skips the diameter-guessing loop when > 0 (the paper's
 	// "assuming the knowledge of D" variant).
 	KnownDiameter int
@@ -109,7 +103,7 @@ func BuildDistributed(g *graph.Graph, p *Partition, opts DistOptions) (*DistResu
 		maxR = 64*n + 4096
 	}
 	start := time.Now()
-	eng := congest.NewEngine(congest.Options{Workers: opts.Workers, MaxRounds: maxR, Ctx: opts.Ctx})
+	eng := congest.NewEngine(congest.Options{MaxRounds: maxR, Ctx: opts.Ctx})
 
 	res := &DistResult{}
 
@@ -290,7 +284,6 @@ func tryGuess(
 		MaxDelay:  kdInt,
 		Rng:       opts.Rng,
 		MaxRounds: schedMax,
-		Workers:   opts.Workers,
 		Ctx:       opts.Ctx,
 	})
 	if err != nil {
@@ -340,7 +333,6 @@ func tryGuess(
 		MaxDelay:  kdInt,
 		Rng:       opts.Rng,
 		MaxRounds: schedMax,
-		Workers:   opts.Workers,
 		Ctx:       opts.Ctx,
 	})
 	if err != nil {

@@ -38,8 +38,6 @@ type RepairOptions struct {
 	// It never influences the repaired assignment — only the schedule under
 	// which the verification trees are grown.
 	Rng *rand.Rand
-	// Workers as in DistOptions.
-	Workers int
 }
 
 // RepairResult is the outcome of a part-local repair.
@@ -221,7 +219,6 @@ func RepairDistributed(
 	schedOpts := sched.Options{
 		MaxDelay: kdInt,
 		Rng:      opts.Rng,
-		Workers:  opts.Workers,
 	}
 	st, err := runner.ParallelBFSInto(forest, g, tasks, schedOpts)
 	if err != nil {

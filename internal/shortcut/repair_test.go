@@ -105,59 +105,55 @@ func recheckParts(g *graph.Graph, p *Partition, d graph.Delta) []int {
 
 // TestRepairMatchesFromScratch is the core dynamic-graphs pin: for random
 // delta streams, the part-local repair produces an assignment bit-identical
-// to BuildSeeded from scratch on the post-delta graph — under every worker
-// setting.
+// to BuildSeeded from scratch on the post-delta graph.
 func TestRepairMatchesFromScratch(t *testing.T) {
-	for _, workers := range []int{0, 3} {
-		for _, size := range []int{1, 8, 64} {
-			fx := makeRepairFixture(t, 300, 8, int64(size)+100)
-			rng := rand.New(rand.NewSource(int64(size) * 77))
-			g, w, p, s := fx.g, fx.w, fx.p, fx.s
-			for step := 0; step < 4; step++ {
-				d := randomDelta(t, &repairFixture{g: g, w: w, p: p}, size, rng)
-				g2, w2, rm, err := graph.ApplyDelta(g, w, d)
-				if err != nil {
-					t.Fatalf("workers=%d size=%d step=%d: apply: %v", workers, size, step, err)
-				}
-				p2, err := p.Rebind(g2, recheckParts(g, p, d))
-				if err != nil {
-					// A random delta can disconnect a part; skip this step.
-					continue
-				}
-				rr, err := RepairDistributed(g2, p2, s, rm, rm.Inserted, RepairOptions{
-					Seed:      fx.seed,
-					Diameter:  fx.d,
-					LogFactor: 0.3,
-					Rng:       rand.New(rand.NewSource(int64(step + 1))),
-					Workers:   workers,
-				})
-				if err != nil {
-					t.Fatalf("workers=%d size=%d step=%d: repair: %v", workers, size, step, err)
-				}
-				want, err := BuildSeeded(g2, p2, Options{Diameter: fx.d, LogFactor: 0.3}, fx.seed)
-				if err != nil {
-					t.Fatalf("workers=%d size=%d step=%d: from scratch: %v", workers, size, step, err)
-				}
-				if len(rr.S.H) != len(want.H) {
-					t.Fatalf("part count drift: %d vs %d", len(rr.S.H), len(want.H))
-				}
-				for pi := range want.H {
-					if len(rr.S.H[pi]) != len(want.H[pi]) {
-						t.Fatalf("workers=%d size=%d step=%d part %d: |H| %d vs %d",
-							workers, size, step, pi, len(rr.S.H[pi]), len(want.H[pi]))
-					}
-					for j := range want.H[pi] {
-						if rr.S.H[pi][j] != want.H[pi][j] {
-							t.Fatalf("workers=%d size=%d step=%d part %d: H[%d] = %d vs %d",
-								workers, size, step, pi, j, rr.S.H[pi][j], want.H[pi][j])
-						}
-					}
-				}
-				if rr.S.Params != want.Params {
-					t.Fatalf("params drift: %+v vs %+v", rr.S.Params, want.Params)
-				}
-				g, w, p, s = g2, w2, p2, rr.S
+	for _, size := range []int{1, 8, 64} {
+		fx := makeRepairFixture(t, 300, 8, int64(size)+100)
+		rng := rand.New(rand.NewSource(int64(size) * 77))
+		g, w, p, s := fx.g, fx.w, fx.p, fx.s
+		for step := 0; step < 4; step++ {
+			d := randomDelta(t, &repairFixture{g: g, w: w, p: p}, size, rng)
+			g2, w2, rm, err := graph.ApplyDelta(g, w, d)
+			if err != nil {
+				t.Fatalf("size=%d step=%d: apply: %v", size, step, err)
 			}
+			p2, err := p.Rebind(g2, recheckParts(g, p, d))
+			if err != nil {
+				// A random delta can disconnect a part; skip this step.
+				continue
+			}
+			rr, err := RepairDistributed(g2, p2, s, rm, rm.Inserted, RepairOptions{
+				Seed:      fx.seed,
+				Diameter:  fx.d,
+				LogFactor: 0.3,
+				Rng:       rand.New(rand.NewSource(int64(step + 1))),
+			})
+			if err != nil {
+				t.Fatalf("size=%d step=%d: repair: %v", size, step, err)
+			}
+			want, err := BuildSeeded(g2, p2, Options{Diameter: fx.d, LogFactor: 0.3}, fx.seed)
+			if err != nil {
+				t.Fatalf("size=%d step=%d: from scratch: %v", size, step, err)
+			}
+			if len(rr.S.H) != len(want.H) {
+				t.Fatalf("part count drift: %d vs %d", len(rr.S.H), len(want.H))
+			}
+			for pi := range want.H {
+				if len(rr.S.H[pi]) != len(want.H[pi]) {
+					t.Fatalf("size=%d step=%d part %d: |H| %d vs %d",
+						size, step, pi, len(rr.S.H[pi]), len(want.H[pi]))
+				}
+				for j := range want.H[pi] {
+					if rr.S.H[pi][j] != want.H[pi][j] {
+						t.Fatalf("size=%d step=%d part %d: H[%d] = %d vs %d",
+							size, step, pi, j, rr.S.H[pi][j], want.H[pi][j])
+					}
+				}
+			}
+			if rr.S.Params != want.Params {
+				t.Fatalf("params drift: %+v vs %+v", rr.S.Params, want.Params)
+			}
+			g, w, p, s = g2, w2, p2, rr.S
 		}
 	}
 }

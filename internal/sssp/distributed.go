@@ -85,10 +85,6 @@ type TreeOptions struct {
 	Rng       *rand.Rand
 	Diameter  int
 	LogFactor float64
-	// Workers selects the parallelism of the underlying distributed MST
-	// (engine and scheduler); 0 = sequential. Results are identical for
-	// every setting.
-	Workers int
 	// MaxRounds bounds each scheduled phase of the underlying MST
 	// (0 = default).
 	MaxRounds int
@@ -122,7 +118,6 @@ func TreeApprox(g *graph.Graph, w graph.Weights, src graph.NodeID, opts TreeOpti
 		Rng:       opts.Rng,
 		Diameter:  opts.Diameter,
 		LogFactor: opts.LogFactor,
-		Workers:   opts.Workers,
 		MaxRounds: opts.MaxRounds,
 		Ctx:       opts.Ctx,
 	})

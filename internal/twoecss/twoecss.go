@@ -117,9 +117,6 @@ type Options struct {
 	// for the tree phase (plus one equivalent phase for the augmentation,
 	// matching [DG19]'s MST-like phase structure).
 	Distributed bool
-	// Workers selects the parallelism of the distributed MST (engine and
-	// scheduler); 0 = sequential. Results are identical for every setting.
-	Workers int
 	// Tree, when non-empty, is a prebuilt minimum spanning tree (a serving
 	// snapshot's shortcut-MST): the tree phase is skipped entirely — only
 	// the greedy bridge-cover augmentation runs, deterministically — and
@@ -179,7 +176,6 @@ func Approx(g *graph.Graph, w graph.Weights, opts Options) (*Result, error) {
 			Rng:       opts.Rng,
 			Diameter:  opts.Diameter,
 			LogFactor: opts.LogFactor,
-			Workers:   opts.Workers,
 			Ctx:       opts.Ctx,
 		})
 		if err != nil {

@@ -334,55 +334,24 @@ func (f *floodProg) Round(_ int, v *repro.CongestView, in []repro.CongestInbound
 
 func (f *floodProg) Done() bool { return true }
 
-// TestV2RunCongestWorkers pins RunCongestCtx's execution modes against each
-// other: the sequential engine (WithWorkers(0)), one worker per CPU
-// (WithWorkers(-1)) and a 3-worker pool must report byte-identical stats
-// and final program states.
-func TestV2RunCongestWorkers(t *testing.T) {
+// TestV2RunCongest runs a multi-round program through RunCongestCtx and
+// checks that it converges: every node ends on the maximum node ID.
+func TestV2RunCongest(t *testing.T) {
 	g, err := repro.ClusterChain(600, 5, rngAt(11))
 	if err != nil {
 		t.Fatal(err)
 	}
 	factory := func(*repro.CongestView) repro.CongestProgram { return &floodProg{} }
-
-	type outcome struct {
-		workers int
-		stats   repro.CongestStats
-		maxes   []int64
+	st, progs, err := repro.RunCongestCtx(context.Background(), g, factory, repro.WithMaxRounds(1<<20))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var runs []outcome
-	for _, workers := range []int{0, -1, 3} {
-		st, progs, err := repro.RunCongestCtx(context.Background(), g, factory,
-			repro.WithWorkers(workers), repro.WithMaxRounds(1<<20))
-		if err != nil {
-			t.Fatalf("WithWorkers(%d): %v", workers, err)
-		}
-		maxes := make([]int64, len(progs))
-		for i, p := range progs {
-			maxes[i] = p.(*floodProg).max
-		}
-		runs = append(runs, outcome{workers: workers, stats: st, maxes: maxes})
+	if st.Rounds <= 1 || st.Messages == 0 {
+		t.Fatalf("degenerate run: %+v", st)
 	}
-
-	want := runs[0]
-	if want.stats.Rounds <= 1 || want.stats.Messages == 0 {
-		t.Fatalf("degenerate reference run: %+v", want.stats)
-	}
-	for _, v := range want.maxes {
-		if v != int64(g.NumNodes()-1) {
+	for _, p := range progs {
+		if p.(*floodProg).max != int64(g.NumNodes()-1) {
 			t.Fatal("flood did not converge to the max ID")
-		}
-	}
-	for _, run := range runs[1:] {
-		if run.stats != want.stats {
-			t.Errorf("WithWorkers(%d) stats %+v differ from WithWorkers(%d) stats %+v",
-				run.workers, run.stats, want.workers, want.stats)
-		}
-		for i := range want.maxes {
-			if run.maxes[i] != want.maxes[i] {
-				t.Fatalf("WithWorkers(%d) node %d state %d differs from WithWorkers(%d) state %d",
-					run.workers, i, run.maxes[i], want.workers, want.maxes[i])
-			}
 		}
 	}
 }
