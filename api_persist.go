@@ -12,11 +12,12 @@ import (
 //
 // A Snapshot built by NewSnapshotCtx (a cold multi-second construction) can
 // be persisted once and reopened in milliseconds: SaveSnapshot streams every
-// section of the serving state — graph CSR, tree CSR + weights, partition,
-// shortcut assignment, tree index, per-part quality cache, derived MST —
-// into a versioned, checksummed, 64-byte-aligned container, and
-// LoadSnapshotCtx mmaps the file and rebuilds the Snapshot by slicing the
-// mapping, with zero parse of the bulk arrays. A loaded snapshot answers
+// section of the serving state — graph CSR and weights, partition, shortcut
+// assignment, per-part quality cache, derived MST edge list — into a
+// versioned, checksummed, 64-byte-aligned container, and LoadSnapshotCtx
+// mmaps the file and rebuilds the Snapshot by slicing the mapping, with zero
+// parse of the bulk arrays; only the tree's O(n) query index is derived
+// again, from the MST edge list. A loaded snapshot answers
 // every query family bit-identically to the one that was saved, including
 // continuing a delta chain: ApplyDeltaCtx on a loaded snapshot equals
 // ApplyDeltaCtx on the original.

@@ -241,7 +241,8 @@ func WithMmap(on bool) Option { return func(c *Config) { c.NoMmap = !on } }
 // WithSnapshotVerify toggles checksum and structural verification on
 // snapshot loads (on by default). Passing false skips the deep scans —
 // the fast path for artifacts this process just wrote; corrupt bytes then
-// surface as wrong answers rather than load errors.
+// surface as wrong answers rather than load errors, except in the tree
+// edge list, which every load checks while deriving the tree index.
 func WithSnapshotVerify(on bool) Option {
 	return func(c *Config) { c.SkipSnapshotVerify = !on }
 }

@@ -122,7 +122,7 @@ func E16Persistence(cfg Config) (*Table, error) {
 		t.SetMeta(fmt.Sprintf("n%d_build_ms", n), float64(buildTime)/float64(time.Millisecond))
 		t.SetMeta(fmt.Sprintf("n%d_load_mmap_ms", n), float64(loadMmap)/float64(time.Millisecond))
 	}
-	t.AddNote("load mmap is the default (checksums + deep structural verification); noverify maps and slices only")
+	t.AddNote("load mmap is the default (checksums + deep structural verification); noverify skips both but still derives the tree index from the stored tree edge list")
 	t.AddNote("first query on the loaded mapping verified bit-identical to the built snapshot")
 	t.AddNote("speedup = build s / load mmap ms: the cold-start factor a replica gains by shipping bytes")
 	return t, nil

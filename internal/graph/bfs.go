@@ -27,19 +27,13 @@ func (r *BFSResult) MaxDist() int32 {
 
 // BFS runs a breadth-first search over the whole graph from src.
 func BFS(g *Graph, src NodeID) *BFSResult {
-	return bfs(g, []NodeID{src}, -1, nil)
-}
-
-// BFSDepthLimited runs a breadth-first search from src truncated at the given
-// hop depth: nodes farther than depth hops are left Unreached.
-func BFSDepthLimited(g *Graph, src NodeID, depth int32) *BFSResult {
-	return bfs(g, []NodeID{src}, depth, nil)
+	return bfs(g, []NodeID{src}, nil)
 }
 
 // MultiSourceBFS runs a breadth-first search from every node of srcs at once;
 // Dist[v] is the hop distance from the nearest source.
 func MultiSourceBFS(g *Graph, srcs []NodeID) *BFSResult {
-	return bfs(g, srcs, -1, nil)
+	return bfs(g, srcs, nil)
 }
 
 // ArcFilter restricts a traversal: an arc a from u is usable only if the
@@ -47,12 +41,12 @@ func MultiSourceBFS(g *Graph, srcs []NodeID) *BFSResult {
 type ArcFilter func(arc int32, u, v NodeID, e EdgeID) bool
 
 // FilteredBFS runs a breadth-first search from src using only arcs admitted
-// by the filter, truncated at depth (depth < 0 means unbounded).
-func FilteredBFS(g *Graph, src NodeID, depth int32, filter ArcFilter) *BFSResult {
-	return bfs(g, []NodeID{src}, depth, filter)
+// by the filter.
+func FilteredBFS(g *Graph, src NodeID, filter ArcFilter) *BFSResult {
+	return bfs(g, []NodeID{src}, filter)
 }
 
-func bfs(g *Graph, srcs []NodeID, depth int32, filter ArcFilter) *BFSResult {
+func bfs(g *Graph, srcs []NodeID, filter ArcFilter) *BFSResult {
 	n := g.NumNodes()
 	res := &BFSResult{
 		Dist:    make([]int32, n),
@@ -74,9 +68,6 @@ func bfs(g *Graph, srcs []NodeID, depth int32, filter ArcFilter) *BFSResult {
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		du := res.Dist[u]
-		if depth >= 0 && du == depth {
-			continue
-		}
 		lo, hi := g.ArcRange(u)
 		for a := lo; a < hi; a++ {
 			v := g.ArcTarget(a)

@@ -39,24 +39,6 @@ func TestBFSDisconnected(t *testing.T) {
 	}
 }
 
-func TestBFSDepthLimited(t *testing.T) {
-	g := mustBuild(t, 10, pathEdges(10))
-	res := BFSDepthLimited(g, 0, 4)
-	for v := 0; v <= 4; v++ {
-		if res.Dist[v] != int32(v) {
-			t.Errorf("Dist[%d] = %d, want %d", v, res.Dist[v], v)
-		}
-	}
-	for v := 5; v < 10; v++ {
-		if res.Dist[v] != Unreached {
-			t.Errorf("Dist[%d] = %d, want Unreached", v, res.Dist[v])
-		}
-	}
-	if res.MaxDist() != 4 {
-		t.Errorf("MaxDist = %d, want 4", res.MaxDist())
-	}
-}
-
 func TestMultiSourceBFS(t *testing.T) {
 	g := mustBuild(t, 7, pathEdges(7))
 	res := MultiSourceBFS(g, []NodeID{0, 6})
@@ -87,7 +69,7 @@ func TestFilteredBFSBlocksArcs(t *testing.T) {
 	if !ok {
 		t.Fatal("edge {0,3} missing")
 	}
-	res := FilteredBFS(g, 0, -1, func(_ int32, _, _ NodeID, e EdgeID) bool {
+	res := FilteredBFS(g, 0, func(_ int32, _, _ NodeID, e EdgeID) bool {
 		return e != blocked
 	})
 	if res.Dist[3] != 3 {

@@ -76,7 +76,7 @@ func isNodeSetConnectedOracle(g *Graph, nodes []NodeID) bool {
 	for _, v := range nodes {
 		member.Set(v)
 	}
-	res := FilteredBFS(g, nodes[0], -1, func(_ int32, _, v NodeID, _ EdgeID) bool {
+	res := FilteredBFS(g, nodes[0], func(_ int32, _, v NodeID, _ EdgeID) bool {
 		return member.Has(v)
 	})
 	reached := 0

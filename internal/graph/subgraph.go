@@ -81,7 +81,7 @@ func (v *AugmentedView) Filter() ArcFilter {
 // BFS runs a breadth-first search inside the view from src. src must be a
 // node of the view.
 func (v *AugmentedView) BFS(src NodeID) *BFSResult {
-	return FilteredBFS(v.g, src, -1, v.Filter())
+	return FilteredBFS(v.g, src, v.Filter())
 }
 
 // DiameterAmong returns the largest pairwise hop distance *between nodes of

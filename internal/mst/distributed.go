@@ -58,11 +58,12 @@ type DistResult struct {
 
 // Scratch owns the reusable scheduler state of Distributed: the random-delay
 // Runner, the BFS extraction forest, and the winners buffer. The zero value
-// is ready to use. Distributed allocates a fresh one per call; callers that
-// answer many MST-shaped queries (the serving layer's pooled executors) hold
-// one Scratch per executor and call DistributedScratch so the scheduler's
-// flat buffers amortize across queries, not just across Borůvka phases.
-// A Scratch must not be used concurrently.
+// is ready to use. Distributed allocates a fresh one per call; a caller that
+// runs many MST computations in a row holds one Scratch and calls
+// DistributedScratch, so the scheduler's flat buffers amortize across calls,
+// not just across Borůvka phases. Its one such caller is mincut.Approx's
+// distributed packing loop, which threads one Scratch through all of its
+// MST calls. A Scratch must not be used concurrently.
 type Scratch struct {
 	sr      sched.Runner
 	forest  sched.BFSForest
@@ -79,8 +80,8 @@ func Distributed(g *graph.Graph, w graph.Weights, opts DistOptions) (*DistResult
 	return DistributedScratch(g, w, opts, &scratch)
 }
 
-// DistributedScratch is Distributed with caller-owned reusable state — the
-// snapshot-serving entry point. Results are identical to Distributed.
+// DistributedScratch is Distributed with caller-owned reusable state.
+// Results are identical to Distributed.
 func DistributedScratch(g *graph.Graph, w graph.Weights, opts DistOptions, scratch *Scratch) (*DistResult, error) {
 	const op = "mst.Distributed"
 	if err := reproerr.RequireRng(op, opts.Rng); err != nil {

@@ -18,10 +18,12 @@ import (
 	"repro/internal/sssp"
 )
 
-// Snapshot persistence: every Snapshot field is laid out as one snapio
-// section (raw little-endian array) or packed into the fixed meta record, so
-// Load rebuilds the serving state by slicing the file mapping — no parse, no
-// per-element allocation. See DESIGN.md "Snapshot persistence".
+// Snapshot persistence: every Snapshot field but the tree index is laid out
+// as one snapio section (raw little-endian array) or packed into the fixed
+// meta record, so Load rebuilds the serving state by slicing the file
+// mapping — no parse, no per-element allocation. The tree index is derived
+// again from the stored MST edge list, the one stored form of the tree. See
+// DESIGN.md "Snapshot persistence".
 //
 // Section IDs are part of the format: never renumber, only append. A
 // retired ID stays reserved forever, so files that still carry it load
@@ -50,13 +52,11 @@ const (
 
 	// 17..24 held a tree-only copy of the graph CSR (layout of 1..7) and
 	// its per-arc weights, read by a batch BFS kernel that no longer
-	// exists. Retired, never reuse: older files still carry them.
-	secRetiredTreeGFirst = 17
-	secRetiredTreeGLast  = 24
-
-	secTreeIdxOff = 25 // []int32, n+1
-	secTreeIdxTo  = 26 // []int32, 2t
-	secTreeIdxWt  = 27 // []float64, 2t
+	// exists. 25..27 held the tree index's CSR (offsets, arc targets, arc
+	// weights), a second copy of secTree that the loader now derives from
+	// it. Retired, never reuse: older files still carry them.
+	secRetiredFirst = 17
+	secRetiredLast  = 27
 
 	secMeta          = 28 // fixed metaSize-byte record, see metaBytes
 	secRepairTouched = 29 // []int64, repaired-part indices (present iff repair != nil)
@@ -153,6 +153,13 @@ func decodeMeta(b []byte) (dm decodedMeta, err error) {
 	sn.treeWeight = f64()
 	sn.diameter = int(i64())
 	sn.logFactor = f64()
+	// A delta rebuilds the shortcuts with these two: a NaN log factor would
+	// sample at probability NaN, and no parameters derive from a diameter
+	// below 1. No build writes either; ±Inf is a valid log factor.
+	if math.IsNaN(sn.logFactor) || sn.diameter < 1 {
+		return dm, reproerr.Errorf(op, reproerr.KindCorrupt,
+			"log factor %v, diameter %d: want a number and a diameter of at least 1", sn.logFactor, sn.diameter)
+	}
 	sn.dilationCutoff = int(i64())
 	sn.phases = int(i64())
 	sn.qualitySum = int(i64())
@@ -256,11 +263,6 @@ func (sn *Snapshot) WriteTo(w io.Writer) (int64, error) {
 
 	i32(secTree, sn.tree)
 
-	tiOff, tiTo, tiWt := sn.ti.Raw()
-	i32(secTreeIdxOff, tiOff)
-	i32(secTreeIdxTo, tiTo)
-	f64(secTreeIdxWt, tiWt)
-
 	sec(secMeta, 1, sn.metaBytes())
 	if sn.repair != nil {
 		touched := make([]int64, len(sn.repair.Touched))
@@ -321,9 +323,11 @@ type LoadOptions struct {
 	NoMmap bool
 	// SkipVerify skips section checksums and the O(n+m) structural scans,
 	// trusting the file — the fastest load, safe only for files this
-	// process (or an equally trusted builder) just wrote. Only the tree
-	// index is still checked, as its rooted order is derived; any other
-	// corruption loaded with SkipVerify can panic or serve wrong answers.
+	// process (or an equally trusted builder) just wrote. The tree index is
+	// still derived from the stored tree edge list, as on every load, so
+	// tree edges that are out of range or do not form a forest are still
+	// rejected; any other corruption loaded with SkipVerify can panic or
+	// serve wrong answers.
 	SkipVerify bool
 	// Metrics records load observability into the registry: load counts by
 	// path (lcs_snapshot_load_total{path="mmap"|"heap"}), bytes loaded, and
@@ -397,10 +401,11 @@ func (sn *Snapshot) Mapped() bool { return sn.backing != nil && sn.backing.Mappe
 // snapshotFromFile assembles a Snapshot from a parsed container. Shape
 // checks (lengths, brackets) always run — they are O(1) per section and
 // keep even a trusted load panic-free on honest size mismatches — and so
-// does sssp.RawTreeIndex's O(n) derivation of the tree's rooted order, which
-// checks every offset and target the warm walks index by. Unless
-// opts.SkipVerify, it additionally verifies every section checksum and runs
-// the deep O(n+m) structural scans that make arbitrary (fuzzed) bytes safe.
+// does sssp.NewTreeIndex, which derives the tree index from the stored
+// tree edge list and checks every edge ID and endpoint the warm walks
+// depend on. Unless opts.SkipVerify, it additionally verifies every section
+// checksum and runs the deep O(n+m) structural scans that make arbitrary
+// (fuzzed) bytes safe.
 func snapshotFromFile(f *snapio.File, opts LoadOptions) (*Snapshot, error) {
 	const op = "serve.LoadSnapshot"
 	corrupt := func(format string, args ...any) error {
@@ -465,7 +470,7 @@ func snapshotFromFile(f *snapio.File, opts LoadOptions) (*Snapshot, error) {
 	if gerr != nil {
 		return nil, corrupt("graph: %w", gerr)
 	}
-	n, m := g.NumNodes(), g.NumEdges()
+	m := g.NumEdges()
 
 	w := graph.Weights(f64(secWeights))
 	if err != nil {
@@ -557,9 +562,6 @@ func snapshotFromFile(f *snapio.File, opts LoadOptions) (*Snapshot, error) {
 	}
 
 	tree := i32(secTree)
-	tiOff := i32(secTreeIdxOff)
-	tiTo := i32(secTreeIdxTo)
-	tiWt := f64(secTreeIdxWt)
 	metaSec, merr := f.Section(secMeta)
 	if err == nil {
 		err = merr
@@ -575,18 +577,9 @@ func snapshotFromFile(f *snapio.File, opts LoadOptions) (*Snapshot, error) {
 	if derr != nil {
 		return nil, derr
 	}
-	if len(tiOff) != n+1 || len(tiTo) != 2*len(tree) || len(tiWt) != len(tiTo) {
-		return nil, corrupt("tree index: shape %d/%d/%d for n=%d t=%d",
-			len(tiOff), len(tiTo), len(tiWt), n, len(tree))
-	}
-	ti, tierr := sssp.RawTreeIndex(tiOff, tiTo, tiWt)
+	ti, tierr := sssp.NewTreeIndex(g, w, tree)
 	if tierr != nil {
-		return nil, corrupt("tree index: %w", tierr)
-	}
-	if verify {
-		if verr := verifyTree(g, w, tree, ti); verr != nil {
-			return nil, verr
-		}
+		return nil, corrupt("tree: %w", tierr)
 	}
 
 	hdr := f.Header()
@@ -683,74 +676,6 @@ func verifyPartition(g *graph.Graph, parts []shortcut.Part, partOf []int32) erro
 		// through (the per-list scan only checks listed nodes).
 		return reproerr.Errorf(op, reproerr.KindCorrupt,
 			"partition: %d nodes mapped to parts but %d listed", mapped, listed)
-	}
-	return nil
-}
-
-// verifyTree runs the deep tree-state scan: the persisted MST edge list and
-// the tree index must describe the same forest over g with weights w —
-// exactly the invariants the warm query paths index on without further
-// checks.
-func verifyTree(g *graph.Graph, w graph.Weights, tree []graph.EdgeID, ti *sssp.TreeIndex) error {
-	const op = "serve.LoadSnapshot"
-	corrupt := func(format string, args ...any) error {
-		return reproerr.Errorf(op, reproerr.KindCorrupt, format, args...)
-	}
-	m := int32(g.NumEdges())
-	inTree := graph.NewBitset(g.NumEdges())
-	deg := make([]int32, g.NumNodes())
-	for _, e := range tree {
-		if e < 0 || e >= m {
-			return corrupt("tree: edge %d out of range [0,%d)", e, m)
-		}
-		if inTree.Has(e) {
-			return corrupt("tree: edge %d listed twice", e)
-		}
-		inTree.Set(e)
-		u, v := g.EdgeEndpoints(e)
-		deg[u]++
-		deg[v]++
-	}
-	// The tree index must be the same adjacency: per node, the degree the
-	// tree edge list gives it, and each indexed arc a tree edge with the
-	// matching weight. (RawTreeIndex already checked the offsets monotone
-	// and every target in range.)
-	tiOff, tiTo, tiWt := ti.Raw()
-	for u := int32(0); u < int32(g.NumNodes()); u++ {
-		lo, hi := tiOff[u], tiOff[u+1]
-		if hi-lo != deg[u] {
-			return corrupt("tree index: node %d has degree %d, tree edge list gives %d", u, hi-lo, deg[u])
-		}
-		for a := lo; a < hi; a++ {
-			v := tiTo[a]
-			e, ok := g.FindEdge(u, v)
-			if !ok || !inTree.Has(e) {
-				return corrupt("tree index: arc %d: {%d,%d} is not a tree edge", a, u, v)
-			}
-			if tiWt[a] != w[e] {
-				return corrupt("tree index: arc %d carries %g, graph weight is %g", a, tiWt[a], w[e])
-			}
-		}
-	}
-	// Recount acyclicity over the edge list itself.
-	uf := make([]int32, g.NumNodes())
-	for i := range uf {
-		uf[i] = int32(i)
-	}
-	find := func(x int32) int32 {
-		for uf[x] != x {
-			uf[x] = uf[uf[x]]
-			x = uf[x]
-		}
-		return x
-	}
-	for _, e := range tree {
-		u, v := g.EdgeEndpoints(e)
-		ru, rv := find(u), find(v)
-		if ru == rv {
-			return corrupt("tree: edge %d closes a cycle", e)
-		}
-		uf[ru] = rv
 	}
 	return nil
 }

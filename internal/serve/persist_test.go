@@ -6,17 +6,21 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/reproerr"
 	"repro/internal/serve"
 	"repro/internal/snapio"
-	"repro/internal/sssp"
 	"repro/internal/twoecss"
 )
 
@@ -340,43 +344,249 @@ func TestPersistCorruption(t *testing.T) {
 	}
 }
 
-// TestPersistSkipVerifyCorruptTreeIndex loads, with SkipVerify, a file
-// whose tree-index target section names a node past n. No checksum or deep
-// scan runs on that path, so the tree index's own load-time checks must
-// turn the file away with a typed KindCorrupt error — before a warm walk
-// could index out of range.
+// Section IDs of the snapshot format the tests below patch or look for;
+// IDs are never renumbered.
+const (
+	secGraphEdgeU = 6
+	secTree       = 16
+)
+
+// sectionSpan returns the byte offset and length of section id in the
+// container image raw, read from the section table the footer locates.
+func sectionSpan(t *testing.T, raw []byte, id uint32) (off, length int) {
+	t.Helper()
+	foot := raw[len(raw)-32:]
+	table := int(binary.LittleEndian.Uint64(foot[0:8]))
+	count := int(binary.LittleEndian.Uint32(foot[8:12]))
+	for i := 0; i < count; i++ {
+		rec := raw[table+32*i:]
+		if binary.LittleEndian.Uint32(rec[0:4]) == id {
+			return int(binary.LittleEndian.Uint64(rec[8:16])), int(binary.LittleEndian.Uint64(rec[16:24]))
+		}
+	}
+	t.Fatalf("section %d not in the table", id)
+	return 0, 0
+}
+
+// TestPersistWritesNoRetiredSections pins the written format: the tree is
+// stored once, as its edge list, and none of the retired sections 17..27
+// (a tree-only graph CSR, then the tree index's CSR) is emitted.
+func TestPersistWritesNoRetiredSections(t *testing.T) {
+	sn, _, _ := persistFixture(t, 0, 240, 1750)
+	var buf bytes.Buffer
+	if _, err := sn.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	f, err := snapio.ReadFrom(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Section(secTree); err != nil {
+		t.Fatalf("tree edge list missing: %v", err)
+	}
+	for _, s := range f.Sections() {
+		if s.ID >= 17 && s.ID <= 27 {
+			t.Errorf("written file carries retired section %d", s.ID)
+		}
+	}
+}
+
+// TestPersistSkipVerifyCorruptTreeIndex loads, with SkipVerify, files whose
+// tree edge list is corrupt: an edge ID past m, a repeated tree edge, and a
+// tree edge whose EdgeU entry names a node past n. No checksum or deep scan
+// runs on that path, so deriving the tree index from the list must turn
+// each file away with a typed KindCorrupt error — before a warm walk could
+// index out of range.
 func TestPersistSkipVerifyCorruptTreeIndex(t *testing.T) {
 	sn, g, _ := persistFixture(t, 0, 240, 1800)
 	var buf bytes.Buffer
 	if _, err := sn.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
+	pristine := buf.Bytes()
+	tree := sn.Tree()
+	if len(tree) < 2 {
+		t.Fatalf("fixture tree has %d edges", len(tree))
+	}
+	treeAt, _ := sectionSpan(t, pristine, secTree)
+	edgeUAt, _ := sectionSpan(t, pristine, secGraphEdgeU)
+	put := func(raw []byte, at, i int, v int32) {
+		binary.LittleEndian.PutUint32(raw[at+4*i:], uint32(v))
+	}
+	cases := []struct {
+		name  string
+		patch func(raw []byte)
+	}{
+		{"edge ID past m", func(raw []byte) { put(raw, treeAt, 0, int32(g.NumEdges())) }},
+		{"repeated edge", func(raw []byte) { put(raw, treeAt, 1, tree[0]) }},
+		{"EdgeU past n", func(raw []byte) { put(raw, edgeUAt, int(tree[0]), int32(g.NumNodes()+5)) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			raw := append([]byte(nil), pristine...)
+			tc.patch(raw)
+			path := filepath.Join(t.TempDir(), "corrupt.lcsnap")
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := serve.LoadSnapshot(path, serve.LoadOptions{SkipVerify: true})
+			if err == nil {
+				loaded.Close()
+				t.Fatal("SkipVerify load accepted a corrupt tree")
+			}
+			var e *reproerr.Error
+			if !errors.As(err, &e) || e.Kind != reproerr.KindCorrupt {
+				t.Fatalf("err = %v, want a KindCorrupt *reproerr.Error", err)
+			}
+		})
+	}
+}
+
+// failingWriter accepts the first k bytes written to it, then fails every
+// write with err.
+type failingWriter struct {
+	k   int
+	err error
+}
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) <= w.k {
+		w.k -= len(p)
+		return len(p), nil
+	}
+	n := w.k
+	w.k = 0
+	return n, w.err
+}
+
+// TestPersistWriteToFailingWriter streams a snapshot into a writer that
+// fails after k bytes, with k inside the header, a section payload, the
+// section table and the footer, and with a short write and a full disk as
+// the failure: WriteTo must return a typed error that still carries the
+// writer's error, and must not panic.
+func TestPersistWriteToFailingWriter(t *testing.T) {
+	sn, _, _ := persistFixture(t, 0, 240, 1850)
+	var buf bytes.Buffer
+	if _, err := sn.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
 	raw := buf.Bytes()
-	// The persisted targets are the CSR NewTreeIndex derives from the
-	// snapshot's own tree; find that section's bytes in the file.
-	ti, err := sssp.NewTreeIndex(g, sn.Weights(), sn.Tree())
-	if err != nil {
+	treeAt, treeLen := sectionSpan(t, raw, secTree)
+	table := int(binary.LittleEndian.Uint64(raw[len(raw)-32:]))
+	cuts := []struct {
+		name string
+		k    int
+	}{
+		{"header", 20},
+		{"section", treeAt + treeLen/2},
+		{"table", table + 40},
+		{"footer", len(raw) - 10},
+	}
+	for _, injected := range []error{io.ErrShortWrite, syscall.ENOSPC} {
+		for _, c := range cuts {
+			_, err := sn.WriteTo(&failingWriter{k: c.k, err: injected})
+			var e *reproerr.Error
+			if !errors.As(err, &e) || !errors.Is(err, injected) {
+				t.Errorf("%v after %d bytes (%s): err = %v, want a *reproerr.Error wrapping it", injected, c.k, c.name, err)
+			}
+		}
+	}
+}
+
+// TestSwapFromFileTruncatedUnderTraffic ships a file cut off inside a
+// section payload through SwapFromFileCtx, again and again, while two
+// goroutines keep serving sssp and mst queries through the store-backed
+// server: every swap is KindCorrupt, the store stays on its epoch with no
+// swap counted, and every answer served meanwhile equals the active
+// snapshot's.
+func TestSwapFromFileTruncatedUnderTraffic(t *testing.T) {
+	sn, g, _ := persistFixture(t, 0, 240, 2600)
+	var buf bytes.Buffer
+	if _, err := sn.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	_, to, _ := ti.Raw()
-	targets := snapio.Int32Bytes(to)
-	at := bytes.Index(raw, targets)
-	if at < 0 || bytes.LastIndex(raw, targets) != at {
-		t.Fatalf("tree-index target section not found exactly once (at %d)", at)
-	}
-	binary.LittleEndian.PutUint32(raw[at:], uint32(g.NumNodes()+5))
-	path := filepath.Join(t.TempDir(), "corrupt.lcsnap")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	raw := buf.Bytes()
+	at, length := sectionSpan(t, raw, secTree)
+	truncated := filepath.Join(t.TempDir(), "truncated.lcsnap")
+	if err := os.WriteFile(truncated, raw[:at+length/2|1], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := serve.LoadSnapshot(path, serve.LoadOptions{SkipVerify: true})
-	if err == nil {
-		loaded.Close()
-		t.Fatal("SkipVerify load accepted an out-of-range tree-index target")
+
+	queries := []serve.Query{
+		serve.SSSPQuery{Source: 0},
+		serve.MSTQuery{},
+		serve.SSSPQuery{Source: graph.NodeID(g.NumNodes() - 1)},
 	}
-	var e *reproerr.Error
-	if !errors.As(err, &e) || e.Kind != reproerr.KindCorrupt {
-		t.Fatalf("err = %v, want a KindCorrupt *reproerr.Error", err)
+	ref := serve.NewServer(sn, serve.ServerOptions{Executors: 1, Seed: 7})
+	want := make([]serve.Answer, len(queries))
+	for i, q := range queries {
+		a, err := ref.Serve(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = a
+	}
+
+	st := serve.NewStore(sn)
+	srv := serve.NewStoreServer(st, serve.ServerOptions{Executors: 2, Seed: 7})
+	type result struct {
+		k   int
+		ans serve.Answer
+		err error
+	}
+	results := make([][]result, 2) // one slice per reader, checked after both stop
+	stop := make(chan struct{})
+	var served atomic.Int64
+	var wg sync.WaitGroup
+	for r := range results {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := i % len(queries)
+				ans, err := srv.Serve(queries[k])
+				results[r] = append(results[r], result{k, ans, err})
+				if err != nil {
+					return
+				}
+				served.Add(1)
+			}
+		}(r)
+	}
+
+	// Keep shipping until the readers have served during the swaps, not
+	// only before them.
+	before := served.Load()
+	deadline := time.Now().Add(20 * time.Second)
+	for i := 0; i < 10 || served.Load()-before < 40; i++ {
+		if time.Now().After(deadline) {
+			t.Errorf("readers served %d answers during %d swaps", served.Load()-before, i)
+			break
+		}
+		if _, err := st.SwapFromFileCtx(context.Background(), truncated, serve.LoadOptions{}); reproerr.KindOf(err) != reproerr.KindCorrupt {
+			t.Errorf("swap %d: %v, want KindCorrupt", i, err)
+			break
+		}
+		if st.Epoch() != 1 || st.Swaps() != 0 || st.Snapshot() != sn {
+			t.Errorf("swap %d mutated the store: epoch %d swaps %d", i, st.Epoch(), st.Swaps())
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for r, rs := range results {
+		for i, res := range rs {
+			tag := fmt.Sprintf("reader %d answer %d", r, i)
+			if res.err != nil {
+				t.Fatalf("%s: %v", tag, res.err)
+			}
+			assertAnswersEqual(t, tag, res.ans, want[res.k])
+		}
 	}
 }
 

@@ -10,9 +10,10 @@
 //
 //   - Snapshot: an immutable bundle of graph + weights + partition +
 //     constructed Shortcuts + the derived shortcut-MST and its query index
-//     (the tree's CSR plus a rooted BFS order, derived at build and again on
-//     load), built once and shared read-only by any number of concurrent
-//     readers.
+//     (a rooted BFS order of the tree, derived from the MST edge list at
+//     build, after a delta and on every load), built once and shared
+//     read-only by any number of concurrent readers. The edge list is the
+//     only stored form of the tree.
 //   - Server: a pool of per-worker executor contexts (the sssp.TreeScratch
 //     root-path stack and batch dedup scratch) answering typed queries —
 //     SSSPQuery, MSTQuery, MinCutQuery, TwoECSSQuery, QualityQuery —
@@ -87,7 +88,7 @@ type Snapshot struct {
 
 	tree       []graph.EdgeID // the shortcut-MST, derived once
 	treeWeight float64
-	ti         *sssp.TreeIndex // CSR tree adjacency and rooted order, for warm SSSP walks
+	ti         *sssp.TreeIndex // rooted order of tree, for warm SSSP walks; derived, never persisted
 
 	diameter       int
 	logFactor      float64

@@ -17,23 +17,6 @@ func Trivial(p *Partition) *Shortcuts {
 	}
 }
 
-// Full gives every part the entire edge set (Hi = E): each part's augmented
-// subgraph is all of G, so dilation is the largest G-distance between two
-// nodes of one part (≤ diam(G)) and congestion = ℓ. The opposite extreme of
-// Trivial.
-func Full(p *Partition) *Shortcuts {
-	g := p.Graph()
-	all := make([]graph.EdgeID, g.NumEdges())
-	for e := range all {
-		all[e] = graph.EdgeID(e)
-	}
-	h := make([][]graph.EdgeID, p.NumParts())
-	for i := range h {
-		h[i] = all // shared read-only slice
-	}
-	return &Shortcuts{P: p, H: h}
-}
-
 // GhaffariHaeupler builds the generic O(D + √n)-quality shortcuts observed
 // by [GH16] for arbitrary graphs: parts larger than √n (there are at most √n
 // of them, as parts are disjoint) are augmented with a BFS tree of the whole

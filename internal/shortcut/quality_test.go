@@ -45,28 +45,6 @@ func TestCongestionProfileConsistency(t *testing.T) {
 	}
 }
 
-// TestFullCongestionEqualsPartCount: with Hi = E for every part, every edge
-// lies on all ℓ subgraphs.
-func TestFullCongestionEqualsPartCount(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := gen.ErdosRenyi(40, 0.1, rng)
-		k := 1 + rng.Intn(6)
-		parts, err := gen.VoronoiParts(g, k, rng)
-		if err != nil {
-			return true
-		}
-		p, err := NewPartition(g, parts)
-		if err != nil {
-			return false
-		}
-		return Full(p).Congestion() == len(parts)
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 15}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestTrivialCongestionAtMostOne: with no shortcuts, an edge is in at most
 // one induced subgraph (parts are disjoint).
 func TestTrivialCongestionAtMostOne(t *testing.T) {

@@ -15,10 +15,9 @@ import (
 type Shortcuts struct {
 	P *Partition
 	// H lists each part's shortcut edges once each (the constructions list
-	// them in ascending order). The lists are read-only: Full and
-	// GhaffariHaeupler give every part that gets one the same list, while
-	// the constructions, saturated ones included, give each large part its
-	// own.
+	// them in ascending order). The lists are read-only: GhaffariHaeupler
+	// gives every part that gets one the same list, while the
+	// constructions, saturated ones included, give each large part its own.
 	H [][]graph.EdgeID
 	// Params records the construction parameters used (for reporting).
 	Params Params

@@ -83,24 +83,6 @@ func TestTrivialQuality(t *testing.T) {
 	}
 }
 
-func TestFullQuality(t *testing.T) {
-	g := gen.Cycle(8)
-	p := mustPartition(t, g, [][]graph.NodeID{{0, 1, 2, 3}, {4, 5, 6, 7}})
-	s := Full(p)
-	q, err := s.Dilation(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Congestion != 2 {
-		t.Errorf("full congestion = %d, want 2 (= #parts)", q.Congestion)
-	}
-	// With Hi = E every part sees all of G; the worst pair inside a part
-	// ({0,3} or {4,7}) is at G-distance 3.
-	if q.DilationHi != 3 {
-		t.Errorf("full dilation = %d, want 3", q.DilationHi)
-	}
-}
-
 func TestCongestionCountsInducedAndShortcutOnce(t *testing.T) {
 	// Path 0-1-2-3. Part {0,1}. H contains edge {0,1} (also induced) and
 	// {2,3}. Edge {0,1} must count once for the part.

@@ -170,6 +170,8 @@ func TestTreeIndexAcyclic(t *testing.T) {
 		{"empty", nil, true},
 		{"cycle", []graph.EdgeID{0, 1, 2, 3}, false},
 		{"duplicate edge", []graph.EdgeID{0, 0}, false},
+		{"edge ID past m", []graph.EdgeID{0, 4}, false},
+		{"negative edge ID", []graph.EdgeID{-1, 1}, false},
 	}
 	for _, tc := range cases {
 		_, err := NewTreeIndex(g, w, tc.tree)

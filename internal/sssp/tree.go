@@ -7,23 +7,19 @@ import (
 	"repro/internal/reproerr"
 )
 
-// TreeIndex is the immutable, query-reentrant form of a spanning forest: the
-// forest's adjacency in CSR form with per-arc weights, built once (e.g. at
-// snapshot-build time in the serving layer) and then shared read-only by any
-// number of concurrent per-source distance queries. It is the prebuilt state
-// TreeApprox derives internally on every call; serving builds it once and
-// amortizes it across queries.
+// TreeIndex is the immutable, query-reentrant form of a spanning forest: a
+// rooted BFS order of every component, derived once from the forest's edge
+// list (at snapshot build, delta and load time in the serving layer) and
+// then shared read-only by any number of concurrent per-source distance
+// queries. It is the prebuilt state TreeApprox derives internally on every
+// call; serving builds it once and amortizes it across queries. The edge
+// list is its only input: nothing of the index is persisted.
 type TreeIndex struct {
-	off []int32
-	to  []graph.NodeID
-	wt  []float64
-
-	// Rooted BFS order of every component, derived from the CSR once and
-	// never persisted. Position i holds node ord[i], whose parent is par[i]
-	// (-1 at a root) across an edge of weight pw[i]; pos inverts ord. Each
-	// component occupies a contiguous run of positions that starts at its
-	// root, its smallest node ID; comp lists the runs' start positions,
-	// then n. height is the largest depth of any node below its root.
+	// Position i holds node ord[i], whose parent is par[i] (-1 at a root)
+	// across an edge of weight pw[i]; pos inverts ord. Each component
+	// occupies a contiguous run of positions that starts at its root, its
+	// smallest node ID; comp lists the runs' start positions, then n.
+	// height is the largest depth of any node below its root.
 	ord    []graph.NodeID
 	pos    []int32
 	par    []graph.NodeID
@@ -34,58 +30,58 @@ type TreeIndex struct {
 
 // NewTreeIndex indexes the given tree edges of g under weights w. The edges
 // must form a forest (callers pass a spanning tree or forest produced by the
-// MST machinery); a cycle or a repeated edge is rejected with
-// KindInvalidInput.
+// MST machinery); an edge ID or an endpoint out of range, a cycle or a
+// repeated edge is rejected with KindInvalidInput. The endpoints are
+// checked because a graph loaded without verification is not known to have
+// valid ones.
 func NewTreeIndex(g *graph.Graph, w graph.Weights, tree []graph.EdgeID) (*TreeIndex, error) {
 	const op = "sssp.NewTreeIndex"
-	n := g.NumNodes()
-	ti := &TreeIndex{off: make([]int32, n+1)}
+	n, m := g.NumNodes(), g.NumEdges()
+	// The forest's adjacency in CSR form with per-arc weights: the input of
+	// the rooted order, dropped once the order is derived.
+	off := make([]int32, n+1)
 	for _, e := range tree {
-		if e < 0 || int(e) >= g.NumEdges() {
-			return nil, reproerr.Invalid(op, "tree edge %d out of range", e)
+		if e < 0 || int(e) >= m {
+			return nil, reproerr.Invalid(op, "tree edge %d out of range [0,%d)", e, m)
 		}
 		u, v := g.EdgeEndpoints(e)
-		ti.off[u+1]++
-		ti.off[v+1]++
+		if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
+			return nil, reproerr.Invalid(op, "tree edge %d: endpoints {%d,%d} out of range [0,%d)", e, u, v, n)
+		}
+		off[u+1]++
+		off[v+1]++
 	}
 	for i := 0; i < n; i++ {
-		ti.off[i+1] += ti.off[i]
+		off[i+1] += off[i]
 	}
-	ti.to = make([]graph.NodeID, 2*len(tree))
-	ti.wt = make([]float64, 2*len(tree))
+	to := make([]graph.NodeID, 2*len(tree))
+	wt := make([]float64, 2*len(tree))
 	cursor := make([]int32, n)
-	copy(cursor, ti.off)
+	copy(cursor, off)
 	for _, e := range tree {
 		u, v := g.EdgeEndpoints(e)
-		ti.to[cursor[u]], ti.wt[cursor[u]] = v, w[e]
+		to[cursor[u]], wt[cursor[u]] = v, w[e]
 		cursor[u]++
-		ti.to[cursor[v]], ti.wt[cursor[v]] = u, w[e]
+		to[cursor[v]], wt[cursor[v]] = u, w[e]
 		cursor[v]++
 	}
-	if err := ti.deriveOrder(op); err != nil {
-		return nil, err
-	}
-	return ti, nil
+	return deriveOrder(op, off, to, wt)
 }
 
-// deriveOrder fills the rooted BFS order from the CSR, checking on the way
-// everything DistancesInto indexes by: monotone offsets, targets in [0,n),
-// and that the arcs are exactly those of an undirected forest — each
-// non-root node lists its parent once, and every other arc reaches an
-// unvisited node. A cycle, a repeated edge, a self-loop or an arc without its
-// reverse fails with KindInvalidInput. off must already run from 0 to
-// len(to).
-func (ti *TreeIndex) deriveOrder(op string) error {
-	n := len(ti.off) - 1
-	for u := 0; u < n; u++ {
-		if ti.off[u] > ti.off[u+1] {
-			return reproerr.Invalid(op, "offsets not monotone at node %d", u)
-		}
+// deriveOrder builds the rooted BFS order from the forest's CSR (off, to,
+// wt), which lists every tree edge in both directions. It checks on the way
+// that the arcs are those of a forest: each non-root node skips the arc
+// back to its parent once, and every other arc must reach an unvisited
+// node. A cycle, a repeated edge or a self-loop fails with
+// KindInvalidInput.
+func deriveOrder(op string, off []int32, to []graph.NodeID, wt []float64) (*TreeIndex, error) {
+	n := len(off) - 1
+	ti := &TreeIndex{
+		ord: make([]graph.NodeID, n),
+		pos: make([]int32, n),
+		par: make([]graph.NodeID, n),
+		pw:  make([]float64, n),
 	}
-	ti.ord = make([]graph.NodeID, n)
-	ti.pos = make([]int32, n)
-	ti.par = make([]graph.NodeID, n)
-	ti.pw = make([]float64, n)
 	for i := range ti.pos {
 		ti.pos[i] = -1
 	}
@@ -109,30 +105,25 @@ func (ti *TreeIndex) deriveOrder(op string) error {
 			}
 			u, p := ti.ord[head], ti.par[head]
 			parentSeen := p < 0
-			for a := ti.off[u]; a < ti.off[u+1]; a++ {
-				v := ti.to[a]
+			for a := off[u]; a < off[u+1]; a++ {
+				v := to[a]
 				switch {
-				case v < 0 || int(v) >= n:
-					return reproerr.Invalid(op, "arc %d: target %d out of range [0,%d)", a, v, n)
 				case v == p && !parentSeen:
 					parentSeen = true
 				case ti.pos[v] >= 0:
-					return reproerr.Invalid(op, "not a forest: arc %d {%d,%d} closes a cycle", a, u, v)
+					return nil, reproerr.Invalid(op, "not a forest: arc %d {%d,%d} closes a cycle", a, u, v)
 				default:
-					place(v, u, ti.wt[a])
+					place(v, u, wt[a])
 				}
-			}
-			if !parentSeen {
-				return reproerr.Invalid(op, "not a forest: node %d lists no arc back to its parent %d", u, p)
 			}
 		}
 	}
 	ti.comp = append(ti.comp, int32(n))
-	return nil
+	return ti, nil
 }
 
 // NumNodes returns the node count of the indexed graph.
-func (ti *TreeIndex) NumNodes() int { return len(ti.off) - 1 }
+func (ti *TreeIndex) NumNodes() int { return len(ti.pos) }
 
 // TreeScratch holds the reusable per-executor buffer of DistancesInto: the
 // stack of positions on the source's path to its root, sized to the tree's
@@ -210,35 +201,4 @@ func (ti *TreeIndex) DistancesInto(dst []float64, src graph.NodeID, sc *TreeScra
 func (ti *TreeIndex) compEnd(lo int32) int32 {
 	c := ti.comp
 	return c[sort.Search(len(c), func(k int) bool { return c[k] > lo })]
-}
-
-// Raw returns the index's persisted arrays (tree CSR offsets, arc targets,
-// arc weights) as shared read-only slices for zero-copy persistence. The
-// rooted order is not among them: RawTreeIndex derives it again on load.
-func (ti *TreeIndex) Raw() (off []int32, to []graph.NodeID, wt []float64) {
-	return ti.off, ti.to, ti.wt
-}
-
-// RawTreeIndex reassembles a TreeIndex around previously built arrays
-// without copying them — the persistence load path. It checks the CSR's
-// shape and derives the rooted order with checked offsets and targets, so a
-// malformed or cyclic index fails here with KindInvalidInput instead of
-// faulting a later walk. Agreement with a graph (each arc a tree edge of the
-// right weight) is the snapshot loader's verification.
-func RawTreeIndex(off []int32, to []graph.NodeID, wt []float64) (*TreeIndex, error) {
-	const op = "sssp.RawTreeIndex"
-	if len(off) < 1 {
-		return nil, reproerr.Invalid(op, "offsets empty (need n+1 entries)")
-	}
-	if len(to) != len(wt) {
-		return nil, reproerr.Invalid(op, "targets/weights length mismatch: %d vs %d", len(to), len(wt))
-	}
-	if off[0] != 0 || int(off[len(off)-1]) != len(to) {
-		return nil, reproerr.Invalid(op, "offsets do not bracket %d arcs", len(to))
-	}
-	ti := &TreeIndex{off: off, to: to, wt: wt}
-	if err := ti.deriveOrder(op); err != nil {
-		return nil, err
-	}
-	return ti, nil
 }

@@ -13,27 +13,35 @@ import (
 )
 
 // distancesOracle is the reference for DistancesInto: a BFS from src over
-// the tree CSR, each node discovered from its neighbour toward src with
-// dst[v] = dst[u] + w(u,v). DistancesInto must reproduce its rows bit for
-// bit.
-func distancesOracle(ti *TreeIndex, src graph.NodeID) []float64 {
-	n := ti.NumNodes()
+// the tree edges of g, each node discovered from its neighbour toward src
+// with dst[v] = dst[u] + w(u,v). DistancesInto must reproduce its rows bit
+// for bit.
+func distancesOracle(g *graph.Graph, w graph.Weights, tree []graph.EdgeID, src graph.NodeID) []float64 {
+	n := g.NumNodes()
+	adj := make([][]graph.EdgeID, n)
+	for _, e := range tree {
+		u, v := g.EdgeEndpoints(e)
+		adj[u] = append(adj[u], e)
+		adj[v] = append(adj[v], e)
+	}
 	dst := make([]float64, n)
-	hops := make([]int32, n)
+	seen := make([]bool, n)
 	for i := range dst {
 		dst[i] = Infinite
-		hops[i] = -1
 	}
 	dst[src] = 0
-	hops[src] = 0
+	seen[src] = true
 	queue := []graph.NodeID{src}
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		for a := ti.off[u]; a < ti.off[u+1]; a++ {
-			v := ti.to[a]
-			if hops[v] == -1 {
-				hops[v] = hops[u] + 1
-				dst[v] = dst[u] + ti.wt[a]
+		for _, e := range adj[u] {
+			v, x := g.EdgeEndpoints(e)
+			if v == u {
+				v = x
+			}
+			if !seen[v] {
+				seen[v] = true
+				dst[v] = dst[u] + w[e]
 				queue = append(queue, v)
 			}
 		}
@@ -41,14 +49,15 @@ func distancesOracle(ti *TreeIndex, src graph.NodeID) []float64 {
 	return dst
 }
 
-// assertRowsMatchOracle runs DistancesInto from every source of ti into dst
-// with scratch sc and compares each row with the oracle bit for bit. It
-// returns dst for reuse.
-func assertRowsMatchOracle(t *testing.T, tag string, ti *TreeIndex, dst []float64, sc *TreeScratch) []float64 {
+// assertRowsMatchOracle runs DistancesInto on ti, the index of tree over g
+// under w, from every source into dst with scratch sc and compares each row
+// with the oracle bit for bit. It returns dst for reuse.
+func assertRowsMatchOracle(t *testing.T, tag string, g *graph.Graph, w graph.Weights, tree []graph.EdgeID,
+	ti *TreeIndex, dst []float64, sc *TreeScratch) []float64 {
 	t.Helper()
 	n := ti.NumNodes()
 	for src := graph.NodeID(0); int(src) < n; src++ {
-		want := distancesOracle(ti, src)
+		want := distancesOracle(g, w, tree, src)
 		got, err := ti.DistancesInto(dst, src, sc)
 		if err != nil {
 			t.Fatalf("%s: src %d: %v", tag, src, err)
@@ -147,13 +156,14 @@ func TestDistancesIntoMatchesOracle(t *testing.T) {
 	}
 	var sharedSc TreeScratch
 	for i, c := range cases {
-		ti, err := NewTreeIndex(c.g, specialWeights(c.g, rng), c.tree)
+		w := specialWeights(c.g, rng)
+		ti, err := NewTreeIndex(c.g, w, c.tree)
 		if err != nil {
 			t.Fatalf("%s[%d]: %v", c.tag, i, err)
 		}
 		var fresh TreeScratch
-		assertRowsMatchOracle(t, c.tag+"/fresh", ti, nil, &fresh)
-		shared = assertRowsMatchOracle(t, c.tag+"/reused", ti, shared, &sharedSc)
+		assertRowsMatchOracle(t, c.tag+"/fresh", c.g, w, c.tree, ti, nil, &fresh)
+		shared = assertRowsMatchOracle(t, c.tag+"/reused", c.g, w, c.tree, ti, shared, &sharedSc)
 	}
 }
 
@@ -182,60 +192,15 @@ func TestTreeScratchSizedByFirstWalk(t *testing.T) {
 	}
 }
 
-// TestRawTreeIndexRejectsMalformed feeds RawTreeIndex malformed persisted
-// arrays: each must fail with KindInvalidInput rather than build an index
-// a later walk could index out of range with or read garbage from.
-func TestRawTreeIndexRejectsMalformed(t *testing.T) {
-	w := func(k int) []float64 { return make([]float64, k) }
-	cases := []struct {
-		name string
-		off  []int32
-		to   []graph.NodeID
-		wt   []float64
-	}{
-		{"empty offsets", nil, nil, nil},
-		{"weights short", []int32{0, 1, 2}, []graph.NodeID{1, 0}, w(1)},
-		{"first offset", []int32{1, 1, 2}, []graph.NodeID{1, 0}, w(2)},
-		{"last offset", []int32{0, 1, 1}, []graph.NodeID{1, 0}, w(2)},
-		{"offsets not monotone", []int32{0, 2, 1, 2}, []graph.NodeID{1, 0}, w(2)},
-		{"offset beyond arcs", []int32{0, 3, 2, 2}, []graph.NodeID{1, 2}, w(2)},
-		{"target too large", []int32{0, 1, 2}, []graph.NodeID{7, 0}, w(2)},
-		{"target negative", []int32{0, 1, 2}, []graph.NodeID{1, -3}, w(2)},
-		{"self-loop", []int32{0, 2, 3}, []graph.NodeID{0, 1, 0}, w(3)},
-		{"duplicate edge", []int32{0, 2, 4}, []graph.NodeID{1, 1, 0, 0}, w(4)},
-		{"cycle", []int32{0, 2, 4, 6}, []graph.NodeID{1, 2, 0, 2, 0, 1}, w(6)},
-		{"arc without reverse", []int32{0, 1, 1}, []graph.NodeID{1}, w(1)},
-	}
-	for _, tc := range cases {
-		if _, err := RawTreeIndex(tc.off, tc.to, tc.wt); reproerr.KindOf(err) != reproerr.KindInvalidInput {
-			t.Errorf("%s: err = %v, want KindInvalidInput", tc.name, err)
-		}
-	}
-
-	// The arrays of a real index round-trip and walk like the original.
-	rng := rand.New(rand.NewSource(7))
-	g, tree := randomForest(t, 60, rng)
-	ti, err := NewTreeIndex(g, specialWeights(g, rng), tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	re, err := RawTreeIndex(ti.Raw())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sc TreeScratch
-	assertRowsMatchOracle(t, "raw", re, nil, &sc)
-}
-
 // fuzzWeights is the weight palette FuzzTreeDistances draws from.
 var fuzzWeights = []float64{1, 0.5, 2.25, 7, 3.7e-5, math.Copysign(0, -1), math.Inf(1), 1e308}
 
 // FuzzTreeDistances decodes bytes into a node count and a list of (u, v,
 // weight) tree edges — repeats and cycles included — and holds the index
 // to its contract: NewTreeIndex rejects exactly the lists a union-find
-// finds a cycle or repeat in, and an accepted index (and its RawTreeIndex
-// round trip) answers every source bit-identically to the BFS oracle, with
-// both a fresh and a reused dst and scratch.
+// finds a cycle or repeat in, and an accepted index answers every source
+// bit-identically to the BFS oracle, with both a fresh and a reused dst and
+// scratch.
 func FuzzTreeDistances(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 0, 1, 2, 1, 2, 3, 6, 3, 4, 7})           // path
 	f.Add([]byte{6, 0, 1, 0, 0, 2, 5, 0, 3, 6, 4, 5, 2})           // star plus a separate edge
@@ -283,13 +248,9 @@ func FuzzTreeDistances(f *testing.F) {
 		if err != nil {
 			t.Fatalf("forest rejected: %v", err)
 		}
-		re, err := RawTreeIndex(ti.Raw())
-		if err != nil {
-			t.Fatalf("round trip rejected: %v", err)
-		}
 		var sc TreeScratch
-		dst := assertRowsMatchOracle(t, "fresh", ti, nil, &sc)
-		assertRowsMatchOracle(t, "reused", re, dst, &sc)
+		dst := assertRowsMatchOracle(t, "fresh", g, w, tree, ti, nil, &sc)
+		assertRowsMatchOracle(t, "reused", g, w, tree, ti, dst, &sc)
 	})
 }
 
