@@ -190,30 +190,6 @@ func TestRunEnumerate(t *testing.T) {
 	}
 }
 
-func TestRunTreeSum(t *testing.T) {
-	g := gen.Star(20)
-	tree, _, err := RunBFS(g, 0, seq(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	values := make([]int64, 20)
-	var want int64
-	for v := range values {
-		values[v] = int64(v)
-		want += int64(v)
-	}
-	got, stats, err := RunTreeSum(g, tree, values, seq(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("sum = %d, want %d", got, want)
-	}
-	if stats.Rounds > 4 {
-		t.Errorf("star convergecast took %d rounds", stats.Rounds)
-	}
-}
-
 // doubleSender violates the CONGEST constraint by sending twice on port 0.
 type doubleSender struct{}
 

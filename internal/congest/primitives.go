@@ -374,21 +374,3 @@ func RunEnumerate(g *graph.Graph, tree *Tree, marked []bool, eng Engine) (*Enume
 	}
 	return res, stats, nil
 }
-
-// RunTreeSum convergecasts the per-node values up the tree and returns the
-// total collected at the root, in O(depth) rounds.
-func RunTreeSum(g *graph.Graph, tree *Tree, values []int64, eng Engine) (int64, Stats, error) {
-	factory := func(v *View) Program {
-		return &aggNode{
-			parentPort: tree.ParentPort[v.ID()],
-			childPorts: tree.ChildPorts[v.ID()],
-			value:      values[v.ID()],
-		}
-	}
-	stats, progs, err := eng.Run(g, factory)
-	if err != nil {
-		return 0, stats, err
-	}
-	root := progs[tree.Root].(*aggNode)
-	return root.total, stats, nil
-}

@@ -14,10 +14,10 @@ import (
 
 // BenchmarkGatewaySSSPWarmCore is the gateway's below-HTTP hot path with a
 // live instrument set: admission (slot acquire, depth gauge, peak CAS),
-// executor checkout, and the preallocated-row warm sssp serve. CI's
-// benchmark smoke asserts this stays at 0 allocs/op — the gateway layer
-// must add control, not garbage; the JSON codec above it is the wire
-// format's price, measured separately below.
+// executor checkout, the preallocated-row warm sssp serve, and the slot
+// release. CI's benchmark smoke asserts this stays at 0 allocs/op — the
+// gateway layer must add control, not garbage; the JSON codec above it is
+// the wire format's price, measured separately below.
 func BenchmarkGatewaySSSPWarmCore(b *testing.B) {
 	fx := makeFixture(b, 2_000, 31)
 	reg := obs.New()
@@ -29,9 +29,17 @@ func BenchmarkGatewaySSSPWarmCore(b *testing.B) {
 	defer gw.Close()
 	ctx := context.Background()
 	dst := make([]float64, fx.g.NumNodes())
-	if dst, err = gw.ssspCore(ctx, dst, 0); err != nil { // warm the executor
-		b.Fatal(err)
+	core := func(src graph.NodeID) {
+		if err := gw.admit(); err != nil {
+			b.Fatal(err)
+		}
+		dst, err = srv.ServeSSSPIntoCtx(ctx, dst, src)
+		gw.done()
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
+	core(0) // warm the executor
 	// Collect fixture and warm-up garbage before the timed window: at
 	// -benchtime=1x a background GC landing inside it reads as spurious
 	// allocs/op in the zero-alloc gate.
@@ -39,10 +47,7 @@ func BenchmarkGatewaySSSPWarmCore(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst, err = gw.ssspCore(ctx, dst, graph.NodeID(i%fx.g.NumNodes()))
-		if err != nil {
-			b.Fatal(err)
-		}
+		core(graph.NodeID(i % fx.g.NumNodes()))
 	}
 }
 

@@ -16,8 +16,8 @@
 // snapshot is one warm tree walk, cheaper than any window that would wait
 // to share it. /v1/batch runs as one ServeBatchCtx execution, whose
 // duplicate-root dedup answers repeated roots with a single walk; a batch
-// whose sssp rows would exceed maxBatchDists distances is refused with 429
-// before admission.
+// whose sssp rows would exceed serve.MaxBatchDists distances is refused
+// with 429 before admission.
 //
 // Everything below the HTTP layer — admission, executor checkout, the warm
 // sssp path — stays allocation-free, and so does the response encode: bodies
@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/reproerr"
 	"repro/internal/serve"
@@ -266,7 +265,6 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	queries := make([]serve.Query, len(req.Queries))
-	rows := 0
 	for i := range req.Queries {
 		q, err := req.Queries[i].toQuery()
 		if err != nil {
@@ -274,14 +272,10 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 				reproerr.KindInvalidInput, "queries[%d]: %w", i, err))
 			return
 		}
-		if _, ok := q.(serve.SSSPQuery); ok {
-			rows++
-		}
 		queries[i] = q
 	}
-	if n := g.srv.Snapshot().Graph().NumNodes(); rows*n > maxBatchDists {
-		g.writeError(w, epBatch, reproerr.Errorf("gateway.batch", reproerr.KindBudgetExceeded,
-			"%d sssp rows of %d distances exceed the batch budget of %d distances", rows, n, maxBatchDists))
+	if err := g.srv.CheckBatchBudget(queries); err != nil {
+		g.writeError(w, epBatch, err)
 		return
 	}
 	if err := g.admit(); err != nil {
@@ -423,17 +417,6 @@ func (g *Gateway) handleSwap(w http.ResponseWriter, r *http.Request) {
 	resp.Epoch = g.store.Epoch()
 	resp.Generation = g.store.Snapshot().Generation()
 	g.writeJSON(w, epSwap, &resp)
-}
-
-// ssspCore is the below-HTTP hot path the warm benchmark pins at
-// 0 allocs/op: admission, executor checkout, and the preallocated-row sssp
-// serve, with every gateway-layer write landing on preallocated atomics.
-func (g *Gateway) ssspCore(ctx context.Context, dst []float64, src graph.NodeID) ([]float64, error) {
-	if err := g.admit(); err != nil {
-		return nil, err
-	}
-	defer g.done()
-	return g.srv.ServeSSSPIntoCtx(ctx, dst, src)
 }
 
 // writeError renders err as the taxonomy's wire form: status from

@@ -305,13 +305,13 @@ func TestBatchEndpoint(t *testing.T) {
 }
 
 // TestBatchBudget pins the batch budget: a batch whose sssp rows would hold
-// more than maxBatchDists distances, duplicate roots included, is refused
+// more than serve.MaxBatchDists distances, duplicate roots included, is refused
 // with 429 before admission (no executor is checked out and the server's
 // counters do not move), and the next batch is served.
 func TestBatchBudget(t *testing.T) {
 	fx := makeFixture(t, 200, 5)
 	env := newEnv(t, fx, Options{})
-	rows := maxBatchDists/fx.g.NumNodes() + 1
+	rows := serve.MaxBatchDists/fx.g.NumNodes() + 1
 	body := bytes.NewBufferString(`{"queries":[`)
 	for i := 0; i < rows; i++ {
 		if i > 0 {

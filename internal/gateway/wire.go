@@ -24,14 +24,6 @@ import (
 // ballooning the decoder.
 const maxBodyBytes = 16 << 20
 
-// maxBatchDists bounds the distances one /v1/batch may materialize: its
-// sssp queries times the snapshot's node count. Every sssp query of a batch,
-// duplicates included, gets its own n-float row before anything is
-// written, so a body of maxBodyBytes could otherwise ask for about 620k
-// rows. 1<<24 distances are 128 MiB of rows, 65 times a 64-root batch at
-// n=4000.
-const maxBatchDists = 1 << 24
-
 // QueryRequest is the JSON body of POST /v1/query and each element of a
 // batch request. Kind selects the query family; the other fields are
 // kind-specific payload. Source and Part are pointers so "absent" is

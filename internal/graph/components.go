@@ -1,36 +1,5 @@
 package graph
 
-// ConnectedComponents labels every node with a component index in [0, k) and
-// returns the label array together with the number of components k.
-// Components are numbered in order of their smallest node ID.
-func ConnectedComponents(g *Graph) (labels []int32, count int) {
-	n := g.NumNodes()
-	labels = make([]int32, n)
-	for i := range labels {
-		labels[i] = -1
-	}
-	queue := make([]NodeID, 0, 64)
-	var k int32
-	for s := 0; s < n; s++ {
-		if labels[s] != -1 {
-			continue
-		}
-		labels[s] = k
-		queue = append(queue[:0], NodeID(s))
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			for _, v := range g.Neighbors(u) {
-				if labels[v] == -1 {
-					labels[v] = k
-					queue = append(queue, v)
-				}
-			}
-		}
-		k++
-	}
-	return labels, int(k)
-}
-
 // IsConnected reports whether the graph is connected. The empty graph is
 // considered connected.
 func IsConnected(g *Graph) bool {

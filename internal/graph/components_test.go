@@ -5,29 +5,6 @@ import (
 	"testing"
 )
 
-func TestConnectedComponents(t *testing.T) {
-	g := mustBuild(t, 7, [][2]NodeID{{0, 1}, {1, 2}, {3, 4}, {5, 6}})
-	labels, k := ConnectedComponents(g)
-	if k != 3 {
-		t.Fatalf("components = %d, want 3", k)
-	}
-	same := func(a, b NodeID) bool { return labels[a] == labels[b] }
-	if !same(0, 2) || !same(3, 4) || !same(5, 6) {
-		t.Error("nodes in the same component got different labels")
-	}
-	if same(0, 3) || same(3, 5) {
-		t.Error("nodes in different components got the same label")
-	}
-}
-
-func TestConnectedComponentsSingletons(t *testing.T) {
-	g := NewBuilder(5).Build()
-	_, k := ConnectedComponents(g)
-	if k != 5 {
-		t.Errorf("components = %d, want 5", k)
-	}
-}
-
 func TestIsConnected(t *testing.T) {
 	conn := mustBuild(t, 4, pathEdges(4))
 	if !IsConnected(conn) {

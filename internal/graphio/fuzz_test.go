@@ -2,7 +2,6 @@ package graphio
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -34,32 +33,6 @@ func FuzzRead(f *testing.F) {
 		}
 		if doc2.G.NumNodes() != doc.G.NumNodes() || doc2.G.NumEdges() != doc.G.NumEdges() {
 			t.Fatalf("round trip changed shape: %v vs %v", doc2.G, doc.G)
-		}
-	})
-}
-
-// FuzzReadDelta ensures the delta parser never panics on arbitrary input and
-// that any accepted delta round-trips exactly through WriteDelta/ReadDelta.
-func FuzzReadDelta(f *testing.F) {
-	f.Add("delta 1 1\n- 0 1\n+ 2 3 1.5\n")
-	f.Add("delta 0 2\n+ 0 1\n+ 1 2\n")
-	f.Add("delta 0 0\n")
-	f.Add("# comment\ndelta 1 0\n- 5 5\n")
-	f.Fuzz(func(t *testing.T, input string) {
-		d, weighted, err := ReadDelta(strings.NewReader(input))
-		if err != nil {
-			return // rejection is fine; panics are not
-		}
-		var buf bytes.Buffer
-		if err := WriteDelta(&buf, d, weighted); err != nil {
-			t.Fatalf("rewrite of accepted delta failed: %v", err)
-		}
-		d2, weighted2, err := ReadDelta(&buf)
-		if err != nil {
-			t.Fatalf("round trip of accepted delta failed: %v", err)
-		}
-		if weighted2 != weighted || !reflect.DeepEqual(d2, d) {
-			t.Fatalf("round trip changed delta: %+v (w=%v) vs %+v (w=%v)", d2, weighted2, d, weighted)
 		}
 	})
 }

@@ -198,9 +198,9 @@ func Approx(g *graph.Graph, w graph.Weights, opts ApproxOptions) (*ApproxResult,
 	return res, nil
 }
 
-// bestOneRespectingCut roots the tree at its first edge's endpoint and
-// evaluates, for every tree edge, the weight of the cut separating the
-// subtree below it. Uses the identity
+// bestOneRespectingCut roots the tree at node 0 and evaluates, for every
+// tree edge, the weight of the cut separating the subtree below it. Uses
+// the identity
 //
 //	w(δ(S_v)) = Σ_{x∈S_v} wdeg(x) − 2·w(E[S_v]),
 //

@@ -144,26 +144,6 @@ type HistogramSnapshot struct {
 	counts []int64
 }
 
-// Merge folds o into s: bucket-wise count addition plus Sum/Count totals
-// and the Max maximum. An empty (zero-value) snapshot is a valid merge
-// target.
-func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
-	if o.counts == nil {
-		return
-	}
-	if s.counts == nil {
-		s.counts = make([]int64, histBuckets)
-	}
-	for i, c := range o.counts {
-		s.counts[i] += c
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-}
-
 // Quantile returns the value at quantile q (0 < q ≤ 1): the lower bound of
 // the bucket holding the ⌈q·Count⌉-th smallest observation — exact for
 // values below 16, within 12.5% above.

@@ -143,36 +143,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeExact(t *testing.T) {
-	// Totals of a merge must equal the totals of observing everything in one
-	// histogram — the per-shard-then-merge pattern must lose nothing.
-	parts := make([]HistogramSnapshot, 4)
-	whole := (&Registry{byKey: map[string]any{}}).Histogram("whole")
-	for i := range parts {
-		h := (&Registry{byKey: map[string]any{}}).Histogram("part")
-		for j := 0; j < 100; j++ {
-			v := int64(i*1000 + j*17)
-			h.Observe(v)
-			whole.Observe(v)
-		}
-		parts[i] = h.Snapshot()
-	}
-	var merged HistogramSnapshot
-	for _, p := range parts {
-		merged.Merge(p)
-	}
-	want := whole.Snapshot()
-	if merged.Count != want.Count || merged.Sum != want.Sum || merged.Max != want.Max {
-		t.Fatalf("merged totals (%d, %d, %d) != direct (%d, %d, %d)",
-			merged.Count, merged.Sum, merged.Max, want.Count, want.Sum, want.Max)
-	}
-	for q := 0.1; q < 1; q += 0.2 {
-		if merged.Quantile(q) != want.Quantile(q) {
-			t.Fatalf("quantile %.1f differs after merge", q)
-		}
-	}
-}
-
 // TestHistogramConcurrent hammers one histogram from many writers while a
 // reader snapshots continuously: snapshot counts must never tear (Count is
 // derived from the buckets), never decrease, and the final quiescent

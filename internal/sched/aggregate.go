@@ -33,11 +33,8 @@ func (a AggValue) Better(b AggValue) bool {
 }
 
 // AggTask is one convergecast-plus-broadcast over a rooted tree embedded in
-// the shared network. Tree is usually a prior ParallelBFS outcome (whose
-// parent and children arcs are exactly the convergecast and broadcast
-// directions); hand-built trees come from NewTree, which resolves map-form
-// tree edges to arcs and rejects edges outside the graph and non-member
-// references — the errors the seed scheduler only caught mid-run.
+// the shared network. Tree is a prior ParallelBFS outcome, whose parent and
+// children arcs are exactly the convergecast and broadcast directions.
 type AggTask struct {
 	// Root is informational; the tree's root is the node with no parent arc.
 	Root graph.NodeID

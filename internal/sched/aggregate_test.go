@@ -3,105 +3,11 @@ package sched
 import (
 	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
-
-func TestNewTreeRejectsPhantomTreeEdge(t *testing.T) {
-	// A tree whose parent map references a non-adjacent "tree edge" must be
-	// rejected: the scheduler only moves tokens over real graph arcs. The
-	// seed scheduler caught this mid-run; tree construction catches it now.
-	g := gen.Path(4)
-	_, _, err := NewTree(g, 0,
-		map[graph.NodeID]graph.NodeID{3: 0}, // 3 is not adjacent to 0
-		map[graph.NodeID][]graph.NodeID{0: {3}},
-		map[graph.NodeID]AggValue{
-			0: {Weight: 1, Valid: true},
-			3: {Weight: 2, Valid: true},
-		})
-	if err == nil || !strings.Contains(err.Error(), "no arc") {
-		t.Errorf("err = %v, want tree-edge rejection", err)
-	}
-}
-
-func TestNewTreeRejectsNonMember(t *testing.T) {
-	// Child points to a parent that has no Local entry: non-member error.
-	g := gen.Path(3)
-	_, _, err := NewTree(g, 1,
-		map[graph.NodeID]graph.NodeID{},
-		map[graph.NodeID][]graph.NodeID{1: {0}},
-		map[graph.NodeID]AggValue{
-			1: {Weight: 2, Valid: true},
-			// node 0 (the child) deliberately missing
-		})
-	if err == nil || !strings.Contains(err.Error(), "non-member") {
-		t.Errorf("err = %v, want non-member rejection", err)
-	}
-	// A member whose parent is outside the member set is equally rejected.
-	_, _, err = NewTree(g, 0,
-		map[graph.NodeID]graph.NodeID{2: 1},
-		map[graph.NodeID][]graph.NodeID{},
-		map[graph.NodeID]AggValue{
-			0: {Weight: 1, Valid: true},
-			2: {Weight: 2, Valid: true},
-		})
-	if err == nil || !strings.Contains(err.Error(), "non-member") {
-		t.Errorf("err = %v, want non-member rejection", err)
-	}
-}
-
-func TestNewTreeMatchesBFSTree(t *testing.T) {
-	// NewTree over the map form of a BFS tree reproduces the outcome view:
-	// same members, parent arcs, and children arcs.
-	rng := rand.New(rand.NewSource(31))
-	g := gen.ErdosRenyi(60, 0.08, rng)
-	out, _, err := ParallelBFS(g, []BFSTask{{Root: 3, DepthLimit: -1}}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := out.Outcome(0)
-	parent := make(map[graph.NodeID]graph.NodeID)
-	children := make(map[graph.NodeID][]graph.NodeID)
-	local := make(map[graph.NodeID]AggValue)
-	for i := 0; i < o.Len(); i++ {
-		v := o.Node(i)
-		local[v] = AggValue{Weight: float64(v), Valid: true}
-		if p := o.ParentAt(i); p >= 0 {
-			parent[v] = p
-		}
-		for _, a := range o.ChildArcsAt(i) {
-			children[v] = append(children[v], g.ArcTarget(a))
-		}
-	}
-	tree, vals, err := NewTree(g, 3, parent, children, local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tree.Len() != o.Len() {
-		t.Fatalf("tree has %d members, want %d", tree.Len(), o.Len())
-	}
-	for i := 0; i < o.Len(); i++ {
-		if tree.Node(i) != o.Node(i) || tree.ParentArcAt(i) != o.ParentArcAt(i) {
-			t.Fatalf("member %d: (%d, arc %d), want (%d, arc %d)",
-				i, tree.Node(i), tree.ParentArcAt(i), o.Node(i), o.ParentArcAt(i))
-		}
-		ta, oa := tree.ChildArcsAt(i), o.ChildArcsAt(i)
-		if len(ta) != len(oa) {
-			t.Fatalf("member %d: %d child arcs, want %d", i, len(ta), len(oa))
-		}
-		for j := range ta {
-			if ta[j] != oa[j] {
-				t.Fatalf("member %d child %d: arc %d, want %d", i, j, ta[j], oa[j])
-			}
-		}
-		if vals[i].Weight != float64(tree.Node(i)) {
-			t.Fatalf("member %d local value misaligned", i)
-		}
-	}
-}
 
 func TestAggregateRejectsMisalignedLocal(t *testing.T) {
 	g := gen.Path(6)

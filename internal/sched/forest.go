@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/graph"
@@ -43,8 +42,8 @@ func (f *BFSForest) Outcome(t int) BFSOutcome {
 // Graph returns the graph the forest was computed over.
 func (f *BFSForest) Graph() *graph.Graph { return f.g }
 
-// BFSOutcome is one task's truncated BFS tree: a view into a BFSForest (or
-// a standalone tree built with NewTree). The zero value is an empty tree.
+// BFSOutcome is one task's truncated BFS tree: a view into a BFSForest. The
+// zero value is an empty tree.
 //
 // Indexed accessors (…At) address the task's visits in ascending node-ID
 // order; keyed accessors binary-search that order.
@@ -128,77 +127,4 @@ func (o BFSOutcome) Graph() *graph.Graph {
 		return nil
 	}
 	return o.f.g
-}
-
-// NewTree builds a standalone rooted tree in BFSOutcome form from explicit
-// parent/children maps plus per-member local values — the hand-built-task
-// path of ParallelMinAggregate (tests, external tree sources). Members are
-// the keys of local; the returned values slice is aligned with the tree's
-// node order. Tree edges are resolved to arcs with graph.ArcBetween; an
-// edge absent from g, a parent or child outside the member set, or a
-// missing/extra root parent entry is rejected.
-func NewTree(
-	g *graph.Graph,
-	root graph.NodeID,
-	parent map[graph.NodeID]graph.NodeID,
-	children map[graph.NodeID][]graph.NodeID,
-	local map[graph.NodeID]AggValue,
-) (BFSOutcome, []AggValue, error) {
-	zero := BFSOutcome{}
-	if _, ok := local[root]; !ok {
-		return zero, nil, fmt.Errorf("sched: tree root %d is not a member", root)
-	}
-	if p, ok := parent[root]; ok {
-		return zero, nil, fmt.Errorf("sched: tree root %d has a parent (%d)", root, p)
-	}
-	members := make([]graph.NodeID, 0, len(local))
-	for v := range local {
-		members = append(members, v)
-	}
-	sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-
-	n := len(members)
-	f := &BFSForest{
-		g:        g,
-		taskOff:  []int32{0, int32(n)},
-		nodes:    members,
-		dist:     make([]int32, n),
-		parc:     make([]int32, n),
-		childOff: make([]int32, n+1),
-	}
-	vals := make([]AggValue, n)
-	for i, v := range members {
-		vals[i] = local[v]
-		if v == root {
-			f.parc[i] = -1
-			continue
-		}
-		p, ok := parent[v]
-		if !ok {
-			return zero, nil, fmt.Errorf("sched: member %d has no parent and is not the root", v)
-		}
-		if _, ok := local[p]; !ok {
-			return zero, nil, fmt.Errorf("sched: parent %d of %d is a non-member node", p, v)
-		}
-		a, ok := g.ArcBetween(p, v)
-		if !ok {
-			return zero, nil, fmt.Errorf("sched: no arc %d->%d (tree edge outside graph)", v, p)
-		}
-		f.parc[i] = a
-	}
-	for i, v := range members {
-		f.childOff[i+1] = f.childOff[i]
-		for _, c := range children[v] {
-			if _, ok := local[c]; !ok {
-				return zero, nil, fmt.Errorf("sched: child %d of %d is a non-member node", c, v)
-			}
-			a, ok := g.ArcBetween(v, c)
-			if !ok {
-				return zero, nil, fmt.Errorf("sched: no arc %d->%d (tree edge outside graph)", v, c)
-			}
-			f.childArc = append(f.childArc, a)
-			f.childOff[i+1]++
-		}
-	}
-	return f.Outcome(0), vals, nil
 }

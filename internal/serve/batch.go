@@ -26,8 +26,12 @@ func (s *Server) ServeBatch(queries []Query) ([]Answer, error) {
 // walks and by every scheduled phase of the other kinds. A canceled batch
 // returns a reproerr.KindCanceled/KindDeadline error wrapping ctx.Err()
 // and leaves the executor pool fully usable for the next query. A nil ctx
-// behaves like context.Background.
+// behaves like context.Background. A batch over the distance budget (see
+// CheckBatchBudget) is refused before the checkout and moves no counter.
 func (s *Server) ServeBatchCtx(ctx context.Context, queries []Query) ([]Answer, error) {
+	if err := s.CheckBatchBudget(queries); err != nil {
+		return nil, err
+	}
 	answers := make([]Answer, len(queries))
 
 	var ssspIdx []int
@@ -79,6 +83,31 @@ func (s *Server) ServeBatchCtx(ctx context.Context, queries []Query) ([]Answer, 
 	return answers, nil
 }
 
+// MaxBatchDists bounds the distances one batch may materialize: its sssp
+// queries times the snapshot's node count. Every sssp query of a batch,
+// duplicates included, gets its own n-float row before any answer is
+// returned, so an unbounded batch could ask for gigabytes of rows.
+// 1<<24 distances are 128 MiB of rows, 65 times a 64-root batch at n=4000.
+const MaxBatchDists = 1 << 24
+
+// CheckBatchBudget refuses, with a reproerr.KindBudgetExceeded error, a
+// batch whose sssp queries would hold more than MaxBatchDists distances on
+// the server's current snapshot. ServeBatchCtx runs it before the executor
+// checkout; a front end can run it before its own admission.
+func (s *Server) CheckBatchBudget(queries []Query) error {
+	rows := 0
+	for _, q := range queries {
+		if _, ok := q.(SSSPQuery); ok {
+			rows++
+		}
+	}
+	if n := s.Snapshot().Graph().NumNodes(); rows*n > MaxBatchDists {
+		return reproerr.Errorf("serve.batch", reproerr.KindBudgetExceeded,
+			"%d sssp rows of %d distances exceed the batch budget of %d distances", rows, n, MaxBatchDists)
+	}
+	return nil
+}
+
 func kindOf(q Query) any {
 	if q == nil {
 		return "nil"
@@ -118,10 +147,9 @@ func (s *Server) serveSSSPGroup(ctx context.Context, l lease, queries []Query, i
 	return roots, nil
 }
 
-// walkSSSPGroup is the batch-group core shared by ServeBatch and the warm
-// ServeSSSPBatchInto path: it writes slot i's weighted distances from
-// srcs[i] into dsts[i] (each already sized to NumNodes) and returns the
-// number of distinct roots walked (0 on error).
+// walkSSSPGroup is ServeBatch's group core: it writes slot i's weighted
+// distances from srcs[i] into dsts[i] (each already sized to NumNodes) and
+// returns the number of distinct roots walked (0 on error).
 //
 // Duplicate sources are coalesced first: each distinct root runs one
 // sssp.TreeIndex.DistancesInto walk on the executor's TreeScratch, and
@@ -182,57 +210,6 @@ func (s *Server) walkSSSPGroup(ctx context.Context, l lease, srcs []graph.NodeID
 	}
 	s.m.group(len(srcs), roots)
 	return roots, nil
-}
-
-// ServeSSSPBatchInto is the allocation-free warm batch path: the sources
-// are deduplicated and walked exactly as ServeBatch's SSSP group (see
-// walkSSSPGroup), and slot i's weighted distances are written into dst[i].
-// dst is grown to len(srcs) rows and each row to NumNodes, reusing
-// capacity; the grown dst is returned. With warm capacity and a warm
-// executor the whole batch performs zero allocations — the property CI's
-// benchmark smoke asserts.
-func (s *Server) ServeSSSPBatchInto(dst [][]float64, srcs []graph.NodeID) ([][]float64, error) {
-	return s.ServeSSSPBatchIntoCtx(nil, dst, srcs)
-}
-
-// ServeSSSPBatchIntoCtx is ServeSSSPBatchInto with cooperative cancellation
-// gating the executor checkout and checked between the group's walks.
-func (s *Server) ServeSSSPBatchIntoCtx(ctx context.Context, dst [][]float64, srcs []graph.NodeID) ([][]float64, error) {
-	if len(srcs) == 0 {
-		return dst[:0], nil
-	}
-	l, wait, err := s.timedCheckout(ctx)
-	if err != nil {
-		return dst, err
-	}
-	defer s.release(l)
-	n := l.sn.g.NumNodes()
-	if cap(dst) < len(srcs) {
-		nd := make([][]float64, len(srcs))
-		copy(nd, dst)
-		dst = nd
-	} else {
-		dst = dst[:len(srcs)]
-	}
-	for i := range dst {
-		if cap(dst[i]) < n {
-			dst[i] = make([]float64, n)
-		} else {
-			dst[i] = dst[i][:n]
-		}
-	}
-	t0 := s.m.nowIf()
-	roots, err := s.walkSSSPGroup(ctx, l, srcs, dst)
-	s.m.record(KindSSSP, l, int32(roots), wait, s.m.sinceNs(t0), err)
-	if err != nil {
-		return dst, err
-	}
-	s.served[KindSSSP].Add(int64(len(srcs)))
-	s.batches.Add(1)
-	s.batched.Add(int64(len(srcs)))
-	s.coalesceIn.Add(int64(len(srcs)))
-	s.coalesceOut.Add(int64(roots))
-	return dst, nil
 }
 
 func growInt32(s []int32, n int) []int32 {

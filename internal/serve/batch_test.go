@@ -1,10 +1,11 @@
 package serve_test
 
-// Batched SSSP serving tests: duplicate-root coalescing, the
-// allocation-free warm batch path, dedup state across a failed batch, and
-// a concurrent walk-batch stress (run under -race in CI).
+// Batched SSSP serving tests: duplicate-root coalescing, dedup state
+// across a failed batch, the batch distance budget, and a concurrent
+// walk-batch stress (run under -race in CI).
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -14,19 +15,6 @@ import (
 	"repro/internal/reproerr"
 	"repro/internal/serve"
 )
-
-// batchSources builds k sources cycling over the graph with deliberate
-// duplicates (every 7th repeats the first).
-func batchSources(n, k int) []graph.NodeID {
-	srcs := make([]graph.NodeID, k)
-	for i := range srcs {
-		srcs[i] = graph.NodeID((i * 13) % n)
-		if i%7 == 3 {
-			srcs[i] = srcs[0]
-		}
-	}
-	return srcs
-}
 
 func ssspBatch(srcs []graph.NodeID) []serve.Query {
 	qs := make([]serve.Query, len(srcs))
@@ -69,73 +57,35 @@ func TestServeBatchCoalescesDuplicates(t *testing.T) {
 	}
 }
 
-// TestServeSSSPBatchInto pins the warm batch path: buffer reuse, duplicate
-// coalescing, agreement with the single-query walk, and counters.
-func TestServeSSSPBatchInto(t *testing.T) {
-	fx := makeFixture(t, 300, 35)
-	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 1})
-	n := fx.g.NumNodes()
-	srcs := batchSources(n, 70)
-
-	dst := make([][]float64, len(srcs))
-	for i := range dst {
-		dst[i] = make([]float64, n)
-	}
-	out, err := srv.ServeSSSPBatchInto(dst, srcs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(srcs) || &out[0][0] != &dst[0][0] {
-		t.Fatal("ServeSSSPBatchInto did not reuse the destination buffers")
-	}
-	single := make([]float64, n)
-	for i, s := range srcs {
-		single, err = srv.ServeSSSPInto(single, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := range single {
-			if out[i][v] != single[v] {
-				t.Fatalf("slot %d (src %d): dist[%d] batched %v vs single %v", i, s, v, out[i][v], single[v])
-			}
-		}
-	}
-	if empty, err := srv.ServeSSSPBatchInto(out, nil); err != nil || len(empty) != 0 {
-		t.Fatalf("empty batch: %d rows, err %v", len(empty), err)
-	}
-	st := srv.Stats()
-	if st.Batches != 1 || st.BatchedQueries != int64(len(srcs)) {
-		t.Fatalf("batch counters: %+v", st)
-	}
-}
-
-// TestServeSSSPBatchIntoStaleMarks pins the dedup state across a failed
-// batch: an out-of-range source fails the whole batch with
-// KindInvalidInput after its earlier roots were already marked, and the
-// next batch on the same executor must see none of those marks — every
-// slot matches its single walk, and each duplicate gets its own row.
-func TestServeSSSPBatchIntoStaleMarks(t *testing.T) {
+// TestServeBatchStaleMarks pins the dedup state across a failed batch:
+// an out-of-range source fails the whole batch with KindInvalidInput after
+// walkSSSPGroup already marked its earlier roots, and the next batch on the
+// same executor must see none of those marks — every answer matches its
+// single walk, each duplicate owns its row, and the counters show one
+// answered batch of three queries over two distinct roots.
+func TestServeBatchStaleMarks(t *testing.T) {
 	fx := makeFixture(t, 120, 36)
 	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 1})
-	if _, err := srv.ServeSSSPBatchInto(nil, []graph.NodeID{5, 9, 5, -1}); reproerr.KindOf(err) != reproerr.KindInvalidInput {
+	if _, err := srv.ServeBatch(ssspBatch([]graph.NodeID{5, 9, 5, -1})); reproerr.KindOf(err) != reproerr.KindInvalidInput {
 		t.Fatalf("out-of-range source: err %v, want KindInvalidInput", err)
 	}
 	srcs := []graph.NodeID{5, 9, 5}
-	out, err := srv.ServeSSSPBatchInto(nil, srcs)
+	ans, err := srv.ServeBatch(ssspBatch(srcs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &out[0][0] == &out[2][0] {
-		t.Fatal("duplicate slots share one row")
+	if &ans[0].(*serve.SSSPAnswer).Dist[0] == &ans[2].(*serve.SSSPAnswer).Dist[0] {
+		t.Fatal("duplicate answers share one row")
 	}
 	for i, s := range srcs {
 		single, err := srv.ServeSSSPInto(nil, s)
 		if err != nil {
 			t.Fatal(err)
 		}
+		dist := ans[i].(*serve.SSSPAnswer).Dist
 		for v := range single {
-			if out[i][v] != single[v] {
-				t.Fatalf("slot %d (src %d): dist[%d] batched %v vs single %v", i, s, v, out[i][v], single[v])
+			if dist[v] != single[v] {
+				t.Fatalf("slot %d (src %d): dist[%d] batched %v vs single %v", i, s, v, dist[v], single[v])
 			}
 		}
 	}
@@ -144,37 +94,42 @@ func TestServeSSSPBatchIntoStaleMarks(t *testing.T) {
 	}
 }
 
-// TestServeSSSPBatchIntoAllocs pins the 0 allocs/op property of the warm
-// batch path — the CI bench smoke's assertion, as a plain test.
-func TestServeSSSPBatchIntoAllocs(t *testing.T) {
-	fx := makeFixture(t, 400, 37)
-	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 1})
-	srcs := batchSources(fx.g.NumNodes(), 64)
-	dst := make([][]float64, len(srcs))
-	for i := range dst {
-		dst[i] = make([]float64, fx.g.NumNodes())
+// TestServeBatchBudget pins the library batch budget: a ServeBatchCtx whose
+// sssp queries, duplicate roots included, would hold more than
+// serve.MaxBatchDists distances is refused with KindBudgetExceeded before
+// the executor checkout (no counter moves and no executor is checked out),
+// and the next batch is served.
+func TestServeBatchBudget(t *testing.T) {
+	fx := makeFixture(t, 200, 5)
+	reg := obs.New()
+	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 1, Metrics: reg})
+	queries := make([]serve.Query, serve.MaxBatchDists/fx.g.NumNodes()+1)
+	for i := range queries {
+		queries[i] = serve.SSSPQuery{Source: 0}
 	}
-	var err error
-	for i := 0; i < 2; i++ { // warm executor scratch
-		if dst, err = srv.ServeSSSPBatchInto(dst, srcs); err != nil {
-			t.Fatal(err)
-		}
+	before := srv.Stats()
+	if _, err := srv.ServeBatchCtx(context.Background(), queries); reproerr.KindOf(err) != reproerr.KindBudgetExceeded {
+		t.Fatalf("%d-row batch: err %v, want KindBudgetExceeded", len(queries), err)
 	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if dst, err = srv.ServeSSSPBatchInto(dst, srcs); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm ServeSSSPBatchInto allocates %v per run, want 0", allocs)
+	if after := srv.Stats(); after != before {
+		t.Fatalf("refused batch moved the server's counters: %+v → %+v", before, after)
+	}
+	if peak := reg.Gauge("lcs_serve_executors_inflight_peak").Value(); peak != 0 {
+		t.Fatalf("lcs_serve_executors_inflight_peak = %d after a refused batch, want 0", peak)
+	}
+	if _, err := srv.ServeBatchCtx(context.Background(), queries[:2]); err != nil {
+		t.Fatalf("batch after the refusal: %v", err)
+	}
+	if st := srv.Stats(); st.Batches != 1 || st.BatchedQueries != 2 {
+		t.Fatalf("counters after the refusal and one good batch: %+v", st)
 	}
 }
 
-// TestServeBatchWalkStress hammers one snapshot with concurrent batches on
-// a plain server and an instrumented one (shared snapshot, disjoint
-// executor pools), mixing ServeBatch and ServeSSSPBatchInto and verifying
-// every answer against the reference. The CI -race leg runs this to pin
-// the executors' scratch ownership under real concurrency.
+// TestServeBatchWalkStress hammers one snapshot with concurrent ServeBatch
+// calls on a plain server and an instrumented one (shared snapshot,
+// disjoint executor pools), verifying every answer against the reference.
+// The CI -race leg runs this to pin the executors' scratch ownership under
+// real concurrency.
 func TestServeBatchWalkStress(t *testing.T) {
 	fx := makeFixture(t, 240, 39)
 	servers := []*serve.Server{
@@ -198,7 +153,6 @@ func TestServeBatchWalkStress(t *testing.T) {
 		wg.Add(1)
 		go func(gi int) {
 			defer wg.Done()
-			var rows [][]float64
 			for it := 0; it < iters; it++ {
 				srv := servers[(gi+it)%2]
 				batch := 60 + (gi*17+it*31)%20
@@ -206,28 +160,16 @@ func TestServeBatchWalkStress(t *testing.T) {
 				for i := range srcs {
 					srcs[i] = graph.NodeID((gi*89 + it*53 + i*7) % n)
 				}
-				got := make([][]float64, batch)
-				if it%2 == 0 {
-					ans, err := srv.ServeBatch(ssspBatch(srcs))
-					if err != nil {
-						errs <- fmt.Errorf("g%d it%d: %w", gi, it, err)
-						return
-					}
-					for i := range ans {
-						got[i] = ans[i].(*serve.SSSPAnswer).Dist
-					}
-				} else {
-					var err error
-					if rows, err = srv.ServeSSSPBatchInto(rows, srcs); err != nil {
-						errs <- fmt.Errorf("g%d it%d: %w", gi, it, err)
-						return
-					}
-					copy(got, rows)
+				ans, err := srv.ServeBatch(ssspBatch(srcs))
+				if err != nil {
+					errs <- fmt.Errorf("g%d it%d: %w", gi, it, err)
+					return
 				}
 				for i, s := range srcs {
-					for v := range got[i] {
-						if got[i][v] != want[s][v] {
-							errs <- fmt.Errorf("g%d it%d src %d: dist[%d]=%v, want %v", gi, it, s, v, got[i][v], want[s][v])
+					got := ans[i].(*serve.SSSPAnswer).Dist
+					for v := range got {
+						if got[v] != want[s][v] {
+							errs <- fmt.Errorf("g%d it%d src %d: dist[%d]=%v, want %v", gi, it, s, v, got[v], want[s][v])
 							return
 						}
 					}

@@ -144,33 +144,6 @@ func BenchmarkServeSSSPBatch32(b *testing.B) {
 	}
 }
 
-// BenchmarkServeSSSPWarmBatchInto is the allocation-free warm batch path:
-// 64 sources per call, deduplicated and walked one after another on one
-// executor. CI's benchmark smoke asserts 0 allocs/op on it.
-func BenchmarkServeSSSPWarmBatchInto(b *testing.B) {
-	fx := getBenchFixture(b, 10_000)
-	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 1})
-	const batch = 64
-	srcs := make([]graph.NodeID, batch)
-	for i := range srcs {
-		srcs[i] = graph.NodeID(i * 131 % fx.g.NumNodes())
-	}
-	var dst [][]float64
-	var err error
-	if dst, err = srv.ServeSSSPBatchInto(dst, srcs); err != nil { // warm the executor
-		b.Fatal(err)
-	}
-	runtime.GC() // keep background GC out of the 1x timed window
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if dst, err = srv.ServeSSSPBatchInto(dst, srcs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(batch)*float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
-}
-
 // BenchmarkSSSPRebuildPerQuery is the pre-serving baseline: every query pays
 // the full shortcut-MST construction (sssp.TreeApprox).
 func BenchmarkSSSPRebuildPerQuery(b *testing.B) {

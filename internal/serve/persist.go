@@ -330,9 +330,21 @@ type LoadOptions struct {
 	// serve wrong answers.
 	SkipVerify bool
 	// Metrics records load observability into the registry: load counts by
-	// path (lcs_snapshot_load_total{path="mmap"|"heap"}), bytes loaded, and
-	// checksum-verification time. nil = uninstrumented (the default).
+	// path (lcs_snapshot_load_total{path="mmap"|"heap"}), refused loads by
+	// reproerr kind (lcs_snapshot_load_failures_total{kind="corrupt
+	// artifact"|…}), bytes loaded, and checksum-verification time. nil =
+	// uninstrumented (the default).
 	Metrics *obs.Registry
+}
+
+// loadFailed counts a refused load in lcs_snapshot_load_failures_total,
+// labelled by err's reproerr kind, when a registry is attached, and
+// returns err.
+func loadFailed(reg *obs.Registry, err error) error {
+	if reg != nil {
+		reg.Counter("lcs_snapshot_load_failures_total", "kind", reproerr.KindOf(err).String()).Inc()
+	}
+	return err
 }
 
 // LoadSnapshot opens a persisted snapshot. On the mmap path the snapshot's
@@ -353,12 +365,12 @@ func LoadSnapshot(path string, opts LoadOptions) (*Snapshot, error) {
 		f, err = snapio.Open(path)
 	}
 	if err != nil {
-		return nil, err
+		return nil, loadFailed(opts.Metrics, err)
 	}
 	sn, err := snapshotFromFile(f, opts)
 	if err != nil {
 		f.Close()
-		return nil, reproerr.Errorf(op, reproerr.KindOf(err), "%s: %w", path, err)
+		return nil, loadFailed(opts.Metrics, reproerr.Errorf(op, reproerr.KindOf(err), "%s: %w", path, err))
 	}
 	sn.backing = f
 	return sn, nil
@@ -369,11 +381,11 @@ func LoadSnapshot(path string, opts LoadOptions) (*Snapshot, error) {
 func ReadSnapshot(r io.Reader, opts LoadOptions) (*Snapshot, error) {
 	f, err := snapio.ReadFrom(r)
 	if err != nil {
-		return nil, err
+		return nil, loadFailed(opts.Metrics, err)
 	}
 	sn, err := snapshotFromFile(f, opts)
 	if err != nil {
-		return nil, err
+		return nil, loadFailed(opts.Metrics, err)
 	}
 	sn.backing = f
 	return sn, nil

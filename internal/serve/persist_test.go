@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/reproerr"
 	"repro/internal/serve"
 	"repro/internal/snapio"
@@ -664,7 +665,8 @@ func TestSwapFromFile(t *testing.T) {
 	// Rejected swaps, through either entry point, leave the store on its
 	// boot epoch: replaying the same generation (or older, same chain) is
 	// stale, and a file cut off at an odd offset (never a 64-byte-aligned
-	// section boundary) is corrupt.
+	// section boundary) is corrupt. Each corrupt load is counted in the
+	// load registry by kind, and none of them as a load.
 	raw, err := os.ReadFile(gen1)
 	if err != nil {
 		t.Fatal(err)
@@ -673,16 +675,26 @@ func TestSwapFromFile(t *testing.T) {
 	if err := os.WriteFile(truncated, raw[:len(raw)/2|1], 0o644); err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.New()
+	lo := serve.LoadOptions{Metrics: reg}
+	total := func(name string) (n int64) { // summed over every label set
+		for _, c := range reg.Snapshot().Counters {
+			if c.Name == name {
+				n += c.Value
+			}
+		}
+		return n
+	}
 	swaps := []struct {
 		name string
 		swap func(path string) error
 	}{
 		{"SwapFromFile", func(path string) error {
-			_, _, err := st.SwapFromFile(path, serve.LoadOptions{})
+			_, _, err := st.SwapFromFile(path, lo)
 			return err
 		}},
 		{"SwapFromFileCtx", func(path string) error {
-			_, err := st.SwapFromFileCtx(context.Background(), path, serve.LoadOptions{})
+			_, err := st.SwapFromFileCtx(context.Background(), path, lo)
 			return err
 		}},
 	}
@@ -691,6 +703,7 @@ func TestSwapFromFile(t *testing.T) {
 			path string
 			kind reproerr.Kind
 		}{{gen0, reproerr.KindInvalidInput}, {truncated, reproerr.KindCorrupt}} {
+			loads := total("lcs_snapshot_load_total")
 			if err := sw.swap(c.path); reproerr.KindOf(err) != c.kind {
 				t.Fatalf("%s(%s): %v, want %v", sw.name, filepath.Base(c.path), err, c.kind)
 			}
@@ -698,7 +711,15 @@ func TestSwapFromFile(t *testing.T) {
 				t.Fatalf("store mutated by rejected %s(%s): epoch %d swaps %d",
 					sw.name, filepath.Base(c.path), st.Epoch(), st.Swaps())
 			}
+			if c.path == truncated && total("lcs_snapshot_load_total") != loads {
+				t.Fatalf("refused %s(%s) counted as a load", sw.name, filepath.Base(c.path))
+			}
 		}
+	}
+	corrupt := reg.Counter("lcs_snapshot_load_failures_total", "kind", reproerr.KindCorrupt.String()).Value()
+	if corrupt != 2 || total("lcs_snapshot_load_failures_total") != 2 {
+		t.Fatalf("load failures: %d corrupt of %d, want 2 of 2 (the truncated file through both entry points)",
+			corrupt, total("lcs_snapshot_load_failures_total"))
 	}
 
 	retired, err := st.SwapFromFileCtx(context.Background(), gen1, serve.LoadOptions{})

@@ -344,8 +344,8 @@ func (s *Server) ServeSSSPIntoCtx(ctx context.Context, dst []float64, src graph.
 type Stats struct {
 	// Queries counts answered queries per kind (indexable by Kind).
 	SSSP, MST, MinCut, TwoECSS, Quality int64
-	// Batches counts ServeBatch and ServeSSSPBatchInto calls;
-	// BatchedQueries the queries they carried.
+	// Batches counts answered ServeBatch calls; BatchedQueries the queries
+	// they carried.
 	Batches        int64
 	BatchedQueries int64
 	// CoalesceIn counts SSSP queries that entered a batched group;
