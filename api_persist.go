@@ -10,11 +10,13 @@ import (
 
 // Snapshot persistence: zero-copy save/load of serving state.
 //
-// A Snapshot built by NewSnapshotCtx (a cold multi-second construction) can
-// be persisted once and reopened in milliseconds: SaveSnapshot streams every
-// section of the serving state — graph CSR and weights, partition, shortcut
-// assignment, per-part quality cache, derived MST edge list — into a
-// versioned, checksummed, 64-byte-aligned container, and LoadSnapshotCtx
+// A Snapshot built by NewSnapshotCtx (a cold construction dominated by
+// measuring every part's dilation, and by the simulated CONGEST MST when
+// WithDistributedAccounting is on) can be persisted once and reopened in
+// milliseconds, its recorded simulated cost included: SaveSnapshot streams
+// every section of the serving state — graph CSR and weights, partition,
+// shortcut assignment, per-part quality cache, derived MST edge list — into
+// a versioned, checksummed, 64-byte-aligned container, and LoadSnapshotCtx
 // mmaps the file and rebuilds the Snapshot by slicing the mapping, with zero
 // parse of the bulk arrays; only the tree's O(n) query index is derived
 // again, from the MST edge list. A loaded snapshot answers

@@ -209,22 +209,26 @@ func checkTree(g *Graph, tree []EdgeID) error {
 }
 
 // NewSnapshotCtx builds the serving state under ctx: partition validation,
-// centralized shortcut construction, quality measurement, distributed
-// shortcut-MST, and tree indexing, cancelable between sampling steps,
-// between parts of the quality sweep, and at every simulated round — a cold
-// multi-second build aborts within one round of cancellation. Requires
-// WithSeed.
+// centralized shortcut construction, quality measurement, the shortcut-MST
+// from the centralized Borůvka mirror, and tree indexing, cancelable
+// between sampling steps and between parts of the quality sweep. The
+// snapshot reports zero simulated cost, and its sssp answers charge zero
+// rounds and messages, unless WithDistributedAccounting(true) also runs
+// the simulated CONGEST shortcut-MST to record its cost; that simulation
+// checks ctx at every simulated round, so a multi-second accounted build
+// aborts within one round of cancellation. Requires WithSeed.
 func NewSnapshotCtx(ctx context.Context, g *Graph, w Weights, parts [][]NodeID, opts ...Option) (*Snapshot, error) {
 	cfg, err := NewConfig(opts...)
 	if err != nil {
 		return nil, err
 	}
 	return serve.NewSnapshot(g, w, parts, serve.SnapshotOptions{
-		Rng:       cfg.rng(),
-		Diameter:  cfg.Diameter,
-		LogFactor: cfg.SamplingBoost,
-		MaxRounds: cfg.MaxRounds,
-		Ctx:       ctx,
+		Rng:         cfg.rng(),
+		Diameter:    cfg.Diameter,
+		LogFactor:   cfg.SamplingBoost,
+		MaxRounds:   cfg.MaxRounds,
+		Distributed: cfg.DistributedAccounting,
+		Ctx:         ctx,
 	})
 }
 
@@ -254,11 +258,11 @@ func (c *Config) serverOptions() serve.ServerOptions {
 // A Snapshot built by NewSnapshotCtx is one link of a delta chain:
 // ApplyDeltaCtx absorbs a batch of edge mutations and returns a new
 // Snapshot whose query answers are bit-identical to a from-scratch
-// NewSnapshotCtx on the post-delta graph with the same seed — without
-// re-running the simulated MST construction, and re-measuring dilation only
-// for the parts the delta touches. A Store hot-swaps the active snapshot
-// under live traffic; NewStoreServerV2 serves whatever the store holds,
-// pinning the epoch per query.
+// NewSnapshotCtx on the post-delta graph with the same seed — never
+// simulating the MST construction, even when the build was accounted, and
+// re-measuring dilation only for the parts the delta touches. A Store
+// hot-swaps the active snapshot under live traffic; NewStoreServerV2 serves
+// whatever the store holds, pinning the epoch per query.
 
 // Delta is a batch of edge mutations over a fixed vertex set: deletions
 // (by endpoints) applied before insertions (with weights).

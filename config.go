@@ -54,7 +54,7 @@ type Config struct {
 	Radius int
 	// Baseline selects GH16 baseline shortcuts inside the distributed MST;
 	// DistributedAccounting charges simulated rounds in the min-cut /
-	// 2-ECSS reductions.
+	// 2-ECSS reductions and the snapshot build.
 	Baseline              bool
 	DistributedAccounting bool
 	// Tree supplies a prebuilt spanning tree (a snapshot's shortcut-MST):
@@ -210,7 +210,10 @@ func WithBaseline(on bool) Option { return func(c *Config) { c.Baseline = on } }
 
 // WithDistributedAccounting charges simulated rounds in the min-cut /
 // 2-ECSS reductions by computing each tree through the distributed
-// shortcut-MST.
+// shortcut-MST, and in NewSnapshotCtx by running that simulation after the
+// build to record its rounds, messages and phases and the marginal rounds
+// and messages of every sssp answer. Off by default: the trees come from
+// centralized code, and the simulated cost is zero.
 func WithDistributedAccounting(on bool) Option {
 	return func(c *Config) { c.DistributedAccounting = on }
 }

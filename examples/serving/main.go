@@ -39,8 +39,12 @@ func run() error {
 	// Pay the construction once — context-first, so a serving process can
 	// bound or abort the cold build (a canceled build returns within one
 	// simulated round with errors.Is(err, context.Canceled) == true).
+	// Distributed accounting also simulates the CONGEST shortcut-MST, so
+	// the snapshot and every sssp answer report its rounds and messages;
+	// without it the build is several times faster and charges zero.
 	snap, err := repro.NewSnapshotCtx(ctx, g, w, parts,
-		repro.WithSeed(1), repro.WithDiameter(diameter), repro.WithSamplingBoost(0.3))
+		repro.WithSeed(1), repro.WithDiameter(diameter), repro.WithSamplingBoost(0.3),
+		repro.WithDistributedAccounting(true))
 	if err != nil {
 		return err
 	}

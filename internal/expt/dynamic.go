@@ -13,7 +13,8 @@ import (
 // absorbing an edge delta into a served snapshot (serve.ApplyDelta: a
 // seeded shortcut rebuild, dilation re-measured only for the touched
 // parts, the MST re-derived by the centralized mirror), swept over delta
-// sizes, against the simulated from-scratch build each update replaces.
+// sizes, against the default from-scratch build each update replaces (the
+// same mirror, no simulated MST; every part's dilation measured).
 // Per-edge sampling streams keep every part the delta does not reach
 // unchanged, so only the touched parts' dilation is re-measured, while the
 // new snapshot stays bit-identical to a rebuild (pinned by the
@@ -62,7 +63,7 @@ func E15Dynamic(cfg Config) (*Table, error) {
 			F(buildMS), F(buildMS/updMS))
 	}
 	t.AddNote("every delta is applied to the same base snapshot; updated snapshots are bit-identical to a from-scratch rebuild (differential suite)")
-	t.AddNote("an update simulates nothing: only the touched parts' dilation is re-measured, and the serving layer stays live under continuous mutation (hot-swap via serve.Store)")
+	t.AddNote("neither side simulates the MST (build ms is a default build, without distributed accounting); an update re-measures only the touched parts' dilation, and the serving layer stays live under continuous mutation (hot-swap via serve.Store)")
 	t.SetMeta("build_ms", buildMS)
 	return t, nil
 }

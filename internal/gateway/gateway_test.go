@@ -145,6 +145,39 @@ func decodeResp[T any](t testing.TB, raw []byte) *T {
 func intp(v int64) *int64 { x := v; return &x }
 func partp(v int) *int    { x := v; return &x }
 
+// TestWireSSSPChargesOnlySimulatedBuilds pins the wire side of the build's
+// accounting: an sssp answer from a default snapshot charges nothing, so
+// its /v1/query response carries no "rounds" or "messages" key; one from a
+// snapshot built with SnapshotOptions.Distributed sends the rounds and
+// messages the direct answer charges.
+func TestWireSSSPChargesOnlySimulatedBuilds(t *testing.T) {
+	base := makeFixture(t, 200, 3)
+	for _, distributed := range []bool{false, true} {
+		snap, err := serve.NewSnapshot(base.g, base.w, base.parts, serve.SnapshotOptions{
+			Rng: rand.New(rand.NewSource(5)), LogFactor: 0.3, Distributed: distributed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := newEnv(t, &fixture{g: base.g, w: base.w, parts: base.parts, snap: snap}, Options{})
+		status, raw := post(t, env.srv.URL+"/v1/query", QueryRequest{Kind: "sssp", Source: intp(3)}, nil)
+		if status != 200 {
+			t.Fatalf("distributed=%v: status %d: %s", distributed, status, raw)
+		}
+		got := decodeResp[QueryResponse](t, raw)
+		want, err := env.direct.ServeSSSP(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := bytes.Contains(raw, []byte(`"rounds"`)) || bytes.Contains(raw, []byte(`"messages"`))
+		charged := want.Rounds > 0 && want.Messages > 0
+		if got.Rounds != want.Rounds || got.Messages != want.Messages || keys != distributed || charged != distributed {
+			t.Fatalf("distributed=%v: wire charges (%d,%d), direct (%d,%d), cost keys sent: %v",
+				distributed, got.Rounds, got.Messages, want.Rounds, want.Messages, keys)
+		}
+	}
+}
+
 // TestWireBitIdentity pins the gateway's core contract: for every query
 // kind, the JSON round-trip over the wire yields exactly the answer a
 // direct Server.ServeCtx call produces — float64s compared by bits.

@@ -285,7 +285,8 @@ type QualityResult struct {
 // QueryResponse is the JSON body of a successful /v1/query answer (and each
 // element of a batch response): exactly one kind-matching result field is
 // set. Rounds/Messages carry the answer's marginal simulated cost where the
-// library reports one (sssp).
+// library reports one (sssp from a snapshot built with distributed
+// accounting); zero is omitted.
 type QueryResponse struct {
 	Kind     string         `json:"kind"`
 	SSSP     *SSSPResult    `json:"sssp,omitempty"`

@@ -14,10 +14,11 @@ import (
 // returned tree is therefore bit-identical to Distributed's, in the same
 // append order, at a centralized O((n + m)·phases) cost.
 //
-// This is the MST engine of the dynamic snapshot path: after a graph delta,
-// the new snapshot re-derives its shortcut-MST through this mirror in
-// milliseconds, and the differential test harness pins the result against
-// the simulated construction a from-scratch rebuild performs.
+// This is the MST engine of every serving snapshot: a build and each graph
+// delta derive the served shortcut-MST through this mirror in
+// milliseconds, and a build runs Distributed only when asked to record its
+// simulated cost (serve.SnapshotOptions.Distributed). The serving tests pin
+// a mirror-built snapshot to a simulated one on several graph families.
 //
 // The mirror diverges from Distributed only if a scheduled BFS tree fails to
 // span its fragment within the truncation depth — which the construction's

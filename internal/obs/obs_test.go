@@ -445,3 +445,84 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 		t.Fatalf("histogram = %+v", h)
 	}
 }
+
+// TestTraceRingDropsContendedSlot replays, one step at a time, the two
+// interleavings in which two writers share a slot (records i and i+size):
+// a newer writer reaching a slot whose older writer is still mid-write, and
+// an older writer reaching its slot after a newer record was published
+// there. In both, Record must drop its own record, count the drop, and
+// leave the slot's payload alone, and snapshot must report only whole
+// records.
+func TestTraceRingDropsContendedSlot(t *testing.T) {
+	const size = 4
+	// Record v carries epoch v, generation v+1 and exec v+2, as in
+	// TestTraceRingConcurrent; every record below is written with v = its
+	// sequence number.
+	record := func(ring *TraceRing, v uint64) {
+		ring.write(v, 1, 1, v, v+1, 1, 0, int64(v+2))
+	}
+	assertWhole := func(t *testing.T, ring *TraceRing) []QueryTrace {
+		t.Helper()
+		traces := ring.snapshot(TraceNames{})
+		for _, qt := range traces {
+			if qt.Epoch != qt.Seq || qt.Generation != qt.Seq+1 || qt.ExecNs != int64(qt.Seq+2) {
+				t.Fatalf("mixed record: %+v", qt)
+			}
+		}
+		return traces
+	}
+
+	t.Run("mid-write", func(t *testing.T) {
+		ring := NewTraceRing(size)
+		ring.cursor.Store(2*size + 1)
+		for v := uint64(size + 1); v < 2*size; v++ {
+			record(ring, v)
+		}
+		// Record size holds slot 0: its sequence is odd, and it has stored
+		// its epoch but nothing else yet.
+		ring.slots[0].Store((size+1)<<1 | 1)
+		ring.slots[2].Store(size)
+		record(ring, 2*size) // slot 0 again
+		if got := ring.Dropped(); got != 1 {
+			t.Fatalf("Dropped = %d, want 1", got)
+		}
+		if ring.slots[0].Load() != (size+1)<<1|1 || ring.slots[2].Load() != size || ring.slots[3].Load() != 0 {
+			t.Fatal("the dropped record wrote into a slot held mid-write")
+		}
+		assertWhole(t, ring)
+		// Record size finishes and publishes; it is older than the window
+		// [size+1, 2·size], so it is not reported, and nothing is mixed.
+		ring.slots[3].Store(size + 1)
+		ring.slots[5].Store(size + 2)
+		ring.slots[0].Store((size + 1) << 1)
+		if traces := assertWhole(t, ring); len(traces) != size-1 {
+			t.Fatalf("decoded %d records, want %d: %+v", len(traces), size-1, traces)
+		}
+	})
+
+	t.Run("newer-record", func(t *testing.T) {
+		reg := New()
+		ring := reg.Trace(size, TraceNames{})
+		// Record 0 takes its sequence number, then stalls while records
+		// 1..size are written; record size lands in slot 0.
+		ring.cursor.Store(size + 1)
+		for v := uint64(1); v <= size; v++ {
+			record(ring, v)
+		}
+		record(ring, 0) // the stalled writer reaches slot 0 last
+		if got := ring.Dropped(); got != 1 {
+			t.Fatalf("Dropped = %d, want 1", got)
+		}
+		traces := assertWhole(t, ring)
+		if len(traces) != size || traces[size-1].Seq != size {
+			t.Fatalf("decoded %+v, want records 1..%d with the newest kept", traces, size)
+		}
+		var buf bytes.Buffer
+		if err := reg.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), `"traces_dropped": 1`) {
+			t.Fatalf("JSON snapshot does not report the drop:\n%s", buf.String())
+		}
+	})
+}

@@ -7,12 +7,14 @@ import (
 
 // Snapshot is a point-in-time JSON-serializable copy of a registry:
 // every counter, gauge, and histogram (with precomputed quantiles), plus
-// the retained query traces.
+// the retained query traces and the number of records the trace ring
+// dropped (TraceRing.Dropped).
 type Snapshot struct {
-	Counters   []CounterSnapshot  `json:"counters,omitempty"`
-	Gauges     []GaugeSnapshot    `json:"gauges,omitempty"`
-	Histograms []HistogramSummary `json:"histograms,omitempty"`
-	Traces     []QueryTrace       `json:"traces,omitempty"`
+	Counters      []CounterSnapshot  `json:"counters,omitempty"`
+	Gauges        []GaugeSnapshot    `json:"gauges,omitempty"`
+	Histograms    []HistogramSummary `json:"histograms,omitempty"`
+	Traces        []QueryTrace       `json:"traces,omitempty"`
+	TracesDropped uint64             `json:"traces_dropped,omitempty"`
 }
 
 // CounterSnapshot is one counter's point-in-time value.
@@ -90,7 +92,9 @@ func (r *Registry) Snapshot() Snapshot {
 			out.Histograms = append(out.Histograms, s.Summary())
 		}
 	}
-	out.Traces = r.Traces()
+	ring, names := r.traceRing()
+	out.Traces = ring.snapshot(names)
+	out.TracesDropped = ring.Dropped()
 	return out
 }
 
@@ -100,10 +104,14 @@ func (r *Registry) Traces() []QueryTrace {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	ring, names := r.trace, r.traceN
-	r.mu.Unlock()
+	ring, names := r.traceRing()
 	return ring.snapshot(names)
+}
+
+func (r *Registry) traceRing() (*TraceRing, TraceNames) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.trace, r.traceN
 }
 
 // WriteJSON writes the registry snapshot as indented JSON.

@@ -27,15 +27,20 @@ func (n TraceNames) name(table []string, code uint8) string {
 }
 
 // TraceRing is a bounded lock-free ring of per-query trace records. Record
-// claims a slot with one atomic fetch-add and writes the record as a fixed
-// number of atomic word stores guarded by a per-slot sequence word
-// (seqlock), so writers never block, never allocate, and never tear a
+// takes a sequence number with one atomic fetch-add and writes the record
+// as a fixed number of atomic word stores guarded by a per-slot sequence
+// word (seqlock), so writers never block, never allocate, and never tear a
 // record that a concurrent Snapshot reports: a reader that observes a
-// mid-write or recycled slot skips it. A nil *TraceRing ignores records.
+// mid-write or recycled slot skips it. Records i and i+size share a slot;
+// a writer claims it with one CAS, and only from an older published record,
+// so at most one writer holds a slot at a time. A writer that finds its
+// slot mid-write or already holding a newer record drops its own record
+// and counts it in Dropped. A nil *TraceRing ignores records.
 type TraceRing struct {
-	size   int
-	cursor atomic.Uint64
-	slots  []atomic.Uint64 // size × traceWords
+	size    int
+	cursor  atomic.Uint64
+	dropped atomic.Uint64
+	slots   []atomic.Uint64 // size × traceWords
 }
 
 // NewTraceRing creates a ring holding the last size records (0 selects
@@ -48,16 +53,29 @@ func NewTraceRing(size int) *TraceRing {
 }
 
 // Record appends one query record. All arguments are plain values; the
-// call is a handful of atomic stores — no locks, no allocation.
+// call is a handful of atomic operations — no locks, no allocation.
 func (r *TraceRing) Record(kind, outcome uint8, epoch, generation uint64, batch int32, queueWaitNs, execNs int64) {
 	if r == nil {
 		return
 	}
-	i := r.cursor.Add(1) - 1
+	r.write(r.cursor.Add(1)-1, kind, outcome, epoch, generation, batch, queueWaitNs, execNs)
+}
+
+// write stores record i, whose sequence number the caller has taken, into
+// its slot, or drops it.
+func (r *TraceRing) write(i uint64, kind, outcome uint8, epoch, generation uint64, batch int32, queueWaitNs, execNs int64) {
 	base := int(i%uint64(r.size)) * traceWords
 	seq := &r.slots[base]
 	stable := (i + 1) << 1
-	seq.Store(stable | 1) // odd: write in progress
+	// Claim the slot only from an older published record (an even sequence
+	// below ours). An odd sequence is another writer mid-write; a larger
+	// even one is a newer record that must not be overwritten. Either way,
+	// or if the CAS loses a race, drop this record: a second writer in the
+	// slot could publish it over the other's half-written payload.
+	if cur := seq.Load(); cur&1 != 0 || cur >= stable || !seq.CompareAndSwap(cur, stable|1) {
+		r.dropped.Add(1)
+		return
+	}
 	r.slots[base+1].Store(uint64(kind)<<40 | uint64(outcome)<<32 | uint64(uint32(batch)))
 	r.slots[base+2].Store(epoch)
 	r.slots[base+3].Store(generation)
@@ -78,13 +96,22 @@ func (r *TraceRing) Len() int {
 	return int(n)
 }
 
-// Recorded returns the total number of records ever written (the global
-// sequence counter).
+// Recorded returns the total number of records ever offered (the global
+// sequence counter), dropped ones included.
 func (r *TraceRing) Recorded() uint64 {
 	if r == nil {
 		return 0
 	}
 	return r.cursor.Load()
+}
+
+// Dropped returns the number of records Record discarded because their
+// slot was mid-write or already held a newer record.
+func (r *TraceRing) Dropped() uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.dropped.Load()
 }
 
 // QueryTrace is one decoded trace record.

@@ -199,8 +199,9 @@ func BenchmarkAmortization100k(b *testing.B) {
 // the draws servebench's fixture makes at n=4000: an Erdős–Rényi graph with
 // edge probability 12/n, connected and bridge-free, uniform weights and
 // min(64, n/64) Voronoi parts. At its double-sweep diameter of 5 the
-// sampling probability saturates at 1. Run it with -benchmem; it is not one
-// of CI's 0 allocs/op gates.
+// sampling probability saturates at 1. It is a default build: the tree
+// from the Borůvka mirror, no simulated MST. Run it with -benchmem; it is
+// not one of CI's 0 allocs/op gates.
 func BenchmarkNewSnapshot(b *testing.B) {
 	const n = 4000
 	rng := rand.New(rand.NewSource(20_210_721 + n))
@@ -244,10 +245,15 @@ func deltaOfSize(b *testing.B, g *graph.Graph, k int, seed int64) graph.Delta {
 
 // BenchmarkApplyDelta is the dynamic-graphs acceptance measurement on
 // ClusterChain n=1e5: a 64-edge delta absorbed by ApplyDelta versus the
-// from-scratch snapshot build it replaces, which also simulates the
-// distributed MST (run explicitly with -benchtime=1x). Recorded
-// (-benchtime=1x -count 3, 2 vCPUs): delta 0.315–0.356 s/op and 49 MB/op
-// vs rebuild 2.55–2.70 s/op and 605 MB/op — about 8× faster.
+// default from-scratch snapshot build it replaces, which simulates no MST
+// either (run explicitly with -benchtime=1x). Recorded (-benchtime=1x
+// -count 3, 2 vCPUs): delta 0.37–0.43 s/op and 49 MB/op vs rebuild
+// 0.40–0.44 s/op and 187 MB/op — about the same time at a quarter of the
+// memory. Both rerun the seeded sampling over every arc; the delta saves
+// the dilation of untouched parts and allocations. A rebuild with
+// SnapshotOptions.Distributed, which also simulates the MST, measured
+// 2.55–2.70 s/op and 605 MB/op in an earlier run on 2 vCPUs, about 8× the
+// delta's 0.315–0.356 s/op in that run.
 func BenchmarkApplyDelta(b *testing.B) {
 	fx := getBenchFixture(b, 100_000)
 	b.Run("delta-64", func(b *testing.B) {

@@ -33,7 +33,8 @@ type DeltaOptions struct{}
 //     subgraph changed (H changed, or an intra-part edge came or went);
 //     congestion is recounted (O(m));
 //   - the shortcut-MST is re-derived through the centralized Borůvka
-//     mirror, bit-identical to the simulated construction a rebuild runs.
+//     mirror, as NewSnapshot derives it (bit-identical to the simulated
+//     construction, which neither path needs for the tree).
 //
 // The result is a new immutable Snapshot whose query answers are
 // bit-identical to NewSnapshot on the post-delta graph with the same
@@ -47,9 +48,11 @@ type DeltaOptions struct{}
 // simulated rounds and messages; its Generation() increments; Repair()
 // describes what was touched.
 //
-// Answers' simulated cost metadata (rounds/messages) is carried over from
-// the original build — the update deliberately does not re-run the
-// simulated MST construction that metadata describes.
+// Answers' simulated cost metadata (rounds/messages) is carried over only
+// from a simulated build (SnapshotOptions.Distributed): the update
+// deliberately does not re-run the simulated MST construction that
+// metadata describes, and a chain whose build simulated nothing charges
+// its answers nothing.
 func ApplyDelta(ctx context.Context, old *Snapshot, delta graph.Delta, _ DeltaOptions) (*Snapshot, error) {
 	const op = "serve.ApplyDelta"
 	if old == nil {
@@ -135,7 +138,11 @@ func ApplyDelta(ctx context.Context, old *Snapshot, delta graph.Delta, _ DeltaOp
 	if err != nil {
 		return nil, reproerr.Errorf(op, reproerr.KindOf(err), "tree index: %w", err)
 	}
-	servRounds, servMessages := sssp.TreeServeCost(g2.NumNodes(), old.qualitySum, len(tree))
+	var servRounds int
+	var servMessages int64
+	if old.simulated() {
+		servRounds, servMessages = sssp.TreeServeCost(g2.NumNodes(), old.qualitySum, len(tree))
+	}
 
 	return &Snapshot{
 		g:              g2,

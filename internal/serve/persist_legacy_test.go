@@ -9,7 +9,8 @@ import (
 
 // legacySnapshot is a snapshot file written by an earlier release, whose
 // container still carries sections 17..24 (a tree-only CSR and its arc
-// weights, now retired). It holds makeFixture(t, 64, 64).
+// weights, now retired). It holds makeSimulatedFixture(t, 64, 64): the
+// release that wrote it simulated the shortcut-MST on every build.
 const legacySnapshot = "testdata/legacy-n64.lcsnap"
 
 // TestPersistLoadsLegacyFile pins backward compatibility of the container
@@ -28,7 +29,7 @@ func TestPersistLoadsLegacyFile(t *testing.T) {
 	}
 	f.Close()
 
-	fx := makeFixture(t, 64, 64)
+	fx := makeSimulatedFixture(t, 64, 64)
 	for _, mode := range []struct {
 		name string
 		opts serve.LoadOptions

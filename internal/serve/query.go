@@ -82,7 +82,8 @@ type Answer interface{ answerKind() Kind }
 // SSSPAnswer holds within-tree distances from Source. Rounds/Messages are
 // the marginal simulated cost of the answer: the log n fragment-contraction
 // propagation phases (the MST itself was paid at snapshot build), charged
-// identically to single and batched answers.
+// identically to single and batched answers, and zero unless the
+// snapshot descends from a build with SnapshotOptions.Distributed.
 type SSSPAnswer struct {
 	Source graph.NodeID
 	Dist   []float64

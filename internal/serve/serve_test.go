@@ -27,6 +27,18 @@ type fixture struct {
 
 func makeFixture(t testing.TB, n int, seed int64) *fixture {
 	t.Helper()
+	return buildFixture(t, n, seed, false)
+}
+
+// makeSimulatedFixture is makeFixture with SnapshotOptions.Distributed: the
+// same graph, parts and tree, plus the simulated MST's recorded cost.
+func makeSimulatedFixture(t testing.TB, n int, seed int64) *fixture {
+	t.Helper()
+	return buildFixture(t, n, seed, true)
+}
+
+func buildFixture(t testing.TB, n int, seed int64, distributed bool) *fixture {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var g *graph.Graph
 	for {
@@ -41,7 +53,7 @@ func makeFixture(t testing.TB, n int, seed int64) *fixture {
 		t.Fatal(err)
 	}
 	snap, err := serve.NewSnapshot(g, w, parts, serve.SnapshotOptions{
-		Rng: rng, LogFactor: 0.3,
+		Rng: rng, LogFactor: 0.3, Distributed: distributed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +126,7 @@ func referenceTreeDist(g *graph.Graph, w graph.Weights, tree []graph.EdgeID, src
 }
 
 func TestServeSSSPMatchesReference(t *testing.T) {
-	fx := makeFixture(t, 400, 2)
+	fx := makeSimulatedFixture(t, 400, 2)
 	srv := serve.NewServer(fx.snap, serve.ServerOptions{})
 	exact, err := sssp.Dijkstra(fx.g, fx.w, 3)
 	if err != nil {

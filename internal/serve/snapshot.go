@@ -53,21 +53,30 @@ const dilationCutoff = 3000
 
 // SnapshotOptions configures NewSnapshot.
 type SnapshotOptions struct {
-	// Rng drives the shortcut sampling and the MST's scheduled phases.
-	// Required. It is consumed only during the build; queries never touch it.
+	// Rng drives the build. Required. Its first draw is the shortcut
+	// sampling seed, and without Distributed that is all the build draws;
+	// with Distributed the simulated MST's scheduled phases draw from it
+	// next. It is consumed only during the build; queries never touch it.
 	Rng *rand.Rand
 	// Diameter is the graph diameter used to derive shortcut parameters
 	// (0 = double-sweep estimate).
 	Diameter int
 	// LogFactor as in shortcut.Options.
 	LogFactor float64
-	// MaxRounds bounds each simulated build phase (0 = default).
+	// MaxRounds bounds each simulated build phase (0 = default). Without
+	// Distributed the build simulates nothing, so it has no effect.
 	MaxRounds int
+	// Distributed runs the simulated CONGEST shortcut-MST (mst.Distributed)
+	// after the build, to record its cost: the snapshot's simulated rounds,
+	// messages and phases, and the marginal rounds and messages every sssp
+	// answer carries. The served tree comes from the Borůvka mirror either
+	// way; without Distributed all of that simulated cost is zero.
+	Distributed bool
 	// Ctx, when non-nil, cancels the build cooperatively: the shortcut
 	// construction checks it between sampling steps, the quality
-	// measurement between parts, and the shortcut-MST at every simulated
-	// round / scheduler drain step — a cold multi-second build aborts
-	// within one round of cancellation.
+	// measurement between parts, and, with Distributed, the simulated
+	// shortcut-MST at every round and scheduler drain step. Without
+	// Distributed there are no simulated rounds to cancel.
 	Ctx context.Context
 }
 
@@ -106,7 +115,8 @@ type Snapshot struct {
 	repair       *RepairInfo
 
 	// Build cost (paid once) and per-query marginal cost (charged per warm
-	// SSSP answer).
+	// SSSP answer). All but buildCost.Wall are simulated, and zero unless
+	// the snapshot descends from a build with SnapshotOptions.Distributed.
 	buildCost    cost.Cost
 	phases       int
 	qualitySum   int
@@ -134,9 +144,13 @@ type RepairInfo struct {
 // NewSnapshot builds the serving state for graph g with weights w and the
 // given vertex-disjoint connected parts: it validates the partition, runs
 // the centralized shortcut construction of Section 2, measures its quality,
-// derives the shortcut-MST via the distributed Borůvka framework (recording
-// the simulated build cost), and indexes the tree for warm per-source
-// queries.
+// derives the shortcut-MST through the centralized Borůvka mirror
+// (mst.BoruvkaMirror, the tree mst.Distributed builds, in the same order),
+// and indexes the tree for warm per-source queries. With
+// opts.Distributed it then runs the simulated CONGEST shortcut-MST only to
+// record its cost; without it the snapshot's simulated rounds, messages and
+// phases are zero, and so are the rounds and messages its sssp answers
+// carry.
 func NewSnapshot(g *graph.Graph, w graph.Weights, parts [][]graph.NodeID, opts SnapshotOptions) (*Snapshot, error) {
 	const op = "serve.NewSnapshot"
 	if err := reproerr.RequireRng(op, opts.Rng); err != nil {
@@ -179,45 +193,50 @@ func NewSnapshot(g *graph.Graph, w graph.Weights, parts [][]graph.NodeID, opts S
 		return nil, reproerr.Errorf(op, reproerr.KindOf(err), "quality: %w", err)
 	}
 
-	mres, err := mst.Distributed(g, w, mst.DistOptions{
-		Rng:       opts.Rng,
-		Diameter:  d,
-		LogFactor: opts.LogFactor,
-		MaxRounds: opts.MaxRounds,
-		Ctx:       opts.Ctx,
-	})
+	tree, treeWeight, err := mst.BoruvkaMirror(g, w)
 	if err != nil {
 		return nil, reproerr.Errorf(op, reproerr.KindOf(err), "shortcut-MST: %w", err)
 	}
-	ti, err := sssp.NewTreeIndex(g, w, mres.Tree)
-	if err != nil {
-		return nil, reproerr.Errorf(op, reproerr.KindOf(err), "tree index: %w", err)
-	}
-	servRounds, servMessages := sssp.TreeServeCost(g.NumNodes(), mres.QualitySum, len(mres.Tree))
-
-	buildCost := mres.Cost
-	buildCost.Wall = time.Since(start)
-	return &Snapshot{
+	sn := &Snapshot{
 		g:              g,
 		w:              w,
 		p:              p,
 		s:              s,
 		quality:        quality,
 		partDil:        partDil,
-		tree:           mres.Tree,
-		treeWeight:     mres.Weight,
-		ti:             ti,
+		tree:           tree,
+		treeWeight:     treeWeight,
 		diameter:       d,
 		logFactor:      opts.LogFactor,
 		dilationCutoff: dilationCutoff,
 		samplingSeed:   samplingSeed,
-		buildCost:      buildCost,
-		phases:         mres.Phases,
-		qualitySum:     mres.QualitySum,
-		servRounds:     servRounds,
-		servMessages:   servMessages,
-	}, nil
+	}
+	if opts.Distributed {
+		mres, err := mst.Distributed(g, w, mst.DistOptions{
+			Rng:       opts.Rng,
+			Diameter:  d,
+			LogFactor: opts.LogFactor,
+			MaxRounds: opts.MaxRounds,
+			Ctx:       opts.Ctx,
+		})
+		if err != nil {
+			return nil, reproerr.Errorf(op, reproerr.KindOf(err), "shortcut-MST: %w", err)
+		}
+		sn.buildCost, sn.phases, sn.qualitySum = mres.Cost, mres.Phases, mres.QualitySum
+		sn.servRounds, sn.servMessages = sssp.TreeServeCost(g.NumNodes(), mres.QualitySum, len(tree))
+	}
+	if sn.ti, err = sssp.NewTreeIndex(g, w, tree); err != nil {
+		return nil, reproerr.Errorf(op, reproerr.KindOf(err), "tree index: %w", err)
+	}
+	sn.buildCost.Wall = time.Since(start)
+	return sn, nil
 }
+
+// simulated reports whether the snapshot descends from a build with
+// SnapshotOptions.Distributed: sssp.TreeServeCost charges at least one
+// round whenever it is called, and only such a build calls it. servRounds
+// is persisted, so the answer survives a file round trip and a delta chain.
+func (sn *Snapshot) simulated() bool { return sn.servRounds > 0 }
 
 // measureQuality computes every part's dilation (cancelable between parts —
 // the per-part BFS sweep is the expensive unit) plus the assignment's
@@ -256,17 +275,20 @@ func (sn *Snapshot) Tree() []graph.EdgeID { return sn.tree }
 func (sn *Snapshot) TreeWeight() float64 { return sn.treeWeight }
 
 // BuildCost returns the simulated cost of deriving the shortcut-MST — the
-// one-time investment that warm queries amortize.
+// one-time investment that warm queries amortize. It is zero unless the
+// build ran with SnapshotOptions.Distributed.
 func (sn *Snapshot) BuildCost() (rounds int, messages int64, phases int) {
 	return sn.buildCost.Rounds, sn.buildCost.Messages, sn.phases
 }
 
-// Phases returns the number of Borůvka phases the shortcut-MST took — the
-// v2 companion to Cost() (BuildCost's third value).
+// Phases returns the number of Borůvka phases the simulated shortcut-MST
+// took — the v2 companion to Cost() (BuildCost's third value). It is zero
+// unless the snapshot descends from a build with SnapshotOptions.Distributed.
 func (sn *Snapshot) Phases() int { return sn.phases }
 
 // Cost returns the unified v2 accounting of the snapshot build: the
-// shortcut-MST's simulated rounds/messages and scheduler stats, plus the
+// simulated shortcut-MST's rounds/messages and scheduler stats (zero
+// unless the build ran with SnapshotOptions.Distributed), plus the
 // wall-clock time of the whole build (partition validation through tree
 // indexing). For a delta snapshot (Generation > 0) it is the update's wall
 // time alone: the update simulates nothing, so rounds, messages and

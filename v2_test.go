@@ -283,6 +283,39 @@ func TestV2BudgetExceededTaxonomy(t *testing.T) {
 	}
 }
 
+// TestV2SnapshotAccounting pins WithDistributedAccounting on the snapshot
+// build: off by default, the build simulates nothing — zero simulated cost
+// and phases, and WithMaxRounds has no rounds to bound — while on, it
+// records the simulated shortcut-MST's cost (and a round budget applies).
+// The served tree is the same either way.
+func TestV2SnapshotAccounting(t *testing.T) {
+	fx := makeV2Fixture(t)
+	ctx := context.Background()
+	opts := []repro.Option{repro.WithSeed(3), repro.WithDiameter(5), repro.WithSamplingBoost(0.3)}
+	plain, err := repro.NewSnapshotCtx(ctx, fx.g, fx.w, fx.parts, append(opts, repro.WithMaxRounds(1))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := plain.Cost(); c.Wall <= 0 || c != (repro.Cost{Wall: c.Wall}) || plain.Phases() != 0 {
+		t.Fatalf("default build Cost %+v, %d phases; want wall time only", c, plain.Phases())
+	}
+	sim, err := repro.NewSnapshotCtx(ctx, fx.g, fx.w, fx.parts, append(opts, repro.WithDistributedAccounting(true))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := sim.Cost(); c.Rounds == 0 || c.Messages == 0 || sim.Phases() == 0 {
+		t.Fatalf("accounted build Cost %+v, %d phases; want the simulated MST's", c, sim.Phases())
+	}
+	if !reflect.DeepEqual(plain.Tree(), sim.Tree()) || plain.TreeWeight() != sim.TreeWeight() {
+		t.Fatal("accounting changed the served tree")
+	}
+	_, err = repro.NewSnapshotCtx(ctx, fx.g, fx.w, fx.parts,
+		append(opts, repro.WithDistributedAccounting(true), repro.WithMaxRounds(1))...)
+	if repro.ErrorKindOf(err) != repro.KindBudgetExceeded {
+		t.Fatalf("accounted build under WithMaxRounds(1): got %v, want KindBudgetExceeded", err)
+	}
+}
+
 // TestV2FacadeCancellation asserts the facade's context-first entry points
 // abort on a canceled context with the canceled taxonomy.
 func TestV2FacadeCancellation(t *testing.T) {
