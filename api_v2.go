@@ -211,12 +211,13 @@ func checkTree(g *Graph, tree []EdgeID) error {
 // NewSnapshotCtx builds the serving state under ctx: partition validation,
 // centralized shortcut construction, quality measurement, the shortcut-MST
 // from the centralized Borůvka mirror, and tree indexing, cancelable
-// between sampling steps and between parts of the quality sweep. The
-// snapshot reports zero simulated cost, and its sssp answers charge zero
-// rounds and messages, unless WithDistributedAccounting(true) also runs
-// the simulated CONGEST shortcut-MST to record its cost; that simulation
-// checks ctx at every simulated round, so a multi-second accounted build
-// aborts within one round of cancellation. Requires WithSeed.
+// between sampling steps and between the quality measurement's 64-source
+// sweeps. The snapshot reports zero simulated cost, and its sssp answers
+// charge zero rounds and messages, unless WithDistributedAccounting(true)
+// also runs the simulated CONGEST shortcut-MST to record its cost; that
+// simulation checks ctx at every simulated round, so a multi-second
+// accounted build aborts within one round of cancellation. Requires
+// WithSeed.
 func NewSnapshotCtx(ctx context.Context, g *Graph, w Weights, parts [][]NodeID, opts ...Option) (*Snapshot, error) {
 	cfg, err := NewConfig(opts...)
 	if err != nil {

@@ -32,6 +32,8 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
+	"strings"
 	"syscall"
 	"time"
 
@@ -112,6 +114,9 @@ func run(args []string, stdout io.Writer, ready func(listen, admin string)) erro
 	g := snap.Graph()
 	fmt.Fprintf(stdout, "lcsserve: serving n=%d m=%d generation=%d on %s (admin %s)\n",
 		g.NumNodes(), g.NumEdges(), snap.Generation(), serveLn.Addr(), adminLn.Addr())
+	if *snapIn != "" {
+		reportStrayTemps(stdout, filepath.Dir(*snapIn))
+	}
 	if ready != nil {
 		ready(serveLn.Addr().String(), adminLn.Addr().String())
 	}
@@ -153,6 +158,20 @@ func run(args []string, stdout io.Writer, ready func(listen, admin string)) erro
 	}
 	fmt.Fprintln(stdout, "lcsserve: drained")
 	return errShutdown
+}
+
+// reportStrayTemps names, in one line, the snapshot temp files in dir that
+// an interrupted write left behind. It removes none: another writer may be
+// streaming into one of them.
+func reportStrayTemps(stdout io.Writer, dir string) {
+	stray, err := serve.StrayTemps(dir)
+	switch {
+	case err != nil:
+		fmt.Fprintf(stdout, "lcsserve: cannot list %s for stray snapshot temp files: %v\n", dir, err)
+	case len(stray) > 0:
+		fmt.Fprintf(stdout, "lcsserve: %d stray snapshot temp file(s), left by an interrupted write or owned by a live one, not removed: %s\n",
+			len(stray), strings.Join(stray, " "))
+	}
 }
 
 // bootSnapshot resolves the boot state: load a persisted snapshot, or read

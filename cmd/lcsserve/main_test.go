@@ -182,8 +182,47 @@ func TestFlagValidation(t *testing.T) {
 }
 
 // TestServeFromSnapshotFile boots from a persisted snapshot (the mmap
-// path) and serves a query — the snapshot-shipping deployment shape.
+// path) and serves a query — the snapshot-shipping deployment shape. A
+// clean directory gets no stray-temp line.
 func TestServeFromSnapshotFile(t *testing.T) {
+	if out := serveSnapshotFile(t, t.TempDir()); strings.Contains(out, "stray") {
+		t.Fatalf("clean boot reported stray temp files:\n%s", out)
+	}
+}
+
+// TestBootReportsStrayTemps plants two temp files of the kind a
+// WriteSnapshotFile interrupted before its rename leaves next to the
+// snapshot: boot names both in one line, removes neither, and still serves.
+func TestBootReportsStrayTemps(t *testing.T) {
+	dir := t.TempDir()
+	stray := []string{filepath.Join(dir, ".snap-1111"), filepath.Join(dir, ".snap-2222")}
+	for _, p := range stray {
+		if err := os.WriteFile(p, []byte("torn"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := serveSnapshotFile(t, dir)
+	var lines []string
+	for _, l := range strings.Split(out, "\n") {
+		if strings.Contains(l, "stray snapshot temp") {
+			lines = append(lines, l)
+		}
+	}
+	if len(lines) != 1 || !strings.Contains(lines[0], stray[0]) || !strings.Contains(lines[0], stray[1]) {
+		t.Fatalf("want one boot line naming %v, got:\n%s", stray, out)
+	}
+	for _, p := range stray {
+		if _, err := os.Stat(p); err != nil {
+			t.Fatalf("boot touched %s: %v", p, err)
+		}
+	}
+}
+
+// serveSnapshotFile writes a snapshot into dir, boots lcsserve from it,
+// serves one mst query, drains the server with SIGTERM and returns its
+// output.
+func serveSnapshotFile(t *testing.T, dir string) string {
+	t.Helper()
 	rng := rand.New(rand.NewSource(4))
 	var g *graph.Graph
 	for {
@@ -201,7 +240,7 @@ func TestServeFromSnapshotFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "state.snap")
+	path := filepath.Join(dir, "state.snap")
 	if err := serve.WriteSnapshotFile(path, snap); err != nil {
 		t.Fatal(err)
 	}
@@ -248,4 +287,5 @@ func TestServeFromSnapshotFile(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("server never drained")
 	}
+	return out.String()
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"slices"
+	"strconv"
 	"testing"
 )
 
@@ -237,56 +238,71 @@ func FuzzBitset(f *testing.F) {
 	})
 }
 
-// FuzzDiameterAmong cross-checks the bit-parallel DiameterAmong against the
-// one-BFS-per-node oracle on views decoded from the fuzz bytes. Graphs have
-// up to 80 nodes, so interest sets cross the 64-source chunk boundary.
-// Decoding: size picks n; data's first 10 bytes are S's membership bitmask
-// (bit i of byte i/8 for node i); the remaining bytes are edge pairs (a, b),
-// and a's high bit also puts the edge in H. The interest set is S.
+// FuzzDiameterAmong cross-checks the packed DiametersAmong against the
+// one-BFS-per-node oracle, set by set, on three vertex-disjoint sets decoded
+// from the fuzz bytes. Graphs have up to 80 nodes, so sets cross the
+// 64-source word boundary and share words. Decoding: size%80 picks n, and
+// size's high bit makes set 2's view saturated (H = E) instead of induced;
+// data's first 20 bytes hold two bits per node (bits 2(i%4) of byte i/4 for
+// node i: 0 for no set, 1–3 for sets 0–2); the remaining bytes are edge
+// pairs (a, b), and a's high bit puts the edge in set 0's H, b's in set 1's.
 func FuzzDiameterAmong(f *testing.F) {
-	everyNode := bytes.Repeat([]byte{0xff}, 10)
-	everyOther := bytes.Repeat([]byte{0x55}, 10)
+	everyNode := bytes.Repeat([]byte{0x55}, 20)     // all in set 0
+	threeWays := bytes.Repeat([]byte{0xe4}, 20)     // none, set 0, set 1, set 2 in turn
+	set1Sparse := bytes.Repeat([]byte{0x08, 0}, 10) // every eighth node in set 1
 	path, hPath := make([]byte, 0, 158), make([]byte, 0, 158)
 	for i := byte(0); i < 79; i++ {
 		path = append(path, i, i+1)
-		hPath = append(hPath, i|0x80, i+1)
+		hPath = append(hPath, i|0x80, i+1|0x80)
 	}
-	f.Add(byte(79), slices.Concat(everyNode, path))      // a path through all 80 nodes
-	f.Add(byte(79), slices.Concat(everyOther, hPath))    // S joined only through H
-	f.Add(byte(79), slices.Concat(everyOther, path))     // G[S] has no edges: -1
-	f.Add(byte(69), slices.Concat(everyNode, path[:80])) // part of S cut off: -1
+	f.Add(byte(79), slices.Concat(everyNode, path))       // a path through all 80 nodes
+	f.Add(byte(79), slices.Concat(set1Sparse, hPath))     // set 1 joined only through H
+	f.Add(byte(79|0x80), slices.Concat(threeWays, path))  // sets 0 and 1 induced: -1; set 2 saturated
+	f.Add(byte(69), slices.Concat(everyNode, path[:80]))  // part of set 0 cut off: -1
+	f.Add(byte(79|0x80), slices.Concat(threeWays, hPath)) // all three views in every word
 	f.Fuzz(func(t *testing.T, size byte, data []byte) {
 		n := int(size)%80 + 1
-		var s []NodeID
+		sets := make([]AmongSet, 3)
 		for i := 0; i < n; i++ {
-			if i/8 < len(data) && data[i/8]&(1<<(i%8)) != 0 {
-				s = append(s, NodeID(i))
+			if i/4 < len(data) {
+				if j := data[i/4] >> (2 * (i % 4)) & 3; j > 0 {
+					sets[j-1].S = append(sets[j-1].S, NodeID(i))
+				}
 			}
 		}
 		b := NewBuilder(n)
-		var hPairs [][2]NodeID
-		for i := 10; i+1 < len(data); i += 2 {
-			u, v := NodeID(int(data[i]&0x7f)%n), NodeID(int(data[i+1])%n)
+		var inH [2][][2]NodeID
+		for i := 20; i+1 < len(data); i += 2 {
+			u, v := NodeID(int(data[i]&0x7f)%n), NodeID(int(data[i+1]&0x7f)%n)
 			if u == v {
 				continue
 			}
 			b.TryAddEdge(u, v)
-			if data[i]&0x80 != 0 {
-				hPairs = append(hPairs, [2]NodeID{u, v})
+			for j, hi := range []byte{data[i], data[i+1]} {
+				if hi&0x80 != 0 {
+					inH[j] = append(inH[j], [2]NodeID{u, v})
+				}
 			}
 		}
 		g := b.Build()
-		h := make([]EdgeID, 0, len(hPairs))
-		for _, p := range hPairs {
-			e, ok := g.FindEdge(p[0], p[1])
-			if !ok {
-				t.Fatalf("edge {%d,%d} missing after Build", p[0], p[1])
+		for j, pairs := range inH {
+			seen := NewBitset(g.NumEdges())
+			for _, p := range pairs {
+				e, ok := g.FindEdge(p[0], p[1])
+				if !ok {
+					t.Fatalf("edge {%d,%d} missing after Build", p[0], p[1])
+				}
+				if !seen.Has(e) { // H lists each edge once
+					seen.Set(e)
+					sets[j].H = append(sets[j].H, e)
+				}
 			}
-			h = append(h, e)
 		}
-		v := NewAugmentedView(g, s, h)
-		if got, want := v.DiameterAmong(s), diameterAmongOracle(v, s); got != want {
-			t.Fatalf("n=%d |S|=%d |H|=%d: DiameterAmong = %d, oracle %d", n, len(s), len(h), got, want)
+		if size&0x80 != 0 {
+			for e := 0; e < g.NumEdges(); e++ {
+				sets[2].H = append(sets[2].H, EdgeID(e))
+			}
 		}
+		checkAgainstOracle(t, "n="+strconv.Itoa(n), g, sets)
 	})
 }

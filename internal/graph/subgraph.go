@@ -1,5 +1,7 @@
 package graph
 
+import "context"
+
 // AugmentedView is a read-only view of the subgraph G[S] ∪ H where S is a
 // node set and H is a set of extra undirected edges of G (by EdgeID). This is
 // exactly the augmented subgraph whose diameter the shortcut dilation bound
@@ -8,12 +10,13 @@ package graph
 //
 // Nodes of the view are: every node of S, plus every endpoint of an edge of
 // H. Views share the parent graph's storage and are cheap to create relative
-// to copying the subgraph.
+// to copying the subgraph. Exact dilation does not build views
+// (DiametersAmong admits arcs by the same rule); the leader-eccentricity
+// bracket and the tests' oracles do.
 type AugmentedView struct {
-	g     *Graph
-	inS   *Bitset // node membership in S
-	inH   *Bitset // edge membership in H
-	nodes []NodeID
+	g   *Graph
+	inS *Bitset // node membership in S
+	inH *Bitset // edge membership in H
 }
 
 // NewAugmentedView builds the view of G[S] ∪ H. The caller retains ownership
@@ -24,43 +27,17 @@ func NewAugmentedView(g *Graph, s []NodeID, h []EdgeID) *AugmentedView {
 		inS: NewBitset(g.NumNodes()),
 		inH: NewBitset(g.NumEdges()),
 	}
-	inView := NewBitset(g.NumNodes())
 	for _, u := range s {
 		v.inS.Set(u)
-		inView.Set(u)
 	}
 	for _, e := range h {
 		v.inH.Set(e)
-		a, b := g.EdgeEndpoints(e)
-		inView.Set(a)
-		inView.Set(b)
 	}
-	v.nodes = make([]NodeID, 0, inView.Count())
-	inView.ForEach(func(i int32) { v.nodes = append(v.nodes, i) })
 	return v
 }
 
 // Graph returns the parent graph.
 func (v *AugmentedView) Graph() *Graph { return v.g }
-
-// Nodes returns the nodes of the view (S plus endpoints of H) in increasing
-// order. Callers must not modify the returned slice.
-func (v *AugmentedView) Nodes() []NodeID { return v.nodes }
-
-// HasNode reports whether u belongs to the view.
-func (v *AugmentedView) HasNode(u NodeID) bool {
-	return v.inS.Has(u) || v.touchesH(u)
-}
-
-func (v *AugmentedView) touchesH(u NodeID) bool {
-	lo, hi := v.g.ArcRange(u)
-	for a := lo; a < hi; a++ {
-		if v.inH.Has(v.g.ArcEdge(a)) {
-			return true
-		}
-	}
-	return false
-}
 
 // UsableArc reports whether the directed arc (u, v) with edge e may be
 // traversed inside the view.
@@ -84,87 +61,6 @@ func (v *AugmentedView) BFS(src NodeID) *BFSResult {
 	return FilteredBFS(v.g, src, v.Filter())
 }
 
-// DiameterAmong returns the largest pairwise hop distance *between nodes of
-// the set interest* inside the view, or -1 if some pair of interest nodes is
-// disconnected in the view. This is the exact dilation of the augmented
-// subgraph with respect to S.
-//
-// It runs a level-synchronous multi-source BFS from 64 interest nodes at a
-// time, one bit per source in a uint64 per node (Then et al., VLDB 2014).
-// A source's bit first reaches a node at exactly the node's BFS level from
-// that source, so the deepest level at which an interest node gains a bit is
-// the largest distance from the chunk's sources to the interest set.
-func (v *AugmentedView) DiameterAmong(interest []NodeID) int32 {
-	g := v.g
-	n := g.NumNodes()
-	isInterest := NewBitset(n)
-	for _, t := range interest {
-		isInterest.Set(t)
-	}
-	// seen: source bits a node has been reached by; cur: bits it gained at
-	// the current level; next: bits it gains at the level being expanded.
-	seen := make([]uint64, n)
-	cur := make([]uint64, n)
-	next := make([]uint64, n)
-	// Frontiers hold view nodes plus, at level 0, the chunk's sources.
-	frontier := make([]NodeID, 0, len(v.nodes)+64)
-	grown := make([]NodeID, 0, len(v.nodes)+64)
-	var diam int32
-	for lo := 0; lo < len(interest); lo += 64 {
-		chunk := interest[lo:min(lo+64, len(interest))]
-		frontier = frontier[:0]
-		for i, s := range chunk {
-			if cur[s] == 0 {
-				frontier = append(frontier, s)
-			}
-			cur[s] |= 1 << i
-			seen[s] |= 1 << i
-		}
-		for level := int32(1); len(frontier) > 0; level++ {
-			grown = grown[:0]
-			for _, u := range frontier {
-				bits := cur[u]
-				alo, ahi := g.ArcRange(u)
-				for a := alo; a < ahi; a++ {
-					w := g.neighbors[a]
-					gain := bits &^ (seen[w] | next[w])
-					if gain == 0 || !v.UsableArc(u, w, g.arcEdge[a]) {
-						continue
-					}
-					if next[w] == 0 {
-						grown = append(grown, w)
-					}
-					next[w] |= gain
-				}
-			}
-			for _, u := range frontier {
-				cur[u] = 0
-			}
-			for _, w := range grown {
-				cur[w], seen[w], next[w] = next[w], seen[w]|next[w], 0
-				if level > diam && isInterest.Has(w) {
-					diam = level
-				}
-			}
-			frontier, grown = grown, frontier
-		}
-		all := ^uint64(0) >> (64 - len(chunk))
-		for _, t := range interest {
-			if seen[t] != all {
-				return -1
-			}
-		}
-		// Only view nodes and the chunk's own sources can hold bits.
-		for _, u := range v.nodes {
-			seen[u] = 0
-		}
-		for _, s := range chunk {
-			seen[s] = 0
-		}
-	}
-	return diam
-}
-
 // EccentricityAmong returns the largest hop distance from src to any node of
 // interest inside the view, or -1 if some interest node is unreachable.
 // In a connected view, the true diameter among interest nodes lies in
@@ -182,4 +78,347 @@ func (v *AugmentedView) EccentricityAmong(src NodeID, interest []NodeID) int32 {
 		}
 	}
 	return ecc
+}
+
+// AmongSet is one set of DiametersAmong: the nodes S whose pairwise
+// distances are measured, and the extra edges H of their view G[S] ∪ H (the
+// view NewAugmentedView(g, S, H) describes). H lists each edge at most once.
+type AmongSet struct {
+	S []NodeID
+	H []EdgeID
+}
+
+// pullFactor picks each level's direction in DiametersAmong: the level
+// pulls when pullFactor·|frontier| ≥ |unfinished nodes|, and pushes
+// otherwise. A pulled arc reads one word where a pushed arc reads two and
+// mostly writes one, so pulling pays before the frontier outnumbers the
+// unfinished nodes (DESIGN.md "Measuring dilation" has the measurements).
+const pullFactor = 2
+
+// DiametersAmong returns, for each of the vertex-disjoint sets, the largest
+// hop distance between two of its nodes inside its own view G[S] ∪ H, or -1
+// if some pair of them is disconnected there: the exact dilation of every
+// augmented part, measured in one pass.
+//
+// It is a level-synchronous multi-source BFS with one bit per source in a
+// uint64 per node (Then et al., VLDB 2014). The sets' nodes, concatenated
+// in order, are the sources, 64 to a word: consecutive sets share a word,
+// and a set of more than 64 nodes spans several. A bit crosses only the arcs
+// its own set's view admits, so it first reaches a node at the node's BFS
+// level from its source in that view, and a node counts only its own set's
+// bits toward that set's diameter. A level pushes from the frontier while it
+// is small and pulls into the unfinished nodes once it is large (Beamer et
+// al., SC 2012), and a word ends once every node of its sets holds all of
+// its own set's bits. See DESIGN.md "Measuring dilation".
+//
+// ctx (nil: never canceled) is checked before every 64-source sweep; once it
+// is done, DiametersAmong returns ctx.Err().
+func DiametersAmong(ctx context.Context, g *Graph, sets []AmongSet) ([]int32, error) {
+	n := g.NumNodes()
+	k := &packedBFS{
+		g:     g,
+		sets:  sets,
+		own:   make([]int32, n),
+		seen:  make([]uint64, n),
+		cur:   make([]uint64, n),
+		next:  make([]uint64, n),
+		mask:  make([]uint64, len(sets)),
+		hBits: make([]*Bitset, len(sets)),
+		diam:  make([]int32, len(sets)),
+	}
+	for v := range k.own {
+		k.own[v] = -1
+	}
+	for j, set := range sets {
+		for _, v := range set.S {
+			k.own[v] = int32(j)
+		}
+	}
+	j, off := 0, 0 // the next source is sets[j].S[off]
+	for {
+		k.parts, k.sources = k.parts[:0], k.sources[:0]
+		for ; len(k.sources) < 64 && j < len(sets); j, off = j+1, 0 {
+			s := sets[j].S[off:]
+			t := min(len(s), 64-len(k.sources))
+			if t == 0 {
+				continue
+			}
+			k.parts = append(k.parts, wordPart{
+				set:  j,
+				bits: (uint64(1)<<t - 1) << len(k.sources),
+				last: t == len(s),
+			})
+			k.sources = append(k.sources, s[:t]...)
+			if t < len(s) {
+				off += t
+				break
+			}
+		}
+		if len(k.sources) == 0 {
+			return k.diam, nil
+		}
+		if ctx != nil {
+			select {
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			default:
+			}
+		}
+		k.sweep()
+	}
+}
+
+// packedBFS is DiametersAmong's scratch, allocated once per call.
+type packedBFS struct {
+	g    *Graph
+	sets []AmongSet
+	own  []int32 // node -> index of its set, -1 outside every set
+
+	// seen: the bits a node holds; cur: the bits it gained at the last
+	// level; next: the bits it gains at the level being expanded.
+	seen, cur, next []uint64
+
+	// The current word: its sources, its sets with their bits, and each
+	// set's bits by set index (0 for sets outside the word).
+	sources []NodeID
+	parts   []wordPart
+	mask    []uint64
+	// sat and samp are the bits of the word's saturated sets (H = E) and of
+	// its sampled ones (H ≠ ∅, H ≠ E); sampled lists the latter with their
+	// H as an edge bitset. hBits holds a sampled set's bitset from its first
+	// word to its last; free keeps released bitsets, cleared, for reuse.
+	sat, samp uint64
+	sampled   []sampledPart
+	hBits     []*Bitset
+	free      []*Bitset
+
+	frontier, grown, touched, cand []NodeID
+	diam                           []int32
+}
+
+type wordPart struct {
+	set  int
+	bits uint64
+	last bool // the set's last word
+}
+
+type sampledPart struct {
+	bits uint64
+	h    *Bitset
+}
+
+// sweep runs the BFS of the current word's sources and folds its levels
+// into the word's sets' diameters.
+func (k *packedBFS) sweep() {
+	g, own, seen, cur, next := k.g, k.own, k.seen, k.cur, k.next
+	m := g.NumEdges()
+	k.sat, k.samp, k.sampled = 0, 0, k.sampled[:0]
+	// pending counts the word's set nodes that lack some of their own set's
+	// bits; unfinished counts the nodes that may still gain a bit.
+	pending := 0
+	for _, p := range k.parts {
+		set := k.sets[p.set]
+		k.mask[p.set] = p.bits
+		pending += len(set.S)
+		switch len(set.H) {
+		case 0:
+		case m:
+			k.sat |= p.bits
+		default:
+			k.samp |= p.bits
+			k.sampled = append(k.sampled, sampledPart{bits: p.bits, h: k.edgeSet(p.set)})
+		}
+	}
+	wide := k.sat|k.samp != 0
+	unfinished := pending
+	if wide {
+		unfinished = g.NumNodes()
+	}
+	candReady := false
+
+	frontier, grown := k.frontier[:0], k.grown[:0]
+	k.touched = k.touched[:0]
+	for i, s := range k.sources {
+		next[s] = 1 << i
+		grown = append(grown, s)
+	}
+	for level := int32(0); ; level++ {
+		for _, u := range frontier {
+			cur[u] = 0
+		}
+		for _, w := range grown {
+			gain := next[w]
+			next[w] = 0
+			if seen[w] == 0 {
+				k.touched = append(k.touched, w)
+			}
+			cur[w] = gain
+			seen[w] |= gain
+			var om uint64
+			if o := own[w]; o >= 0 {
+				om = k.mask[o]
+				if gain&om != 0 {
+					if d := k.diam[o]; d >= 0 && level > d {
+						k.diam[o] = level
+					}
+					if seen[w]&om == om {
+						pending--
+					}
+				}
+			}
+			if r := k.sat | k.samp | om; seen[w]&r == r {
+				unfinished--
+			}
+		}
+		frontier, grown = grown, frontier[:0]
+		if len(frontier) == 0 || pending == 0 {
+			break
+		}
+		if pullFactor*len(frontier) >= unfinished {
+			if !candReady {
+				k.candidates(wide)
+				candReady = true
+			}
+			grown = k.pull(grown)
+		} else {
+			grown = k.push(frontier, grown)
+		}
+	}
+	k.frontier, k.grown = frontier, grown
+
+	if pending > 0 {
+		// The frontier died out before every set node held its own set's
+		// bits: those sets are disconnected in their views.
+		for _, p := range k.parts {
+			for _, v := range k.sets[p.set].S {
+				if seen[v]&p.bits != p.bits {
+					k.diam[p.set] = -1
+					break
+				}
+			}
+		}
+	}
+	for _, v := range k.touched {
+		seen[v], cur[v] = 0, 0
+	}
+	for _, p := range k.parts {
+		k.mask[p.set] = 0
+		if h := k.hBits[p.set]; h != nil && p.last {
+			for _, e := range k.sets[p.set].H {
+				h.Clear(e)
+			}
+			k.free = append(k.free, h)
+			k.hBits[p.set] = nil
+		}
+	}
+}
+
+// edgeSet returns sampled set j's H as an edge bitset, filling one at the
+// set's first word.
+func (k *packedBFS) edgeSet(j int) *Bitset {
+	if h := k.hBits[j]; h != nil {
+		return h
+	}
+	var h *Bitset
+	if l := len(k.free); l > 0 {
+		h, k.free = k.free[l-1], k.free[:l-1]
+	} else {
+		h = NewBitset(k.g.NumEdges())
+	}
+	for _, e := range k.sets[j].H {
+		h.Set(e)
+	}
+	k.hBits[j] = h
+	return h
+}
+
+// admit returns the bits of gain that may cross the arc (u, w) of edge e:
+// a saturated set's bits over every arc, a set's bits over its intra-set
+// arcs, and a sampled set's bits over its H edges.
+func (k *packedBFS) admit(gain uint64, u, w NodeID, e EdgeID) uint64 {
+	ok := gain & k.sat
+	if o := k.own[u]; o >= 0 && o == k.own[w] {
+		ok |= gain & k.mask[o]
+	}
+	for _, sp := range k.sampled {
+		if gain&sp.bits != 0 && sp.h.Has(e) {
+			ok |= gain & sp.bits
+		}
+	}
+	return ok
+}
+
+// push expands the frontier along its arcs and appends to grown every node
+// that gains a bit.
+func (k *packedBFS) push(frontier, grown []NodeID) []NodeID {
+	g, seen, cur, next, sat := k.g, k.seen, k.cur, k.next, k.sat
+	for _, u := range frontier {
+		bits := cur[u]
+		for a := g.offsets[u]; a < g.offsets[u+1]; a++ {
+			w := g.neighbors[a]
+			gain := bits &^ (seen[w] | next[w])
+			if gain&^sat != 0 {
+				gain = k.admit(gain, u, w, g.arcEdge[a])
+			}
+			if gain == 0 {
+				continue
+			}
+			if next[w] == 0 {
+				grown = append(grown, w)
+			}
+			next[w] |= gain
+		}
+	}
+	return grown
+}
+
+// candidates lists the nodes a pull scans: every node when the word holds
+// bits of a saturated or sampled set, else the nodes of the word's sets,
+// the only ones an intra-set bit can reach.
+func (k *packedBFS) candidates(wide bool) {
+	k.cand = k.cand[:0]
+	if wide {
+		for v := range k.own {
+			k.cand = append(k.cand, NodeID(v))
+		}
+		return
+	}
+	for _, p := range k.parts {
+		k.cand = append(k.cand, k.sets[p.set].S...)
+	}
+}
+
+// pull lets every unfinished candidate collect its neighbours' bits of the
+// last level, stopping once it holds every bit it lacked, appends to grown
+// every node that gains a bit, and drops finished candidates.
+func (k *packedBFS) pull(grown []NodeID) []NodeID {
+	g, own, seen, cur, next, sat := k.g, k.own, k.seen, k.cur, k.next, k.sat
+	kept := k.cand[:0]
+	for _, w := range k.cand {
+		need := (sat | k.samp) &^ seen[w]
+		if o := own[w]; o >= 0 {
+			need |= k.mask[o] &^ seen[w]
+		}
+		if need == 0 {
+			continue
+		}
+		kept = append(kept, w)
+		var got uint64
+		for a := g.offsets[w]; a < g.offsets[w+1]; a++ {
+			u := g.neighbors[a]
+			gain := cur[u] & need &^ got
+			if gain&^sat != 0 {
+				gain = k.admit(gain, u, w, g.arcEdge[a])
+			}
+			if got |= gain; got == need {
+				break
+			}
+		}
+		if got != 0 {
+			next[w] = got
+			grown = append(grown, w)
+		}
+	}
+	k.cand = kept
+	return grown
 }

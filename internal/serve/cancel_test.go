@@ -6,8 +6,11 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/reproerr"
@@ -165,4 +168,115 @@ func TestSnapshotBuildCanceled(t *testing.T) {
 	if reproerr.KindOf(err) != reproerr.KindCanceled {
 		t.Fatalf("want KindCanceled, got %v", err)
 	}
+}
+
+// doneAt is a context whose Done channel reads open (nil) for its first k-1
+// calls and closed from the k-th on, with Err agreeing: a cancellation that
+// lands at one exact check, with no timers.
+type doneAt struct {
+	context.Context
+	k     int64
+	calls atomic.Int64
+}
+
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+func (c *doneAt) Done() <-chan struct{} {
+	if c.calls.Add(1) >= c.k {
+		return closedDone
+	}
+	return nil
+}
+
+func (c *doneAt) Err() error {
+	if c.calls.Load() >= c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelInsideDilation cancels NewSnapshot and ApplyDelta at each of
+// their cancellation checks in turn. Every canceled call returns no
+// snapshot and KindCanceled wrapping context.Canceled, and a canceled delta
+// leaves its base snapshot as it was. Several of the checks fall inside
+// the dilation measurement, the phase that is nearly all of a default
+// build: it checks between 64-source sweeps, and a cancel there fails the
+// call with the measurement's error.
+func TestCancelInsideDilation(t *testing.T) {
+	fx := makeFixture(t, 600, 5)
+	build := func(ctx context.Context) (*serve.Snapshot, error) {
+		return serve.NewSnapshot(fx.g, fx.w, fx.parts, serve.SnapshotOptions{
+			Rng: rand.New(rand.NewSource(5)), LogFactor: 0.3, Ctx: ctx,
+		})
+	}
+	base, err := build(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := build(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := gen.InsertDelta(fx.g, 24, rand.New(rand.NewSource(6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, refSrv := serve.NewServer(base, serve.ServerOptions{}), serve.NewServer(ref, serve.ServerOptions{})
+
+	for _, tc := range []struct {
+		name string
+		run  func(ctx context.Context) (*serve.Snapshot, error)
+	}{
+		{"NewSnapshot", build},
+		{"ApplyDelta", func(ctx context.Context) (*serve.Snapshot, error) {
+			return serve.ApplyDelta(ctx, base, d, serve.DeltaOptions{})
+		}},
+	} {
+		inside := 0
+		for k := int64(1); ; k++ {
+			ctx := &doneAt{Context: context.Background(), k: k}
+			sn, err := tc.run(ctx)
+			if err == nil {
+				if k == 1 {
+					t.Fatalf("%s: no cancellation check", tc.name)
+				}
+				break
+			}
+			if sn != nil {
+				t.Fatalf("%s: canceled at check %d, returned a snapshot", tc.name, k)
+			}
+			if !errors.Is(err, context.Canceled) || reproerr.KindOf(err) != reproerr.KindCanceled {
+				t.Fatalf("%s: canceled at check %d: err %v, want KindCanceled wrapping context.Canceled", tc.name, k, err)
+			}
+			if strings.Contains(err.Error(), "quality: shortcut.Dilation: ") {
+				inside++
+			}
+			assertSnapshotsEqual(t, tc.name+" base", base, ref)
+			for i := 0; i < base.Partition().NumParts(); i++ {
+				got, err1 := srv.Serve(serve.QualityQuery{Part: i})
+				want, err2 := refSrv.Serve(serve.QualityQuery{Part: i})
+				if err1 != nil || err2 != nil {
+					t.Fatal(err1, err2)
+				}
+				assertAnswersEqual(t, tc.name+" base", got, want)
+			}
+		}
+		if inside < 2 {
+			t.Fatalf("%s: %d cancellation checks inside the dilation measurement, want at least 2", tc.name, inside)
+		}
+		t.Logf("%s: %d of its cancellation checks sit inside the dilation measurement", tc.name, inside)
+	}
+	got, err := serve.ApplyDelta(context.Background(), base, d, serve.DeltaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := serve.ApplyDelta(context.Background(), ref, d, serve.DeltaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSnapshotsEqual(t, "delta after cancellations", got, want)
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"sort"
 	"time"
 
 	"repro/internal/cost"
@@ -30,8 +29,9 @@ type DeltaOptions struct{}
 //     surviving edges their old draws and inserted edges fresh ones, so a
 //     part the delta did not reach keeps its H (under the edge remap);
 //   - per-part dilation is re-measured only for parts whose augmented
-//     subgraph changed (H changed, or an intra-part edge came or went);
-//     congestion is recounted (O(m));
+//     subgraph changed (H changed, or an intra-part edge came or went), in
+//     one shortcut.DilationsOf pass over their ascending list; congestion
+//     is recounted (O(m));
 //   - the shortcut-MST is re-derived through the centralized Borůvka
 //     mirror, as NewSnapshot derives it (bit-identical to the simulated
 //     construction, which neither path needs for the tree).
@@ -72,28 +72,26 @@ func ApplyDelta(ctx context.Context, old *Snapshot, delta graph.Delta, _ DeltaOp
 	}
 
 	// Parts whose induced subgraph a deletion touches (connectivity
-	// recheck) — resolved against the OLD graph's partition (part
-	// membership never shifts under a delta).
-	recheckSet := make(map[int]struct{})
-	qualityTouched := make(map[int]struct{})
+	// recheck) and parts whose dilation must be re-measured — resolved
+	// against the OLD graph's partition (part membership never shifts
+	// under a delta).
+	rechecked := make([]bool, old.p.NumParts())
+	remeasured := make([]bool, old.p.NumParts())
 	for _, uv := range delta.Delete {
 		pu, pv := old.p.PartOf(uv[0]), old.p.PartOf(uv[1])
 		if pu >= 0 && pu == pv {
-			recheckSet[int(pu)] = struct{}{}
-			qualityTouched[int(pu)] = struct{}{}
+			rechecked[pu] = true
+			remeasured[pu] = true
 		}
 	}
 	for _, de := range delta.Insert {
 		pu, pv := old.p.PartOf(de.U), old.p.PartOf(de.V)
 		if pu >= 0 && pu == pv {
-			qualityTouched[int(pu)] = struct{}{}
+			remeasured[pu] = true
 		}
 	}
-	recheck := make([]int, 0, len(recheckSet))
-	for pi := range recheckSet {
-		recheck = append(recheck, pi)
-	}
-	sort.Ints(recheck) // deterministic validation order (and error attribution)
+	// Ascending: a deterministic validation order (and error attribution).
+	recheck := marked(rechecked)
 
 	p2, err := old.p.Rebind(g2, recheck)
 	if err != nil {
@@ -108,23 +106,21 @@ func ApplyDelta(ctx context.Context, old *Snapshot, delta graph.Delta, _ DeltaOp
 	}
 	touched := changedParts(old.s.H, s2.H, rm.OldToNew)
 	for _, pi := range touched {
-		qualityTouched[pi] = struct{}{}
+		remeasured[pi] = true
 	}
+	remeasure := marked(remeasured)
 
 	// Re-measure dilation only where the augmented subgraph changed;
 	// everything else keeps its per-part record (dilation is a pure
 	// function of the part's augmented subgraph, which did not change).
+	measured, err := s2.DilationsOf(ctx, remeasure, old.dilationCutoff)
+	if err != nil {
+		return nil, reproerr.Errorf(op, reproerr.KindOf(err), "quality: %w", err)
+	}
 	partDil := make([]shortcut.Quality, len(old.partDil))
 	copy(partDil, old.partDil)
-	for pi := range qualityTouched {
-		if err := reproerr.CtxCheck(op, ctx); err != nil {
-			return nil, err
-		}
-		pq, err := s2.PartDilation(pi, old.dilationCutoff)
-		if err != nil {
-			return nil, reproerr.Errorf(op, reproerr.KindOf(err), "quality: %w", err)
-		}
-		partDil[pi] = pq
+	for k, pi := range remeasure {
+		partDil[pi] = measured[k]
 	}
 	quality := shortcut.AggregateQuality(partDil, s2.Congestion())
 
@@ -171,6 +167,17 @@ func ApplyDelta(ctx context.Context, old *Snapshot, delta graph.Delta, _ DeltaOp
 		servRounds:   servRounds,
 		servMessages: servMessages,
 	}, nil
+}
+
+// marked lists, ascending, the indices whose flag is set.
+func marked(flags []bool) []int {
+	var out []int
+	for i, f := range flags {
+		if f {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // changedParts lists, ascending, the parts whose shortcut list in newH is

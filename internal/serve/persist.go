@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"repro/internal/graph"
@@ -277,6 +278,10 @@ func (sn *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	return sw.Finish()
 }
 
+// tempPrefix starts the name of every temporary file WriteSnapshotFile
+// creates.
+const tempPrefix = ".snap-"
+
 // WriteSnapshotFile persists sn at path atomically: the container streams
 // into a temporary file in the same directory and is renamed over path only
 // after a successful Finish, so a reader (or a replica's SwapFromFile) never
@@ -284,7 +289,7 @@ func (sn *Snapshot) WriteTo(w io.Writer) (int64, error) {
 func WriteSnapshotFile(path string, sn *Snapshot) error {
 	const op = "serve.WriteSnapshotFile"
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".snap-*")
+	tmp, err := os.CreateTemp(dir, tempPrefix+"*")
 	if err != nil {
 		return reproerr.Errorf(op, reproerr.KindUnknown, "create temp: %w", err)
 	}
@@ -312,6 +317,24 @@ func WriteSnapshotFile(path string, sn *Snapshot) error {
 		return reproerr.Errorf(op, reproerr.KindUnknown, "rename: %w", err)
 	}
 	return nil
+}
+
+// StrayTemps lists, by path, the WriteSnapshotFile temporary files in dir:
+// a writer that died between creating one and renaming it left it behind,
+// or a live writer is still streaming into it. Nothing removes them, since
+// only their writer can tell the two apart.
+func StrayTemps(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), tempPrefix) {
+			out = append(out, filepath.Join(dir, e.Name()))
+		}
+	}
+	return out, nil
 }
 
 // LoadOptions configures LoadSnapshot / ReadSnapshot. The zero value is the

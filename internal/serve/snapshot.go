@@ -74,9 +74,9 @@ type SnapshotOptions struct {
 	Distributed bool
 	// Ctx, when non-nil, cancels the build cooperatively: the shortcut
 	// construction checks it between sampling steps, the quality
-	// measurement between parts, and, with Distributed, the simulated
-	// shortcut-MST at every round and scheduler drain step. Without
-	// Distributed there are no simulated rounds to cancel.
+	// measurement between 64-source sweeps, and, with Distributed, the
+	// simulated shortcut-MST at every round and scheduler drain step.
+	// Without Distributed there are no simulated rounds to cancel.
 	Ctx context.Context
 }
 
@@ -238,10 +238,10 @@ func NewSnapshot(g *graph.Graph, w graph.Weights, parts [][]graph.NodeID, opts S
 // is persisted, so the answer survives a file round trip and a delta chain.
 func (sn *Snapshot) simulated() bool { return sn.servRounds > 0 }
 
-// measureQuality computes every part's dilation (cancelable between parts —
-// the per-part BFS sweep is the expensive unit) plus the assignment's
-// congestion, returning both the per-part record the delta path reuses and
-// the aggregated Quality. Measurement and fold live in internal/shortcut
+// measureQuality computes every part's dilation (cancelable between
+// 64-source sweeps, the expensive unit) plus the assignment's congestion,
+// returning both the per-part record the delta path reuses and the
+// aggregated Quality. Measurement and fold live in internal/shortcut
 // (PartDilations / AggregateQuality), shared with DilationCtx, so there is
 // exactly one definition of "quality" for builds, rebuilds, and deltas.
 func measureQuality(ctx context.Context, s *shortcut.Shortcuts, cutoff int) ([]shortcut.Quality, shortcut.Quality, error) {

@@ -149,13 +149,14 @@ func (p *Partition) LargeParts(threshold int) []int {
 // MaxPartDiameter returns the largest induced-subgraph diameter over all
 // parts — the dilation of the trivial (empty) shortcut.
 func (p *Partition) MaxPartDiameter() int32 {
+	sets := make([]graph.AmongSet, len(p.parts))
+	for i, part := range p.parts {
+		sets[i].S = part.Nodes
+	}
+	diam, _ := graph.DiametersAmong(nil, p.g, sets) // a nil ctx never cancels
 	var maxd int32
-	for i := range p.parts {
-		v := graph.NewAugmentedView(p.g, p.parts[i].Nodes, nil)
-		d := v.DiameterAmong(p.parts[i].Nodes)
-		if d > maxd {
-			maxd = d
-		}
+	for _, d := range diam {
+		maxd = max(maxd, d)
 	}
 	return maxd
 }

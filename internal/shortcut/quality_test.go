@@ -1,11 +1,14 @@
 package shortcut
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 // TestCongestionProfileConsistency: the profile histogram's largest nonzero
@@ -130,5 +133,136 @@ func TestPartitionLeaderIsMember(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
+	}
+}
+
+// partDilationOracle is one part's dilation by definition: a BFS from every
+// part node over the arcs of the augmented view G[Si] ∪ Hi, and the largest
+// distance to another part node (-1 if one is unreachable).
+func partDilationOracle(s *Shortcuts, i int) int32 {
+	g := s.P.Graph()
+	part := s.P.Part(i)
+	view := graph.NewAugmentedView(g, part.Nodes, s.h(i))
+	dist := make([]int32, g.NumNodes())
+	queue := make([]graph.NodeID, 0, g.NumNodes())
+	var diam int32
+	for _, src := range part.Nodes {
+		for v := range dist {
+			dist[v] = -1
+		}
+		dist[src] = 0
+		queue = append(queue[:0], src)
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			lo, hi := g.ArcRange(u)
+			for a := lo; a < hi; a++ {
+				if w := g.ArcTarget(a); dist[w] < 0 && view.UsableArc(u, w, g.ArcEdge(a)) {
+					dist[w] = dist[u] + 1
+					queue = append(queue, w)
+				}
+			}
+		}
+		for _, v := range part.Nodes {
+			if dist[v] < 0 {
+				return -1
+			}
+			diam = max(diam, dist[v])
+		}
+	}
+	return diam
+}
+
+// TestPartDilationsMatchOracle pins PartDilations, whose exact parts share
+// packed 64-source words, part by part against the oracle: on servebench's
+// ER shape at n=2000 (sampled, P < 1), on a saturated build of that shape
+// at n=1000 (LogFactor 100), on hard instances of diameter 3 and 4, and on
+// a ClusterChain whose largest parts sit above the cutoff and report the
+// [ecc, 2·ecc] bracket of their leader's BFS.
+func TestPartDilationsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	er := func(n int) (*graph.Graph, [][]graph.NodeID) {
+		for {
+			g := gen.ErdosRenyi(n, 12/float64(n), rng)
+			if !graph.IsConnected(g) {
+				continue
+			}
+			parts, err := gen.VoronoiParts(g, min(64, n/64), rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g, parts
+		}
+	}
+	type fixture struct {
+		name     string
+		g        *graph.Graph
+		parts    [][]graph.NodeID
+		d        int
+		lf       float64
+		cutoff   int
+		sampling string // "sampled" (0 < P < 1) or "saturated" (P = 1)
+	}
+	// servebench's n=2000 build runs at its double-sweep diameter of 4,
+	// where P ≈ 0.60.
+	erG, erParts := er(2000)
+	satG, satParts := er(1000)
+	var fixtures []fixture
+	fixtures = append(fixtures,
+		fixture{"er-2000", erG, erParts, 4, 1, 3000, "sampled"},
+		fixture{"er-1000-saturated", satG, satParts, 4, 100, 3000, "saturated"},
+	)
+	for _, d := range []int{3, 4} {
+		hi, err := gen.NewHardInstance(1500, d, 0, 0, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fixtures = append(fixtures, fixture{fmt.Sprintf("hard-D%d", d), hi.G, hi.Paths, d, 0.3, 3000, "sampled"})
+	}
+	cc, err := gen.ClusterChain(1200, 4, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ccParts, err := gen.VoronoiParts(cc, 12, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixtures = append(fixtures, fixture{"clusterchain", cc, ccParts, 4, 0.3, 150, ""})
+
+	for _, fx := range fixtures {
+		p, err := NewPartition(fx.g, fx.parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Build(fx.g, p, Options{Diameter: fx.d, LogFactor: fx.lf, Rng: rng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch P := s.Params.P; {
+		case fx.sampling == "sampled" && (P <= 0 || P >= 1), fx.sampling == "saturated" && P < 1:
+			t.Fatalf("%s: sampling probability %v (D=%d), want %s", fx.name, P, fx.d, fx.sampling)
+		}
+		got, err := s.PartDilations(context.Background(), fx.cutoff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		brackets := 0
+		for i, q := range got {
+			want := partDilationOracle(s, i)
+			if len(p.Part(i).Nodes) <= fx.cutoff {
+				if !q.Exact || q.DilationLo != want || q.DilationHi != want {
+					t.Fatalf("%s: part %d (%d nodes, |H|=%d): %v, oracle %d", fx.name, i, len(p.Part(i).Nodes), len(s.H[i]), q, want)
+				}
+				continue
+			}
+			brackets++
+			part := p.Part(i)
+			ecc := graph.NewAugmentedView(fx.g, part.Nodes, s.h(i)).EccentricityAmong(part.Leader, part.Nodes)
+			if q.Exact || q.DilationLo != ecc || q.DilationHi != 2*ecc || want < ecc || want > 2*ecc {
+				t.Fatalf("%s: part %d above the cutoff: %v, leader ecc %d, oracle %d", fx.name, i, q, ecc, want)
+			}
+		}
+		if (fx.cutoff < 3000) != (brackets > 0) {
+			t.Fatalf("%s: %d parts above the cutoff %d", fx.name, brackets, fx.cutoff)
+		}
 	}
 }

@@ -136,9 +136,9 @@ func (s *Shortcuts) CongestionProfile() []int {
 }
 
 // Dilation measures the dilation of the shortcut assignment. For parts with
-// at most exactCutoff nodes the per-part diameter is computed exactly (a
-// bit-parallel BFS from every part node inside the augmented view, see
-// graph.AugmentedView.DiameterAmong); larger parts fall back to a certified
+// at most exactCutoff nodes the per-part diameter is computed exactly (one
+// packed bit-parallel BFS over every such part's augmented view, see
+// graph.DiametersAmong); larger parts fall back to a certified
 // 2-approximation from the leader's eccentricity. exactCutoff ≤ 0
 // means always exact. A disconnected augmented part yields an error (Build
 // never produces one: Step 1 keeps G[Si] intact).
@@ -147,8 +147,7 @@ func (s *Shortcuts) Dilation(exactCutoff int) (Quality, error) {
 }
 
 // DilationCtx is Dilation with cooperative cancellation, checked between
-// parts (the per-part BFS sweep is the expensive unit). A nil ctx behaves
-// like context.Background.
+// 64-source sweeps. A nil ctx behaves like context.Background.
 func (s *Shortcuts) DilationCtx(ctx context.Context, exactCutoff int) (Quality, error) {
 	partDil, err := s.PartDilations(ctx, exactCutoff)
 	if err != nil {
@@ -158,22 +157,16 @@ func (s *Shortcuts) DilationCtx(ctx context.Context, exactCutoff int) (Quality, 
 }
 
 // PartDilations measures every part's dilation individually (each returned
-// Quality has Congestion 0), cancelable between parts. This is the per-part
-// record the dynamic snapshot path caches so a delta re-measures only
-// touched parts; AggregateQuality folds it back into DilationCtx's result.
+// Quality has Congestion 0), cancelable between 64-source sweeps. This is
+// the per-part record the dynamic snapshot path caches so a delta
+// re-measures only touched parts; AggregateQuality folds it back into
+// DilationCtx's result.
 func (s *Shortcuts) PartDilations(ctx context.Context, exactCutoff int) ([]Quality, error) {
-	out := make([]Quality, s.P.NumParts())
-	for i := range out {
-		if err := ctxCheck("shortcut.Dilation", ctx); err != nil {
-			return nil, err
-		}
-		pq, err := s.PartDilation(i, exactCutoff)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = pq
+	parts := make([]int, s.P.NumParts())
+	for i := range parts {
+		parts[i] = i
 	}
-	return out, nil
+	return s.DilationsOf(ctx, parts, exactCutoff)
 }
 
 // AggregateQuality folds per-part dilations and a congestion measurement
@@ -196,39 +189,70 @@ func AggregateQuality(partDil []Quality, congestion int) Quality {
 	return q
 }
 
-// PartDilation measures the dilation of part i's augmented subgraph alone —
-// the per-part entry point the serving layer's delta update uses to
-// re-measure only the parts a delta touched, without the all-parts sweep
-// (and the global congestion recount). The returned Quality's Congestion field is
-// zero; callers holding a prebuilt Shortcuts combine it with the congestion
-// they measured once. exactCutoff as in Dilation.
+// PartDilation measures the dilation of part i's augmented subgraph alone.
+// The returned Quality's Congestion field is zero; callers holding a
+// prebuilt Shortcuts combine it with the congestion they measured once.
+// exactCutoff as in Dilation.
 func (s *Shortcuts) PartDilation(i, exactCutoff int) (Quality, error) {
-	var q Quality
-	q.Exact = true
-	if i < 0 || i >= s.P.NumParts() {
-		return q, reproerr.Invalid("shortcut.PartDilation", "part %d out of range [0,%d)", i, s.P.NumParts())
+	q, err := s.DilationsOf(nil, []int{i}, exactCutoff)
+	if err != nil {
+		return Quality{Exact: true}, err
 	}
-	part := s.P.Part(i)
-	var h []graph.EdgeID
-	if i < len(s.H) {
-		h = s.H[i]
-	}
-	view := graph.NewAugmentedView(s.P.Graph(), part.Nodes, h)
-	if exactCutoff <= 0 || len(part.Nodes) <= exactCutoff {
-		d := view.DiameterAmong(part.Nodes)
-		if d < 0 {
-			return q, reproerr.Invalid("shortcut.PartDilation", "part %d disconnected in augmented subgraph", i)
+	return q[0], nil
+}
+
+// DilationsOf measures the dilations of the listed distinct parts (out[k]
+// is parts[k]'s, with Congestion 0) — the entry point the serving layer's
+// delta update uses to re-measure only the parts a delta touched. The
+// parts of at most exactCutoff nodes share one graph.DiametersAmong pass,
+// cancelable between 64-source sweeps; each larger part gets the
+// [ecc, 2·ecc] bracket of one leader BFS. exactCutoff as in Dilation. A
+// disconnected augmented part fails the call, naming the first such part
+// in list order.
+func (s *Shortcuts) DilationsOf(ctx context.Context, parts []int, exactCutoff int) ([]Quality, error) {
+	const op = "shortcut.PartDilation"
+	g := s.P.Graph()
+	exact := func(i int) bool { return exactCutoff <= 0 || len(s.P.Part(i).Nodes) <= exactCutoff }
+	var sets []graph.AmongSet
+	for _, i := range parts {
+		if i < 0 || i >= s.P.NumParts() {
+			return nil, reproerr.Invalid(op, "part %d out of range [0,%d)", i, s.P.NumParts())
 		}
-		q.DilationLo, q.DilationHi = d, d
-		return q, nil
+		if exact(i) {
+			sets = append(sets, graph.AmongSet{S: s.P.Part(i).Nodes, H: s.h(i)})
+		}
 	}
-	ecc := view.EccentricityAmong(part.Leader, part.Nodes)
-	if ecc < 0 {
-		return q, reproerr.Invalid("shortcut.PartDilation", "part %d disconnected in augmented subgraph", i)
+	diam, err := graph.DiametersAmong(ctx, g, sets)
+	if err != nil {
+		return nil, reproerr.FromContext("shortcut.Dilation", err)
 	}
-	q.Exact = false
-	q.DilationLo, q.DilationHi = ecc, 2*ecc
-	return q, nil
+	out := make([]Quality, len(parts))
+	for k, i := range parts {
+		var d int32
+		if exact(i) {
+			d, diam = diam[0], diam[1:]
+			out[k] = Quality{DilationLo: d, DilationHi: d, Exact: true}
+		} else {
+			if err := ctxCheck("shortcut.Dilation", ctx); err != nil {
+				return nil, err
+			}
+			part := s.P.Part(i)
+			d = graph.NewAugmentedView(g, part.Nodes, s.h(i)).EccentricityAmong(part.Leader, part.Nodes)
+			out[k] = Quality{DilationLo: d, DilationHi: 2 * d}
+		}
+		if d < 0 {
+			return nil, reproerr.Invalid(op, "part %d disconnected in augmented subgraph", i)
+		}
+	}
+	return out, nil
+}
+
+// h returns part i's shortcut edges (nil when H does not cover it).
+func (s *Shortcuts) h(i int) []graph.EdgeID {
+	if i < len(s.H) {
+		return s.H[i]
+	}
+	return nil
 }
 
 // TotalShortcutEdges returns Σ|Hi|, the storage (and message-complexity
