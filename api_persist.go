@@ -37,9 +37,10 @@ import (
 // race in-flight queries — retire the snapshot from its Store first.
 
 // SaveSnapshot writes snap to path in the versioned binary snapshot format,
-// atomically: the bytes stream through a temp file in path's directory and
-// rename into place, so a crashed save never leaves a torn file where a
-// replica might load it. No options apply.
+// atomically and durably: the bytes stream through a temp file in path's
+// directory, which is synced before it is renamed into place, and the
+// directory is synced after, so a crashed save never leaves a torn file
+// where a replica might load it. No options apply.
 func SaveSnapshot(path string, snap *Snapshot) error {
 	return serve.WriteSnapshotFile(path, snap)
 }

@@ -311,12 +311,13 @@ func NewStoreV2(snap *Snapshot, opts ...Option) (*Store, error) {
 }
 
 // ApplyDeltaCtx applies a batch of edge mutations to a snapshot's graph and
-// derives the new serving state under ctx: the shortcuts are rebuilt
-// centrally with the snapshot's own sampling seed and diameter (per-edge
-// sampling streams keep every part the delta does not reach unchanged),
-// dilation is re-measured only for the parts whose augmented subgraph
-// changed, and the shortcut-MST is re-derived through the centralized
-// Borůvka mirror. The result is bit-identical, query for query, to a
+// derives the new serving state under ctx: the shortcuts are derived from
+// the snapshot's own with its sampling seed and diameter (per-edge
+// sampling streams keep every surviving edge's draws, so only the inserted
+// edges are drawn), dilation is re-measured only for the parts whose
+// augmented subgraph changed, and the shortcut-MST is re-derived through
+// the centralized Borůvka mirror. The new snapshot shares no memory with
+// snap, which may be closed once it is retired. The result is bit-identical, query for query, to a
 // from-scratch NewSnapshotCtx on the post-delta graph with the same seed
 // and WithDiameter(snap.Diameter()) — the update pins the base build's
 // diameter, so a rebuild that lets the diameter re-estimate from the

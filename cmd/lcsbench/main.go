@@ -59,7 +59,7 @@ func experiments() []experiment {
 		{"sssp", "E12", "approximate SSSP (Corollary 4.2)", expt.E12SSSP},
 		{"twoecss", "E13", "2-ECSS approximation (Corollary 4.3)", expt.E13TwoECSS},
 		{"serving", "E14", "serving layer throughput (snapshot + pooled executors)", expt.E14Serving},
-		{"dynamic", "E15", "incremental update latency vs delta size (seeded rebuild, touched parts re-measured)", expt.E15Dynamic},
+		{"dynamic", "E15", "incremental update latency vs delta size (derived shortcuts, touched parts re-measured)", expt.E15Dynamic},
 		{"persistence", "E16", "snapshot persistence: zero-copy mmap cold start", expt.E16Persistence},
 		{"load", "E17", "open-loop load: Zipf/Poisson arrivals racing hot swaps", expt.E17Load},
 		{"ablation-reps", "A1", "sampling repetitions ablation", expt.A1Repetitions},

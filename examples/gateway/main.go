@@ -101,7 +101,7 @@ func run() error {
 	}
 	fmt.Printf("query: unknown kind -> %d %s\n", status, strings.TrimSpace(body))
 
-	// A delta over the wire: seeded rebuild + hot swap, one request.
+	// A delta over the wire: derived shortcuts + hot swap, one request.
 	// Queries racing this swap keep their pinned epoch — no torn answers.
 	status, body, err = post(base+"/v1/delta", `{"insert":[{"u":5,"v":3777,"w":0.01}]}`)
 	if err != nil {

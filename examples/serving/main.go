@@ -107,10 +107,11 @@ func run() error {
 		fmt.Printf("serve: 2-ECSS correctly refused: %v\n", err)
 	}
 
-	// Dynamic update: absorb an edge delta by a seeded rebuild that skips
-	// the simulated MST and re-measures only the touched parts' dilation
-	// (the result is bit-identical to rebuilding from scratch on the mutated
-	// graph, at a fraction of the cost) and hot-swap it under live traffic
+	// Dynamic update: absorb an edge delta by deriving the shortcuts from
+	// the old ones, skipping the simulated MST and re-measuring only the
+	// touched parts' dilation (the result is bit-identical to rebuilding
+	// from scratch on the mutated graph, at a fraction of the cost) and
+	// hot-swap it under live traffic
 	// through a Store. Queries pin their epoch at checkout, so the swap
 	// never tears an in-flight answer; SwapCtx returns once the old epoch
 	// has drained.

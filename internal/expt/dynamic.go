@@ -10,18 +10,19 @@ import (
 )
 
 // E15Dynamic measures the dynamic-graph update path: the latency of
-// absorbing an edge delta into a served snapshot (serve.ApplyDelta: a
-// seeded shortcut rebuild, dilation re-measured only for the touched
-// parts, the MST re-derived by the centralized mirror), swept over delta
-// sizes, against the default from-scratch build each update replaces (the
-// same mirror, no simulated MST; every part's dilation measured).
+// absorbing an edge delta into a served snapshot (serve.ApplyDelta:
+// shortcuts derived from the old ones, dilation re-measured only for the
+// touched parts, the MST re-derived by the centralized mirror), swept over
+// delta sizes, against the default from-scratch build each update replaces
+// (the same mirror, no simulated MST; every part's dilation measured).
 // Per-edge sampling streams keep every part the delta does not reach
-// unchanged, so only the touched parts' dilation is re-measured, while the
-// new snapshot stays bit-identical to a rebuild (pinned by the
-// differential suite in internal/serve).
+// unchanged, so only the inserted edges are drawn and only the touched
+// parts' dilation is re-measured, while the new snapshot stays
+// bit-identical to a rebuild (pinned by the differential suite in
+// internal/serve).
 func E15Dynamic(cfg Config) (*Table, error) {
 	cfg = cfg.WithDefaults()
-	t := NewTable("E15: incremental update latency vs delta size (seeded rebuild, touched parts re-measured)",
+	t := NewTable("E15: incremental update latency vs delta size (derived shortcuts, touched parts re-measured)",
 		"n", "delta", "update ms", "touched parts", "parts", "build ms", "speedup")
 	n := cfg.DistSizes[len(cfg.DistSizes)-1]
 	rng := cfg.rng(18_000_000_000)

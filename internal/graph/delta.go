@@ -37,6 +37,8 @@ func (d Delta) Size() int { return len(d.Delete) + len(d.Insert) }
 // migrated through this table.
 type DeltaRemap struct {
 	// OldToNew maps each old EdgeID to its new EdgeID, or -1 if deleted.
+	// Surviving edges keep their relative order, so an ascending list of
+	// old EdgeIDs maps to an ascending list of new ones.
 	OldToNew []EdgeID
 	// Inserted holds the new-graph EdgeID of each Delta.Insert entry,
 	// aligned with the delta's Insert slice.
@@ -175,18 +177,4 @@ func ApplyDelta(g *Graph, w Weights, d Delta) (*Graph, Weights, *DeltaRemap, err
 		emitInsert(inserts[ii])
 	}
 	return fromSortedEdges(n, edges), newW, remap, nil
-}
-
-// RemapEdges maps a list of old-graph EdgeIDs through the remap, dropping
-// deleted edges. The result preserves the input's relative order (surviving
-// edges keep their relative ID order under a delta, so an ascending input
-// stays ascending).
-func (r *DeltaRemap) RemapEdges(edges []EdgeID) []EdgeID {
-	out := make([]EdgeID, 0, len(edges))
-	for _, e := range edges {
-		if ne := r.OldToNew[e]; ne >= 0 {
-			out = append(out, ne)
-		}
-	}
-	return out
 }

@@ -244,16 +244,14 @@ func deltaOfSize(b *testing.B, g *graph.Graph, k int, seed int64) graph.Delta {
 }
 
 // BenchmarkApplyDelta is the dynamic-graphs acceptance measurement on
-// ClusterChain n=1e5: a 64-edge delta absorbed by ApplyDelta versus the
-// default from-scratch snapshot build it replaces, which simulates no MST
-// either (run explicitly with -benchtime=1x). Recorded (-benchtime=1x
-// -count 3, 2 vCPUs): delta 0.37–0.43 s/op and 49 MB/op vs rebuild
-// 0.40–0.44 s/op and 187 MB/op — about the same time at a quarter of the
-// memory. Both rerun the seeded sampling over every arc; the delta saves
-// the dilation of untouched parts and allocations. A rebuild with
-// SnapshotOptions.Distributed, which also simulates the MST, measured
-// 2.55–2.70 s/op and 605 MB/op in an earlier run on 2 vCPUs, about 8× the
-// delta's 0.315–0.356 s/op in that run.
+// ClusterChain n=1e5 (sampling probability ≈ 0.35): a 64-edge delta
+// absorbed by ApplyDelta versus the default from-scratch snapshot build it
+// replaces, which simulates no MST either (run explicitly with
+// -benchtime=1x). The delta derives its shortcuts from the old ones
+// (shortcut.DeriveSeeded), drawing only the inserted edges, and re-measures
+// only the touched parts; the rebuild draws every arc and measures every
+// part. Recorded (-benchtime=1x -count 2, 2 vCPUs): delta 69–77 ms/op and
+// 51 MB/op vs rebuild 279–280 ms/op and 42 MB/op.
 func BenchmarkApplyDelta(b *testing.B) {
 	fx := getBenchFixture(b, 100_000)
 	b.Run("delta-64", func(b *testing.B) {

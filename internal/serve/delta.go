@@ -24,10 +24,12 @@ type DeltaOptions struct{}
 //   - parts that lost an intra-part edge are re-checked for connectivity
 //     (a disconnecting delta fails with KindInvalidInput — repartition and
 //     rebuild from scratch in that case);
-//   - the shortcut assignment is rebuilt by shortcut.BuildSeeded with the
-//     old snapshot's sampling seed and diameter: its per-edge streams give
-//     surviving edges their old draws and inserted edges fresh ones, so a
-//     part the delta did not reach keeps its H (under the edge remap);
+//   - the shortcut assignment is derived from the old one by
+//     shortcut.DeriveSeeded, with the old snapshot's sampling seed,
+//     diameter and log factor: the old lists under the edge remap, plus
+//     each inserted edge's Step-1 membership and seeded draws. It equals
+//     shortcut.BuildSeeded on the post-delta graph, and no surviving edge
+//     is drawn again;
 //   - per-part dilation is re-measured only for parts whose augmented
 //     subgraph changed (H changed, or an intra-part edge came or went), in
 //     one shortcut.DilationsOf pass over their ascending list; congestion
@@ -44,7 +46,11 @@ type DeltaOptions struct{}
 // re-estimates it from the mutated graph and may legitimately derive
 // different parameters, so comparisons must pin it explicitly. The old
 // snapshot is untouched and remains serveable (a Store hot-swaps between
-// them). The new snapshot's Cost() is the update's wall time, with zero
+// them), and the new one shares no memory with it: a base loaded from a
+// file mapping may be closed while its successor serves. A base whose
+// stored shortcut list is out of range or not ascending (possible only in
+// a file loaded with SkipVerify) fails the update with KindCorrupt. The
+// new snapshot's Cost() is the update's wall time, with zero
 // simulated rounds and messages; its Generation() increments; Repair()
 // describes what was touched.
 //
@@ -98,13 +104,14 @@ func ApplyDelta(ctx context.Context, old *Snapshot, delta graph.Delta, _ DeltaOp
 		return nil, reproerr.Errorf(op, reproerr.KindOf(err), "%w", err)
 	}
 
-	s2, err := shortcut.BuildSeeded(g2, p2, shortcut.Options{
-		Diameter: old.diameter, LogFactor: old.logFactor, Ctx: ctx,
-	}, old.samplingSeed)
+	if err := reproerr.CtxCheck(op, ctx); err != nil {
+		return nil, err
+	}
+	s2, touched, err := shortcut.DeriveSeeded(p2, old.s, rm, rm.Inserted,
+		shortcut.DeriveParams(g2.NumNodes(), old.diameter, 0, old.logFactor), old.samplingSeed)
 	if err != nil {
 		return nil, reproerr.Errorf(op, reproerr.KindOf(err), "shortcuts: %w", err)
 	}
-	touched := changedParts(old.s.H, s2.H, rm.OldToNew)
 	for _, pi := range touched {
 		remeasured[pi] = true
 	}
@@ -178,30 +185,4 @@ func marked(flags []bool) []int {
 		}
 	}
 	return out
-}
-
-// changedParts lists, ascending, the parts whose shortcut list in newH is
-// not their list in oldH carried through the edge remap oldToNew (a
-// deleted edge maps to -1, an inserted one has no preimage, so either
-// marks its part). Compared in place: no remapped copy is built.
-func changedParts(oldH, newH [][]graph.EdgeID, oldToNew []graph.EdgeID) []int {
-	var out []int
-	for pi, h := range newH {
-		if !sameUnderRemap(oldH[pi], h, oldToNew) {
-			out = append(out, pi)
-		}
-	}
-	return out
-}
-
-func sameUnderRemap(oldList, newList, oldToNew []graph.EdgeID) bool {
-	if len(oldList) != len(newList) {
-		return false
-	}
-	for j, e := range oldList {
-		if oldToNew[e] != newList[j] {
-			return false
-		}
-	}
-	return true
 }

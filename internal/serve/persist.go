@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -282,10 +283,18 @@ func (sn *Snapshot) WriteTo(w io.Writer) (int64, error) {
 // creates.
 const tempPrefix = ".snap-"
 
-// WriteSnapshotFile persists sn at path atomically: the container streams
-// into a temporary file in the same directory and is renamed over path only
-// after a successful Finish, so a reader (or a replica's SwapFromFile) never
-// observes a torn snapshot.
+// syncFile flushes f's contents to stable storage. Tests replace it to
+// inject a failed sync.
+var syncFile = (*os.File).Sync
+
+// WriteSnapshotFile persists sn at path atomically and durably: the
+// container streams into a temporary file in the same directory, which is
+// synced and closed before it is renamed over path, and the directory is
+// synced after the rename. A reader (or a replica's SwapFromFile) never
+// observes a torn snapshot, and a crash cannot leave path naming a file
+// whose data never reached the disk. A failure before the rename removes
+// the temporary file and leaves path untouched; a failed directory sync
+// is reported after path was already replaced.
 func WriteSnapshotFile(path string, sn *Snapshot) error {
 	const op = "serve.WriteSnapshotFile"
 	dir := filepath.Dir(path)
@@ -293,9 +302,10 @@ func WriteSnapshotFile(path string, sn *Snapshot) error {
 	if err != nil {
 		return reproerr.Errorf(op, reproerr.KindUnknown, "create temp: %w", err)
 	}
+	renamed := false
 	defer func() {
-		if tmp != nil {
-			tmp.Close()
+		if !renamed {
+			tmp.Close() // a second Close after a failed one only reports ErrClosed
 			os.Remove(tmp.Name())
 		}
 	}()
@@ -306,15 +316,28 @@ func WriteSnapshotFile(path string, sn *Snapshot) error {
 	if err := bw.Flush(); err != nil {
 		return reproerr.Errorf(op, reproerr.KindUnknown, "flush: %w", err)
 	}
+	if err := syncFile(tmp); err != nil {
+		return reproerr.Errorf(op, reproerr.KindUnknown, "sync temp: %w", err)
+	}
 	if err := tmp.Close(); err != nil {
-		tmp = nil
 		return reproerr.Errorf(op, reproerr.KindUnknown, "close temp: %w", err)
 	}
-	name := tmp.Name()
-	tmp = nil
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		return reproerr.Errorf(op, reproerr.KindUnknown, "rename: %w", err)
+	}
+	renamed = true
+	if runtime.GOOS == "windows" {
+		return nil // Windows refuses to sync a directory handle
+	}
+	d, err := os.Open(dir)
+	if err == nil {
+		err = syncFile(d)
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		return reproerr.Errorf(op, reproerr.KindUnknown, "sync directory: %w", err)
 	}
 	return nil
 }

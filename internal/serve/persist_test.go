@@ -10,11 +10,14 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -348,8 +351,9 @@ func TestPersistCorruption(t *testing.T) {
 // Section IDs of the snapshot format the tests below patch or look for;
 // IDs are never renumbered.
 const (
-	secGraphEdgeU = 6
-	secTree       = 16
+	secGraphEdgeU    = 6
+	secShortcutEdges = 14
+	secTree          = 16
 )
 
 // sectionSpan returns the byte offset and length of section id in the
@@ -441,6 +445,173 @@ func TestPersistSkipVerifyCorruptTreeIndex(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestApplyDeltaCorruptStoredShortcuts loads, with SkipVerify, files whose
+// stored shortcut edges are corrupt: an entry past m, and a list with two
+// entries swapped. Neither load checks them, so the delta that reads the
+// lists must refuse each file's snapshot with a typed KindCorrupt error,
+// without a panic, and leave the loaded snapshot as it was.
+func TestApplyDeltaCorruptStoredShortcuts(t *testing.T) {
+	sn, g, _ := persistFixture(t, 0, 240, 1900)
+	if p := sn.Shortcuts().Params.P; p >= 1 {
+		t.Fatalf("sampling probability %v: a saturated delta reads no stored list", p)
+	}
+	var buf bytes.Buffer
+	if _, err := sn.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	pristine := buf.Bytes()
+	at, _ := sectionSpan(t, pristine, secShortcutEdges)
+	first := -1 // offset of the first list of at least two edges
+	for off, pi := 0, 0; first < 0 && pi < len(sn.Shortcuts().H); pi++ {
+		if h := sn.Shortcuts().H[pi]; len(h) >= 2 {
+			first = off
+		} else {
+			off += len(h)
+		}
+	}
+	if first < 0 {
+		t.Fatal("fixture has no shortcut list of two edges")
+	}
+	put := func(raw []byte, i int, v int32) { binary.LittleEndian.PutUint32(raw[at+4*i:], uint32(v)) }
+	get := func(raw []byte, i int) int32 { return int32(binary.LittleEndian.Uint32(raw[at+4*i:])) }
+	d, err := gen.InsertDelta(g, 1, rand.New(rand.NewSource(1901)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		patch func(raw []byte)
+	}{
+		{"edge past m", func(raw []byte) { put(raw, first, int32(g.NumEdges()+5)) }},
+		{"swapped entries", func(raw []byte) {
+			a, b := get(raw, first), get(raw, first+1)
+			put(raw, first, b)
+			put(raw, first+1, a)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			raw := append([]byte(nil), pristine...)
+			tc.patch(raw)
+			path := filepath.Join(t.TempDir(), "corrupt.lcsnap")
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := serve.LoadSnapshot(path, serve.LoadOptions{SkipVerify: true})
+			if err != nil {
+				t.Fatalf("SkipVerify load: %v", err)
+			}
+			defer loaded.Close()
+			before := make([][]graph.EdgeID, len(loaded.Shortcuts().H))
+			for i, l := range loaded.Shortcuts().H {
+				before[i] = slices.Clone(l)
+			}
+			next, err := serve.ApplyDelta(context.Background(), loaded, d, serve.DeltaOptions{})
+			if next != nil || reproerr.KindOf(err) != reproerr.KindCorrupt {
+				t.Fatalf("ApplyDelta: snapshot %v, err %v; want none and a KindCorrupt error", next != nil, err)
+			}
+			if loaded.Generation() != 0 || !reflect.DeepEqual(loaded.Shortcuts().H, before) {
+				t.Fatal("the refused delta changed its base")
+			}
+		})
+	}
+}
+
+// TestApplyDeltaOutlivesClosedBase derives a delta snapshot from a base
+// loaded off a file mapping, closes the base, and keeps serving the
+// derived snapshot: every part's quality answer and a second delta must
+// equal the same chain built in memory. The derived shortcut lists,
+// partition node lists and part-of table must share no memory with the
+// base, whose arrays the closed mapping backed.
+func TestApplyDeltaOutlivesClosedBase(t *testing.T) {
+	sn, g, parts := persistFixture(t, 0, 360, 2700)
+	path := filepath.Join(t.TempDir(), "base.lcsnap")
+	if err := serve.WriteSnapshotFile(path, sn); err != nil {
+		t.Fatal(err)
+	}
+	base, err := serve.LoadSnapshot(path, serve.LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer base.Close()
+	if !base.Mapped() {
+		t.Skip("no file mapping on this platform")
+	}
+	partOf := partOfTable(g.NumNodes(), parts)
+	deltaRng := rand.New(rand.NewSource(2701))
+	d1 := diffDelta(g, partOf, 32, deltaRng)
+	mem1, err := serve.ApplyDelta(context.Background(), sn, d1, serve.DeltaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next1, err := serve.ApplyDelta(context.Background(), base, d1, serve.DeltaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var baseArrays [][]int32
+	baseArrays = append(baseArrays, base.Partition().PartOfTable())
+	for i, h := range base.Shortcuts().H {
+		baseArrays = append(baseArrays, h, base.Partition().Part(i).Nodes)
+	}
+	derived := [][]int32{next1.Partition().PartOfTable()}
+	for i, h := range next1.Shortcuts().H {
+		derived = append(derived, h, next1.Partition().Part(i).Nodes)
+	}
+	for _, a := range derived {
+		for _, b := range baseArrays {
+			if sharesMemory(a, b) {
+				t.Fatal("the delta snapshot aliases its file-backed base")
+			}
+		}
+	}
+	if err := base.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	quality := func(tag string, got, want *serve.Snapshot) {
+		t.Helper()
+		srvG := serve.NewServer(got, serve.ServerOptions{Executors: 1})
+		srvW := serve.NewServer(want, serve.ServerOptions{Executors: 1})
+		for _, q := range everyPartQuality(parts) {
+			ag, err := srvG.Serve(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			aw, err := srvW.Serve(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertAnswersEqual(t, tag, ag, aw)
+		}
+	}
+	quality("gen1", next1, mem1)
+	assertSnapshotsEqual(t, "gen1", next1, mem1)
+	g1, _, _, err := graph.ApplyDelta(g, sn.Weights(), d1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2 := diffDelta(g1, partOf, 16, deltaRng)
+	mem2, err := serve.ApplyDelta(context.Background(), mem1, d2, serve.DeltaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next2, err := serve.ApplyDelta(context.Background(), next1, d2, serve.DeltaOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	quality("gen2", next2, mem2)
+	assertSnapshotsEqual(t, "gen2", next2, mem2)
+}
+
+// sharesMemory reports whether two int32 slices overlap in memory.
+func sharesMemory(a, b []int32) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	a0 := uintptr(unsafe.Pointer(unsafe.SliceData(a)))
+	b0 := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return a0 < b0+uintptr(4*len(b)) && b0 < a0+uintptr(4*len(a))
 }
 
 // failingWriter accepts the first k bytes written to it, then fails every

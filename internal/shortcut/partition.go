@@ -24,6 +24,8 @@
 package shortcut
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/reproerr"
 )
@@ -86,12 +88,13 @@ func NewPartition(g *graph.Graph, parts [][]graph.NodeID) (*Partition, error) {
 // Graph returns the underlying graph.
 func (p *Partition) Graph() *graph.Graph { return p.g }
 
-// Rebind returns a Partition over g2 with the same parts, sharing the node
-// lists and part-of table (parts are vertex sets, and deltas never change
-// the vertex universe). Connectivity — the one invariant an edge deletion
-// can break — is revalidated only for the part indices in recheck: the
-// dynamic update path passes the parts that lost an intra-part edge, so the
-// cost scales with the delta, not with ℓ.
+// Rebind returns a Partition over g2 with the same parts (parts are vertex
+// sets, and deltas never change the vertex universe). It copies the node
+// lists and the part-of table, O(n): p's may alias a snapshot file mapping
+// that is closed while the rebound partition still serves. Connectivity —
+// the one invariant an edge deletion can break — is revalidated only for
+// the part indices in recheck: the dynamic update path passes the parts
+// that lost an intra-part edge.
 func (p *Partition) Rebind(g2 *graph.Graph, recheck []int) (*Partition, error) {
 	const op = "shortcut.Rebind"
 	if g2.NumNodes() != p.g.NumNodes() {
@@ -105,7 +108,11 @@ func (p *Partition) Rebind(g2 *graph.Graph, recheck []int) (*Partition, error) {
 			return nil, reproerr.Invalid(op, "part %d disconnected by delta", i)
 		}
 	}
-	return &Partition{g: g2, parts: p.parts, partOf: p.partOf}, nil
+	parts := make([]Part, len(p.parts))
+	for i, part := range p.parts {
+		parts[i] = Part{Leader: part.Leader, Nodes: slices.Clone(part.Nodes)}
+	}
+	return &Partition{g: g2, parts: parts, partOf: slices.Clone(p.partOf)}, nil
 }
 
 // NumParts returns the number of parts ℓ.

@@ -15,12 +15,12 @@ import (
 // splitmix64 stream per (tail, head, repetition) triple, keyed by the
 // endpoint node IDs — NOT by EdgeID, which a delta renumbers. The sampled
 // hit set of an edge is then a pure function of (seed, endpoints,
-// repetition), independent of every other edge: rebuilt after a delta with
-// the same seed, unchanged edges keep their draws bit-for-bit and inserted
-// edges get fresh deterministic ones, so every part the delta does not
-// reach keeps its H (under the delta's edge remap) — and with it its
-// dilation record, which serve.ApplyDelta reuses instead of re-measuring.
-// RepairDistributed derives the same assignment part-locally.
+// repetition), independent of every other edge (seededEdgeHits, the one
+// definition of an edge's draws). So after a delta a surviving edge keeps
+// its draws, and DeriveSeeded obtains the post-delta assignment from the
+// old one — the old lists under the delta's edge remap, plus each inserted
+// edge's Step-1 membership and draws — without drawing a surviving edge
+// again; serve.ApplyDelta runs it instead of a rebuild.
 //
 // The per-stream geometric skip-sampling is the same Log1p trick as
 // sampleHits, so the draw distribution is identical to Build's.
@@ -92,9 +92,30 @@ func seededArcHits(
 	}
 }
 
+// seededEdgeHits invokes hit(li) for every large-part index that edge
+// {u, v} samples into: on each of reps repetitions, the arc u → v excluding
+// u's own large part uLarge, then v → u excluding vLarge (each -1 outside
+// every large part). all and logq as in seededArcHits. BuildSeeded and
+// DeriveSeeded both draw an edge through it.
+func seededEdgeHits(
+	seed uint64,
+	u, v graph.NodeID,
+	uLarge, vLarge int32,
+	numLarge, reps int,
+	all bool,
+	logq float64,
+	hit func(li int32),
+) {
+	for r := 0; r < reps; r++ {
+		seededArcHits(seed, u, v, r, numLarge, uLarge, all, logq, hit)
+		seededArcHits(seed, v, u, r, numLarge, vLarge, all, logq, hit)
+	}
+}
+
 // seededSampleHits is sampleHits with per-arc derived streams instead of one
-// shared sequential rng: same loop structure, same distribution, but every
-// (arc, repetition)'s draws are independent of every other arc's.
+// shared sequential rng: the same draws and distribution, but walked edge by
+// edge, and every (arc, repetition)'s draws are independent of every other
+// arc's.
 func seededSampleHits(
 	g *graph.Graph,
 	p *Partition,
@@ -113,31 +134,30 @@ func seededSampleHits(
 	if !all {
 		logq = math.Log1p(-prob)
 	}
-	n := g.NumNodes()
-	for u := 0; u < n; u++ {
-		uLarge := int32(-1)
-		if uPart := p.PartOf(graph.NodeID(u)); uPart >= 0 {
-			uLarge = largeIdxOf[uPart]
-		}
-		lo, hi := g.ArcRange(graph.NodeID(u))
-		for a := lo; a < hi; a++ {
-			head := g.ArcTarget(a)
-			e := g.ArcEdge(a)
-			for r := 0; r < reps; r++ {
-				seededArcHits(seed, graph.NodeID(u), head, r, numLarge, uLarge, all, logq, func(li int32) {
-					hit(li, e)
-				})
-			}
-		}
+	for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
+		u, v := g.EdgeEndpoints(e)
+		seededEdgeHits(seed, u, v, largeOf(p, largeIdxOf, u), largeOf(p, largeIdxOf, v), numLarge, reps, all, logq, func(li int32) {
+			hit(li, e)
+		})
 	}
+}
+
+// largeOf returns the large-part index of v's part, or -1 when v lies in no
+// part or in a small one.
+func largeOf(p *Partition, largeIdxOf []int32, v graph.NodeID) int32 {
+	if pi := p.PartOf(v); pi >= 0 {
+		return largeIdxOf[pi]
+	}
+	return -1
 }
 
 // BuildSeeded runs the centralized construction of Section 2 with seeded
 // per-arc sampling: the result is a pure function of (g, p, opts, seed),
 // with every edge's draws independent of every other edge's. This is the
-// construction behind dynamic snapshots: serve.ApplyDelta reruns it on the
-// post-delta graph with the original seed. Options.Rng is ignored (and may
-// be nil); everything else matches Build.
+// construction behind dynamic snapshots: serve.NewSnapshot builds with it,
+// and DeriveSeeded carries its result through a delta, equal to rerunning it
+// on the post-delta graph with the same seed. Options.Rng is ignored (and
+// may be nil); everything else matches Build.
 func BuildSeeded(g *graph.Graph, p *Partition, opts Options, seed uint64) (*Shortcuts, error) {
 	return build("shortcut.BuildSeeded", g, p, opts, func(largeIdxOf []int32, numLarge int, params Params, hit func(li int32, e graph.EdgeID)) {
 		seededSampleHits(g, p, largeIdxOf, numLarge, params.P, params.Reps, seed, hit)
