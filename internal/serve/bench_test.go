@@ -195,19 +195,16 @@ func BenchmarkAmortization100k(b *testing.B) {
 	})
 }
 
-// BenchmarkNewSnapshot is the snapshot build at lib-batch-sweep's shape, with
-// the draws servebench's fixture makes at n=4000: an Erdős–Rényi graph with
-// edge probability 12/n, connected and bridge-free, uniform weights and
-// min(64, n/64) Voronoi parts. At its double-sweep diameter of 5 the
-// sampling probability saturates at 1. It is a default build: the tree
-// from the Borůvka mirror, no simulated MST. Run it with -benchmem; it is
-// not one of CI's 0 allocs/op gates.
-func BenchmarkNewSnapshot(b *testing.B) {
-	const n = 4000
-	rng := rand.New(rand.NewSource(20_210_721 + n))
+// erSnapshotFixture draws servebench's n-node fixture: an Erdős–Rényi
+// graph with edge probability 12/n, connected and bridge-free, uniform
+// weights, max(4, min(64, n/64)) Voronoi parts, and the build seed, from the
+// same seeded stream servebench draws them from.
+func erSnapshotFixture(b *testing.B, n int) (*graph.Graph, graph.Weights, [][]graph.NodeID, int64) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(20_210_721 + int64(n)))
 	var g *graph.Graph
 	for {
-		g = gen.ErdosRenyi(n, 12.0/n, rng)
+		g = gen.ErdosRenyi(n, 12/float64(n), rng)
 		all := make([]graph.EdgeID, g.NumEdges())
 		for e := range all {
 			all[e] = graph.EdgeID(e)
@@ -217,20 +214,55 @@ func BenchmarkNewSnapshot(b *testing.B) {
 		}
 	}
 	w := graph.NewUniformWeights(g.NumEdges(), rng)
-	parts, err := gen.VoronoiParts(g, min(64, n/64), rng)
+	parts, err := gen.VoronoiParts(g, max(4, min(64, n/64)), rng)
 	if err != nil {
 		b.Fatal(err)
 	}
-	buildSeed := rng.Int63()
+	return g, w, parts, rng.Int63()
+}
+
+// benchNewSnapshot times the default build (the tree from the Borůvka
+// mirror, no simulated MST) of one fixture, each iteration from the same
+// build seed.
+func benchNewSnapshot(b *testing.B, g *graph.Graph, w graph.Weights, parts [][]graph.NodeID, buildSeed int64, diameter int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := serve.NewSnapshot(g, w, parts, serve.SnapshotOptions{
-			Rng: rand.New(rand.NewSource(buildSeed)),
+			Rng: rand.New(rand.NewSource(buildSeed)), Diameter: diameter,
 		}); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkNewSnapshot is the snapshot build at lib-batch-sweep's shape, on
+// the fixture servebench draws at n=4000 (erSnapshotFixture). At its
+// double-sweep diameter of 5 the sampling probability saturates at 1. Run
+// it with -benchmem; it is not one of CI's 0 allocs/op gates.
+func BenchmarkNewSnapshot(b *testing.B) {
+	g, w, parts, buildSeed := erSnapshotFixture(b, 4000)
+	benchNewSnapshot(b, g, w, parts, buildSeed, 0)
+}
+
+// BenchmarkNewSnapshotSampled is the snapshot build where Step 2 draws:
+// er2000 is the fixture servebench's wire-sssp and lib-mixed-swap
+// workloads build (n=2000, D=4, p≈0.60, 31 large parts), hard-d3 the
+// hard instance at n≈4000 and D=3 (p≈0.13, its paths as parts).
+func BenchmarkNewSnapshotSampled(b *testing.B) {
+	b.Run("er2000", func(b *testing.B) {
+		g, w, parts, buildSeed := erSnapshotFixture(b, 2000)
+		benchNewSnapshot(b, g, w, parts, buildSeed, 0)
+	})
+	b.Run("hard-d3", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(3))
+		hi, err := gen.NewHardInstance(4000, 3, 0, 0, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w := graph.NewUniformWeights(hi.G.NumEdges(), rng)
+		benchNewSnapshot(b, hi.G, w, hi.Paths, rng.Int63(), 3)
+	})
 }
 
 // deltaOfSize builds an insert-only delta of k edges absent from g.
