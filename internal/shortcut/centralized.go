@@ -3,6 +3,7 @@ package shortcut
 import (
 	"context"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/graph"
@@ -50,21 +51,26 @@ func Build(g *graph.Graph, p *Partition, opts Options) (*Shortcuts, error) {
 	if err := reproerr.RequireRng(op, opts.Rng); err != nil {
 		return nil, err
 	}
-	return build(op, g, p, opts, func(largeIdxOf []int32, numLarge int, params Params, hit func(li int32, e graph.EdgeID)) {
-		sampleHits(g, p, largeIdxOf, numLarge, params.P, params.Reps, opts.Rng, hit)
+	return build(op, g, p, opts, func(masks *partMasks, largeIdxOf []int32, params Params) error {
+		masks.stepOne(g, p, largeIdxOf)
+		if err := ctxCheck(op, opts.Ctx); err != nil {
+			return err
+		}
+		sampleHits(g, p, largeIdxOf, masks.numLarge, params.P, params.Reps, opts.Rng, masks.set)
+		return nil
 	})
 }
 
-// build is the Section 2 skeleton Build and BuildSeeded share: Step 1 into
-// one edge bitset per large part, then step2's draws into the same bitsets.
-// step2 calls hit(li, e) for every draw that takes edge e into large part li.
-// At p ≥ 1 neither step runs: see saturated.
+// build is the Section 2 skeleton Build and BuildSeeded share: fill sets
+// Step 1 and Step 2 in one part mask per edge, and each large part's list
+// is collected from the masks at its exact size. At p ≥ 1 fill does not
+// run: see saturated.
 func build(
 	op string,
 	g *graph.Graph,
 	p *Partition,
 	opts Options,
-	step2 func(largeIdxOf []int32, numLarge int, params Params, hit func(li int32, e graph.EdgeID)),
+	fill func(masks *partMasks, largeIdxOf []int32, params Params) error,
 ) (*Shortcuts, error) {
 	d, err := resolveDiameter(op, g, p, opts.Diameter)
 	if err != nil {
@@ -78,14 +84,11 @@ func build(
 	if params.P >= 1 {
 		return saturated(p, params, large, g.NumEdges()), nil
 	}
-	his := stepOne(g, p, large)
-	if err := ctxCheck(op, opts.Ctx); err != nil {
+	masks := newPartMasks(g.NumEdges(), len(large))
+	if err := fill(masks, largeIndex(p, large), params); err != nil {
 		return nil, err
 	}
-	step2(largeIndex(p, large), len(large), params, func(li int32, e graph.EdgeID) {
-		his[li].Set(e)
-	})
-	return collect(p, params, large, his), nil
+	return masks.collect(p, params, large), nil
 }
 
 // saturated is the assignment at p ≥ 1, where it is known without drawing:
@@ -148,30 +151,88 @@ func largeIndex(p *Partition, large []int) []int32 {
 	return idx
 }
 
-// stepOne returns one edge bitset per large part holding Step 1: every edge
-// incident to a node of the part.
-func stepOne(g *graph.Graph, p *Partition, large []int) []*graph.Bitset {
-	his := make([]*graph.Bitset, len(large))
-	for li, pi := range large {
-		his[li] = graph.NewBitset(g.NumEdges())
-		for _, u := range p.Part(pi).Nodes {
-			lo, hi := g.ArcRange(u)
-			for a := lo; a < hi; a++ {
-				his[li].Set(g.ArcEdge(a))
+// partMasks holds one part mask per edge: bit li of edge e's mask is set
+// when e is in large part li's list. The constructions set Step 1 and
+// Step 2 into the masks, and collect turns them into the lists.
+type partMasks struct {
+	numLarge int
+	words    int      // ⌈numLarge/64⌉ words per mask
+	bits     []uint64 // edge e's mask is bits[e·words : (e+1)·words]
+}
+
+// newPartMasks returns empty masks for m edges and numLarge large parts.
+func newPartMasks(m, numLarge int) *partMasks {
+	words := (numLarge + 63) >> 6
+	return &partMasks{numLarge: numLarge, words: words, bits: make([]uint64, m*words)}
+}
+
+// mask returns edge e's mask.
+func (pm *partMasks) mask(e graph.EdgeID) []uint64 {
+	return pm.bits[int(e)*pm.words : (int(e)+1)*pm.words]
+}
+
+// set puts edge e into large part li's list.
+func (pm *partMasks) set(li int32, e graph.EdgeID) {
+	pm.bits[int(e)*pm.words+int(li>>6)] |= 1 << (uint(li) & 63)
+}
+
+// has reports whether edge e is in large part li's list.
+func (pm *partMasks) has(li int32, e graph.EdgeID) bool {
+	return pm.bits[int(e)*pm.words+int(li>>6)]&(1<<(uint(li)&63)) != 0
+}
+
+// stepOne sets Step 1: every edge joins the large parts of its endpoints.
+func (pm *partMasks) stepOne(g *graph.Graph, p *Partition, largeIdxOf []int32) {
+	for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
+		u, v := g.EdgeEndpoints(e)
+		for _, li := range [2]int32{largeOf(p, largeIdxOf, u), largeOf(p, largeIdxOf, v)} {
+			if li >= 0 {
+				pm.set(li, e)
 			}
 		}
 	}
-	return his
+}
+
+// maxCount returns the largest number of large parts whose lists share an
+// edge.
+func (pm *partMasks) maxCount() int {
+	most := 0
+	for e := 0; e < len(pm.bits); e += pm.words {
+		c := 0
+		for _, w := range pm.bits[e : e+pm.words] {
+			c += bits.OnesCount64(w)
+		}
+		most = max(most, c)
+	}
+	return most
 }
 
 // collect assembles the assignment: large part large[li] receives the
-// edges of his[li] in ascending order, every other part none.
-func collect(p *Partition, params Params, large []int, his []*graph.Bitset) *Shortcuts {
+// edges whose mask holds li, in ascending order, in a list of exactly that
+// length (one pass over the masks counts, a second fills); every other
+// part receives none.
+func (pm *partMasks) collect(p *Partition, params Params, large []int) *Shortcuts {
 	sc := &Shortcuts{P: p, H: make([][]graph.EdgeID, p.NumParts()), Params: params}
+	size := make([]int, len(large))
+	for i, w := range pm.bits {
+		base := i % pm.words << 6
+		for ; w != 0; w &= w - 1 {
+			size[base|bits.TrailingZeros64(w)]++
+		}
+	}
+	lists := make([][]graph.EdgeID, len(large))
+	for li := range lists {
+		lists[li] = make([]graph.EdgeID, 0, size[li])
+	}
+	for i, w := range pm.bits {
+		e, base := graph.EdgeID(i/pm.words), i%pm.words<<6
+		for ; w != 0; w &= w - 1 {
+			li := base | bits.TrailingZeros64(w)
+			lists[li] = append(lists[li], e)
+		}
+	}
 	for li, pi := range large {
-		edges := make([]graph.EdgeID, 0, his[li].Count())
-		his[li].ForEach(func(e int32) { edges = append(edges, e) })
-		sc.H[pi] = edges
+		sc.H[pi] = lists[li]
 	}
 	return sc
 }

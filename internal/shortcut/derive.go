@@ -1,7 +1,7 @@
 package shortcut
 
 import (
-	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/graph"
@@ -50,34 +50,30 @@ func DeriveSeeded(p2 *Partition, old *Shortcuts, rm *graph.DeltaRemap, inserted 
 		return saturated(p2, params, large, g.NumEdges()), touched, nil
 	}
 
-	// The inserted edges first (Step 1 membership and seeded draws), so
-	// that each list below is allocated once, at its final size.
+	// The inserted edges first, each through the per-edge mask BuildSeeded
+	// draws it by, so that each list below is allocated once, at its final
+	// size.
 	largeIdxOf := largeIndex(p2, large)
 	additions := make([][]graph.EdgeID, numParts)
-	logq := math.Log1p(-params.P)
+	s := newSeededSampler(seed, len(large), params)
+	mask := make([]uint64, (len(large)+63)>>6)
 	for _, e := range inserted {
 		u, v := g.EdgeEndpoints(e)
-		uLarge, vLarge := largeOf(p2, largeIdxOf, u), largeOf(p2, largeIdxOf, v)
-		if uLarge >= 0 {
-			additions[large[uLarge]] = append(additions[large[uLarge]], e)
-		}
-		if vLarge >= 0 {
-			additions[large[vLarge]] = append(additions[large[vLarge]], e)
-		}
-		if params.P > 0 {
-			seededEdgeHits(seed, u, v, uLarge, vLarge, len(large), params.Reps, false, logq, func(li int32) {
-				additions[large[li]] = append(additions[large[li]], e)
-			})
+		clear(mask)
+		s.edgeMask(mask, u, v, largeOf(p2, largeIdxOf, u), largeOf(p2, largeIdxOf, v))
+		for w, word := range mask {
+			for ; word != 0; word &= word - 1 {
+				pi := large[w<<6|bits.TrailingZeros64(word)]
+				additions[pi] = append(additions[pi], e)
+			}
 		}
 	}
 
 	newH := make([][]graph.EdgeID, numParts)
 	var touched []int
 	for pi, h := range old.H {
-		// An edge can be drawn by several repetitions and by Step 1 at once.
 		add := additions[pi]
 		slices.Sort(add)
-		add = slices.Compact(add)
 		if len(h) == 0 && len(add) == 0 {
 			continue
 		}

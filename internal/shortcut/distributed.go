@@ -251,15 +251,15 @@ func tryGuess(
 
 	// Phase 4: local sampling (zero communication). Every node samples its
 	// incident directed edges into the N' subgraphs.
-	his := stepOne(g, p, large)
-	sampleHits(g, p, largeIndex(p, large), len(large), params.P, params.Reps, opts.Rng, func(li int32, e graph.EdgeID) {
-		his[li].Set(e)
-	})
+	masks := newPartMasks(g.NumEdges(), len(large))
+	largeIdxOf := largeIndex(p, large)
+	masks.stepOne(g, p, largeIdxOf)
+	sampleHits(g, p, largeIdxOf, len(large), params.P, params.Reps, opts.Rng, masks.set)
 
 	// Congestion enforcement (the paper's cap before scheduling).
 	lf := params.LogFactor
 	capC := int(math.Ceil(congestionCapFactor*float64(params.Reps)*params.KD*math.Log(float64(n))*lf)) + 16
-	if maxMembership(g, his) > capC {
+	if masks.maxCount() > capC {
 		return nil, false, nil // guess fails: congestion exceeded
 	}
 
@@ -267,11 +267,11 @@ func tryGuess(
 	depthLimit := int32(math.Ceil(DepthFactor * params.KD * math.Log2(float64(n))))
 	tasks := make([]sched.BFSTask, len(large))
 	for li, pi := range large {
-		h := his[li]
+		li := int32(li)
 		tasks[li] = sched.BFSTask{
 			Root: p.Part(pi).Leader,
 			Allowed: func(_ int32, _, _ graph.NodeID, e graph.EdgeID) bool {
-				return h.Has(e)
+				return masks.has(li, e)
 			},
 			DepthLimit: depthLimit,
 		}
@@ -349,19 +349,5 @@ func tryGuess(
 	// flag test covers interior gaps; an entirely-unreached part has no
 	// boundary witness only if the leader itself failed, which cannot happen
 	// since the leader is the BFS root).
-	return collect(p, params, large, his), true, nil
-}
-
-func maxMembership(g *graph.Graph, his []*graph.Bitset) int {
-	count := make([]int32, g.NumEdges())
-	for _, h := range his {
-		h.ForEach(func(e int32) { count[e]++ })
-	}
-	var m int32
-	for _, c := range count {
-		if c > m {
-			m = c
-		}
-	}
-	return int(m)
+	return masks.collect(p, params, large), true, nil
 }

@@ -266,3 +266,104 @@ func TestPartDilationsMatchOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestCongestionMatchesBruteForce checks Congestion and CongestionProfile
+// against a count over every (edge, part) pair, on a partition that mixes
+// saturated parts (a list of all m edges), sampled ones, small ones without
+// a list, and nodes in no part.
+func TestCongestionMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	ran := 0
+	for trial := 0; trial < 10; trial++ {
+		g := gen.ErdosRenyi(80, 0.08, rng)
+		parts, err := gen.VoronoiParts(g, 10, rng)
+		if err != nil {
+			continue // disconnected
+		}
+		ran++
+		parts = parts[:7] // the last three parts' nodes lie in no part
+		p := mustPartition(t, g, parts)
+		m := g.NumEdges()
+		all := make([]graph.EdgeID, m)
+		for e := range all {
+			all[e] = graph.EdgeID(e)
+		}
+		H := make([][]graph.EdgeID, p.NumParts())
+		for i := range H {
+			switch i % 3 {
+			case 0: // saturated, each part its own list
+				H[i] = append([]graph.EdgeID(nil), all...)
+			case 1: // sampled
+				for e := range all {
+					if rng.Intn(3) == 0 {
+						H[i] = append(H[i], graph.EdgeID(e))
+					}
+				}
+			} // case 2: small, no list
+		}
+		s := &Shortcuts{P: p, H: H}
+		want := make([]int, m)
+		wantMax := 0
+		for e := graph.EdgeID(0); int(e) < m; e++ {
+			u, v := g.EdgeEndpoints(e)
+			for i := range H {
+				in := p.PartOf(u) == int32(i) && p.PartOf(v) == int32(i)
+				for _, he := range H[i] {
+					in = in || he == e
+				}
+				if in {
+					want[e]++
+				}
+			}
+			wantMax = max(wantMax, want[e])
+		}
+		if got := s.Congestion(); got != wantMax {
+			t.Fatalf("trial %d: Congestion %d, brute force %d", trial, got, wantMax)
+		}
+		hist := make([]int, wantMax+1)
+		for _, c := range want {
+			hist[c]++
+		}
+		if got := s.CongestionProfile(); fmt.Sprint(got) != fmt.Sprint(hist) {
+			t.Fatalf("trial %d: CongestionProfile %v, brute force %v", trial, got, hist)
+		}
+	}
+	if ran < 5 {
+		t.Fatalf("%d of 10 graphs connected, want at least 5", ran)
+	}
+}
+
+// TestDilationBracketsMatchEccentricity brackets every part of several
+// builds (cutoff 1), so one call's scratch serves many parts in turn, and
+// checks each bracket against the leader's eccentricity in a fresh
+// augmented view.
+func TestDilationBracketsMatchEccentricity(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for _, d := range []int{3, 4} {
+		hi, err := gen.NewHardInstance(1200, d, 0, 0, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := mustPartition(t, hi.G, hi.Paths)
+		for _, lf := range []float64{0.05, 1} {
+			s, err := Build(hi.G, p, Options{Diameter: d, LogFactor: lf, Rng: rng})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.PartDilations(context.Background(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, q := range got {
+				part := p.Part(i)
+				if len(part.Nodes) <= 1 {
+					continue
+				}
+				ecc := graph.NewAugmentedView(hi.G, part.Nodes, s.h(i)).EccentricityAmong(part.Leader, part.Nodes)
+				if q.Exact || q.DilationLo != ecc || q.DilationHi != 2*ecc {
+					t.Fatalf("D=%d lf=%g part %d: %v, leader eccentricity %d", d, lf, i, q, ecc)
+				}
+			}
+		}
+	}
+}

@@ -185,9 +185,10 @@ func TestBuildQualityMonotoneInLogFactor(t *testing.T) {
 }
 
 // TestBuildSaturatedMatchesSampler pins build's p ≥ 1 branch to the steps it
-// skips: Step 1 plus each sampler at probability 1, collected. Small parts
-// must stay nil, every large part must own its list, and Build must leave
-// its Rng where the sampler, which draws nothing at p = 1, would have.
+// skips: Step 1 plus each sampler at probability 1, collected, with the
+// oracle's Step 1, collection and seeded sampler (seeded_test.go). Small
+// parts must stay nil, every large part must own its list, and Build must
+// leave its Rng where the sampler, which draws nothing at p = 1, would have.
 func TestBuildSaturatedMatchesSampler(t *testing.T) {
 	type satCase struct {
 		name string
@@ -230,9 +231,9 @@ func TestBuildSaturatedMatchesSampler(t *testing.T) {
 				t.Fatalf("%s: %d of %d parts large, want a mix", name, len(large), c.p.NumParts())
 			}
 			oracle := func(step2 func(largeIdxOf []int32, hit func(li int32, e graph.EdgeID))) *Shortcuts {
-				his := stepOne(c.g, c.p, large)
+				his := oracleStepOne(c.g, c.p, large)
 				step2(largeIndex(c.p, large), func(li int32, e graph.EdgeID) { his[li].Set(e) })
-				return collect(c.p, params, large, his)
+				return oracleCollect(c.p, params, large, his)
 			}
 
 			opts.Rng = rand.New(rand.NewSource(seed))
@@ -255,7 +256,7 @@ func TestBuildSaturatedMatchesSampler(t *testing.T) {
 					sampleHits(c.g, c.p, idx, len(large), 1, params.Reps, rand.New(rand.NewSource(seed)), hit)
 				})},
 				{"BuildSeeded", seeded, oracle(func(idx []int32, hit func(int32, graph.EdgeID)) {
-					seededSampleHits(c.g, c.p, idx, len(large), 1, params.Reps, seed, hit)
+					oracleSampleHits(c.g, c.p, idx, len(large), 1, params.Reps, seed, hit)
 				})},
 			} {
 				if !reflect.DeepEqual(run.got, run.want) {

@@ -13,17 +13,23 @@ import (
 // single edge shifts every later draw, so a rebuild after a delta would
 // resample every part. BuildSeeded instead derives an independent
 // splitmix64 stream per (tail, head, repetition) triple, keyed by the
-// endpoint node IDs — NOT by EdgeID, which a delta renumbers. The sampled
-// hit set of an edge is then a pure function of (seed, endpoints,
-// repetition), independent of every other edge (seededEdgeHits, the one
-// definition of an edge's draws). So after a delta a surviving edge keeps
-// its draws, and DeriveSeeded obtains the post-delta assignment from the
-// old one — the old lists under the delta's edge remap, plus each inserted
-// edge's Step-1 membership and draws — without drawing a surviving edge
-// again; serve.ApplyDelta runs it instead of a rebuild.
+// endpoint node IDs — NOT by EdgeID, which a delta renumbers. An edge's
+// membership is then a pure function of (seed, endpoints, the large parts
+// of its endpoints), independent of every other edge: seededSampler's
+// edgeMask is its one definition. So after a delta a surviving edge keeps
+// its membership, and DeriveSeeded obtains the post-delta assignment from
+// the old one — the old lists under the delta's edge remap, plus each
+// inserted edge's edgeMask — without drawing a surviving edge again;
+// serve.ApplyDelta runs it instead of a rebuild.
 //
-// The per-stream geometric skip-sampling is the same Log1p trick as
-// sampleHits, so the draw distribution is identical to Build's.
+// edgeMask ORs an edge's streams into one mask of large parts and stops
+// once the mask holds every part: the streams are independent and a part
+// cannot join twice, so the draws it skips could add nothing. Each stream
+// walks the large parts by geometric skips, as sampleHits does, but decides
+// a skip by comparing the draw with a table of q^k instead of taking a
+// logarithm (DESIGN.md "Seeded sampling"); a draw the table cannot decide
+// takes the logarithm, so every skip, and every mask, is the one
+// log(1−u)/log(q) gives.
 
 // splitmix64 is the SplitMix64 finalizer, the mixing function behind the
 // per-arc sample streams.
@@ -47,99 +53,143 @@ func arcStream(seed uint64, tail, head graph.NodeID, rep int) sampleStream {
 	return sampleStream{state: splitmix64(s ^ uint64(rep)*0xBF58476D1CE4E5B9)}
 }
 
-// next returns the next uniform float64 in [0, 1).
+// next returns the next uniform float64 in [0, 1), a multiple of 2⁻⁵³.
 func (s *sampleStream) next() float64 {
 	s.state += 0x9E3779B97F4A7C15
 	return float64(splitmix64(s.state)>>11) / (1 << 53)
 }
 
-// seededArcHits invokes hit(li) for every large-part index the directed arc
-// (tail → head) samples into on repetition rep, excluding the tail's own
-// large part (tailLarge, or -1). all short-circuits p ≥ 1; logq is
-// Log1p(-p) otherwise. The hit sequence is a pure function of the arguments.
-func seededArcHits(
-	seed uint64,
-	tail, head graph.NodeID,
-	rep int,
-	numLarge int,
-	tailLarge int32,
-	all bool,
-	logq float64,
-	hit func(li int32),
-) {
-	if all {
-		for li := int32(0); li < int32(numLarge); li++ {
-			if li != tailLarge {
-				hit(li)
-			}
-		}
-		return
+// skipMargin is the relative margin around each q^k inside which the table
+// defers to the logarithm. The logarithm's own error is a few units in the
+// last place, ~10⁻¹⁴ relative over the range where q^k ≥ 2⁻⁵³.
+const skipMargin = 1e-9
+
+// The guide table indexes a draw x ∈ [2⁻⁵³, 1] by its exponent and top
+// guideBits mantissa bits, 2^guideBits buckets per binade; guideBase is the
+// index of x = 2⁻⁵³'s bucket.
+const (
+	guideBits = 4
+	guideBase = (1023 - 53) << guideBits
+)
+
+// seededSampler draws BuildSeeded's Step 2 edge by edge, at probability p
+// into numLarge large parts on each of reps repetitions.
+type seededSampler struct {
+	seed     uint64
+	numLarge int32
+	reps     int // 0 when p ≤ 0: nothing is drawn
+	logq     float64
+	// lo[k] = q^k·(1−skipMargin) and hi[k] = q^k·(1+skipMargin) for
+	// k = 1..numLarge, q = 1 − p; lo[numLarge+1] = -1 ends every search.
+	lo, hi []float64
+	// guide[b] counts the k with lo[k] above every draw in bucket b: a
+	// search for such a draw starts past them.
+	guide []int32
+}
+
+// newSeededSampler returns the sampler of a build with the given seed,
+// number of large parts and parameters; params.P must be below 1.
+func newSeededSampler(seed uint64, numLarge int, params Params) *seededSampler {
+	s := &seededSampler{seed: seed, numLarge: int32(numLarge)}
+	if params.P <= 0 || numLarge == 0 {
+		return s
 	}
-	st := arcStream(seed, tail, head, rep)
-	li := int32(0)
-	for {
-		// Geometric number of failures before the next success; compare in
-		// float to avoid integer overflow on huge skips.
-		skip := math.Log(1-st.next()) / logq
-		if skip >= float64(int32(numLarge)-li) {
+	s.reps = params.Reps
+	s.logq = math.Log1p(-params.P)
+	s.lo = make([]float64, numLarge+2)
+	s.hi = make([]float64, numLarge+1)
+	for k := 1; k <= numLarge; k++ {
+		t := math.Exp(float64(k) * s.logq)
+		s.lo[k], s.hi[k] = t*(1-skipMargin), t*(1+skipMargin)
+	}
+	s.lo[numLarge+1] = -1
+	s.guide = make([]int32, 53<<guideBits+1)
+	k := s.numLarge
+	for b := range s.guide {
+		// top is the smallest float above bucket b; it grows with b, and lo
+		// falls with k.
+		top := math.Float64frombits(uint64(guideBase+b+1) << (52 - guideBits))
+		for k > 0 && s.lo[k] < top {
+			k--
+		}
+		s.guide[b] = k
+	}
+	return s
+}
+
+// skip returns ⌊log(x)/log(q)⌋, the number of failures before a stream's
+// next success given its draw x = 1 − u, capped at limit ≥ 1 (a skip of
+// limit or more ends the stream). Since x ∈ (0, 1] is a multiple of 2⁻⁵³,
+// skip ≥ k exactly when x ≤ q^k; the search decides that against the
+// table, starting at x's guide entry, and a draw within skipMargin of some
+// q^k takes today's expression, log(x)/log(q), instead.
+func (s *seededSampler) skip(x float64, limit int32) int32 {
+	k := s.guide[math.Float64bits(x)>>(52-guideBits)-guideBase] + 1
+	for x <= s.lo[k] {
+		k++
+	}
+	if k > limit {
+		return limit
+	}
+	if x <= s.hi[k] {
+		return s.logSkip(x, limit)
+	}
+	return k - 1
+}
+
+// logSkip is skip by the logarithm.
+func (s *seededSampler) logSkip(x float64, limit int32) int32 {
+	// Compare in float to avoid integer overflow on huge skips.
+	f := math.Log(x) / s.logq
+	if f >= float64(limit) {
+		return limit
+	}
+	return int32(f)
+}
+
+// edgeMask sets in mask (zero on entry) the large parts whose list holds
+// edge {u, v}: Step 1's, the large parts uLarge and vLarge of its endpoints
+// (-1 outside every large part), and Step 2's, the parts hit by the stream
+// of arc u → v and that of v → u on each repetition. It stops drawing once
+// mask holds every large part. This is the one definition of a seeded
+// edge's membership; BuildSeeded and DeriveSeeded both draw through it.
+func (s *seededSampler) edgeMask(mask []uint64, u, v graph.NodeID, uLarge, vLarge int32) {
+	missing := s.numLarge
+	for _, li := range [2]int32{uLarge, vLarge} {
+		if li >= 0 && mask[li>>6]&(1<<(uint(li)&63)) == 0 {
+			mask[li>>6] |= 1 << (uint(li) & 63)
+			missing--
+		}
+	}
+	for r := 0; r < s.reps && missing > 0; r++ {
+		missing = s.arcHits(mask, missing, u, v, r)
+		if missing > 0 {
+			missing = s.arcHits(mask, missing, v, u, r)
+		}
+	}
+}
+
+// arcHits ORs into mask the large parts the stream of arc tail → head hits
+// on repetition rep, given that mask misses missing > 0 parts, and returns
+// how many it misses after; it stops drawing at none. Unlike sampleHits it
+// does not skip the tail's own large part: Step 1 already holds it.
+func (s *seededSampler) arcHits(mask []uint64, missing int32, tail, head graph.NodeID, rep int) int32 {
+	st := arcStream(s.seed, tail, head, rep)
+	for li := int32(0); li < s.numLarge; li++ {
+		limit := s.numLarge - li
+		k := s.skip(1-st.next(), limit)
+		if k == limit {
 			break
 		}
-		li += int32(skip)
-		if li != tailLarge {
-			hit(li)
+		li += k
+		if w, b := li>>6, uint64(1)<<(uint(li)&63); mask[w]&b == 0 {
+			mask[w] |= b
+			if missing--; missing == 0 {
+				break
+			}
 		}
-		li++
 	}
-}
-
-// seededEdgeHits invokes hit(li) for every large-part index that edge
-// {u, v} samples into: on each of reps repetitions, the arc u → v excluding
-// u's own large part uLarge, then v → u excluding vLarge (each -1 outside
-// every large part). all and logq as in seededArcHits. BuildSeeded and
-// DeriveSeeded both draw an edge through it.
-func seededEdgeHits(
-	seed uint64,
-	u, v graph.NodeID,
-	uLarge, vLarge int32,
-	numLarge, reps int,
-	all bool,
-	logq float64,
-	hit func(li int32),
-) {
-	for r := 0; r < reps; r++ {
-		seededArcHits(seed, u, v, r, numLarge, uLarge, all, logq, hit)
-		seededArcHits(seed, v, u, r, numLarge, vLarge, all, logq, hit)
-	}
-}
-
-// seededSampleHits is sampleHits with per-arc derived streams instead of one
-// shared sequential rng: the same draws and distribution, but walked edge by
-// edge, and every (arc, repetition)'s draws are independent of every other
-// arc's.
-func seededSampleHits(
-	g *graph.Graph,
-	p *Partition,
-	largeIdxOf []int32,
-	numLarge int,
-	prob float64,
-	reps int,
-	seed uint64,
-	hit func(li int32, e graph.EdgeID),
-) {
-	if prob <= 0 || numLarge == 0 {
-		return
-	}
-	all := prob >= 1
-	var logq float64
-	if !all {
-		logq = math.Log1p(-prob)
-	}
-	for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
-		u, v := g.EdgeEndpoints(e)
-		seededEdgeHits(seed, u, v, largeOf(p, largeIdxOf, u), largeOf(p, largeIdxOf, v), numLarge, reps, all, logq, func(li int32) {
-			hit(li, e)
-		})
-	}
+	return missing
 }
 
 // largeOf returns the large-part index of v's part, or -1 when v lies in no
@@ -153,13 +203,20 @@ func largeOf(p *Partition, largeIdxOf []int32, v graph.NodeID) int32 {
 
 // BuildSeeded runs the centralized construction of Section 2 with seeded
 // per-arc sampling: the result is a pure function of (g, p, opts, seed),
-// with every edge's draws independent of every other edge's. This is the
-// construction behind dynamic snapshots: serve.NewSnapshot builds with it,
-// and DeriveSeeded carries its result through a delta, equal to rerunning it
-// on the post-delta graph with the same seed. Options.Rng is ignored (and
-// may be nil); everything else matches Build.
+// with every edge's membership independent of every other edge's. Each
+// edge's part mask comes from seededSampler's edgeMask, and the lists are
+// collected from the masks. This is the construction behind dynamic
+// snapshots: serve.NewSnapshot builds with it, and DeriveSeeded carries its
+// result through a delta, equal to rerunning it on the post-delta graph with
+// the same seed. Options.Rng is ignored (and may be nil); everything else
+// matches Build.
 func BuildSeeded(g *graph.Graph, p *Partition, opts Options, seed uint64) (*Shortcuts, error) {
-	return build("shortcut.BuildSeeded", g, p, opts, func(largeIdxOf []int32, numLarge int, params Params, hit func(li int32, e graph.EdgeID)) {
-		seededSampleHits(g, p, largeIdxOf, numLarge, params.P, params.Reps, seed, hit)
+	return build("shortcut.BuildSeeded", g, p, opts, func(masks *partMasks, largeIdxOf []int32, params Params) error {
+		s := newSeededSampler(seed, masks.numLarge, params)
+		for e := graph.EdgeID(0); int(e) < g.NumEdges(); e++ {
+			u, v := g.EdgeEndpoints(e)
+			s.edgeMask(masks.mask(e), u, v, largeOf(p, largeIdxOf, u), largeOf(p, largeIdxOf, v))
+		}
+		return nil
 	})
 }

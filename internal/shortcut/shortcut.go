@@ -84,12 +84,20 @@ func (q Quality) String() string {
 
 // edgeLoads returns, per edge e, the number of augmented subgraphs
 // G[Si] ∪ Hi containing e, and the largest such count. An edge inside G[Si]
-// that also appears in Hi counts once for part i.
+// that also appears in Hi counts once for part i. A list holds each edge
+// once, so a part whose list has all m edges adds one to every edge: such
+// saturated parts are counted, and added after the loop.
 func (s *Shortcuts) edgeLoads() (count []int32, maxC int32) {
 	g := s.P.Graph()
-	count = make([]int32, g.NumEdges())
-	mark := graph.NewBitset(g.NumEdges())
+	m := g.NumEdges()
+	count = make([]int32, m)
+	mark := graph.NewBitset(m)
+	var saturated int32
 	for i := 0; i < s.P.NumParts(); i++ {
+		if len(s.h(i)) == m {
+			saturated++
+			continue
+		}
 		mark.Reset()
 		part := s.P.Part(i)
 		for _, u := range part.Nodes {
@@ -100,17 +108,14 @@ func (s *Shortcuts) edgeLoads() (count []int32, maxC int32) {
 				return true
 			})
 		}
-		if i < len(s.H) {
-			for _, e := range s.H[i] {
-				mark.Set(e)
-			}
+		for _, e := range s.h(i) {
+			mark.Set(e)
 		}
 		mark.ForEach(func(e int32) { count[e]++ })
 	}
-	for _, c := range count {
-		if c > maxC {
-			maxC = c
-		}
+	for e := range count {
+		count[e] += saturated
+		maxC = max(maxC, count[e])
 	}
 	return count, maxC
 }
@@ -227,6 +232,7 @@ func (s *Shortcuts) DilationsOf(ctx context.Context, parts []int, exactCutoff in
 		return nil, reproerr.FromContext("shortcut.Dilation", err)
 	}
 	out := make([]Quality, len(parts))
+	var bfs *viewBFS
 	for k, i := range parts {
 		var d int32
 		if exact(i) {
@@ -236,8 +242,11 @@ func (s *Shortcuts) DilationsOf(ctx context.Context, parts []int, exactCutoff in
 			if err := ctxCheck("shortcut.Dilation", ctx); err != nil {
 				return nil, err
 			}
+			if bfs == nil {
+				bfs = newViewBFS(g)
+			}
 			part := s.P.Part(i)
-			d = graph.NewAugmentedView(g, part.Nodes, s.h(i)).EccentricityAmong(part.Leader, part.Nodes)
+			d = bfs.eccentricity(part.Nodes, s.h(i), part.Leader)
 			out[k] = Quality{DilationLo: d, DilationHi: 2 * d}
 		}
 		if d < 0 {
@@ -245,6 +254,77 @@ func (s *Shortcuts) DilationsOf(ctx context.Context, parts []int, exactCutoff in
 		}
 	}
 	return out, nil
+}
+
+// viewBFS is the scratch of DilationsOf's brackets, allocated once per call
+// and left clean after each part: a distance-only BFS inside one part's
+// view G[S] ∪ H at a time.
+type viewBFS struct {
+	g        *graph.Graph
+	inS, inH *graph.Bitset
+	dist     []int32
+	queue    []graph.NodeID
+}
+
+func newViewBFS(g *graph.Graph) *viewBFS {
+	dist := make([]int32, g.NumNodes())
+	for v := range dist {
+		dist[v] = graph.Unreached
+	}
+	return &viewBFS{
+		g:     g,
+		inS:   graph.NewBitset(g.NumNodes()),
+		inH:   graph.NewBitset(g.NumEdges()),
+		dist:  dist,
+		queue: make([]graph.NodeID, 0, g.NumNodes()),
+	}
+}
+
+// eccentricity returns the largest hop distance from src to a node of S
+// inside the view G[S] ∪ H, or -1 if some node of S is unreached there:
+// graph.NewAugmentedView(g, S, H).EccentricityAmong(src, S), admitting the
+// same arcs (those of H, and those with both ends in S).
+func (b *viewBFS) eccentricity(S []graph.NodeID, H []graph.EdgeID, src graph.NodeID) int32 {
+	for _, v := range S {
+		b.inS.Set(v)
+	}
+	for _, e := range H {
+		b.inH.Set(e)
+	}
+	b.dist[src] = 0
+	q := append(b.queue[:0], src)
+	for head := 0; head < len(q); head++ {
+		u := q[head]
+		uInS := b.inS.Has(u)
+		lo, hi := b.g.ArcRange(u)
+		for a := lo; a < hi; a++ {
+			v := b.g.ArcTarget(a)
+			if b.dist[v] != graph.Unreached || !b.inH.Has(b.g.ArcEdge(a)) && !(uInS && b.inS.Has(v)) {
+				continue
+			}
+			b.dist[v] = b.dist[u] + 1
+			q = append(q, v)
+		}
+	}
+	var ecc int32
+	for _, v := range S {
+		if b.dist[v] == graph.Unreached {
+			ecc = -1
+			break
+		}
+		ecc = max(ecc, b.dist[v])
+	}
+	for _, v := range q {
+		b.dist[v] = graph.Unreached
+	}
+	for _, v := range S {
+		b.inS.Clear(v)
+	}
+	for _, e := range H {
+		b.inH.Clear(e)
+	}
+	b.queue = q
+	return ecc
 }
 
 // h returns part i's shortcut edges (nil when H does not cover it).

@@ -29,11 +29,12 @@ func BuildDeterministic(g *graph.Graph, p *Partition, opts Options) (*Shortcuts,
 	n := g.NumNodes()
 	params := DeriveParams(n, d, opts.Reps, opts.LogFactor)
 	large := p.LargeParts(int(params.KD))
+	masks := newPartMasks(g.NumEdges(), len(large))
 	if len(large) == 0 {
-		return collect(p, params, nil, nil), nil // no slots to stride over
+		return masks.collect(p, params, large), nil // no slots to stride over
 	}
-	his := stepOne(g, p, large)
 	largeIdxOf := largeIndex(p, large)
+	masks.stepOne(g, p, largeIdxOf)
 	// Per (arc, rep): join a block of `take` consecutive part slots starting
 	// at a hash offset — a contiguous block guarantees exactly `take`
 	// distinct parts regardless of the modulus.
@@ -60,14 +61,14 @@ func BuildDeterministic(g *graph.Graph, p *Partition, opts Options) (*Shortcuts,
 				li := int32(h % uint64(numLarge))
 				for t := 0; t < take; t++ {
 					if li != uLarge {
-						his[li].Set(e)
+						masks.set(li, e)
 					}
 					li = (li + 1) % int32(numLarge)
 				}
 			}
 		}
 	}
-	return collect(p, params, large, his), nil
+	return masks.collect(p, params, large), nil
 }
 
 // LocalOptions configures BuildLocal.
@@ -101,7 +102,8 @@ func BuildLocal(g *graph.Graph, p *Partition, opts LocalOptions) (*Shortcuts, er
 	n := g.NumNodes()
 	params := DeriveParams(n, d, opts.Reps, opts.LogFactor)
 	large := p.LargeParts(int(params.KD))
-	his := stepOne(g, p, large)
+	masks := newPartMasks(g.NumEdges(), len(large))
+	masks.stepOne(g, p, largeIndex(p, large))
 	// Per large part: restrict sampling to arcs whose tail is within radius
 	// of the part (multi-source truncated BFS).
 	for li, pi := range large {
@@ -118,12 +120,12 @@ func BuildLocal(g *graph.Graph, p *Partition, opts LocalOptions) (*Shortcuts, er
 				e := g.ArcEdge(a)
 				for r := 0; r < params.Reps; r++ {
 					if opts.Rng.Float64() < params.P {
-						his[li].Set(e)
+						masks.set(int32(li), e)
 						break // already in Hi; further repetitions are moot
 					}
 				}
 			}
 		}
 	}
-	return collect(p, params, large, his), nil
+	return masks.collect(p, params, large), nil
 }
