@@ -85,8 +85,10 @@ func build(
 		return saturated(p, params, large, g.NumEdges()), nil
 	}
 	masks := newPartMasks(g.NumEdges(), len(large))
-	if err := fill(masks, largeIndex(p, large), params); err != nil {
-		return nil, err
+	if len(large) > 0 { // else no edge joins a list, and no step draws
+		if err := fill(masks, largeIndex(p, large), params); err != nil {
+			return nil, err
+		}
 	}
 	return masks.collect(p, params, large), nil
 }

@@ -15,15 +15,16 @@ import (
 // graph, old the pre-delta assignment, rm the delta's edge remap and
 // inserted the new EdgeIDs of the inserted edges.
 //
-// An edge's Step-2 draws depend only on the seed and its endpoints
-// (seededEdgeHits), so no surviving edge is drawn again:
+// An edge's membership depends only on the seed, its endpoints and their
+// large parts (seededSampler's edgeMask, the function BuildSeeded draws
+// every edge by), so no surviving edge is drawn again:
 //
 //  1. Each old list is carried through rm.OldToNew, dropping deleted edges;
 //     a part that lost an edge is touched. The remap keeps surviving edges
 //     in order, so the lists stay ascending.
-//  2. Each inserted edge joins the large parts of its endpoints (Step 1) and
-//     the large parts its seeded draws hit (Step 2); a part that gained an
-//     edge is touched.
+//  2. Each inserted edge (inserted lists distinct edges) joins the large
+//     parts its edgeMask holds: those of its endpoints (Step 1) and those
+//     its seeded draws hit (Step 2); a part that gained an edge is touched.
 //
 // At p ≥ 1 every large part's list is all of E (see saturated), so the
 // lists are rebuilt without reading old, and every large part is touched

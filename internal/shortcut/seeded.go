@@ -117,12 +117,12 @@ func newSeededSampler(seed uint64, numLarge int, params Params) *seededSampler {
 	return s
 }
 
-// skip returns ⌊log(x)/log(q)⌋, the number of failures before a stream's
-// next success given its draw x = 1 − u, capped at limit ≥ 1 (a skip of
-// limit or more ends the stream). Since x ∈ (0, 1] is a multiple of 2⁻⁵³,
-// skip ≥ k exactly when x ≤ q^k; the search decides that against the
-// table, starting at x's guide entry, and a draw within skipMargin of some
-// q^k takes today's expression, log(x)/log(q), instead.
+// skip returns the number of failures before a stream's next success given
+// its draw x = 1 − u, ⌊math.Log(x)/logq⌋, capped at limit ≥ 1 (a skip of
+// limit or more ends the stream). x ∈ (0, 1] is a multiple of 2⁻⁵³, and in
+// exact arithmetic skip ≥ k when x ≤ q^k. The search decides that against
+// the table from x's guide entry on; a draw within skipMargin of some q^k,
+// where rounding could decide it, takes the logarithm instead.
 func (s *seededSampler) skip(x float64, limit int32) int32 {
 	k := s.guide[math.Float64bits(x)>>(52-guideBits)-guideBase] + 1
 	for x <= s.lo[k] {
@@ -156,8 +156,7 @@ func (s *seededSampler) logSkip(x float64, limit int32) int32 {
 func (s *seededSampler) edgeMask(mask []uint64, u, v graph.NodeID, uLarge, vLarge int32) {
 	missing := s.numLarge
 	for _, li := range [2]int32{uLarge, vLarge} {
-		if li >= 0 && mask[li>>6]&(1<<(uint(li)&63)) == 0 {
-			mask[li>>6] |= 1 << (uint(li) & 63)
+		if li >= 0 && join(mask, li) {
 			missing--
 		}
 	}
@@ -182,14 +181,23 @@ func (s *seededSampler) arcHits(mask []uint64, missing int32, tail, head graph.N
 			break
 		}
 		li += k
-		if w, b := li>>6, uint64(1)<<(uint(li)&63); mask[w]&b == 0 {
-			mask[w] |= b
+		if join(mask, li) {
 			if missing--; missing == 0 {
 				break
 			}
 		}
 	}
 	return missing
+}
+
+// join sets bit li of mask and reports whether it was clear.
+func join(mask []uint64, li int32) bool {
+	w, b := li>>6, uint64(1)<<(uint(li)&63)
+	if mask[w]&b != 0 {
+		return false
+	}
+	mask[w] |= b
+	return true
 }
 
 // largeOf returns the large-part index of v's part, or -1 when v lies in no
