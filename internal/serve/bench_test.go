@@ -265,6 +265,27 @@ func BenchmarkNewSnapshotSampled(b *testing.B) {
 	})
 }
 
+// BenchmarkServeMinCut is the query lib-mixed-swap's set-up warms up with:
+// a default MinCutQuery through ServeCtx on servebench's n=2000 fixture and
+// default build, from a server with servebench's seed. It packs
+// ⌈2·log2 n⌉ = 22 trees, the snapshot's tree first. Run it with -benchmem.
+func BenchmarkServeMinCut(b *testing.B) {
+	g, w, parts, buildSeed := erSnapshotFixture(b, 2000)
+	snap, err := serve.NewSnapshot(g, w, parts, serve.SnapshotOptions{Rng: rand.New(rand.NewSource(buildSeed))})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := serve.NewServer(snap, serve.ServerOptions{Executors: 1, Seed: 1})
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := srv.ServeCtx(ctx, serve.MinCutQuery{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // deltaOfSize builds an insert-only delta of k edges absent from g.
 func deltaOfSize(b *testing.B, g *graph.Graph, k int, seed int64) graph.Delta {
 	b.Helper()
