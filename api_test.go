@@ -196,3 +196,20 @@ func TestFacadeGraphBuilder(t *testing.T) {
 		t.Errorf("FromEdges: %v", err)
 	}
 }
+
+// TestMSTEmptyGraph runs MST on the two graphs with no nodes, a built
+// zero-node graph and the zero Graph: both give an empty tree and no error.
+func TestMSTEmptyGraph(t *testing.T) {
+	for name, g := range map[string]*repro.Graph{
+		"built": repro.NewGraphBuilder(0).Build(),
+		"zero":  {},
+	} {
+		if n := g.NumNodes(); n != 0 {
+			t.Errorf("%s: NumNodes = %d, want 0", name, n)
+		}
+		tree, err := repro.MST(g, nil)
+		if err != nil || len(tree) != 0 {
+			t.Errorf("%s: MST = %v, %v; want an empty tree and no error", name, tree, err)
+		}
+	}
+}

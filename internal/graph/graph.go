@@ -36,8 +36,8 @@ type Graph struct {
 	edgeV     []NodeID // edge ID -> larger endpoint, len m
 }
 
-// NumNodes returns the number of vertices n.
-func (g *Graph) NumNodes() int { return len(g.offsets) - 1 }
+// NumNodes returns the number of vertices n, 0 for the zero Graph.
+func (g *Graph) NumNodes() int { return max(len(g.offsets)-1, 0) }
 
 // NumEdges returns the number of undirected edges m.
 func (g *Graph) NumEdges() int { return len(g.edgeU) }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/cost"
@@ -112,6 +113,11 @@ func TreesForEps(n int, eps float64) int {
 // 2-respects some packed tree w.h.p.; checking 1-respecting cuts yields a
 // ≤ 2·(1+ε) approximation. All reported cuts are genuine cuts, so Value is
 // always an upper bound on the true minimum.
+//
+// Each tree costs near-linear time: the centralized packing is a radix-
+// sorted Kruskal (mst.KruskalScratch), and the evaluation finds every
+// edge's tree LCA by Tarjan's offline algorithm. One MST scratch, one
+// evaluation scratch and one load-weight buffer serve every tree of a call.
 func Approx(g *graph.Graph, w graph.Weights, opts ApproxOptions) (*ApproxResult, error) {
 	const op = "mincut.Approx"
 	if err := reproerr.RequireRng(op, opts.Rng); err != nil {
@@ -135,8 +141,11 @@ func Approx(g *graph.Graph, w graph.Weights, opts ApproxOptions) (*ApproxResult,
 
 	res := &ApproxResult{Value: math.Inf(1), Trees: k}
 	load := make([]float64, g.NumEdges())
-	// One scheduler scratch shared by every packed tree's distributed MST.
+	// One MST scratch shared by every packed tree's Kruskal or distributed
+	// MST; neither keeps a reference to packW, so one buffer serves all.
 	var scratch mst.Scratch
+	packW := make(graph.Weights, g.NumEdges())
+	cs := newCutScratch(g, w)
 	for t := 0; t < k; t++ {
 		if err := reproerr.CtxCheck(op, opts.Ctx); err != nil {
 			return nil, err
@@ -144,58 +153,98 @@ func Approx(g *graph.Graph, w graph.Weights, opts ApproxOptions) (*ApproxResult,
 		var tree []graph.EdgeID
 		if t == 0 && len(opts.FirstTree) > 0 {
 			tree = opts.FirstTree
-			for _, e := range tree {
-				load[e]++
-			}
-			value, side := bestOneRespectingCut(g, w, tree)
-			if value < res.Value {
-				res.Value = value
-				res.Side = side
-			}
-			continue
-		}
-		// Pack the next tree: MST under load-based weights (uniform noise
-		// breaks ties so repeated trees diversify).
-		packW := make(graph.Weights, g.NumEdges())
-		for e := range packW {
-			packW[e] = load[e] + 1 + 0.01*opts.Rng.Float64()
-		}
-		if opts.Distributed {
-			dres, err := mst.DistributedScratch(g, packW, mst.DistOptions{
-				Rng:       opts.Rng,
-				Diameter:  opts.Diameter,
-				LogFactor: opts.LogFactor,
-				Ctx:       opts.Ctx,
-			}, &scratch)
-			if err != nil {
-				return nil, reproerr.Errorf(op, reproerr.KindOf(err), "packing tree %d: %w", t, err)
-			}
-			tree = dres.Tree
-			res.AddSim(dres.Rounds, dres.Messages)
-			res.MergeSchedStats(dres.SchedStats)
 		} else {
-			var err error
-			tree, err = mst.Kruskal(g, packW)
-			if err != nil {
-				return nil, reproerr.Errorf(op, reproerr.KindOf(err), "packing tree %d: %w", t, err)
+			// Pack the next tree: MST under load-based weights (uniform
+			// noise breaks ties so repeated trees diversify).
+			for e := range packW {
+				packW[e] = load[e] + 1 + 0.01*opts.Rng.Float64()
+			}
+			if opts.Distributed {
+				dres, err := mst.DistributedScratch(g, packW, mst.DistOptions{
+					Rng:       opts.Rng,
+					Diameter:  opts.Diameter,
+					LogFactor: opts.LogFactor,
+					Ctx:       opts.Ctx,
+				}, &scratch)
+				if err != nil {
+					return nil, reproerr.Errorf(op, reproerr.KindOf(err), "packing tree %d: %w", t, err)
+				}
+				tree = dres.Tree
+				res.AddSim(dres.Rounds, dres.Messages)
+				res.MergeSchedStats(dres.SchedStats)
+			} else {
+				var err error
+				tree, err = mst.KruskalScratch(g, packW, &scratch)
+				if err != nil {
+					return nil, reproerr.Errorf(op, reproerr.KindOf(err), "packing tree %d: %w", t, err)
+				}
 			}
 		}
 		for _, e := range tree {
 			load[e]++
 		}
-		value, side := bestOneRespectingCut(g, w, tree)
-		if value < res.Value {
+		// The cut-evaluation convergecast is one aggregation over the tree,
+		// O(shortcut quality) rounds through the framework; the MST
+		// accounting above already covers that bound.
+		if value, side := cs.bestOneRespectingCut(tree, res.Value); value < res.Value {
 			res.Value = value
 			res.Side = side
 		}
-		// Charging the cut-evaluation convergecast when simulating: one
-		// aggregation over the tree, O(tree depth) ≤ O(n) rounds in the
-		// worst case but O(shortcut quality) through the framework; we
-		// charge the tree's depth (computed below) as a conservative bound
-		// is already included in the MST accounting above.
 	}
 	res.Wall = time.Since(start)
 	return res, nil
+}
+
+// cutScratch evaluates the 1-respecting cuts of one tree after another on a
+// fixed graph and weights, reusing its buffers across trees.
+type cutScratch struct {
+	g *graph.Graph
+	w graph.Weights
+	// wdeg is every node's weighted degree, summed once per Approx call.
+	wdeg []float64
+	// The tree's adjacency as a CSR, neighbours in tree order: node u's
+	// are nbr[off[u]:off[u+1]].
+	off []int32
+	nbr []graph.NodeID
+	// The BFS from node 0: order lists the reached nodes, parents before
+	// children; parent[root] = root and parent[v] = -1 for unreached v; the
+	// children of order[i] are order[kid[i]:kid[i+1]].
+	parent []graph.NodeID
+	order  []graph.NodeID
+	kid    []int32
+	// link is the union-find forest of Tarjan's offline LCA; lca[e] is edge
+	// e's tree LCA, valid when both its endpoints are reached.
+	link []graph.NodeID
+	lca  []graph.NodeID
+	// subDeg and subLca are the subtree sums of wdeg and of the LCA weights.
+	subDeg, subLca []float64
+	stack          []dfsFrame
+}
+
+// dfsFrame is one node on the offline-LCA DFS stack, by BFS position, with
+// the BFS position of its next unvisited child.
+type dfsFrame struct{ at, next int32 }
+
+func newCutScratch(g *graph.Graph, w graph.Weights) *cutScratch {
+	n, m := g.NumNodes(), g.NumEdges()
+	cs := &cutScratch{
+		g: g, w: w,
+		wdeg:   make([]float64, n),
+		off:    make([]int32, n+1),
+		parent: make([]graph.NodeID, n),
+		order:  make([]graph.NodeID, 0, n),
+		kid:    make([]int32, n+1),
+		link:   make([]graph.NodeID, n),
+		lca:    make([]graph.NodeID, m),
+		subDeg: make([]float64, n),
+		subLca: make([]float64, n),
+	}
+	for e := 0; e < m; e++ {
+		u, v := g.EdgeEndpoints(graph.EdgeID(e))
+		cs.wdeg[u] += w[e]
+		cs.wdeg[v] += w[e]
+	}
+	return cs
 }
 
 // bestOneRespectingCut roots the tree at node 0 and evaluates, for every
@@ -204,69 +253,76 @@ func Approx(g *graph.Graph, w graph.Weights, opts ApproxOptions) (*ApproxResult,
 //
 //	w(δ(S_v)) = Σ_{x∈S_v} wdeg(x) − 2·w(E[S_v]),
 //
-// where E[S_v] are edges whose tree-LCA lies in the subtree of v.
-func bestOneRespectingCut(g *graph.Graph, w graph.Weights, tree []graph.EdgeID) (float64, []graph.NodeID) {
+// where E[S_v] are edges whose tree-LCA lies in the subtree of v. It
+// returns the smallest such cut, the first in BFS order on ties, and, only
+// when that value is below beat, the nodes of its side; otherwise nil.
+func (cs *cutScratch) bestOneRespectingCut(tree []graph.EdgeID, beat float64) (float64, []graph.NodeID) {
+	g, w := cs.g, cs.w
 	n := g.NumNodes()
-	// Build tree adjacency.
-	adj := make([][]graph.NodeID, n)
+
+	// Tree adjacency: count, prefix, fill in tree order (each fill advances
+	// off[u] to u's end), then shift the ends back into starts.
+	off := cs.off
+	clear(off)
 	for _, e := range tree {
 		u, v := g.EdgeEndpoints(e)
-		adj[u] = append(adj[u], v)
-		adj[v] = append(adj[v], u)
+		off[u+1]++
+		off[v+1]++
 	}
-	root := graph.NodeID(0)
-	parent := make([]graph.NodeID, n)
-	depth := make([]int32, n)
-	order := make([]graph.NodeID, 0, n) // BFS order (parents before children)
+	for u := 0; u < n; u++ {
+		off[u+1] += off[u]
+	}
+	cs.nbr = slices.Grow(cs.nbr[:0], int(off[n]))[:off[n]]
+	nbr := cs.nbr
+	for _, e := range tree {
+		u, v := g.EdgeEndpoints(e)
+		nbr[off[u]] = v
+		off[u]++
+		nbr[off[v]] = u
+		off[v]++
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+
+	// BFS from the root; a node's children are appended together, so they
+	// sit contiguously in order.
+	const root = graph.NodeID(0)
+	parent := cs.parent
 	for i := range parent {
 		parent[i] = -1
-		depth[i] = -1
 	}
-	depth[root] = 0
-	order = append(order, root)
+	parent[root] = root
+	order := append(cs.order[:0], root)
+	kid := cs.kid
 	for head := 0; head < len(order); head++ {
 		u := order[head]
-		for _, v := range adj[u] {
-			if depth[v] == -1 {
-				depth[v] = depth[u] + 1
+		kid[head] = int32(len(order))
+		for _, v := range nbr[off[u]:off[u+1]] {
+			if parent[v] == -1 {
 				parent[v] = u
 				order = append(order, v)
 			}
 		}
 	}
+	kid[len(order)] = int32(len(order))
+	cs.order = order
 
-	// Subtree weighted degrees.
-	sdeg := make([]float64, n)
+	cs.offlineLCA()
+
+	// LCA contributions in edge-ID order, so every float sum keeps its
+	// order; an edge with an endpoint outside the tree's component has none.
+	subLca := cs.subLca
+	clear(subLca)
 	for e := 0; e < g.NumEdges(); e++ {
 		u, v := g.EdgeEndpoints(graph.EdgeID(e))
-		sdeg[u] += w[e]
-		sdeg[v] += w[e]
-	}
-	// LCA contributions: walk both endpoints up (O(depth) per edge; fine at
-	// oracle scale, and tree depths through shortcuts are shallow anyway).
-	lcaWeight := make([]float64, n)
-	for e := 0; e < g.NumEdges(); e++ {
-		u, v := g.EdgeEndpoints(graph.EdgeID(e))
-		if depth[u] == -1 || depth[v] == -1 {
-			continue // endpoint outside the tree component
+		if parent[u] == -1 || parent[v] == -1 {
+			continue
 		}
-		x, y := u, v
-		for depth[x] > depth[y] {
-			x = parent[x]
-		}
-		for depth[y] > depth[x] {
-			y = parent[y]
-		}
-		for x != y {
-			x, y = parent[x], parent[y]
-		}
-		lcaWeight[x] += w[graph.EdgeID(e)]
+		subLca[cs.lca[e]] += w[e]
 	}
 	// Accumulate subtree sums bottom-up (reverse BFS order).
-	subDeg := make([]float64, n)
-	subLca := make([]float64, n)
-	copy(subDeg, sdeg)
-	copy(subLca, lcaWeight)
+	subDeg := cs.subDeg
+	copy(subDeg, cs.wdeg)
 	for i := len(order) - 1; i > 0; i-- {
 		v := order[i]
 		p := parent[v]
@@ -275,32 +331,68 @@ func bestOneRespectingCut(g *graph.Graph, w graph.Weights, tree []graph.EdgeID) 
 	}
 
 	best := math.Inf(1)
-	var bestRoot graph.NodeID = -1
-	for _, v := range order[1:] { // every non-root defines the cut below it
-		cut := subDeg[v] - 2*subLca[v]
-		if cut < best {
+	bestAt := -1
+	for i := 1; i < len(order); i++ { // every non-root defines the cut below it
+		v := order[i]
+		if cut := subDeg[v] - 2*subLca[v]; cut < best {
 			best = cut
-			bestRoot = v
+			bestAt = i
 		}
 	}
-	if bestRoot == -1 {
-		return math.Inf(1), nil
+	if !(best < beat) { // also when no cut was found: best is +Inf
+		return best, nil
 	}
-	// Materialize the winning side (subtree of bestRoot).
+	// Materialize the winning side (subtree of order[bestAt]) depth first,
+	// children pushed in adjacency order.
 	var side []graph.NodeID
-	stack := []graph.NodeID{bestRoot}
-	inSide := graph.NewBitset(n)
-	inSide.Set(bestRoot)
+	stack := []int32{int32(bestAt)}
 	for len(stack) > 0 {
-		u := stack[len(stack)-1]
+		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		side = append(side, u)
-		for _, v := range adj[u] {
-			if v != parent[u] && !inSide.Has(v) && parent[v] == u {
-				inSide.Set(v)
-				stack = append(stack, v)
-			}
+		side = append(side, order[i])
+		for c := kid[i]; c < kid[i+1]; c++ {
+			stack = append(stack, c)
 		}
 	}
 	return best, side
+}
+
+// offlineLCA stores every edge's tree LCA in cs.lca by Tarjan's offline
+// algorithm over a DFS of the BFS-rooted tree: when u finishes, each edge
+// to a finished v gets LCA find(v), the lowest ancestor of v still on the
+// DFS stack; then u links to its parent. A node is finished exactly when it
+// is linked away from itself (no edge is a self-loop, and the root finishes
+// last).
+func (cs *cutScratch) offlineLCA() {
+	g, order, kid, parent, link, lca := cs.g, cs.order, cs.kid, cs.parent, cs.link, cs.lca
+	for i := range link {
+		link[i] = graph.NodeID(i)
+	}
+	find := func(x graph.NodeID) graph.NodeID {
+		for link[x] != x {
+			link[x] = link[link[x]]
+			x = link[x]
+		}
+		return x
+	}
+	stack := append(cs.stack[:0], dfsFrame{at: 0, next: kid[0]})
+	for len(stack) > 0 {
+		top := &stack[len(stack)-1]
+		if top.next < kid[top.at+1] {
+			c := top.next
+			top.next++
+			stack = append(stack, dfsFrame{at: c, next: kid[c]})
+			continue
+		}
+		u := order[top.at]
+		stack = stack[:len(stack)-1]
+		g.Arcs(u, func(_ int32, v graph.NodeID, e graph.EdgeID) bool {
+			if link[v] != v {
+				lca[e] = find(v)
+			}
+			return true
+		})
+		link[u] = parent[u]
+	}
+	cs.stack = stack
 }

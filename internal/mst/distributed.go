@@ -56,18 +56,24 @@ type DistResult struct {
 	QualitySum int
 }
 
-// Scratch owns the reusable scheduler state of Distributed: the random-delay
-// Runner, the BFS extraction forest, and the winners buffer. The zero value
-// is ready to use. Distributed allocates a fresh one per call; a caller that
-// runs many MST computations in a row holds one Scratch and calls
-// DistributedScratch, so the scheduler's flat buffers amortize across calls,
-// not just across Borůvka phases. Its one such caller is mincut.Approx's
-// distributed packing loop, which threads one Scratch through all of its
-// MST calls. A Scratch must not be used concurrently.
+// Scratch owns the reusable state of Distributed and Kruskal: the
+// random-delay Runner, the BFS extraction forest and the winners buffer of
+// the one, the radix-sort keys and the union-find of the other. The zero
+// value is ready to use. Distributed and Kruskal allocate a fresh one per
+// call; a caller that runs many MST computations in a row holds one Scratch
+// and calls DistributedScratch or KruskalScratch, so the buffers amortize
+// across calls, not just across Borůvka phases. Its one such caller is
+// mincut.Approx's packing loop, which threads one Scratch through all of
+// its MST calls. A Scratch holds no reference to the weights it last saw,
+// and must not be used concurrently.
 type Scratch struct {
 	sr      sched.Runner
 	forest  sched.BFSForest
 	winners []sched.AggValue
+
+	keys, keysTmp []uint64
+	ids, idsTmp   []graph.EdgeID
+	uf            UnionFind
 }
 
 // Distributed computes the MST with Borůvka phases driven by low-congestion

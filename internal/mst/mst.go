@@ -6,7 +6,7 @@
 package mst
 
 import (
-	"sort"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/reproerr"
@@ -22,11 +22,19 @@ type UnionFind struct {
 
 // NewUnionFind returns a UnionFind over n singleton sets.
 func NewUnionFind(n int) *UnionFind {
-	u := &UnionFind{parent: make([]int32, n), rank: make([]int8, n), count: n}
+	u := &UnionFind{}
+	u.reset(n)
+	return u
+}
+
+// reset makes u n singleton sets, reusing its arrays when they are large
+// enough.
+func (u *UnionFind) reset(n int) {
+	u.parent, u.rank, u.count = resize(u.parent, n), resize(u.rank, n), n
 	for i := range u.parent {
 		u.parent[i] = int32(i)
+		u.rank[i] = 0
 	}
-	return u
 }
 
 // Find returns the representative of x's set.
@@ -58,33 +66,101 @@ func (u *UnionFind) Union(a, b int32) bool {
 // Count returns the number of disjoint sets.
 func (u *UnionFind) Count() int { return u.count }
 
-// Kruskal computes the MST (or minimum spanning forest) edge set by sorting
-// edges and greedily merging components. With distinct weights the MST is
-// unique, making Kruskal the correctness oracle for the distributed
-// algorithm.
+// Kruskal computes the MST (or minimum spanning forest) edge set by
+// greedily merging components in (weight, EdgeID) order. The order comes
+// from a stable LSD radix sort over the weights' IEEE-754 bits, not from a
+// comparison sort: Validate admits only positive, non-NaN weights, whose
+// bits order as their values do, and edges enter the sort by ascending ID,
+// so equal weights keep ID order. It stops once n−1 edges are in. With
+// distinct weights the MST is unique, making Kruskal the correctness oracle
+// for the distributed algorithm; Prim, a heap over the same order, stays
+// the independent second oracle.
 func Kruskal(g *graph.Graph, w graph.Weights) ([]graph.EdgeID, error) {
+	var scratch Scratch
+	return KruskalScratch(g, w, &scratch)
+}
+
+// KruskalScratch is Kruskal with caller-owned reusable state: the sort keys
+// and the union-find live in scratch, so a caller that packs many trees in a
+// row (mincut.Approx) allocates them once. The returned tree is freshly
+// allocated and never aliases scratch. Results are identical to Kruskal.
+func KruskalScratch(g *graph.Graph, w graph.Weights, scratch *Scratch) ([]graph.EdgeID, error) {
 	if err := w.Validate(g); err != nil {
 		return nil, reproerr.New("mst", reproerr.KindInvalidInput, err)
 	}
-	order := make([]graph.EdgeID, g.NumEdges())
-	for e := range order {
-		order[e] = graph.EdgeID(e)
+	n := g.NumNodes()
+	tree := make([]graph.EdgeID, 0, max(n-1, 0))
+	if n < 2 {
+		return tree, nil
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if w[order[i]] != w[order[j]] {
-			return w[order[i]] < w[order[j]]
-		}
-		return order[i] < order[j]
-	})
-	uf := NewUnionFind(g.NumNodes())
-	tree := make([]graph.EdgeID, 0, g.NumNodes()-1)
+	order := scratch.radixOrder(w)
+	uf := &scratch.uf
+	uf.reset(n)
 	for _, e := range order {
 		u, v := g.EdgeEndpoints(e)
 		if uf.Union(u, v) {
 			tree = append(tree, e)
+			if len(tree) == n-1 {
+				break
+			}
 		}
 	}
 	return tree, nil
+}
+
+// radixBits is the digit width of Kruskal's radix sort: 6 digits cover the
+// 64 key bits, and one digit's 2048-entry count table (8 KB) stays in L1.
+const radixBits = 11
+
+// radixOrder returns the edge IDs sorted by (w[e], e), in scratch-owned
+// memory. It is a stable LSD radix sort of the weights' bits that skips
+// every digit all keys share; the IDs start ascending, so stability keeps
+// equal weights in ID order.
+func (s *Scratch) radixOrder(w graph.Weights) []graph.EdgeID {
+	m := len(w)
+	const digits = (64 + radixBits - 1) / radixBits
+	const mask = 1<<radixBits - 1
+	s.keys, s.keysTmp = resize(s.keys, m), resize(s.keysTmp, m)
+	s.ids, s.idsTmp = resize(s.ids, m), resize(s.idsTmp, m)
+	var count [digits][1 << radixBits]int32
+	for e, x := range w {
+		k := math.Float64bits(x)
+		s.keys[e] = k
+		s.ids[e] = graph.EdgeID(e)
+		for d := range count {
+			count[d][k>>(d*radixBits)&mask]++
+		}
+	}
+	keys, ids, keysTmp, idsTmp := s.keys, s.ids, s.keysTmp, s.idsTmp
+	for d := range count {
+		c := &count[d]
+		shift := d * radixBits
+		if m == 0 || c[keys[0]>>shift&mask] == int32(m) {
+			continue // every key shares this digit
+		}
+		var sum int32
+		for i, x := range c {
+			c[i] = sum
+			sum += x
+		}
+		for i, k := range keys {
+			j := c[k>>shift&mask]
+			c[k>>shift&mask] = j + 1
+			keysTmp[j], idsTmp[j] = k, ids[i]
+		}
+		keys, keysTmp = keysTmp, keys
+		ids, idsTmp = idsTmp, ids
+	}
+	return ids
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short; the contents are not preserved.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Prim computes the MST of a connected graph starting from node 0 using a
