@@ -256,7 +256,7 @@ func assertClean(t *testing.T, res *Result, sched *Schedule) {
 
 // wireBackend serves srv through a gateway on a loopback listener, closed
 // when the test ends.
-func wireBackend(t *testing.T, srv *serve.Server) *WireBackend {
+func wireBackend(t testing.TB, srv *serve.Server) *WireBackend {
 	t.Helper()
 	gw, err := gateway.New(srv, gateway.Options{QueueDepth: 512})
 	if err != nil {
