@@ -3,7 +3,6 @@ package expt
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -244,9 +243,9 @@ func fireQueries(ctx context.Context, srv *serve.Server, n, q, executors, batch 
 }
 
 // postWireQuery POSTs one SSSP query at addr's /v1/query and decodes the
-// answer. Non-200 statuses surface with the wire error body.
-func postWireQuery(ctx context.Context, client *http.Client, addr string, src int) (gateway.QueryResponse, error) {
-	var ans gateway.QueryResponse
+// answer with gateway.DecodeQueryResponse. Non-200 statuses surface with
+// the wire error body.
+func postWireQuery(ctx context.Context, client *http.Client, addr string, src int) (*gateway.QueryResponse, error) {
 	base := addr
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
@@ -254,25 +253,22 @@ func postWireQuery(ctx context.Context, client *http.Client, addr string, src in
 	body := fmt.Sprintf(`{"kind":"sssp","source":%d}`, src)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/query", bytes.NewReader([]byte(body)))
 	if err != nil {
-		return ans, err
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := client.Do(req)
 	if err != nil {
-		return ans, err
+		return nil, err
 	}
 	raw, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
-		return ans, err
+		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return ans, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
+		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
 	}
-	if err := json.Unmarshal(raw, &ans); err != nil {
-		return ans, fmt.Errorf("undecodable answer: %w", err)
-	}
-	return ans, nil
+	return gateway.DecodeQueryResponse(raw)
 }
 
 // probeWireN fires one query at the remote server to learn its graph size.

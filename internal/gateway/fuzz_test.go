@@ -12,9 +12,10 @@ import (
 
 // FuzzGatewayRequest fuzzes the /v1/query decode-and-serve path with
 // arbitrary bodies. The contract: the handler never panics, never hangs,
-// and always answers either 200 with a well-formed QueryResponse or a
-// taxonomy-mapped error status with a well-formed ErrorResponse — every
-// malformed body is a typed 400, never a 500.
+// and always answers either 200 with a well-formed QueryResponse, which
+// DecodeQueryResponse reads as encoding/json does, or a taxonomy-mapped
+// error status with a well-formed ErrorResponse — every malformed body is
+// a typed 400, never a 500.
 func FuzzGatewayRequest(f *testing.F) {
 	fx := makeFixture(f, 48, 17)
 	gw, err := New(serve.NewServer(fx.snap, serve.ServerOptions{Executors: 2, Seed: 7}),
@@ -65,6 +66,14 @@ func FuzzGatewayRequest(f *testing.F) {
 			}
 			if resp.Kind == "" {
 				t.Fatalf("200 without a kind: %q", rec.Body.Bytes())
+			}
+			// The client's decode reads the same answer, and reads every
+			// sssp body on its one-pass path.
+			if got := checkDecode(t, rec.Body.Bytes()); got == nil || !sameResponse(got, &resp) {
+				t.Fatalf("200 body %q: DecodeQueryResponse %+v, json %+v", rec.Body.Bytes(), got, &resp)
+			}
+			if _, ok := decodeSSSP(rec.Body.Bytes()); ok != (resp.Kind == "sssp") {
+				t.Fatalf("%s body %q: one-pass path taken %v", resp.Kind, rec.Body.Bytes(), ok)
 			}
 		case 400:
 			var e ErrorResponse

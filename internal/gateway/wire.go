@@ -206,15 +206,7 @@ func hasLiteral(b []byte, i int, lit string) bool {
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
 func numberEnd(b []byte, i int) int {
 	start := i
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && b[i] >= '1' && b[i] <= '9':
-		i = digitsEnd(b, i+1)
-	default:
+	if i = intEnd(b, i); i == start {
 		return start
 	}
 	if i < len(b) && b[i] == '.' {
@@ -234,6 +226,22 @@ func numberEnd(b []byte, i int) int {
 			return start
 		}
 		i = k
+	}
+	return i
+}
+
+// intEnd returns the end of the JSON integer -?(0|[1-9][0-9]*) starting at
+// b[i], or i when none starts there.
+func intEnd(b []byte, i int) int {
+	j := i
+	if j < len(b) && b[j] == '-' {
+		j++
+	}
+	switch {
+	case j < len(b) && b[j] == '0':
+		return j + 1
+	case j < len(b) && b[j] >= '1' && b[j] <= '9':
+		return digitsEnd(b, j+1)
 	}
 	return i
 }
@@ -357,6 +365,95 @@ func ResponseToAnswer(r *QueryResponse) (serve.Answer, error) {
 		}}, nil
 	}
 	return nil, reproerr.Errorf("gateway.answer", reproerr.KindCorrupt, "%q response without its result", r.Kind)
+}
+
+// DecodeQueryResponse decodes a /v1/query answer body: it returns what
+// json.Unmarshal into a fresh QueryResponse returns. The sssp body
+// appendResponse writes is read in one pass, its row straight by parseRow;
+// every other body goes to json.Unmarshal. Every failure is KindCorrupt: a
+// 200 body the client cannot decode is the server's bytes failing
+// validation, not the caller's input.
+func DecodeQueryResponse(raw []byte) (*QueryResponse, error) {
+	if r, ok := decodeSSSP(raw); ok {
+		return r, nil
+	}
+	r := new(QueryResponse)
+	if err := json.Unmarshal(raw, r); err != nil {
+		return nil, reproerr.Errorf("gateway.response", reproerr.KindCorrupt, "undecodable answer: %w", err)
+	}
+	return r, nil
+}
+
+// decodeSSSP is DecodeQueryResponse's one-pass path. It accepts exactly
+//
+//	{"kind":"sssp","sssp":{"source":S,"dist":R}[,"rounds":N][,"messages":N]}
+//
+// followed by JSON whitespace, where S and each N is a JSON integer that
+// fits its field and R is null or the bytes from '[' to the first ']',
+// which parseRow must accept. Any other body, or a number that does not
+// parse, reports false and is left to json.Unmarshal, so this path has no
+// errors of its own.
+func decodeSSSP(raw []byte) (*QueryResponse, bool) {
+	const head, dist = `{"kind":"sssp","sssp":{"source":`, `,"dist":`
+	if !hasLiteral(raw, 0, head) {
+		return nil, false
+	}
+	src, i, ok := intAt(raw, len(head), 64)
+	if !ok || !hasLiteral(raw, i, dist) {
+		return nil, false
+	}
+	i += len(dist)
+	var row DistVector
+	switch {
+	case hasLiteral(raw, i, "null"):
+		i += len("null")
+	case hasLiteral(raw, i, "["):
+		end := bytes.IndexByte(raw[i:], ']')
+		if end < 0 {
+			return nil, false
+		}
+		end += i + 1
+		var err error
+		if row, err = parseRow(nil, raw[i:end]); err != nil {
+			return nil, false
+		}
+		i = end
+	default:
+		return nil, false
+	}
+	if !hasLiteral(raw, i, "}") {
+		return nil, false
+	}
+	r := &QueryResponse{Kind: "sssp", SSSP: &SSSPResult{Source: src, Dist: row}}
+	i++
+	if hasLiteral(raw, i, `,"rounds":`) {
+		var n int64
+		if n, i, ok = intAt(raw, i+len(`,"rounds":`), strconv.IntSize); !ok {
+			return nil, false
+		}
+		r.Rounds = int(n)
+	}
+	if hasLiteral(raw, i, `,"messages":`) {
+		if r.Messages, i, ok = intAt(raw, i+len(`,"messages":`), 64); !ok {
+			return nil, false
+		}
+	}
+	if !hasLiteral(raw, i, "}") || skipSpace(raw, i+1) != len(raw) {
+		return nil, false
+	}
+	return r, true
+}
+
+// intAt parses the JSON integer at b[i] as a bitSize-bit integer and
+// returns it with its end. ok is false when no integer starts at i or it
+// does not fit.
+func intAt(b []byte, i, bitSize int) (v int64, end int, ok bool) {
+	end = intEnd(b, i)
+	if end == i {
+		return 0, i, false
+	}
+	v, err := strconv.ParseInt(string(b[i:end]), 10, bitSize)
+	return v, end, err == nil
 }
 
 // BatchRequest is the JSON body of POST /v1/batch.

@@ -113,11 +113,11 @@ func (b *WireBackend) Do(ctx context.Context, q serve.Query) (Completion, error)
 	if resp.StatusCode != http.StatusOK {
 		return Completion{}, wireError(op, resp.StatusCode, raw)
 	}
-	var ans gateway.QueryResponse
-	if err := json.Unmarshal(raw, &ans); err != nil {
-		return Completion{}, fmt.Errorf("%s: undecodable answer: %w", op, err)
+	ans, err := gateway.DecodeQueryResponse(raw)
+	if err != nil {
+		return Completion{}, fmt.Errorf("%s: %w", op, err)
 	}
-	a, err := gateway.ResponseToAnswer(&ans)
+	a, err := gateway.ResponseToAnswer(ans)
 	if err != nil {
 		return Completion{}, err
 	}
