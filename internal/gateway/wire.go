@@ -403,29 +403,18 @@ func decodeSSSP(raw []byte) (*QueryResponse, bool) {
 		return nil, false
 	}
 	i += len(dist)
-	var row DistVector
-	switch {
-	case hasLiteral(raw, i, "null"):
-		i += len("null")
-	case hasLiteral(raw, i, "["):
-		end := bytes.IndexByte(raw[i:], ']')
-		if end < 0 {
-			return nil, false
-		}
-		end += i + 1
-		var err error
-		if row, err = parseRow(nil, raw[i:end]); err != nil {
-			return nil, false
-		}
-		i = end
-	default:
+	end := i + len("null")
+	if hasLiteral(raw, i, "[") {
+		end = i + bytes.IndexByte(raw[i:], ']') + 1 // i when there is no ']'
+	} else if !hasLiteral(raw, i, "null") {
 		return nil, false
 	}
-	if !hasLiteral(raw, i, "}") {
+	row, err := parseRow(nil, raw[i:end])
+	if err != nil || !hasLiteral(raw, end, "}") {
 		return nil, false
 	}
 	r := &QueryResponse{Kind: "sssp", SSSP: &SSSPResult{Source: src, Dist: row}}
-	i++
+	i = end + 1
 	if hasLiteral(raw, i, `,"rounds":`) {
 		var n int64
 		if n, i, ok = intAt(raw, i+len(`,"rounds":`), strconv.IntSize); !ok {
@@ -449,10 +438,7 @@ func decodeSSSP(raw []byte) (*QueryResponse, bool) {
 // does not fit.
 func intAt(b []byte, i, bitSize int) (v int64, end int, ok bool) {
 	end = intEnd(b, i)
-	if end == i {
-		return 0, i, false
-	}
-	v, err := strconv.ParseInt(string(b[i:end]), 10, bitSize)
+	v, err := strconv.ParseInt(string(b[i:end]), 10, bitSize) // "" is an error
 	return v, end, err == nil
 }
 
