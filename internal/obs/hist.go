@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -166,7 +167,12 @@ func (s *HistogramSnapshot) Quantile(q float64) int64 {
 	case q >= 1:
 		rank = s.Count
 	default:
-		rank = int64(q*float64(s.Count) + 0.5)
+		// Nearest rank ⌈q·Count⌉. The product can land a hair above an
+		// integer (0.07·100 = 7.000000000000001), which a bare ceiling
+		// would push one rank up; the relative tolerance is far below any
+		// fractional part a real q·Count has.
+		x := q * float64(s.Count)
+		rank = int64(math.Ceil(x - x*1e-12))
 		if rank < 1 {
 			rank = 1
 		}

@@ -73,3 +73,41 @@ func TestQuantileDegenerateQ(t *testing.T) {
 		}
 	}
 }
+
+// TestQuantileNearestRank pins Quantile to the nearest-rank rule its doc
+// states, the ⌈q·Count⌉-th smallest observation: where q·Count has a
+// fractional part below ½ that is one rank above rounding, and where the
+// product lands a hair above an integer it is that integer's rank.
+func TestQuantileNearestRank(t *testing.T) {
+	quantile := func(q float64, obs ...int64) int64 {
+		var h Histogram
+		for _, v := range obs {
+			h.Observe(v)
+		}
+		s := h.Snapshot()
+		return s.Quantile(q)
+	}
+	upTo := func(n int64) []int64 {
+		vs := make([]int64, n)
+		for i := range vs {
+			vs[i] = int64(i) + 1
+		}
+		return vs
+	}
+	if got := quantile(0.21, upTo(10)...); got != 3 {
+		t.Errorf("1..10: Quantile(0.21) = %d, want rank ⌈2.1⌉ = 3", got)
+	}
+	tail := make([]int64, 2039, 2060)
+	for i := range tail {
+		tail[i] = 1
+	}
+	for i := 0; i < 21; i++ {
+		tail = append(tail, 9)
+	}
+	if got := quantile(0.99, tail...); got != 9 {
+		t.Errorf("2039 ones then 21 nines: Quantile(0.99) = %d, want rank ⌈2039.4⌉ = 2040, a 9", got)
+	}
+	if got := quantile(0.07, upTo(100)...); got != 7 { // 0.07·100 = 7.000000000000001
+		t.Errorf("1..100: Quantile(0.07) = %d, want rank 7", got)
+	}
+}
