@@ -11,6 +11,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/load"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/twoecss"
 )
@@ -70,14 +71,13 @@ func E17Load(cfg Config) (*Table, error) {
 		if res.TornChecked {
 			gens, torn = I(res.Generations), I(res.Torn)
 		}
-		ms := func(v int64) string { return F(float64(v) / float64(time.Millisecond)) }
 		t.AddRow(res.Backend, F(rate), F(zipf), F(ur),
 			I(res.Offered), I(int(res.Delivered)), I(int(res.Shed)), I(res.Overflow),
 			I(int(res.Failed+res.DeadlineExceeded+res.Canceled)),
 			gens, torn,
-			ms(res.Latency.Quantile(0.5)), ms(res.Latency.Quantile(0.99)),
-			ms(res.Latency.Quantile(0.999)), ms(res.Latency.Max),
-			ms(res.QueueWait.Quantile(0.99)))
+			quantileMs(res.Latency, 0.5), quantileMs(res.Latency, 0.99),
+			quantileMs(res.Latency, 0.999), F(float64(res.Latency.Max)/float64(time.Millisecond)),
+			quantileMs(res.QueueWait, 0.99))
 	}
 
 	// runScenario executes one pre-drawn schedule against one backend,
@@ -197,4 +197,15 @@ func E17Load(cfg Config) (*Table, error) {
 		return nil, fmt.Errorf("E17: %d of %d checked answers torn (table retained: %d rows)", totalTorn, totalChecked, len(t.Rows))
 	}
 	return t, nil
+}
+
+// quantileMs prints s's q-quantile in milliseconds, or "-" when fewer than
+// ten samples lie beyond it (Count·(1−q) < 10), the rule servebench's
+// quantile applies: a median needs 20 samples, a p99 1,000 and a p999
+// 10,000.
+func quantileMs(s obs.HistogramSnapshot, q float64) string {
+	if s.Count < int64(math.Ceil(10/(1-q)-1e-9)) {
+		return "-"
+	}
+	return F(float64(s.Quantile(q)) / float64(time.Millisecond))
 }
