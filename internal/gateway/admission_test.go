@@ -14,13 +14,21 @@ import (
 //
 // The test fills the pool by taking the slots itself, the same admit/done
 // pair every handler holds from admission to response, so "the gateway is
-// full" is a state it enters exactly, not a race it hopes to win.
+// full" is a state it enters exactly, not a race it hopes to win. Source
+// 0's body is in the sssp cache by then: a cached root is shed too.
 func TestAdmissionShed(t *testing.T) {
 	t.Cleanup(testx.LeakCheck(t.Fatalf))
 	fx := makeFixture(t, 200, 11)
 	const depth = 2
 	env := newEnv(t, fx, Options{QueueDepth: depth})
 	g := env.gw
+
+	for i := 0; i < 3; i++ {
+		askSSSP(t, g.Handler(), 0)
+	}
+	if hits := cacheHits(env.reg); hits != 1 {
+		t.Fatalf("%d cache hits after three requests for one root, want 1", hits)
+	}
 
 	for i := 0; i < depth; i++ {
 		if err := g.admit(); err != nil {
@@ -42,6 +50,9 @@ func TestAdmissionShed(t *testing.T) {
 	}
 	if sheds := env.reg.Counter("lcs_gateway_shed_total").Value(); sheds != 3 {
 		t.Fatalf("shed counter %d, want 3", sheds)
+	}
+	if hits := cacheHits(env.reg); hits != 1 {
+		t.Fatalf("cache hits %d while full, want 1", hits)
 	}
 	if d := env.reg.Gauge("lcs_gateway_queue_depth").Value(); d != depth {
 		t.Fatalf("queue depth %d, want %d", d, depth)

@@ -51,6 +51,44 @@ func BenchmarkGatewaySSSPWarmCore(b *testing.B) {
 	}
 }
 
+// BenchmarkGatewaySSSPCachedCore is the same hot path for a root whose
+// body is in the sssp cache: admission, the cache lookup (the epoch and
+// snapshot reads and the locked map read), the hit count and the slot
+// release, with a live instrument set on a store-backed server. CI's
+// benchmark smoke asserts 0 allocs/op.
+func BenchmarkGatewaySSSPCachedCore(b *testing.B) {
+	fx := makeFixture(b, 2_000, 31)
+	reg := obs.New()
+	srv := serve.NewStoreServer(serve.NewStore(fx.snap), serve.ServerOptions{Executors: 1, Metrics: reg})
+	gw, err := New(srv, Options{QueueDepth: 4, Metrics: reg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer gw.Close()
+	const hot = 16
+	h := gw.Handler()
+	for i := 0; i < 2*hot; i++ { // the second miss keeps each body
+		askSSSP(b, h, graph.NodeID(i%hot))
+	}
+	core := func(src graph.NodeID) {
+		if err := gw.admit(); err != nil {
+			b.Fatal(err)
+		}
+		body, _ := gw.cache.lookup(src)
+		if body == nil {
+			b.Fatalf("source %d missed", src)
+		}
+		gw.m.cacheHits.Inc()
+		gw.done()
+	}
+	runtime.GC()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core(graph.NodeID(i % hot))
+	}
+}
+
 // BenchmarkGatewayQueryHTTP measures the full wire path — mux, JSON
 // decode, serve, JSON encode — for the wire-overhead comparison against
 // the core above. Not part of the zero-alloc gate: the request decode, the

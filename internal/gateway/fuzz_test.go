@@ -2,11 +2,13 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/serve"
 )
 
@@ -15,7 +17,9 @@ import (
 // and always answers either 200 with a well-formed QueryResponse, which
 // DecodeQueryResponse reads as encoding/json does, or a taxonomy-mapped
 // error status with a well-formed ErrorResponse — every malformed body is
-// a typed 400, never a 500.
+// a typed 400, never a 500. The gateway lives across inputs, so repeated
+// sources are answered from the sssp cache: every sssp body must equal
+// appendBody of a fresh ServeCtx answer for its source.
 func FuzzGatewayRequest(f *testing.F) {
 	fx := makeFixture(f, 48, 17)
 	gw, err := New(serve.NewServer(fx.snap, serve.ServerOptions{Executors: 2, Seed: 7}),
@@ -25,6 +29,7 @@ func FuzzGatewayRequest(f *testing.F) {
 	}
 	f.Cleanup(gw.Close)
 	h := gw.Handler()
+	oracle := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 1, Seed: 7})
 
 	for _, seed := range []string{
 		`{"kind":"sssp","source":0}`,
@@ -74,6 +79,19 @@ func FuzzGatewayRequest(f *testing.F) {
 			}
 			if _, ok := decodeSSSP(rec.Body.Bytes()); ok != (resp.Kind == "sssp") {
 				t.Fatalf("%s body %q: one-pass path taken %v", resp.Kind, rec.Body.Bytes(), ok)
+			}
+			if resp.Kind == "sssp" {
+				a, err := oracle.ServeCtx(context.Background(), serve.SSSPQuery{Source: graph.NodeID(resp.SSSP.Source)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := appendBody(nil, answerToResponse(a))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(rec.Body.Bytes(), want) {
+					t.Fatalf("sssp body %q, fresh encode %q", rec.Body.Bytes(), want)
+				}
 			}
 		case 400:
 			var e ErrorResponse

@@ -12,18 +12,24 @@
 //     queue-depth and shed instruments on the same obs.Registry the serve
 //     layer writes, exposed on an admin mux (/metrics, /healthz, /readyz).
 //
-// Every /v1/query serves directly on the server: an sssp answer on a built
-// snapshot is one warm tree walk, cheaper than any window that would wait
-// to share it. /v1/batch runs as one ServeBatchCtx execution, whose
-// duplicate-root dedup answers repeated roots with a single walk; a batch
-// whose sssp rows would exceed serve.MaxBatchDists distances is refused
-// with 429 before admission.
+// A /v1/query sssp request is answered from the sssp cache when it can be:
+// a snapshot never changes, so neither does the encoded body of any of its
+// answers, and the cache keeps a source's body on its second miss under
+// the current snapshot, up to ssspCacheBudget body bytes, with no eviction.
+// A hit writes those bytes after admission and the request deadline, with
+// no executor checkout, walk or encode; the serve layer's counters,
+// histograms and trace ring therefore count walks, not wire sssp requests.
+// Every other /v1/query serves directly on the server. /v1/batch runs as
+// one ServeBatchCtx execution, whose duplicate-root dedup answers repeated
+// roots with a single walk; a batch whose sssp rows would exceed
+// serve.MaxBatchDists distances is refused with 429 before admission.
 //
-// Everything below the HTTP layer — admission, executor checkout, the warm
-// sssp path — stays allocation-free, and so does the response encode: bodies
-// are appended by hand into pooled buffers, and written with their
-// Content-Length only once encoding succeeded. What still allocates per
-// request is the request decode and the answer the server returns.
+// Everything below the HTTP layer — admission, the cache lookup, executor
+// checkout, the warm sssp path — stays allocation-free, and so does the
+// response encode: bodies are appended by hand into pooled buffers, and
+// written with their Content-Length only once encoding succeeded. What
+// still allocates per request is the request decode, the answer a miss
+// gets from the server, and the copy of a body the cache keeps.
 package gateway
 
 import (
@@ -36,6 +42,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/reproerr"
 	"repro/internal/serve"
@@ -66,6 +73,7 @@ type Gateway struct {
 	opts  Options
 	slots chan struct{}
 	m     *gwMetrics
+	cache ssspCache
 
 	// deltaMu serializes the two mutating endpoints (/v1/delta and
 	// /v1/snapshot/swap): repairs apply to the snapshot they loaded, so two
@@ -94,12 +102,14 @@ func New(srv *serve.Server, opts Options) (*Gateway, error) {
 	if opts.QueueDepth == 0 {
 		opts.QueueDepth = 4 * srv.Executors()
 	}
+	m := newGwMetrics(opts.Metrics)
 	return &Gateway{
 		srv:   srv,
 		store: srv.Store(),
 		opts:  opts,
 		slots: make(chan struct{}, opts.QueueDepth),
-		m:     newGwMetrics(opts.Metrics),
+		m:     m,
+		cache: ssspCache{srv: srv, size: m.cacheBytes},
 	}, nil
 }
 
@@ -211,7 +221,8 @@ func parseRequestTimeout(h string) (time.Duration, error) {
 	return d, nil
 }
 
-// handleQuery serves POST /v1/query: one typed query, served directly.
+// handleQuery serves POST /v1/query: one typed query, an sssp one through
+// the sssp cache and any other directly.
 func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	g.m.requests[epQuery].Inc()
@@ -239,12 +250,127 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 
+	if sq, ok := q.(serve.SSSPQuery); ok {
+		g.serveSSSP(ctx, w, sq.Source)
+		return
+	}
 	ans, err := g.srv.ServeCtx(ctx, q)
 	if err != nil {
 		g.writeError(w, epQuery, err)
 		return
 	}
 	g.writeJSON(w, epQuery, answerToResponse(ans))
+}
+
+// serveSSSP answers an admitted sssp request: a hit writes the kept body,
+// a miss serves and encodes the answer and offers the body to the cache.
+func (g *Gateway) serveSSSP(ctx context.Context, w http.ResponseWriter, src graph.NodeID) {
+	body, miss := g.cache.lookup(src)
+	if body != nil {
+		if err := ctx.Err(); err != nil {
+			// What ServeCtx's checkout answers under a done context.
+			g.writeError(w, epQuery, reproerr.FromContext("serve", err))
+			return
+		}
+		g.m.cacheHits.Inc()
+		writeBody(w, body)
+		return
+	}
+	ans, err := g.srv.ServeCtx(ctx, serve.SSSPQuery{Source: src})
+	if err != nil {
+		g.writeError(w, epQuery, err)
+		return
+	}
+	bp := getBody()
+	defer putBody(bp)
+	if g.encode(w, epQuery, bp, answerToResponse(ans)) {
+		g.cache.keep(src, miss, *bp)
+		writeBody(w, *bp)
+	}
+}
+
+// ssspCacheBudget caps the body bytes the sssp cache keeps.
+const ssspCacheBudget = 4 << 20
+
+// ssspCache keeps encoded /v1/query sssp bodies, exactly the bytes
+// writeJSON would write, for the server's current snapshot. The first miss
+// of a source under a snapshot only marks it seen, so one-off roots never
+// use the budget; its second miss keeps the body, while the kept bytes
+// stay within ssspCacheBudget. Nothing is evicted: once the budget is
+// full, misses are served and not kept until the snapshot changes. A
+// lookup under another snapshot drops everything first, so a retired
+// snapshot's bodies, and the pointer to it, go with the next sssp request.
+type ssspCache struct {
+	srv  *serve.Server
+	size *obs.Gauge // lcs_gateway_sssp_cache_bytes
+
+	mu     sync.Mutex
+	snap   *serve.Snapshot
+	seen   []uint64                // one bit per source: missed once under snap
+	bodies map[graph.NodeID][]byte // never written once kept
+	bytes  int
+}
+
+// ssspMiss is what a miss carries from lookup to keep: the epoch and
+// snapshot read before the walk, and whether the body may be kept.
+type ssspMiss struct {
+	epoch  uint64
+	snap   *serve.Snapshot
+	second bool // src's second miss under snap
+}
+
+// epoch is the server's store epoch, 0 for a fixed-snapshot server.
+// Numbers never repeat, so an unchanged epoch means no swap in between.
+func (c *ssspCache) epoch() uint64 {
+	if st := c.srv.Store(); st != nil {
+		return st.Epoch()
+	}
+	return 0
+}
+
+// lookup returns src's kept body under the server's current snapshot, or
+// nil and the miss to hand to keep. The epoch is read before the
+// snapshot, so a swap between the two moves it.
+func (c *ssspCache) lookup(src graph.NodeID) ([]byte, ssspMiss) {
+	miss := ssspMiss{epoch: c.epoch(), snap: c.srv.Snapshot()}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.snap != miss.snap {
+		c.snap, c.bodies, c.bytes = miss.snap, map[graph.NodeID][]byte{}, 0
+		c.seen = make([]uint64, (miss.snap.Graph().NumNodes()+63)/64)
+		c.size.Set(0)
+	}
+	if body, ok := c.bodies[src]; ok {
+		return body, miss
+	}
+	word, bit := int(src)/64, uint64(1)<<(src%64)
+	if word >= len(c.seen) {
+		return nil, miss // not a node: ServeCtx refuses it
+	}
+	miss.second = c.seen[word]&bit != 0
+	c.seen[word] |= bit
+	return nil, miss
+}
+
+// keep copies body for src if miss was src's second under a snapshot
+// still current at an unchanged epoch, and the budget has room. The epoch
+// is read again under the lock: if it moved since lookup, the walk may
+// have run on another snapshot, and nothing is kept.
+func (c *ssspCache) keep(src graph.NodeID, miss ssspMiss, body []byte) {
+	if !miss.second {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.snap != miss.snap || c.epoch() != miss.epoch || c.bytes+len(body) > ssspCacheBudget {
+		return
+	}
+	if _, ok := c.bodies[src]; ok {
+		return // a concurrent second miss kept it first
+	}
+	c.bodies[src] = append([]byte(nil), body...)
+	c.bytes += len(body)
+	c.size.Set(int64(c.bytes))
 }
 
 // handleBatch serves POST /v1/batch: the query list runs as one
@@ -479,14 +605,27 @@ func appendBody(buf []byte, body any) ([]byte, error) {
 func (g *Gateway) writeJSON(w http.ResponseWriter, ep int, body any) {
 	bp := getBody()
 	defer putBody(bp)
+	if g.encode(w, ep, bp, body) {
+		writeBody(w, *bp)
+	}
+}
+
+// encode appends body's encoding to *bp, or writes the 500 and reports
+// false when the codec rejects it.
+func (g *Gateway) encode(w http.ResponseWriter, ep int, bp *[]byte, body any) bool {
 	var err error
 	if *bp, err = appendBody(*bp, body); err != nil {
 		g.writeError(w, ep, reproerr.Errorf("gateway.encode", reproerr.KindUnknown, "encode response: %w", err))
-		return
+		return false
 	}
+	return true
+}
+
+// writeBody writes an encoded body as a 200 with its Content-Length.
+func writeBody(w http.ResponseWriter, body []byte) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(*bp)))
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(*bp)
+	_, _ = w.Write(body)
 }

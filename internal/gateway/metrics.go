@@ -28,6 +28,9 @@ type gwMetrics struct {
 	shed     *obs.Counter                 // lcs_gateway_shed_total
 	depth    *obs.Gauge                   // lcs_gateway_queue_depth
 	depthPk  *obs.Gauge                   // lcs_gateway_queue_depth_peak
+
+	cacheHits  *obs.Counter // lcs_gateway_sssp_cache_hits_total
+	cacheBytes *obs.Gauge   // lcs_gateway_sssp_cache_bytes
 }
 
 // newGwMetrics registers the gateway instrument set on reg. A nil registry
@@ -43,6 +46,8 @@ func newGwMetrics(reg *obs.Registry) *gwMetrics {
 	m.shed = reg.Counter("lcs_gateway_shed_total")
 	m.depth = reg.Gauge("lcs_gateway_queue_depth")
 	m.depthPk = reg.Gauge("lcs_gateway_queue_depth_peak")
+	m.cacheHits = reg.Counter("lcs_gateway_sssp_cache_hits_total")
+	m.cacheBytes = reg.Gauge("lcs_gateway_sssp_cache_bytes")
 	return m
 }
 

@@ -62,34 +62,54 @@ func TestParseRequestTimeout(t *testing.T) {
 // deadline-honoring endpoint: a malformed Request-Timeout is a 400 with the
 // machine-readable "invalid input" kind — never silently ignored (the
 // request must NOT execute) and never an already-expired context
-// misreported as a 504 deadline.
+// misreported as a 504 deadline. An sssp root whose body is in the sssp
+// cache answers the same, and an expired deadline on it is a 504.
 func TestRequestTimeoutHeaderWire(t *testing.T) {
 	fx := makeFixture(t, 200, 23)
 	env := newEnv(t, fx, Options{})
+	for i := 0; i < 3; i++ {
+		askSSSP(t, env.gw.Handler(), 0)
+	}
+	hits := cacheHits(env.reg)
 
 	for _, h := range []string{"0", "-1", "-5s", "soon", "NaN", "+Inf"} {
-		t.Run(h, func(t *testing.T) {
-			before := env.reg.Counter("lcs_gateway_errors_total", "endpoint", "query").Value()
-			status, raw := post(t, env.srv.URL+"/v1/query",
-				QueryRequest{Kind: "mst"}, map[string]string{"Request-Timeout": h})
-			if status != 400 {
-				t.Fatalf("Request-Timeout %q: status %d, want 400: %s", h, status, raw)
-			}
-			var e ErrorResponse
-			if err := json.Unmarshal(raw, &e); err != nil {
-				t.Fatalf("error body is not ErrorResponse JSON: %s", raw)
-			}
-			if e.Kind != reproerr.KindInvalidInput.String() {
-				t.Fatalf("Request-Timeout %q: kind %q, want %q", h, e.Kind, reproerr.KindInvalidInput)
-			}
-			if after := env.reg.Counter("lcs_gateway_errors_total", "endpoint", "query").Value(); after != before+1 {
-				t.Fatalf("Request-Timeout %q: errors_total %d → %d, want one typed error", h, before, after)
-			}
-		})
+		for _, req := range []QueryRequest{{Kind: "mst"}, {Kind: "sssp", Source: intp(0)}} {
+			t.Run(h+"/"+req.Kind, func(t *testing.T) {
+				before := env.reg.Counter("lcs_gateway_errors_total", "endpoint", "query").Value()
+				status, raw := post(t, env.srv.URL+"/v1/query",
+					req, map[string]string{"Request-Timeout": h})
+				if status != 400 {
+					t.Fatalf("Request-Timeout %q: status %d, want 400: %s", h, status, raw)
+				}
+				var e ErrorResponse
+				if err := json.Unmarshal(raw, &e); err != nil {
+					t.Fatalf("error body is not ErrorResponse JSON: %s", raw)
+				}
+				if e.Kind != reproerr.KindInvalidInput.String() {
+					t.Fatalf("Request-Timeout %q: kind %q, want %q", h, e.Kind, reproerr.KindInvalidInput)
+				}
+				if after := env.reg.Counter("lcs_gateway_errors_total", "endpoint", "query").Value(); after != before+1 {
+					t.Fatalf("Request-Timeout %q: errors_total %d → %d, want one typed error", h, before, after)
+				}
+			})
+		}
+	}
+
+	// A deadline that expired on arrival is a 504 for the cached root too.
+	status, raw := post(t, env.srv.URL+"/v1/query",
+		QueryRequest{Kind: "sssp", Source: intp(0)}, map[string]string{"Request-Timeout": "1ns"})
+	if status != 504 {
+		t.Fatalf("cached root with Request-Timeout 1ns: status %d, want 504: %s", status, raw)
+	}
+	if e := decodeResp[ErrorResponse](t, raw); e.Kind != reproerr.KindDeadline.String() {
+		t.Fatalf("cached root with Request-Timeout 1ns: kind %q, want %q", e.Kind, reproerr.KindDeadline)
+	}
+	if moved := cacheHits(env.reg) - hits; moved != 0 {
+		t.Fatalf("rejected requests moved the hits counter by %d", moved)
 	}
 
 	// The batch endpoint shares requestCtx; one spot check pins the wiring.
-	status, raw := post(t, env.srv.URL+"/v1/batch",
+	status, raw = post(t, env.srv.URL+"/v1/batch",
 		BatchRequest{Queries: []QueryRequest{{Kind: "mst"}}},
 		map[string]string{"Request-Timeout": "-1"})
 	if status != 400 {
