@@ -11,8 +11,11 @@ import (
 // /v1/snapshot/swap on the serving mux, with /metrics, /healthz, and
 // /readyz on a separate admin mux. The gateway owns admission control
 // (bounded slots, immediate 429 shedding, Request-Timeout deadlines) and
-// its own instrument family on the shared registry; every query serves
-// directly on the server:
+// its own instrument family on the shared registry. An sssp query whose
+// source was asked twice before under the current snapshot is answered
+// from a kept copy of its encoded body (up to a fixed 4 MiB of bodies),
+// with the same bytes and no walk; every other query serves directly on
+// the server:
 //
 //	reg := repro.NewMetrics()
 //	srv, _ := repro.NewStoreServerV2(store, repro.WithMetrics(reg))

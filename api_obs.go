@@ -25,7 +25,10 @@ import (
 //	http.Handle("/metrics", repro.MetricsHandler(reg))
 //
 // See DESIGN.md "Observability" for the metric inventory and which layer
-// owns each series.
+// owns each series. Behind a Gateway, an sssp query answered from the
+// gateway's cache of encoded bodies never reaches the server: the serve
+// series and the trace ring count walks, and
+// lcs_gateway_sssp_cache_hits_total counts the hits.
 
 // Metrics is an instrument registry (see internal/obs). The zero value is
 // not usable — construct with NewMetrics. A nil *Metrics everywhere means

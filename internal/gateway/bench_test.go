@@ -3,6 +3,7 @@ package gateway
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"runtime"
 	"testing"
@@ -91,9 +92,10 @@ func BenchmarkGatewaySSSPCachedCore(b *testing.B) {
 
 // BenchmarkGatewayQueryHTTP measures the full wire path — mux, JSON
 // decode, serve, JSON encode — for the wire-overhead comparison against
-// the core above. Not part of the zero-alloc gate: the request decode, the
-// answer row ServeCtx returns, and httptest's request and recorder
-// allocate; the response encode itself is gated below.
+// the core above. Sources rotate, so every request misses the sssp cache.
+// Not part of the zero-alloc gate: the request decode, the answer row
+// ServeCtx returns, and httptest's request and recorder allocate; the
+// response encode itself is gated below.
 func BenchmarkGatewayQueryHTTP(b *testing.B) {
 	fx := makeFixture(b, 2_000, 31)
 	srv := serve.NewServer(fx.snap, serve.ServerOptions{Executors: 1})
@@ -103,11 +105,15 @@ func BenchmarkGatewayQueryHTTP(b *testing.B) {
 	}
 	defer gw.Close()
 	h := gw.Handler()
-	body := []byte(`{"kind":"sssp","source":0}`)
+	n := fx.g.NumNodes()
+	bodies := make([][]byte, n)
+	for src := range bodies {
+		bodies[src] = []byte(fmt.Sprintf(`{"kind":"sssp","source":%d}`, src))
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest("POST", "/v1/query", bytes.NewReader(body))
+		req := httptest.NewRequest("POST", "/v1/query", bytes.NewReader(bodies[i*31%n]))
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != 200 {

@@ -73,26 +73,26 @@ func TestRequestTimeoutHeaderWire(t *testing.T) {
 	hits := cacheHits(env.reg)
 
 	for _, h := range []string{"0", "-1", "-5s", "soon", "NaN", "+Inf"} {
-		for _, req := range []QueryRequest{{Kind: "mst"}, {Kind: "sssp", Source: intp(0)}} {
-			t.Run(h+"/"+req.Kind, func(t *testing.T) {
+		t.Run(h, func(t *testing.T) {
+			for _, req := range []QueryRequest{{Kind: "mst"}, {Kind: "sssp", Source: intp(0)}} {
 				before := env.reg.Counter("lcs_gateway_errors_total", "endpoint", "query").Value()
 				status, raw := post(t, env.srv.URL+"/v1/query",
 					req, map[string]string{"Request-Timeout": h})
 				if status != 400 {
-					t.Fatalf("Request-Timeout %q: status %d, want 400: %s", h, status, raw)
+					t.Fatalf("%s, Request-Timeout %q: status %d, want 400: %s", req.Kind, h, status, raw)
 				}
 				var e ErrorResponse
 				if err := json.Unmarshal(raw, &e); err != nil {
 					t.Fatalf("error body is not ErrorResponse JSON: %s", raw)
 				}
 				if e.Kind != reproerr.KindInvalidInput.String() {
-					t.Fatalf("Request-Timeout %q: kind %q, want %q", h, e.Kind, reproerr.KindInvalidInput)
+					t.Fatalf("%s, Request-Timeout %q: kind %q, want %q", req.Kind, h, e.Kind, reproerr.KindInvalidInput)
 				}
 				if after := env.reg.Counter("lcs_gateway_errors_total", "endpoint", "query").Value(); after != before+1 {
-					t.Fatalf("Request-Timeout %q: errors_total %d → %d, want one typed error", h, before, after)
+					t.Fatalf("%s, Request-Timeout %q: errors_total %d → %d, want one typed error", req.Kind, h, before, after)
 				}
-			})
-		}
+			}
+		})
 	}
 
 	// A deadline that expired on arrival is a 504 for the cached root too.

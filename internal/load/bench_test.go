@@ -11,8 +11,9 @@ import (
 // BenchmarkWireBackendSSSP times one sssp query through WireBackend.Do
 // against a gateway on a loopback httptest server at n=2000: the request
 // encode, HTTP on loopback, the handler's walk and encode, and the client's
-// read and decode of the ~37 KB answer. Sources rotate, so no two
-// consecutive queries share a root.
+// read and decode of the ~37 KB answer. Sources rotate, so only the first
+// timed query repeats a root (the warm-up's, as its second miss), and every
+// timed query misses the gateway's sssp cache.
 func BenchmarkWireBackendSSSP(b *testing.B) {
 	n, do := wireSSSP(b)
 	do(0) // open the keep-alive connection and warm the executor
