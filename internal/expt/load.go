@@ -186,6 +186,7 @@ func E17Load(cfg Config) (*Table, error) {
 	t.AddNote("open loop: arrivals fire on a pre-drawn Poisson schedule regardless of outstanding work; latency is charged from the scheduled arrival (no coordinated omission)")
 	t.AddNote("torn: delivered answers, all five kinds, equal to no reference answer of a snapshot generation in their window — must be 0; '-' marks runs without a local server to check against")
 	t.AddNote("same seed ⇒ identical schedule for every backend; library and wire rows of one scenario replay the same workload")
+	t.AddNote("quantile columns: '-' where fewer than ten samples lie beyond the quantile (a p99 needs 1,000 answers, a p999 10,000)")
 	t.AddNote("fixture: bridge-free ER n=%d (the mix exercises twoecss), snapshot built in %s",
 		n, buildTime.Round(time.Millisecond))
 	t.SetMeta("scenarios", scenarios)
