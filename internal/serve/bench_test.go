@@ -340,6 +340,33 @@ func BenchmarkApplyDelta(b *testing.B) {
 	})
 }
 
+// BenchmarkDilationBrackets is the bracketed half of a dilation measure on
+// BenchmarkApplyDelta's fixture (ClusterChain n=1e5, 64 Voronoi parts): one
+// Shortcuts.DilationsOf call over the parts above the serving layer's
+// 3000-node exact cutoff, each of which reports the [ecc, 2·ecc] bracket of
+// its leader's eccentricity. Run it with -benchmem.
+func BenchmarkDilationBrackets(b *testing.B) {
+	const cutoff = 3000 // the serving layer's dilationCutoff
+	s := getBenchFixture(b, 100_000).snap.Shortcuts()
+	var parts []int
+	for i := 0; i < s.P.NumParts(); i++ {
+		if len(s.P.Part(i).Nodes) > cutoff {
+			parts = append(parts, i)
+		}
+	}
+	if len(parts) == 0 {
+		b.Fatal("no part above the cutoff")
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.DilationsOf(ctx, parts, cutoff); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkServeSSSPWarmIntoSwap is the warm allocation-free path on a
 // store-backed server measured after an epoch hot-swap: checkout now also
 // pins the epoch (two atomics), and the executor pool carries over from the
