@@ -127,18 +127,23 @@ func E14Serving(cfg Config) (*Table, error) {
 	// Wire mode: the same single-query workload POSTed at a running
 	// lcsserve, so the envelope records wire-vs-library overhead side by
 	// side. The remote serves its own snapshot; a probe query discovers its
-	// n (sources rotate modulo the remote graph, not the local one).
+	// n (sources rotate modulo the remote graph, not the local one). The
+	// gateway keeps a source's answer on its second miss and answers a
+	// third request from it, so each configuration asks sources the run has
+	// not asked yet.
 	if cfg.ServeAddr != "" {
 		wireN, err := probeWireN(cfg.ctx(), cfg.ServeAddr)
 		if err != nil {
 			return nil, fmt.Errorf("E14: -serve-addr %s: %w", cfg.ServeAddr, err)
 		}
 		var wirePer time.Duration
+		asked := 1 // the probe
 		for _, clients := range cfg.ServeExecutors {
-			elapsed, simRounds, err := fireWireQueries(cfg.ctx(), cfg.ServeAddr, wireN, cfg.ServeQueries, clients)
+			elapsed, simRounds, err := fireWireQueries(cfg.ctx(), cfg.ServeAddr, wireN, asked, cfg.ServeQueries, clients)
 			if err != nil {
 				return nil, fmt.Errorf("E14 wire clients=%d: %w", clients, err)
 			}
+			asked += cfg.ServeQueries
 			per := elapsed / time.Duration(cfg.ServeQueries)
 			if wirePer == 0 || per < wirePer {
 				wirePer = per
@@ -156,6 +161,7 @@ func E14Serving(cfg Config) (*Table, error) {
 			t.SetMeta("wire_ms_per_query", float64(wirePer)/float64(time.Millisecond))
 			t.SetMeta("wire_overhead_ms", float64(wirePer-warmSinglePer)/float64(time.Millisecond))
 		}
+		t.AddNote("wire rows assume a gateway not already asked these sources: the run's k-th wire query asks source 31k mod n (the probe is k = 0), so a run of at most 2n/gcd(n, 31) wire queries asks no source a third time, when the gateway would answer it from its sssp cache")
 	}
 
 	serve.RecordCost(cfg.Metrics, snap.Cost())
@@ -271,7 +277,8 @@ func postWireQuery(ctx context.Context, client *http.Client, addr string, src in
 	return gateway.DecodeQueryResponse(raw)
 }
 
-// probeWireN fires one query at the remote server to learn its graph size.
+// probeWireN fires one query at the remote server to learn its graph size:
+// the run's wire query 0, which asks source 0.
 func probeWireN(ctx context.Context, addr string) (int, error) {
 	ans, err := postWireQuery(ctx, http.DefaultClient, addr, 0)
 	if err != nil {
@@ -284,10 +291,11 @@ func probeWireN(ctx context.Context, addr string) (int, error) {
 }
 
 // fireWireQueries is fireQueries' wire twin: q single SSSP queries POSTed at
-// a running lcsserve from `clients` concurrent connections, same rotating
-// source schedule. Returns wall-clock time and summed simulated rounds as
-// reported by the server.
-func fireWireQueries(ctx context.Context, addr string, n, q, clients int) (time.Duration, int64, error) {
+// a running lcsserve from `clients` concurrent connections, on the same
+// rotating schedule continued from the run's wire query first: query i
+// asks source (first+i)·31 mod n. Returns wall-clock time and summed
+// simulated rounds as reported by the server.
+func fireWireQueries(ctx context.Context, addr string, n, first, q, clients int) (time.Duration, int64, error) {
 	if clients <= 0 {
 		clients = 1
 	}
@@ -306,7 +314,7 @@ func fireWireQueries(ctx context.Context, addr string, n, q, clients int) (time.
 			defer wg.Done()
 			var local int64
 			for i := c * per; i < minInt((c+1)*per, q); i++ {
-				ans, err := postWireQuery(ctx, client, addr, i*31%n)
+				ans, err := postWireQuery(ctx, client, addr, (first+i)*31%n)
 				if err != nil {
 					errs <- err
 					return

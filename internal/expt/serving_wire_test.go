@@ -9,12 +9,15 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
 // TestE14WireMode points the E14 sweep at a live gateway (the lcsbench
 // -serve-addr shape) and requires wire rows next to the library rows, with
-// the overhead note and meta recorded.
+// the overhead note and meta recorded. The gateway's sssp cache keeps a
+// source's body on its second miss, so over three client configurations
+// the cache must never answer: every row times a walk.
 func TestE14WireMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -34,7 +37,8 @@ func TestE14WireMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := serve.NewServer(snap, serve.ServerOptions{Executors: 2, Seed: 7})
-	gw, err := gateway.New(srv, gateway.Options{QueueDepth: 16})
+	reg := obs.New()
+	gw, err := gateway.New(srv, gateway.Options{QueueDepth: 16, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +51,7 @@ func TestE14WireMode(t *testing.T) {
 		Seed:           7,
 		DistSizes:      []int{300},
 		ServeQueries:   8,
-		ServeExecutors: []int{1, 2},
+		ServeExecutors: []int{1, 2, 4},
 		ServeBatches:   []int{1},
 		ServeAddr:      ts.Listener.Addr().String(),
 	}
@@ -66,8 +70,11 @@ func TestE14WireMode(t *testing.T) {
 			}
 		}
 	}
-	if wireRows != 2 {
+	if wireRows != 3 {
 		t.Fatalf("wire rows = %d, want one per client count", wireRows)
+	}
+	if hits := reg.Counter("lcs_gateway_sssp_cache_hits_total").Value(); hits != 0 {
+		t.Fatalf("%d wire queries answered from the gateway's sssp cache, want 0", hits)
 	}
 	if _, ok := tbl.Meta["wire_ms_per_query"]; !ok {
 		t.Fatal("meta missing wire_ms_per_query")

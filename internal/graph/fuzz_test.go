@@ -239,13 +239,16 @@ func FuzzBitset(f *testing.F) {
 }
 
 // FuzzDiameterAmong cross-checks the packed DiametersAmong against the
-// one-BFS-per-node oracle, set by set, on three vertex-disjoint sets decoded
-// from the fuzz bytes. Graphs have up to 80 nodes, so sets cross the
+// one-BFS-per-source oracle, set by set, on three vertex-disjoint sets
+// decoded from the fuzz bytes. Graphs have up to 80 nodes, so sets cross the
 // 64-source word boundary and share words. Decoding: size%80 picks n, and
 // size's high bit makes set 2's view saturated (H = E) instead of induced;
-// data's first 20 bytes hold two bits per node (bits 2(i%4) of byte i/4 for
-// node i: 0 for no set, 1–3 for sets 0–2); the remaining bytes are edge
-// pairs (a, b), and a's high bit puts the edge in set 0's H, b's in set 1's.
+// bits 2j and 2j+1 of src pick set j's sources (0: all of S, Src nil; 1: the
+// middle node of S alone; 2: the nodes at even positions of S; 3: the last
+// two thirds of S); data's first 20 bytes hold two bits per node (bits
+// 2(i%4) of byte i/4 for node i: 0 for no set, 1–3 for sets 0–2); the
+// remaining bytes are edge pairs (a, b), and a's high bit puts the edge in
+// set 0's H, b's in set 1's.
 func FuzzDiameterAmong(f *testing.F) {
 	everyNode := bytes.Repeat([]byte{0x55}, 20)     // all in set 0
 	threeWays := bytes.Repeat([]byte{0xe4}, 20)     // none, set 0, set 1, set 2 in turn
@@ -255,12 +258,15 @@ func FuzzDiameterAmong(f *testing.F) {
 		path = append(path, i, i+1)
 		hPath = append(hPath, i|0x80, i+1|0x80)
 	}
-	f.Add(byte(79), slices.Concat(everyNode, path))       // a path through all 80 nodes
-	f.Add(byte(79), slices.Concat(set1Sparse, hPath))     // set 1 joined only through H
-	f.Add(byte(79|0x80), slices.Concat(threeWays, path))  // sets 0 and 1 induced: -1; set 2 saturated
-	f.Add(byte(69), slices.Concat(everyNode, path[:80]))  // part of set 0 cut off: -1
-	f.Add(byte(79|0x80), slices.Concat(threeWays, hPath)) // all three views in every word
-	f.Fuzz(func(t *testing.T, size byte, data []byte) {
+	f.Add(byte(79), byte(0), slices.Concat(everyNode, path))          // a path through all 80 nodes
+	f.Add(byte(79), byte(0), slices.Concat(set1Sparse, hPath))        // set 1 joined only through H
+	f.Add(byte(79|0x80), byte(0), slices.Concat(threeWays, path))     // sets 0 and 1 induced: -1; set 2 saturated
+	f.Add(byte(69), byte(0), slices.Concat(everyNode, path[:80]))     // part of set 0 cut off: -1
+	f.Add(byte(79|0x80), byte(0), slices.Concat(threeWays, hPath))    // all three views in every word
+	f.Add(byte(79), byte(1), slices.Concat(everyNode, path))          // the path's middle node: 40
+	f.Add(byte(79), byte(3), slices.Concat(everyNode, path))          // its last 54 nodes: 79, from node 79 to node 0
+	f.Add(byte(79|0x80), byte(0x39), slices.Concat(threeWays, hPath)) // three source rules, three views
+	f.Fuzz(func(t *testing.T, size, src byte, data []byte) {
 		n := int(size)%80 + 1
 		sets := make([]AmongSet, 3)
 		for i := 0; i < n; i++ {
@@ -301,6 +307,22 @@ func FuzzDiameterAmong(f *testing.F) {
 		if size&0x80 != 0 {
 			for e := 0; e < g.NumEdges(); e++ {
 				sets[2].H = append(sets[2].H, EdgeID(e))
+			}
+		}
+		for j := range sets {
+			S := sets[j].S
+			if len(S) == 0 {
+				continue
+			}
+			switch src >> (2 * j) & 3 {
+			case 1:
+				sets[j].Src = S[len(S)/2 : len(S)/2+1]
+			case 2:
+				for i := 0; i < len(S); i += 2 {
+					sets[j].Src = append(sets[j].Src, S[i])
+				}
+			case 3:
+				sets[j].Src = S[len(S)/3:]
 			}
 		}
 		checkAgainstOracle(t, "n="+strconv.Itoa(n), g, sets)

@@ -10,9 +10,8 @@ import "context"
 //
 // Nodes of the view are: every node of S, plus every endpoint of an edge of
 // H. Views share the parent graph's storage and are cheap to create relative
-// to copying the subgraph. Exact dilation does not build views
-// (DiametersAmong admits arcs by the same rule); the leader-eccentricity
-// bracket and the tests' oracles do.
+// to copying the subgraph. Dilation does not build views (DiametersAmong
+// admits arcs by the same rule); only the tests' oracles do.
 type AugmentedView struct {
 	g   *Graph
 	inS *Bitset // node membership in S
@@ -80,12 +79,24 @@ func (v *AugmentedView) EccentricityAmong(src NodeID, interest []NodeID) int32 {
 	return ecc
 }
 
-// AmongSet is one set of DiametersAmong: the nodes S whose pairwise
-// distances are measured, and the extra edges H of their view G[S] ∪ H (the
-// view NewAugmentedView(g, S, H) describes). H lists each edge at most once.
+// AmongSet is one set of DiametersAmong: the nodes S whose distances are
+// measured, the extra edges H of their view G[S] ∪ H (the view
+// NewAugmentedView(g, S, H) describes), and the sources Src those distances
+// are measured from. H lists each edge at most once. Src lists nodes of S;
+// nil means all of S, so the set reads its diameter, while a single source
+// reads that node's eccentricity among S.
 type AmongSet struct {
-	S []NodeID
-	H []EdgeID
+	S   []NodeID
+	H   []EdgeID
+	Src []NodeID
+}
+
+// sources returns the nodes the set's distances are measured from.
+func (a AmongSet) sources() []NodeID {
+	if a.Src == nil {
+		return a.S
+	}
+	return a.Src
 }
 
 // pullFactor picks each level's direction in DiametersAmong: the level
@@ -96,17 +107,19 @@ type AmongSet struct {
 const pullFactor = 2
 
 // DiametersAmong returns, for each of the vertex-disjoint sets, the largest
-// hop distance between two of its nodes inside its own view G[S] ∪ H, or -1
-// if some pair of them is disconnected there: the exact dilation of every
-// augmented part, measured in one pass.
+// hop distance from one of its sources to one of its nodes inside its own
+// view G[S] ∪ H, or -1 if some source and node are disconnected there. With
+// Src nil that is the set's diameter, the exact dilation of an augmented
+// part; with one source it is that source's eccentricity among S. Every set
+// is measured in one pass.
 //
 // It is a level-synchronous multi-source BFS with one bit per source in a
-// uint64 per node (Then et al., VLDB 2014). The sets' nodes, concatenated
-// in order, are the sources, 64 to a word: consecutive sets share a word,
-// and a set of more than 64 nodes spans several. A bit crosses only the arcs
+// uint64 per node (Then et al., VLDB 2014). The sets' sources, concatenated
+// in order, are packed 64 to a word: consecutive sets share a word, and a
+// set of more than 64 sources spans several. A bit crosses only the arcs
 // its own set's view admits, so it first reaches a node at the node's BFS
 // level from its source in that view, and a node counts only its own set's
-// bits toward that set's diameter. A level pushes from the frontier while it
+// bits toward that set's result. A level pushes from the frontier while it
 // is small and pulls into the unfinished nodes once it is large (Beamer et
 // al., SC 2012), and a word ends once every node of its sets holds all of
 // its own set's bits. See DESIGN.md "Measuring dilation".
@@ -125,6 +138,13 @@ func DiametersAmong(ctx context.Context, g *Graph, sets []AmongSet) ([]int32, er
 		mask:  make([]uint64, len(sets)),
 		hBits: make([]*Bitset, len(sets)),
 		diam:  make([]int32, len(sets)),
+		// A word with a saturated or sampled set makes every node a pull
+		// candidate, so each list can reach n; sizing them once keeps
+		// append from regrowing them.
+		frontier: make([]NodeID, 0, n),
+		grown:    make([]NodeID, 0, n),
+		touched:  make([]NodeID, 0, n),
+		cand:     make([]NodeID, 0, n),
 	}
 	for v := range k.own {
 		k.own[v] = -1
@@ -134,11 +154,11 @@ func DiametersAmong(ctx context.Context, g *Graph, sets []AmongSet) ([]int32, er
 			k.own[v] = int32(j)
 		}
 	}
-	j, off := 0, 0 // the next source is sets[j].S[off]
+	j, off := 0, 0 // the next source is sets[j].sources()[off]
 	for {
 		k.parts, k.sources = k.parts[:0], k.sources[:0]
 		for ; len(k.sources) < 64 && j < len(sets); j, off = j+1, 0 {
-			s := sets[j].S[off:]
+			s := sets[j].sources()[off:]
 			t := min(len(s), 64-len(k.sources))
 			if t == 0 {
 				continue

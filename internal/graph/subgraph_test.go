@@ -97,11 +97,11 @@ func diameterOf(t *testing.T, g *Graph, s []NodeID, h []EdgeID) int32 {
 }
 
 // diameterAmongOracle is DiametersAmong's definition for one set, one BFS
-// per interest node: the largest distance between two interest nodes inside
-// the view, or -1 if some pair is disconnected.
-func diameterAmongOracle(v *AugmentedView, interest []NodeID) int32 {
+// per source: the largest distance from a source to an interest node inside
+// the view, or -1 if some such pair is disconnected.
+func diameterAmongOracle(v *AugmentedView, sources, interest []NodeID) int32 {
 	var diam int32
-	for _, s := range interest {
+	for _, s := range sources {
 		res := v.BFS(s)
 		for _, t := range interest {
 			d := res.Dist[t]
@@ -116,8 +116,17 @@ func diameterAmongOracle(v *AugmentedView, interest []NodeID) int32 {
 	return diam
 }
 
+// srcOf returns the nodes set's distances are measured from: Src, or all
+// of S when Src is nil.
+func srcOf(set AmongSet) []NodeID {
+	if set.Src == nil {
+		return set.S
+	}
+	return set.Src
+}
+
 // checkAgainstOracle runs DiametersAmong on sets and compares every set's
-// result with the oracle on its own view.
+// result with the oracle on its own view, from its own sources.
 func checkAgainstOracle(t *testing.T, tag string, g *Graph, sets []AmongSet) []int32 {
 	t.Helper()
 	got, err := DiametersAmong(nil, g, sets)
@@ -125,26 +134,27 @@ func checkAgainstOracle(t *testing.T, tag string, g *Graph, sets []AmongSet) []i
 		t.Fatal(err)
 	}
 	for j, set := range sets {
-		if want := diameterAmongOracle(NewAugmentedView(g, set.S, set.H), set.S); got[j] != want {
-			t.Fatalf("%s: set %d of %d (|S|=%d |H|=%d, m=%d): DiametersAmong = %d, oracle %d",
-				tag, j, len(sets), len(set.S), len(set.H), g.NumEdges(), got[j], want)
+		if want := diameterAmongOracle(NewAugmentedView(g, set.S, set.H), srcOf(set), set.S); got[j] != want {
+			t.Fatalf("%s: set %d of %d (|S|=%d |Src|=%d |H|=%d, m=%d): DiametersAmong = %d, oracle %d",
+				tag, j, len(sets), len(set.S), len(set.Src), len(set.H), g.NumEdges(), got[j], want)
 		}
 	}
 	return got
 }
 
 // wordsOf returns the range of 64-source words each set's sources occupy
-// when DiametersAmong concatenates the sets in order ([lo, hi], or lo > hi
-// for an empty set).
+// when DiametersAmong concatenates the sets' sources in order ([lo, hi], or
+// lo > hi for a set without sources).
 func wordsOf(sets []AmongSet) [][2]int {
 	out := make([][2]int, len(sets))
 	at := 0
 	for j, set := range sets {
-		out[j] = [2]int{at / 64, (at+len(set.S))/64 - 1}
-		if (at+len(set.S))%64 != 0 {
+		k := len(srcOf(set))
+		out[j] = [2]int{at / 64, (at+k)/64 - 1}
+		if (at+k)%64 != 0 {
 			out[j][1]++
 		}
-		at += len(set.S)
+		at += k
 	}
 	return out
 }
@@ -154,11 +164,14 @@ func wordsOf(sets []AmongSet) [][2]int {
 // sets per call. Set sizes straddle the 64-source word; each set's view is
 // induced only (empty H), saturated (H = E) or sampled (a random H), so
 // words mix the three admission rules, and disconnected sets share words
-// with connected ones.
+// with connected ones. Each set is measured from all of its nodes (Src
+// nil), from one of them or from a random subset, so words also mix
+// diameters with eccentricities, and subsets span words.
 func TestDiameterAmongMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sizes := []int{1, 2, 7, 30, 63, 64, 65, 129}
 	var connected, split, viaH, sharing, spanning, mixed, splitBesideConnected int
+	var fromOne, fromSubset, subsetSpanning, srcMixed, srcMatters int
 	for trial := 0; trial < 120; trial++ {
 		k := 1 + rng.Intn(5)
 		total := 0
@@ -184,7 +197,8 @@ func TestDiameterAmongMatchesOracle(t *testing.T) {
 		}
 		perm := rng.Perm(n)
 		sets := make([]AmongSet, k)
-		kinds := make([]int, k) // 0 empty H, 1 saturated, 2 sampled
+		kinds := make([]int, k)    // 0 empty H, 1 saturated, 2 sampled
+		srcKinds := make([]int, k) // 0 all of S, 1 one node, 2 a subset
 		at := 0
 		for j := range sets {
 			for _, v := range perm[at : at+setSizes[j]] {
@@ -202,6 +216,20 @@ func TestDiameterAmongMatchesOracle(t *testing.T) {
 					}
 				}
 			}
+			switch srcKinds[j] = rng.Intn(3); srcKinds[j] {
+			case 1:
+				sets[j].Src = []NodeID{sets[j].S[rng.Intn(len(sets[j].S))]}
+			case 2:
+				sp := []float64{0.2, 0.5, 0.9}[rng.Intn(3)]
+				for _, v := range sets[j].S {
+					if rng.Float64() < sp {
+						sets[j].Src = append(sets[j].Src, v)
+					}
+				}
+				if sets[j].Src == nil {
+					sets[j].Src = sets[j].S[len(sets[j].S)-1:]
+				}
+			}
 		}
 		got := checkAgainstOracle(t, "trial "+strconv.Itoa(trial), g, sets)
 
@@ -210,27 +238,43 @@ func TestDiameterAmongMatchesOracle(t *testing.T) {
 			switch {
 			case got[j] < 0:
 				split++
-			case diameterAmongOracle(NewAugmentedView(g, set.S, nil), set.S) < 0:
+			case diameterAmongOracle(NewAugmentedView(g, set.S, nil), set.S, set.S) < 0:
 				viaH++
 			default:
 				connected++
 			}
 			if words[j][1] > words[j][0] {
 				spanning++
+				if srcKinds[j] == 2 {
+					subsetSpanning++
+				}
+			}
+			switch srcKinds[j] {
+			case 1:
+				fromOne++
+			case 2:
+				fromSubset++
+			}
+			if set.Src != nil && got[j] != diameterAmongOracle(NewAugmentedView(g, set.S, set.H), set.S, set.S) {
+				srcMatters++
 			}
 			kindsInWord := map[int]bool{}
-			shares, besideConnected := false, false
+			shares, besideConnected, besideOtherSrc := false, false, false
 			for i := range sets {
 				if words[i][0] <= words[j][1] && words[j][0] <= words[i][1] {
 					kindsInWord[kinds[i]] = true
 					if i != j {
 						shares = true
 						besideConnected = besideConnected || got[i] >= 0
+						besideOtherSrc = besideOtherSrc || srcKinds[i] != srcKinds[j]
 					}
 				}
 			}
 			if shares {
 				sharing++
+			}
+			if besideOtherSrc {
+				srcMixed++
 			}
 			if len(kindsInWord) == 3 {
 				mixed++
@@ -244,7 +288,10 @@ func TestDiameterAmongMatchesOracle(t *testing.T) {
 	// comparison proves little.
 	t.Logf("sets: %d connected in G[S], %d only via H, %d disconnected; %d share a word, %d span words, %d sit in a word mixing all three views, %d disconnected beside a connected set",
 		connected, viaH, split, sharing, spanning, mixed, splitBesideConnected)
-	if connected == 0 || split == 0 || viaH == 0 || sharing == 0 || spanning == 0 || mixed == 0 || splitBesideConnected == 0 {
+	t.Logf("sources: %d sets from one node, %d from a subset (%d spanning words), %d share a word with a set measured otherwise, %d read less than their diameter",
+		fromOne, fromSubset, subsetSpanning, srcMixed, srcMatters)
+	if connected == 0 || split == 0 || viaH == 0 || sharing == 0 || spanning == 0 || mixed == 0 || splitBesideConnected == 0 ||
+		fromOne == 0 || fromSubset == 0 || subsetSpanning == 0 || srcMixed == 0 || srcMatters == 0 {
 		t.Fatal("coverage incomplete")
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/reproerr"
 )
 
 // TestCongestionProfileConsistency: the profile histogram's largest nonzero
@@ -363,6 +364,43 @@ func TestDilationBracketsMatchEccentricity(t *testing.T) {
 				if q.Exact || q.DilationLo != ecc || q.DilationHi != 2*ecc {
 					t.Fatalf("D=%d lf=%g part %d: %v, leader eccentricity %d", d, lf, i, q, ecc)
 				}
+			}
+		}
+	}
+}
+
+// TestDilationsOfRejectsRepeatedPart pins that DilationsOf refuses a list
+// naming a part twice, as it refuses one out of range: the repeated sets
+// would overlap in the packed pass, where each node counts only the bits of
+// the one set that owns it.
+func TestDilationsOfRejectsRepeatedPart(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	g := gen.ErdosRenyi(300, 0.03, rng)
+	parts, err := gen.VoronoiParts(g, 6, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := mustPartition(t, g, parts)
+	s, err := Build(g, p, Options{Diameter: 4, LogFactor: 0.3, Rng: rng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cutoff := range []int{0, 1} { // exact, then bracketed
+		for _, list := range [][]int{{2, 2}, {2, 0, 2}, {0, 1, 2, 3, 4, 5, 1}, {2, 6}, {-1}} {
+			if q, err := s.DilationsOf(nil, list, cutoff); reproerr.KindOf(err) != reproerr.KindInvalidInput {
+				t.Fatalf("cutoff %d: DilationsOf(%v) = %v, %v; want a KindInvalidInput error", cutoff, list, q, err)
+			}
+		}
+		q, err := s.DilationsOf(nil, []int{2, 0}, cutoff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, i := range []int{2, 0} {
+			d := partDilationOracle(s, i)
+			exact := q[k].Exact && q[k].DilationLo == d && q[k].DilationHi == d
+			bracket := !q[k].Exact && q[k].DilationLo <= d && d <= q[k].DilationHi
+			if cutoff == 0 && !exact || cutoff == 1 && !bracket {
+				t.Fatalf("cutoff %d: part %d: %v, oracle %d", cutoff, i, q[k], d)
 			}
 		}
 	}

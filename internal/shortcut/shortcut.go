@@ -141,11 +141,11 @@ func (s *Shortcuts) CongestionProfile() []int {
 }
 
 // Dilation measures the dilation of the shortcut assignment. For parts with
-// at most exactCutoff nodes the per-part diameter is computed exactly (one
-// packed bit-parallel BFS over every such part's augmented view, see
-// graph.DiametersAmong); larger parts fall back to a certified
-// 2-approximation from the leader's eccentricity. exactCutoff ≤ 0
-// means always exact. A disconnected augmented part yields an error (Build
+// at most exactCutoff nodes the per-part diameter is computed exactly;
+// larger parts fall back to a certified 2-approximation from the leader's
+// eccentricity. Both come from one packed bit-parallel BFS over every
+// part's augmented view (see graph.DiametersAmong). exactCutoff ≤ 0 means
+// always exact. A disconnected augmented part yields an error (Build
 // never produces one: Step 1 keeps G[Si] intact).
 func (s *Shortcuts) Dilation(exactCutoff int) (Quality, error) {
 	return s.DilationCtx(nil, exactCutoff)
@@ -208,123 +208,48 @@ func (s *Shortcuts) PartDilation(i, exactCutoff int) (Quality, error) {
 
 // DilationsOf measures the dilations of the listed distinct parts (out[k]
 // is parts[k]'s, with Congestion 0) — the entry point the serving layer's
-// delta update uses to re-measure only the parts a delta touched. The
-// parts of at most exactCutoff nodes share one graph.DiametersAmong pass,
-// cancelable between 64-source sweeps; each larger part gets the
-// [ecc, 2·ecc] bracket of one leader BFS. exactCutoff as in Dilation. A
-// disconnected augmented part fails the call, naming the first such part
-// in list order.
+// delta update uses to re-measure only the parts a delta touched. Every
+// listed part is one set of a single graph.DiametersAmong pass, cancelable
+// between 64-source sweeps: a part of at most exactCutoff nodes is measured
+// from all of its nodes, for its exact dilation, and a larger part from its
+// leader alone, for the [ecc, 2·ecc] bracket of the leader's eccentricity.
+// exactCutoff as in Dilation. A part listed twice or out of range is
+// invalid input. A disconnected augmented part fails the call, naming the
+// first such part in list order.
 func (s *Shortcuts) DilationsOf(ctx context.Context, parts []int, exactCutoff int) ([]Quality, error) {
 	const op = "shortcut.PartDilation"
-	g := s.P.Graph()
-	exact := func(i int) bool { return exactCutoff <= 0 || len(s.P.Part(i).Nodes) <= exactCutoff }
-	var sets []graph.AmongSet
-	for _, i := range parts {
-		if i < 0 || i >= s.P.NumParts() {
-			return nil, reproerr.Invalid(op, "part %d out of range [0,%d)", i, s.P.NumParts())
+	listed := make([]bool, s.P.NumParts())
+	sets := make([]graph.AmongSet, len(parts))
+	for k, i := range parts {
+		if i < 0 || i >= len(listed) {
+			return nil, reproerr.Invalid(op, "part %d out of range [0,%d)", i, len(listed))
 		}
-		if exact(i) {
-			sets = append(sets, graph.AmongSet{S: s.P.Part(i).Nodes, H: s.h(i)})
+		if listed[i] {
+			return nil, reproerr.Invalid(op, "part %d listed twice", i)
+		}
+		listed[i] = true
+		part := s.P.Part(i)
+		sets[k] = graph.AmongSet{S: part.Nodes, H: s.h(i)}
+		if exactCutoff > 0 && len(part.Nodes) > exactCutoff {
+			sets[k].Src = []graph.NodeID{part.Leader}
 		}
 	}
-	diam, err := graph.DiametersAmong(ctx, g, sets)
+	diam, err := graph.DiametersAmong(ctx, s.P.Graph(), sets)
 	if err != nil {
 		return nil, reproerr.FromContext("shortcut.Dilation", err)
 	}
 	out := make([]Quality, len(parts))
-	var bfs *viewBFS
-	for k, i := range parts {
-		var d int32
-		if exact(i) {
-			d, diam = diam[0], diam[1:]
+	for k, d := range diam {
+		switch {
+		case d < 0:
+			return nil, reproerr.Invalid(op, "part %d disconnected in augmented subgraph", parts[k])
+		case sets[k].Src == nil:
 			out[k] = Quality{DilationLo: d, DilationHi: d, Exact: true}
-		} else {
-			if err := ctxCheck("shortcut.Dilation", ctx); err != nil {
-				return nil, err
-			}
-			if bfs == nil {
-				bfs = newViewBFS(g)
-			}
-			part := s.P.Part(i)
-			d = bfs.eccentricity(part.Nodes, s.h(i), part.Leader)
+		default:
 			out[k] = Quality{DilationLo: d, DilationHi: 2 * d}
-		}
-		if d < 0 {
-			return nil, reproerr.Invalid(op, "part %d disconnected in augmented subgraph", i)
 		}
 	}
 	return out, nil
-}
-
-// viewBFS is the scratch of DilationsOf's brackets, allocated once per call
-// and left clean after each part: a distance-only BFS inside one part's
-// view G[S] ∪ H at a time.
-type viewBFS struct {
-	g        *graph.Graph
-	inS, inH *graph.Bitset
-	dist     []int32
-	queue    []graph.NodeID
-}
-
-func newViewBFS(g *graph.Graph) *viewBFS {
-	dist := make([]int32, g.NumNodes())
-	for v := range dist {
-		dist[v] = graph.Unreached
-	}
-	return &viewBFS{
-		g:     g,
-		inS:   graph.NewBitset(g.NumNodes()),
-		inH:   graph.NewBitset(g.NumEdges()),
-		dist:  dist,
-		queue: make([]graph.NodeID, 0, g.NumNodes()),
-	}
-}
-
-// eccentricity returns the largest hop distance from src to a node of S
-// inside the view G[S] ∪ H, or -1 if some node of S is unreached there:
-// graph.NewAugmentedView(g, S, H).EccentricityAmong(src, S), admitting the
-// same arcs (those of H, and those with both ends in S).
-func (b *viewBFS) eccentricity(S []graph.NodeID, H []graph.EdgeID, src graph.NodeID) int32 {
-	for _, v := range S {
-		b.inS.Set(v)
-	}
-	for _, e := range H {
-		b.inH.Set(e)
-	}
-	b.dist[src] = 0
-	q := append(b.queue[:0], src)
-	for head := 0; head < len(q); head++ {
-		u := q[head]
-		uInS := b.inS.Has(u)
-		lo, hi := b.g.ArcRange(u)
-		for a := lo; a < hi; a++ {
-			v := b.g.ArcTarget(a)
-			if b.dist[v] != graph.Unreached || !b.inH.Has(b.g.ArcEdge(a)) && !(uInS && b.inS.Has(v)) {
-				continue
-			}
-			b.dist[v] = b.dist[u] + 1
-			q = append(q, v)
-		}
-	}
-	var ecc int32
-	for _, v := range S {
-		if b.dist[v] == graph.Unreached {
-			ecc = -1
-			break
-		}
-		ecc = max(ecc, b.dist[v])
-	}
-	for _, v := range q {
-		b.dist[v] = graph.Unreached
-	}
-	for _, v := range S {
-		b.inS.Clear(v)
-	}
-	for _, e := range H {
-		b.inH.Clear(e)
-	}
-	b.queue = q
-	return ecc
 }
 
 // h returns part i's shortcut edges (nil when H does not cover it).
