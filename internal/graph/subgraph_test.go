@@ -171,7 +171,8 @@ func TestDiameterAmongMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	sizes := []int{1, 2, 7, 30, 63, 64, 65, 129}
 	var connected, split, viaH, sharing, spanning, mixed, splitBesideConnected int
-	var fromOne, fromSubset, subsetSpanning, srcMixed, srcMatters int
+	var bySrc [3]int // sets by source kind
+	var subsetSpanning, srcMixed, srcMatters int
 	for trial := 0; trial < 120; trial++ {
 		k := 1 + rng.Intn(5)
 		total := 0
@@ -249,12 +250,7 @@ func TestDiameterAmongMatchesOracle(t *testing.T) {
 					subsetSpanning++
 				}
 			}
-			switch srcKinds[j] {
-			case 1:
-				fromOne++
-			case 2:
-				fromSubset++
-			}
+			bySrc[srcKinds[j]]++
 			if set.Src != nil && got[j] != diameterAmongOracle(NewAugmentedView(g, set.S, set.H), set.S, set.S) {
 				srcMatters++
 			}
@@ -289,9 +285,9 @@ func TestDiameterAmongMatchesOracle(t *testing.T) {
 	t.Logf("sets: %d connected in G[S], %d only via H, %d disconnected; %d share a word, %d span words, %d sit in a word mixing all three views, %d disconnected beside a connected set",
 		connected, viaH, split, sharing, spanning, mixed, splitBesideConnected)
 	t.Logf("sources: %d sets from one node, %d from a subset (%d spanning words), %d share a word with a set measured otherwise, %d read less than their diameter",
-		fromOne, fromSubset, subsetSpanning, srcMixed, srcMatters)
+		bySrc[1], bySrc[2], subsetSpanning, srcMixed, srcMatters)
 	if connected == 0 || split == 0 || viaH == 0 || sharing == 0 || spanning == 0 || mixed == 0 || splitBesideConnected == 0 ||
-		fromOne == 0 || fromSubset == 0 || subsetSpanning == 0 || srcMixed == 0 || srcMatters == 0 {
+		bySrc[1] == 0 || bySrc[2] == 0 || subsetSpanning == 0 || srcMixed == 0 || srcMatters == 0 {
 		t.Fatal("coverage incomplete")
 	}
 }

@@ -43,12 +43,12 @@ import (
 
 // dilationCutoff bounds the exact per-part dilation of a build, as in
 // Shortcuts.Dilation: a part above it reports the [ecc, 2·ecc] bracket of
-// one leader BFS. The snapshot records the cutoff it was built with, and
-// the file format persists it, so a delta on a loaded snapshot measures
-// touched parts under the same cutoff as the build that produced it. E16's
-// n=100,000 build has five parts of ~20,000 nodes, whose exact dilation
-// costs ~10 s against ~60 ms for their brackets (DESIGN.md "Measuring
-// dilation"), so the bracket path stays.
+// its leader's eccentricity. The snapshot records the cutoff it was built
+// with, and the file format persists it, so a delta on a loaded snapshot
+// measures touched parts under the same cutoff as the build that produced
+// it. E16's n=100,000 build has five parts of ~20,000 nodes, whose exact
+// dilation costs ~10 s against ~60 ms for their brackets (DESIGN.md
+// "Measuring dilation"), so the bracket path stays.
 const dilationCutoff = 3000
 
 // SnapshotOptions configures NewSnapshot.
