@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -248,9 +247,10 @@ func fireQueries(ctx context.Context, srv *serve.Server, n, q, executors, batch 
 	return time.Since(start), simRounds, nil
 }
 
-// postWireQuery POSTs one SSSP query at addr's /v1/query and decodes the
-// answer with gateway.DecodeQueryResponse. Non-200 statuses surface with
-// the wire error body.
+// postWireQuery POSTs one SSSP query at addr's /v1/query and reads the
+// answer with gateway.ReadQueryResponse: a non-200 status is a typed error
+// (429 KindBudgetExceeded, 504 KindDeadline, …), an undecodable 200
+// KindCorrupt.
 func postWireQuery(ctx context.Context, client *http.Client, addr string, src int) (*gateway.QueryResponse, error) {
 	base := addr
 	if !strings.Contains(base, "://") {
@@ -266,15 +266,7 @@ func postWireQuery(ctx context.Context, client *http.Client, addr string, src in
 	if err != nil {
 		return nil, err
 	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(raw))
-	}
-	return gateway.DecodeQueryResponse(raw)
+	return gateway.ReadQueryResponse("expt.wire", resp)
 }
 
 // probeWireN fires one query at the remote server to learn its graph size:

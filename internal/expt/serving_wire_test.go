@@ -1,7 +1,9 @@
 package expt
 
 import (
+	"context"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/reproerr"
 	"repro/internal/serve"
 )
 
@@ -96,5 +99,32 @@ func TestE14WireMode(t *testing.T) {
 	cfg.ServeAddr = "127.0.0.1:1"
 	if _, err := E14Serving(cfg); err == nil {
 		t.Fatal("dead serve-addr accepted")
+	}
+}
+
+// TestPostWireQueryTypedErrors pins E14's wire client to the error
+// taxonomy: a shed (429) reads KindBudgetExceeded, a gateway timeout (504)
+// KindDeadline and an undecodable 200 KindCorrupt, so lcsbench -serve-addr
+// can tell them apart.
+func TestPostWireQueryTypedErrors(t *testing.T) {
+	for _, c := range []struct {
+		status int
+		body   string
+		want   reproerr.Kind
+	}{
+		{http.StatusTooManyRequests, `{"error":"gateway: queue full","kind":"budget exceeded"}`, reproerr.KindBudgetExceeded},
+		{http.StatusGatewayTimeout, `{"error":"serve: context deadline exceeded","kind":"deadline exceeded"}`, reproerr.KindDeadline},
+		{http.StatusOK, `{"kind":"sssp","sssp":{"source":0,"dist":[0,1.5`, reproerr.KindCorrupt},
+	} {
+		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(c.status)
+			_, _ = w.Write([]byte(c.body + "\n"))
+		}))
+		_, err := postWireQuery(context.Background(), hs.Client(), hs.URL, 0)
+		hs.Close()
+		if k := reproerr.KindOf(err); k != c.want {
+			t.Errorf("status %d: err %v of kind %v, want %v", c.status, err, k, c.want)
+		}
 	}
 }

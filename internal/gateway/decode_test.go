@@ -1,9 +1,17 @@
 package gateway
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
+	"net"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -178,5 +186,67 @@ func TestDecodeQueryResponseOnePass(t *testing.T) {
 		if _, ok := decodeSSSP([]byte(raw)); ok {
 			t.Fatalf("%q: the one-pass path accepted a body outside its form", raw)
 		}
+	}
+}
+
+// TestReadQueryResponseBodies pins the client's body read: an answer with a
+// Content-Length is read at that length and keeps its connection alive, a
+// chunked 200 still decodes, a body shorter than its Content-Length is an
+// error, and a declared length above maxBodyBytes is read through
+// io.ReadAll, never preallocated.
+func TestReadQueryResponseBodies(t *testing.T) {
+	want := ssspResponses()[0]
+	raw, err := appendBody(nil, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns atomic.Int32
+	hs := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/length":
+			w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
+			_, _ = w.Write(raw)
+		case "/chunked":
+			_, _ = w.Write(raw[:10])
+			w.(http.Flusher).Flush()
+			_, _ = w.Write(raw[10:])
+		case "/short":
+			w.Header().Set("Content-Length", strconv.Itoa(len(raw)+10))
+			_, _ = w.Write(raw)
+		}
+	}))
+	hs.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	hs.Start()
+	defer hs.Close()
+	get := func(path string) (*QueryResponse, int64, error) {
+		t.Helper()
+		resp, err := hs.Client().Get(hs.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := ReadQueryResponse("gateway.test", resp)
+		return r, resp.ContentLength, err
+	}
+	for i := 0; i < 3; i++ {
+		if r, n, err := get("/length"); err != nil || n != int64(len(raw)) || !sameResponse(r, want) {
+			t.Fatalf("length-framed answer: %+v, Content-Length %d, err %v", r, n, err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Errorf("three length-framed answers took %d connections, want 1 kept alive", n)
+	}
+	if r, n, err := get("/chunked"); err != nil || n != -1 || !sameResponse(r, want) {
+		t.Errorf("chunked answer: %+v, Content-Length %d, err %v", r, n, err)
+	}
+	if _, _, err := get("/short"); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("body short of its Content-Length: err %v, want %v", err, io.ErrUnexpectedEOF)
+	}
+	got, err := readBody(&http.Response{ContentLength: maxBodyBytes + 1, Body: io.NopCloser(bytes.NewReader(raw))})
+	if err != nil || !bytes.Equal(got, raw) || cap(got) >= maxBodyBytes {
+		t.Errorf("declared length above the bound: %d bytes, cap %d, err %v; want %d bytes read by io.ReadAll", len(got), cap(got), err, len(raw))
 	}
 }

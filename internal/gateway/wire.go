@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"strconv"
 	"unicode/utf8"
 
@@ -114,10 +115,11 @@ func appendRow(buf []byte, d DistVector) ([]byte, error) {
 // UnmarshalJSON parses the array form in place, mapping null back to +Inf.
 // It accepts exactly what json.Unmarshal accepts into a []*float64 (a JSON
 // null, or an array of JSON numbers and nulls, each number within float64
-// range) and converts each number with strconv.ParseFloat, as encoding/json
-// does, so the values are bit-identical. The receiver's capacity is reused:
-// a fresh receiver costs one allocation per row, a reused one none. A JSON
-// null decodes to a nil vector; a rejected input leaves an empty one.
+// range), and each value is what strconv.ParseFloat, which encoding/json
+// calls, returns (parseNumber), so the values are bit-identical. The
+// receiver's capacity is reused: a fresh receiver costs one allocation per
+// row, a reused one none. A JSON null decodes to a nil vector; a rejected
+// input leaves an empty one.
 func (d *DistVector) UnmarshalJSON(b []byte) error {
 	out, err := parseRow((*d)[:0], b)
 	if err != nil {
@@ -129,7 +131,8 @@ func (d *DistVector) UnmarshalJSON(b []byte) error {
 }
 
 // parseRow appends the values of the JSON row b to out. A JSON null returns
-// nil.
+// nil. Each number is read once, by parseNumber, which checks its grammar
+// and converts it in the same pass.
 func parseRow(out DistVector, b []byte) (DistVector, error) {
 	i := skipSpace(b, 0)
 	if hasLiteral(b, i, "null") {
@@ -155,11 +158,10 @@ func parseRow(out DistVector, b []byte) (DistVector, error) {
 			out = append(out, math.Inf(1))
 			i += 4
 		} else {
-			end := numberEnd(b, i)
+			v, end, err := parseNumber(b, i)
 			if end == i {
 				return out, fmt.Errorf("element %d: not a number or null", len(out))
 			}
-			v, err := strconv.ParseFloat(string(b[i:end]), 64)
 			if err != nil {
 				return out, fmt.Errorf("element %d: %w", len(out), err)
 			}
@@ -199,35 +201,6 @@ func skipSpace(b []byte, i int) int {
 // hasLiteral reports whether b holds lit at i.
 func hasLiteral(b []byte, i int, lit string) bool {
 	return len(b)-i >= len(lit) && string(b[i:i+len(lit)]) == lit
-}
-
-// numberEnd returns the end of the JSON number starting at b[i], or i when
-// none starts there. The grammar is JSON's:
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func numberEnd(b []byte, i int) int {
-	start := i
-	if i = intEnd(b, i); i == start {
-		return start
-	}
-	if i < len(b) && b[i] == '.' {
-		j := digitsEnd(b, i+1)
-		if j == i+1 {
-			return start
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		j := i + 1
-		if j < len(b) && (b[j] == '+' || b[j] == '-') {
-			j++
-		}
-		k := digitsEnd(b, j)
-		if k == j {
-			return start
-		}
-		i = k
-	}
-	return i
 }
 
 // intEnd returns the end of the JSON integer -?(0|[1-9][0-9]*) starting at
@@ -382,6 +355,69 @@ func DecodeQueryResponse(raw []byte) (*QueryResponse, error) {
 		return nil, reproerr.Errorf("gateway.response", reproerr.KindCorrupt, "undecodable answer: %w", err)
 	}
 	return r, nil
+}
+
+// ReadQueryResponse reads a /v1/query answer and closes its body: a 200
+// decodes with DecodeQueryResponse, any other status is the typed error
+// statusError makes of it. Every error names op.
+func ReadQueryResponse(op string, resp *http.Response) (*QueryResponse, error) {
+	raw, err := readBody(resp)
+	resp.Body.Close()
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", op, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, statusError(op, resp.StatusCode, raw)
+	}
+	r, err := DecodeQueryResponse(raw)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", op, err)
+	}
+	return r, nil
+}
+
+// readBody reads resp.Body whole. A declared Content-Length up to
+// maxBodyBytes is read into one buffer of that size, and a shorter body is
+// an error; a chunked body, or a larger declared length, which is never
+// preallocated, goes through io.ReadAll.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxBodyBytes {
+		return io.ReadAll(resp.Body)
+	}
+	raw := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, raw); err != nil {
+		return nil, err
+	}
+	return raw, nil
+}
+
+// statusError maps a non-200 answer back onto the error taxonomy by the
+// status the gateway derived from its kind (reproerr.HTTPStatus), so a
+// client tells a shed (429) from a deadline (504). The message is the
+// ErrorResponse's, or the raw body when it is none.
+func statusError(op string, status int, raw []byte) error {
+	var kind reproerr.Kind
+	switch status {
+	case 400:
+		kind = reproerr.KindInvalidInput
+	case 422:
+		kind = reproerr.KindCorrupt
+	case 429:
+		kind = reproerr.KindBudgetExceeded
+	case 499:
+		kind = reproerr.KindCanceled
+	case 504:
+		kind = reproerr.KindDeadline
+	default:
+		kind = reproerr.KindUnknown
+	}
+	var e ErrorResponse
+	msg := string(bytes.TrimSpace(raw))
+	if json.Unmarshal(raw, &e) == nil && e.Error != "" {
+		msg = e.Error
+	}
+	return reproerr.Errorf(op, kind, "status %d: %s", status, msg)
 }
 
 // decodeSSSP is DecodeQueryResponse's one-pass path. It accepts exactly

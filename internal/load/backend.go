@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 
@@ -105,17 +104,9 @@ func (b *WireBackend) Do(ctx context.Context, q serve.Query) (Completion, error)
 		}
 		return Completion{}, fmt.Errorf("%s: %w", op, err)
 	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	ans, err := gateway.ReadQueryResponse(op, resp)
 	if err != nil {
-		return Completion{}, fmt.Errorf("%s: %w", op, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return Completion{}, wireError(op, resp.StatusCode, raw)
-	}
-	ans, err := gateway.DecodeQueryResponse(raw)
-	if err != nil {
-		return Completion{}, fmt.Errorf("%s: %w", op, err)
+		return Completion{}, err
 	}
 	a, err := gateway.ResponseToAnswer(ans)
 	if err != nil {
@@ -142,31 +133,4 @@ func queryToRequest(q serve.Query) (gateway.QueryRequest, error) {
 		return gateway.QueryRequest{Kind: "quality", Part: &part}, nil
 	}
 	return gateway.QueryRequest{}, reproerr.Invalid("load.wire", "unmappable query type %T", q)
-}
-
-// wireError maps a non-200 response back onto the error taxonomy using the
-// status the gateway derived from it, so the runner classifies shed (429)
-// and deadline (504) identically for both backends.
-func wireError(op string, status int, raw []byte) error {
-	var kind reproerr.Kind
-	switch status {
-	case 400:
-		kind = reproerr.KindInvalidInput
-	case 422:
-		kind = reproerr.KindCorrupt
-	case 429:
-		kind = reproerr.KindBudgetExceeded
-	case 499:
-		kind = reproerr.KindCanceled
-	case 504:
-		kind = reproerr.KindDeadline
-	default:
-		kind = reproerr.KindUnknown
-	}
-	var e gateway.ErrorResponse
-	msg := string(bytes.TrimSpace(raw))
-	if json.Unmarshal(raw, &e) == nil && e.Error != "" {
-		msg = e.Error
-	}
-	return reproerr.Errorf(op, kind, "status %d: %s", status, msg)
 }
